@@ -33,6 +33,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+/// Default [`EngineConfig::replan_factor`]: re-plan only on a 4×
+/// divergence between observed and estimated cost — large enough that
+/// ordinary timing noise never churns plans, small enough that a badly
+/// mis-estimated operator is corrected after one sighting.
+pub const DEFAULT_REPLAN_FACTOR: f64 = 4.0;
+
 /// Engine configuration: optimization toggles and the storage budget.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -56,16 +62,15 @@ pub struct EngineConfig {
     pub parallelism: usize,
     /// Shards the intermediate store's entry maps are split across so the
     /// executor's concurrent store traffic does not serialize on one
-    /// lock. The default comes from `HELIX_STORE_SHARDS` (falling back to
-    /// [`crate::store::DEFAULT_STORE_SHARDS`]); `1` reproduces the
-    /// historical single-lock store. Purely a concurrency knob — contents
-    /// and budget semantics are identical at every setting.
+    /// lock. The default is [`crate::store::DEFAULT_STORE_SHARDS`]; `1`
+    /// reproduces the historical single-lock store. Purely a concurrency
+    /// knob — contents and budget semantics are identical at every
+    /// setting.
     pub store_shards: usize,
     /// Rows-per-partition threshold for the scheduler's operator-level
     /// data parallelism: a partitionable node splits into row slices once
-    /// its input holds at least twice this many rows. The default comes
-    /// from `HELIX_PARTITION_ROWS` (falling back to
-    /// [`crate::scheduler::DEFAULT_PARTITION_ROWS`]). Purely a
+    /// its input holds at least twice this many rows. The default is
+    /// [`crate::scheduler::DEFAULT_PARTITION_ROWS`]. Purely a
     /// performance knob — outputs, reports, and errors are identical at
     /// every setting; see `docs/PERFORMANCE.md` for tuning guidance.
     pub partition_rows: usize,
@@ -82,7 +87,7 @@ pub struct EngineConfig {
     /// recomputation optimizer with observed costs before executing.
     /// Clamped to ≥ 1; exactly `1.0` re-plans whenever any observed
     /// history exists, `f64::INFINITY` disables re-planning. The default
-    /// comes from `HELIX_REPLAN_FACTOR` (falling back to 4.0). Purely a
+    /// is [`DEFAULT_REPLAN_FACTOR`]. Purely a
     /// plan-shaping knob — execution results are byte-identical at every
     /// setting; only load/compute/store choices move.
     pub replan_factor: f64,
@@ -90,6 +95,10 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Full Helix configuration rooted at `store_dir` with a 1 GiB budget.
+    /// Two fields default from the environment (see [`crate::config_env`]):
+    /// `parallelism` (`HELIX_PARALLELISM`) and `durability`
+    /// (`HELIX_DURABILITY`); everything else is a constant the `with_*`
+    /// builders override.
     pub fn helix(store_dir: impl Into<PathBuf>) -> Self {
         EngineConfig {
             store_dir: store_dir.into(),
@@ -98,32 +107,11 @@ impl EngineConfig {
             materialization: MaterializationPolicyKind::HelixOnline,
             enable_slicing: true,
             parallelism: scheduler::default_parallelism(),
-            store_shards: crate::store::default_store_shards(),
-            partition_rows: scheduler::default_partition_rows(),
+            store_shards: crate::store::DEFAULT_STORE_SHARDS,
+            partition_rows: scheduler::DEFAULT_PARTITION_ROWS,
             durability: crate::config_env::durability(),
-            replan_factor: crate::config_env::replan_factor(),
+            replan_factor: DEFAULT_REPLAN_FACTOR,
         }
-    }
-
-    /// The documented environment entry point: a full Helix configuration
-    /// rooted at `store_dir` with every runtime knob drawn from the
-    /// environment via [`crate::config_env`]. The knobs (one table in
-    /// `docs/API.md`):
-    ///
-    /// | Variable | Field |
-    /// |---|---|
-    /// | `HELIX_PARALLELISM` | [`EngineConfig::parallelism`] |
-    /// | `HELIX_STORE_SHARDS` | [`EngineConfig::store_shards`] |
-    /// | `HELIX_PARTITION_ROWS` | [`EngineConfig::partition_rows`] |
-    /// | `HELIX_DURABILITY` | [`EngineConfig::durability`] |
-    /// | `HELIX_REPLAN_FACTOR` | [`EngineConfig::replan_factor`] |
-    /// | `HELIX_WAL_SNAPSHOT_BYTES` | [`EngineConfig::durability`] (WAL compaction threshold) |
-    ///
-    /// [`EngineConfig::helix`] reads the same knobs; `from_env` is the
-    /// spelled-out alias that makes the env dependency explicit at the
-    /// call site.
-    pub fn from_env(store_dir: impl Into<PathBuf>) -> Self {
-        Self::helix(store_dir)
     }
 
     /// Sets the storage budget.
@@ -799,7 +787,7 @@ impl Engine {
             let mut memo = lock(&self.memo);
             // One logical run per iteration: observations recorded below
             // carry this run's stamp, which is what lets old timings decay
-            // (`HELIX_MEMO_DECAY_RUNS`).
+            // (`memo::DEFAULT_MEMO_DECAY_RUNS`).
             memo.begin_run();
             for (sig, name, parents, observation) in ctx.memo_events.drain(..) {
                 memo.record(sig, &name, &parents, observation);

@@ -86,8 +86,15 @@ pub struct Observation {
     pub run: u64,
 }
 
+/// Logical runs after which a memo observation counts as stale (see
+/// [`MemoTable::observed_compute_secs`]): long enough that a typical
+/// iteration session never decays, short enough that stale timings from a
+/// long-gone machine state stop dominating plans within one working day
+/// of runs.
+pub const DEFAULT_MEMO_DECAY_RUNS: u64 = 32;
+
 /// Weight applied to observations older than the decay horizon
-/// (`HELIX_MEMO_DECAY_RUNS`): stale samples still vote — a signature not
+/// ([`DEFAULT_MEMO_DECAY_RUNS`]): stale samples still vote — a signature not
 /// seen recently has nothing newer — but four fresh samples outweigh the
 /// entire stale tail.
 const STALE_OBSERVATION_WEIGHT: f64 = 0.25;
@@ -236,11 +243,11 @@ impl MemoTable {
 
     /// Decay-aware observed compute seconds for a signature: recent
     /// window samples at full weight, samples older than
-    /// `HELIX_MEMO_DECAY_RUNS` logical runs down-weighted (see
+    /// [`DEFAULT_MEMO_DECAY_RUNS`] logical runs down-weighted (see
     /// [`MemoEntry::observed_compute_secs_decayed`]).
     pub fn observed_compute_secs(&self, sig: Signature) -> Option<f64> {
         self.get(sig)?
-            .observed_compute_secs_decayed(self.current_run, crate::config_env::memo_decay_runs())
+            .observed_compute_secs_decayed(self.current_run, DEFAULT_MEMO_DECAY_RUNS)
     }
 
     /// Records one execution of `sig`, evicting the oldest window slot

@@ -258,9 +258,8 @@ pub fn wave_levels(workflow: &Workflow, states: &[NodeState]) -> Vec<Option<usiz
 /// [`wave_levels`] level is `k`.
 ///
 /// The executor no longer runs wave-by-wave (see `crate::scheduler` for
-/// the ready-queue model); waves survive as the unit of the critical-path
-/// cost estimate ([`plan_wave_cost_us`]) and of the derived per-wave
-/// timings in iteration reports.
+/// the ready-queue model); waves survive as the unit of the derived
+/// per-wave timings in iteration reports.
 pub fn build_waves(
     workflow: &Workflow,
     order: &[NodeId],
@@ -277,35 +276,12 @@ pub fn build_waves(
     waves
 }
 
-/// Estimated makespan of the plan in µs under unbounded parallelism: the
-/// per-wave maximum of member costs, summed over waves. The gap between
-/// this and [`plan_cost_us`] is the speedup ceiling a parallel executor
-/// can extract from the plan.
-pub fn plan_wave_cost_us(workflow: &Workflow, states: &[NodeState], costs: &[NodeCosts]) -> u64 {
-    let levels = wave_levels(workflow, states);
-    let mut wave_max: Vec<u64> = Vec::new();
-    for (i, level) in levels.iter().enumerate() {
-        let Some(level) = level else { continue };
-        if *level >= wave_max.len() {
-            wave_max.resize(level + 1, 0);
-        }
-        let cost = match states[i] {
-            NodeState::Compute => costs[i].compute_us,
-            NodeState::Load => costs[i].load_or_inf(),
-            NodeState::Prune => 0,
-        };
-        wave_max[*level] = wave_max[*level].max(cost);
-    }
-    wave_max.iter().sum()
-}
-
 /// Per-node downstream critical-path estimate in µs: the node's own cost
 /// plus the most expensive chain of *compute* descendants hanging off it
 /// (`0` for pruned nodes). A node with a deep or expensive tail is the
 /// one to start first — the ready-queue scheduler uses these as pop
-/// priorities when more than one node is ready (see `crate::scheduler`),
-/// reusing the same per-node cost data as [`plan_wave_cost_us`]. Load
-/// children do not extend a parent's path: they read the store, not the
+/// priorities when more than one node is ready (see `crate::scheduler`).
+/// Load children do not extend a parent's path: they read the store, not the
 /// parent's output.
 pub fn critical_path_priority_us(
     workflow: &Workflow,
@@ -683,22 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn wave_cost_is_critical_path_not_total() {
-        let w = dag_workflow(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3]);
-        let states = vec![NodeState::Compute; 4];
-        let costs: Vec<NodeCosts> = [10, 40, 70, 20]
-            .iter()
-            .map(|&c| NodeCosts {
-                compute_us: c,
-                load_us: None,
-            })
-            .collect();
-        // Waves: {0} max 10, {1,2} max 70, {3} max 20.
-        assert_eq!(plan_wave_cost_us(&w, &states, &costs), 100);
-        assert_eq!(plan_cost_us(&states, &costs), 140);
-    }
-
-    #[test]
     fn critical_path_priorities_favor_deep_chains() {
         // 0 -> 1 -> 2 (deep chain) and 3 (shallow, expensive-ish): the
         // chain head must outrank the standalone node even though its own
@@ -740,29 +700,6 @@ mod tests {
         assert_eq!(prio[3], 0, "pruned nodes carry no priority");
         assert_eq!(prio[1], 7 + 40, "load cost plus compute tail");
         assert_eq!(prio[0], 10, "load child does not extend the parent");
-    }
-
-    #[test]
-    fn wave_cost_never_exceeds_sequential_cost() {
-        let w = dag_workflow(5, &[(0, 2), (1, 2), (2, 3), (2, 4)], &[3, 4]);
-        let costs = vec![
-            NodeCosts {
-                compute_us: 25,
-                load_us: Some(5),
-            };
-            5
-        ];
-        for policy in [
-            RecomputationPolicy::Optimal,
-            RecomputationPolicy::ComputeAll,
-            RecomputationPolicy::LoadAllAvailable,
-        ] {
-            let states = plan_states(&w, &all_active(&w), &costs, policy).unwrap();
-            assert!(
-                plan_wave_cost_us(&w, &states, &costs) <= plan_cost_us(&states, &costs),
-                "{policy:?}"
-            );
-        }
     }
 
     mod properties {

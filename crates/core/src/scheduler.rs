@@ -1,37 +1,52 @@
-//! Ready-queue parallel plan execution with work stealing.
+//! Plan execution: one node-execution body under two thin drivers.
 //!
-//! The compiled plan's topological `order` hides abundant inter-operator
-//! parallelism: Census fans one scan out into several extractors, and the
-//! IE pipeline runs five independent feature UDFs over the same candidate
-//! set. Earlier versions executed the plan in dependency *waves* with a
-//! barrier between levels, which left speedup on the table: one slow
-//! member of a wave gated every node of the next, exactly on the wide
-//! DAGs where parallelism matters most.
+//! # One body
 //!
-//! The executor here is barrier-free. Each non-pruned node carries an
-//! atomic count of unsatisfied parents; a node becomes ready the instant
-//! its last parent finishes. Workers pull ready nodes from a per-worker
-//! local deque (LIFO, for locality along just-unlocked dependency
-//! chains), falling back to a shared injector seeded with the initially
-//! ready nodes and then to stealing from other workers' deques (FIFO, so
-//! thieves take the oldest — widest-fanout — work). When the injector
-//! holds more than one entry, workers pop the node with the largest
-//! *downstream critical-path estimate*
-//! ([`crate::recompute::critical_path_priority_us`], built from the same
-//! per-node cost data as the wave cost estimate) instead of pure FIFO:
-//! starting the longest chain first keeps its dependents flowing while
-//! shallow work fills the remaining slots. Plan order breaks ties, and
-//! merge semantics are untouched — the plan-order merge cursor makes
-//! results independent of execution order by construction. The thread
-//! count is capped at [`crate::EngineConfig::parallelism`].
+//! Every compute node's output is produced the same way, whatever runs
+//! it: the node is turned into an ordered list of *pieces*
+//! (`plan_pieces`), each piece is either loaded from the store by its
+//! partition signature or computed with [`crate::exec::execute_slice`]
+//! over its row range (`run_piece`), and the piece outputs are
+//! concatenated in index order (`assemble`). A whole node is the
+//! one-piece case; operator partitioning (wide inputs split across
+//! workers) and data-chunk reuse (unchanged partitions served from the
+//! store after a data delta, see [`crate::slicing::chunk_plan`]) are the
+//! same list built from different evidence, so they compose: a wide node
+//! with some stored chunks loads the hits and splits the misses. Because
+//! slice execution is row-wise and partition signatures are
+//! content-derived, every piece list concatenates to the byte-identical
+//! whole-node output.
 //!
-//! [`ExecStrategy::WaveBarrier`] keeps the historical wave executor
-//! alive solely as the baseline that `benches/scheduler.rs` and the
-//! regression CI measure the ready queue against;
-//! [`crate::recompute::build_waves`] /
-//! [`crate::recompute::wave_levels`] likewise survive as the
-//! critical-path cost estimator and the source of *derived* per-wave
-//! report timings.
+//! # Two drivers
+//!
+//! * `parallelism = 1` runs the plan-order loop (`execute_sequential`):
+//!   one node at a time, its pieces inline, merged before the next
+//!   starts.
+//! * `parallelism > 1` runs the barrier-free ready queue
+//!   (`execute_ready_queue`). Each non-pruned node carries an atomic
+//!   count of unsatisfied parents; a node becomes ready the instant its
+//!   last parent finishes. Workers pull ready tasks from a per-worker
+//!   local deque (LIFO, for locality along just-unlocked dependency
+//!   chains), falling back to a shared injector seeded with the initially
+//!   ready nodes and then to stealing from other workers' deques (FIFO,
+//!   so thieves take the oldest — widest-fanout — work). A multi-piece
+//!   node fans pieces 1.. out through the injector and runs piece 0
+//!   itself. When the injector holds more than one entry, workers pop the
+//!   one with the largest *downstream critical-path estimate*
+//!   ([`crate::recompute::critical_path_priority_us`]) instead of pure
+//!   FIFO: starting the longest chain first keeps its dependents flowing
+//!   while shallow work fills the remaining slots. The thread count is
+//!   capped at [`crate::EngineConfig::parallelism`].
+//!
+//! The sequential loop is kept on purpose, as the *reference
+//! implementation*: `tests/scheduler_equivalence.rs`,
+//! `tests/incremental.rs` and the benchmark's correctness twin all
+//! compare the ready queue against `parallelism = 1`, and routing `1`
+//! through the ready queue would make them compare one driver with
+//! itself. This is ROADMAP's fallback for the executor collapse — "keep
+//! exactly two". Neither driver runs level by level:
+//! [`crate::recompute::build_waves`] / [`crate::recompute::wave_levels`]
+//! only feed the *derived* per-wave report timings.
 //!
 //! # Determinism
 //!
@@ -58,15 +73,19 @@
 //! dependencies precede it too). Merges therefore commit for exactly the
 //! nodes preceding the failing node in plan order — the same prefix, with
 //! the same side effects (materializations, cost observations), that the
-//! sequential loop commits before erroring at that same node.
+//! sequential loop commits before erroring at that same node. Within a
+//! node, the first error by piece index wins: it holds the globally first
+//! failing row, the error a whole-node run reports.
 
 use crate::compiler::CompiledPlan;
-use crate::ops::NodeOutput;
+use crate::ops::{NodeOutput, OperatorKind};
 use crate::pool::{Job, WorkerPool};
 use crate::recompute::{wave_levels, NodeState};
 use crate::report::WaveReport;
+use crate::signature::Signature;
+use crate::slicing::NodeChunks;
 use crate::store::IntermediateStore;
-use crate::workflow::{NodeId, Workflow};
+use crate::workflow::{Node, NodeId, Workflow};
 use crate::{HelixError, Result};
 use helix_dataflow::par::panic_message;
 use std::collections::VecDeque;
@@ -77,30 +96,22 @@ use std::time::Instant;
 /// How many worker threads the engine should use by default: the
 /// `HELIX_PARALLELISM` environment variable when set to a positive
 /// integer (the CI equivalence matrix forces `1` and `2` this way),
-/// otherwise the machine's available parallelism. (One of the knobs
-/// unified behind [`crate::EngineConfig::from_env`].)
+/// otherwise the machine's available parallelism.
 pub fn default_parallelism() -> usize {
     crate::config_env::parallelism()
 }
 
-/// Fallback for [`default_partition_rows`] when `HELIX_PARTITION_ROWS`
-/// is unset: measured on the scaled benchmark workloads as the smallest
-/// slice for which the split/merge overhead stays well under the
-/// per-slice compute time (see `docs/PERFORMANCE.md`).
+/// Default rows-per-partition threshold for operator-level data
+/// parallelism ([`crate::EngineConfig::with_partition_rows`] overrides
+/// it): measured on the scaled benchmark workloads as the smallest slice
+/// for which the split/merge overhead stays well under the per-slice
+/// compute time (see `docs/PERFORMANCE.md`). A row range splits only when
+/// it holds at least twice this many rows, so every partition has at
+/// least the threshold's worth of work.
 pub const DEFAULT_PARTITION_ROWS: usize = 4096;
 
-/// Rows-per-partition threshold for operator-level data parallelism: the
-/// `HELIX_PARTITION_ROWS` environment variable when set to a positive
-/// integer, otherwise [`DEFAULT_PARTITION_ROWS`]. A partitionable node
-/// splits only when its input holds at least twice this many rows, so
-/// every partition has at least the threshold's worth of work. (One of
-/// the knobs unified behind [`crate::EngineConfig::from_env`].)
-pub fn default_partition_rows() -> usize {
-    crate::config_env::partition_rows()
-}
-
-/// Hard cap on partitions per node: beyond the machine's useful fan-out,
-/// more slices only add merge overhead.
+/// Hard cap on compute partitions per row range: beyond the machine's
+/// useful fan-out, more slices only add merge overhead.
 const MAX_PARTITIONS: usize = 32;
 
 /// Tuning knobs for [`execute_plan_opts`].
@@ -110,7 +121,7 @@ pub struct ExecOpts {
     /// *and* helps execute). `1` runs the classic sequential loop.
     pub parallelism: usize,
     /// Rows-per-partition threshold for data-parallel operators (see
-    /// [`default_partition_rows`]).
+    /// [`DEFAULT_PARTITION_ROWS`]).
     pub partition_rows: usize,
     /// Per-node partition thresholds by [`NodeId::index`], overriding
     /// `partition_rows` where present. The engine derives these from the
@@ -129,7 +140,7 @@ impl Default for ExecOpts {
     fn default() -> Self {
         ExecOpts {
             parallelism: default_parallelism(),
-            partition_rows: default_partition_rows(),
+            partition_rows: DEFAULT_PARTITION_ROWS,
             node_partition_rows: None,
             pool: None,
         }
@@ -165,34 +176,17 @@ fn global_pool() -> &'static Arc<WorkerPool> {
     POOL.get_or_init(|| Arc::new(WorkerPool::new()))
 }
 
-/// Which executor runs the plan. [`execute_plan`] picks automatically;
-/// the explicit variants exist for the scheduler benchmark and the
-/// equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecStrategy {
-    /// One node at a time in plan order — the classic iteration loop and
-    /// the behavior of `parallelism = 1`.
-    Sequential,
-    /// The historical barrier executor: dependency waves with a join
-    /// between levels. Kept only as the baseline the ready queue is
-    /// benchmarked against (`benches/scheduler.rs`).
-    WaveBarrier,
-    /// The dependency-counting ready-queue executor with per-worker
-    /// deques and work stealing — what the engine uses at
-    /// `parallelism > 1`.
-    ReadyQueue,
-}
-
 /// The raw, side-effect-free result of running one node.
 #[derive(Debug)]
 pub struct ExecutedNode {
-    /// Wall-clock seconds spent computing or loading this node.
+    /// Seconds spent computing or loading this node: for a compute node,
+    /// the *sum* of its piece times (the work done, not the wall time).
     pub secs: f64,
     /// `Some(bytes_read)` when the node was loaded from the store,
     /// `None` when it was computed.
     pub loaded_bytes: Option<u64>,
-    /// Number of data-chunk partitions served from the store while
-    /// *computing* this node (see [`crate::slicing::chunk_plan`]); `0`
+    /// Number of pieces served from the store while *computing* this node
+    /// (data-chunk partitions, see [`crate::slicing::chunk_plan`]); `0`
     /// for whole-node loads and chunk-free computes.
     pub chunks_loaded: usize,
 }
@@ -248,8 +242,8 @@ where
 
 /// [`execute_plan`] with explicit [`ExecOpts`]: partition threshold and
 /// worker pool included. The engine calls this with its persistent pool;
-/// `parallelism <= 1` runs the sequential loop (no partitioning — one
-/// thread gains nothing from splitting a node).
+/// `parallelism <= 1` runs the sequential loop (no threshold splitting —
+/// one thread gains nothing from slicing a row range).
 ///
 /// # Errors
 /// Same contract as [`execute_plan`].
@@ -268,45 +262,6 @@ where
     } else {
         execute_ready_queue(workflow, plan, store, opts, &mut merge)
     }
-}
-
-/// [`execute_plan`] with an explicit [`ExecStrategy`] — the entry point
-/// the scheduler benchmark uses to compare the ready queue against the
-/// wave baseline on identical plans.
-///
-/// # Errors
-/// Same contract as [`execute_plan`].
-pub fn execute_plan_with<M>(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    strategy: ExecStrategy,
-    parallelism: usize,
-    mut merge: M,
-) -> Result<ExecutionResult>
-where
-    M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
-{
-    match strategy {
-        ExecStrategy::Sequential => execute_sequential(workflow, plan, store, merge),
-        ExecStrategy::WaveBarrier => {
-            execute_wave_barrier(workflow, plan, store, parallelism.max(2), &mut merge)
-        }
-        ExecStrategy::ReadyQueue => {
-            let opts = ExecOpts {
-                parallelism: parallelism.max(2),
-                ..ExecOpts::default()
-            };
-            execute_ready_queue(workflow, plan, store, &opts, &mut merge)
-        }
-    }
-}
-
-fn plan_position(plan: &CompiledPlan, index: usize) -> usize {
-    plan.order
-        .iter()
-        .position(|id| id.index() == index)
-        .unwrap_or(usize::MAX)
 }
 
 /// Derives per-wave timings from per-node durations: `secs[i]` indexed by
@@ -341,8 +296,263 @@ fn derive_waves(
     waves
 }
 
+// ---------------------------------------------------------------------------
+// The node-execution body both drivers share
+// ---------------------------------------------------------------------------
+
+/// One unit of work toward a compute node's output: the row range
+/// `[start, end)` of the node's sliceable input (see
+/// [`crate::exec::partitionable_rows`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Piece {
+    start: usize,
+    end: usize,
+    /// `Some` when the range is a data chunk whose partition signature
+    /// was in the store at probe time: [`run_piece`] loads it, and
+    /// computes the range only if the entry has been evicted since.
+    psig: Option<Signature>,
+}
+
+/// A compute node's ordered piece list: the piece outputs, concatenated
+/// in index order, are the node's output.
+struct PiecePlan {
+    pieces: Vec<Piece>,
+    /// Whether the operator honours row ranges. An unsliceable operator
+    /// (a source reads files, not ranges; a learner aggregates) always
+    /// computes whole, so its list is either one compute piece or — on a
+    /// full hit set — all loads.
+    sliceable: bool,
+}
+
+/// One piece's outcome.
+struct PieceOutput {
+    output: NodeOutput,
+    secs: f64,
+    /// Served from the store rather than computed.
+    loaded: bool,
+}
+
+/// Builds a ready compute node's piece list, once, from the evidence at
+/// hand: the node's chunk structure ([`CompiledPlan::chunks`]), a store
+/// probe (`stored`), and — when helpers exist to share the work —
+/// `split_rows`, the node's rows-per-partition threshold.
+///
+/// Chunks whose partition signature is stored become load pieces; each
+/// maximal run of misses becomes one row range, which
+/// [`push_compute_pieces`] may split further. No chunk entries, or no
+/// hits, degenerates to the plain threshold split of the whole input; no
+/// helpers and no hits degenerates to one whole-node piece. The list
+/// depends only on row counts, thresholds and store contents — never on
+/// how many workers happen to be idle — and every list concatenates to
+/// the same bytes anyway, so results are reproducible at any setting.
+fn plan_pieces(
+    kind: &OperatorKind,
+    parents: &[&NodeOutput],
+    chunks: Option<&NodeChunks>,
+    stored: impl Fn(Signature) -> bool,
+    split_rows: Option<usize>,
+) -> PiecePlan {
+    let rows = crate::exec::partitionable_rows(kind, parents);
+    let sliceable = rows.is_some();
+    let total = rows.unwrap_or(0);
+    let mut pieces = Vec::new();
+    // Chunk ranges that do not cover a sliceable input exactly (the data
+    // file grew between compile and execute) would silently drop rows;
+    // such a node computes from its actual input instead.
+    let chunks = chunks.filter(|c| {
+        c.ranges
+            .last()
+            .is_some_and(|&(_, end)| !sliceable || end == total)
+    });
+    let hits: Vec<bool> = chunks.map_or_else(Vec::new, |c| {
+        c.psigs.iter().map(|&sig| stored(sig)).collect()
+    });
+    let hit_count = hits.iter().filter(|&&hit| hit).count();
+    // An unsliceable operator cannot compute a lone row range, so only a
+    // full hit set is of any use to it.
+    let reuse = hit_count > 0 && (sliceable || hit_count == hits.len());
+    let Some(chunks) = chunks.filter(|_| reuse) else {
+        push_compute_pieces(&mut pieces, 0, total, split_rows);
+        return PiecePlan { pieces, sliceable };
+    };
+    let mut miss_from: Option<usize> = None;
+    for (k, &(start, end)) in chunks.ranges.iter().enumerate() {
+        if hits[k] {
+            if let Some(from) = miss_from.take() {
+                push_compute_pieces(&mut pieces, from, start, split_rows);
+            }
+            pieces.push(Piece {
+                start,
+                end,
+                psig: Some(chunks.psigs[k]),
+            });
+        } else {
+            miss_from.get_or_insert(start);
+        }
+    }
+    if let Some(from) = miss_from {
+        push_compute_pieces(&mut pieces, from, total, split_rows);
+    }
+    PiecePlan { pieces, sliceable }
+}
+
+/// Appends compute pieces covering `[start, end)`: one piece, or — when
+/// `split_rows` is set and the range holds at least twice that many rows
+/// — deterministic, even slices of at least the threshold each, capped at
+/// [`MAX_PARTITIONS`].
+fn push_compute_pieces(
+    pieces: &mut Vec<Piece>,
+    start: usize,
+    end: usize,
+    split_rows: Option<usize>,
+) {
+    let rows = end - start;
+    let count = match split_rows {
+        Some(threshold) if rows >= threshold.saturating_mul(2) => {
+            rows.div_ceil(threshold).min(MAX_PARTITIONS)
+        }
+        _ => 1,
+    };
+    let (base, extra) = (rows / count, rows % count);
+    let mut at = start;
+    for k in 0..count {
+        let len = base + usize::from(k < extra);
+        pieces.push(Piece {
+            start: at,
+            end: at + len,
+            psig: None,
+        });
+        at += len;
+    }
+    debug_assert_eq!(at, end, "pieces must cover the range exactly");
+}
+
+/// Runs `f`, converting a panic into [`HelixError::Exec`] *here* — not at
+/// thread joins — so a UDF panic produces the same error whether the node
+/// ran inline or on any worker, whole or in pieces.
+fn catch_node_panic<T>(name: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(HelixError::Exec(format!(
+            "node `{name}` panicked: {}",
+            panic_message(&payload)
+        )))
+    })
+}
+
+/// Produces one piece of a compute node's output — the only place the
+/// scheduler runs an operator. A load piece whose entry was evicted (or
+/// turned unreadable) between probe and read falls back to computing its
+/// range: partition signatures are content-derived, so both routes yield
+/// the same bytes.
+fn run_piece(
+    node: &Node,
+    parents: &[&NodeOutput],
+    store: &IntermediateStore,
+    piece: Piece,
+) -> Result<PieceOutput> {
+    let started = Instant::now();
+    let (output, loaded) = catch_node_panic(&node.name, || {
+        if let Some((output, _, _)) = piece.psig.and_then(|sig| store.get(sig).ok()) {
+            return Ok((output, true));
+        }
+        let output =
+            crate::exec::execute_slice(&node.kind, &node.name, parents, piece.start, piece.end)?;
+        Ok((output, false))
+    })?;
+    Ok(PieceOutput {
+        output,
+        secs: started.elapsed().as_secs_f64(),
+        loaded,
+    })
+}
+
+/// Assembles piece outcomes, **in index order**, into the node's raw
+/// result. The first error by piece index wins; `secs` is the sum of the
+/// piece times; `chunks_loaded` counts the pieces served from the store.
+fn assemble(
+    sliceable: bool,
+    outcomes: impl Iterator<Item = Result<PieceOutput>>,
+) -> Result<RawResult> {
+    let raw = |output, secs, chunks_loaded| RawResult {
+        output,
+        executed: ExecutedNode {
+            secs,
+            loaded_bytes: None,
+            chunks_loaded,
+        },
+    };
+    let mut outputs = Vec::new();
+    let mut secs = 0.0;
+    let mut loaded = 0usize;
+    for outcome in outcomes {
+        let piece = outcome?;
+        secs += piece.secs;
+        if piece.loaded {
+            loaded += 1;
+        } else if !sliceable {
+            // An unsliceable operator ignores the row range, so a computed
+            // piece — the whole-node case, or a load that found its entry
+            // evicted — already *is* the node's output.
+            return Ok(raw(piece.output, secs, 0));
+        }
+        outputs.push(piece.output);
+    }
+    // A one-piece node (every model-producing operator is one) is its
+    // piece's output as is; only data slices concatenate.
+    let output = if outputs.len() == 1 {
+        outputs.remove(0)
+    } else {
+        crate::exec::concat_slices(outputs)?
+    };
+    Ok(raw(output, secs, loaded))
+}
+
+/// Executes a `Load` node: reads its whole output back from the store.
+fn load_node(store: &IntermediateStore, node: &Node, sig: Signature) -> Result<RawResult> {
+    let (output, bytes, secs) = catch_node_panic(&node.name, || store.get(sig))?;
+    Ok(RawResult {
+        output,
+        executed: ExecutedNode {
+            secs,
+            loaded_bytes: Some(bytes),
+            chunks_loaded: 0,
+        },
+    })
+}
+
+/// Collects the already-available outputs of `id`'s parents, in
+/// declaration order (the order `exec::execute_slice` expects).
+fn parent_outputs<'a>(
+    workflow: &Workflow,
+    id: NodeId,
+    output_of: impl Fn(NodeId) -> Option<&'a NodeOutput>,
+) -> Result<Vec<&'a NodeOutput>> {
+    let node = workflow.node(id);
+    node.parents
+        .iter()
+        .map(|&parent| {
+            output_of(parent).ok_or_else(|| {
+                HelixError::Exec(format!(
+                    "parent `{}` of `{}` unavailable (plan bug)",
+                    workflow.node(parent).name,
+                    node.name
+                ))
+            })
+        })
+        .collect()
+}
+
+fn node_chunks(plan: &CompiledPlan, i: usize) -> Option<&NodeChunks> {
+    plan.chunks.get(i).and_then(|c| c.as_ref())
+}
+
+// ---------------------------------------------------------------------------
+// Sequential driver (the reference)
+// ---------------------------------------------------------------------------
+
 /// The sequential path: execute and merge one node at a time in plan
-/// order — exactly the engine's historical iteration loop.
+/// order, a node's pieces inline — exactly the engine's historical
+/// iteration loop, and the reference the ready queue is tested against.
 fn execute_sequential<M>(
     workflow: &Workflow,
     plan: &CompiledPlan,
@@ -357,10 +567,21 @@ where
     let mut secs: Vec<Option<f64>> = vec![None; n];
     for &id in &plan.order {
         let i = id.index();
-        if plan.states[i] == NodeState::Prune {
-            continue;
-        }
-        let raw = run_node(workflow, plan, store, id, |p| outputs[p.index()].as_ref())?;
+        let node = workflow.node(id);
+        let raw = match plan.states[i] {
+            NodeState::Prune => continue,
+            NodeState::Load => load_node(store, node, plan.signatures[i])?,
+            NodeState::Compute => {
+                let parents = parent_outputs(workflow, id, |p| outputs[p.index()].as_ref())?;
+                let stored = |sig| store.lookup(sig).is_some();
+                let planned = plan_pieces(&node.kind, &parents, node_chunks(plan, i), stored, None);
+                let outcomes = planned
+                    .pieces
+                    .iter()
+                    .map(|&piece| run_piece(node, &parents, store, piece));
+                assemble(planned.sliceable, outcomes)?
+            }
+        };
         secs[i] = Some(raw.executed.secs);
         merge(id, &raw.executed, &raw.output)?;
         outputs[i] = Some(raw.output);
@@ -370,7 +591,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Ready-queue executor
+// Ready-queue driver
 // ---------------------------------------------------------------------------
 
 /// Injector plus the sleep coordination for idle workers. Pushes to any
@@ -378,7 +599,7 @@ where
 /// queue empty while holding it cannot miss the wakeup.
 struct InjectorState {
     /// Globally visible ready tasks (seeded with the dependency-free
-    /// nodes; partitioned nodes fan their slices out here). With one
+    /// nodes; multi-piece nodes fan pieces 1.. out here). With one
     /// entry it behaves as a FIFO; with more, workers pop the entry with
     /// the largest downstream critical-path estimate
     /// ([`crate::recompute::critical_path_priority_us`]), plan order
@@ -388,46 +609,40 @@ struct InjectorState {
     ready: VecDeque<Task>,
 }
 
-/// One schedulable unit: a whole node, or one partition of a node whose
-/// input was split for data parallelism.
+/// One schedulable unit: a node that just became ready, or one piece of
+/// a node whose piece list is already published.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Task {
-    /// Execute (or, for a wide node, partition) node `i`.
+    /// Load node `i`, or build its piece list and run piece 0.
     Node(usize),
-    /// Execute slice `part` of a partitioned node.
-    Part { node: usize, part: usize },
+    /// Run piece `piece` of node `node`.
+    Piece { node: usize, piece: usize },
 }
 
 impl Task {
     fn node(self) -> usize {
         match self {
             Task::Node(i) => i,
-            Task::Part { node, .. } => node,
+            Task::Piece { node, .. } => node,
         }
     }
 
-    fn part(self) -> usize {
+    fn piece(self) -> usize {
         match self {
             Task::Node(_) => 0,
-            Task::Part { part, .. } => part,
+            Task::Piece { piece, .. } => piece,
         }
     }
 }
 
-/// One slice's outcome: its output plus compute seconds, or its error.
-type SliceResult = std::result::Result<(NodeOutput, f64), HelixError>;
-
-/// Fan-out bookkeeping for one partitioned node: created when the node's
+/// Fan-out bookkeeping for one compute node: created when the node's
 /// `Task::Node` runs, completed by whichever worker finishes the last
-/// slice. Slice outputs are assembled **in index order**, so the merged
-/// output — and, on failure, the surfaced error (the slice holding the
-/// globally first failing row) — is identical to a whole-node run.
-struct PartitionState {
-    /// `[start, end)` row ranges, covering the input exactly.
-    ranges: Vec<(usize, usize)>,
-    /// Per-slice outcome, `take`n by the assembling worker.
-    outs: Vec<Mutex<Option<SliceResult>>>,
-    /// Slices still running; the decrement-to-zero worker assembles.
+/// piece.
+struct PieceState {
+    plan: PiecePlan,
+    /// Per-piece outcome, `take`n by the assembling worker.
+    outs: Vec<Mutex<Option<Result<PieceOutput>>>>,
+    /// Pieces still running; the decrement-to-zero worker assembles.
     remaining: AtomicUsize,
 }
 
@@ -457,9 +672,8 @@ struct ReadyExecutor {
     /// Write-once raw results, readable by children (for parent outputs)
     /// and by the merge cursor.
     results: Vec<OnceLock<RawResult>>,
-    /// Write-once partition fan-out state per node (`set` only for nodes
-    /// that actually split).
-    parts: Vec<OnceLock<PartitionState>>,
+    /// Write-once piece fan-out state per compute node.
+    pieces: Vec<OnceLock<PieceState>>,
     /// Plan position of the earliest failure observed so far
     /// (`usize::MAX` when none): workers skip nodes past it.
     min_fail: AtomicUsize,
@@ -531,7 +745,7 @@ impl ReadyExecutor {
             children,
             deps: dep_counts.into_iter().map(AtomicUsize::new).collect(),
             results: (0..n).map(|_| OnceLock::new()).collect(),
-            parts: (0..n).map(|_| OnceLock::new()).collect(),
+            pieces: (0..n).map(|_| OnceLock::new()).collect(),
             min_fail: AtomicUsize::new(usize::MAX),
             failure: Mutex::new(None),
             shutdown: AtomicBool::new(false),
@@ -545,7 +759,7 @@ impl ReadyExecutor {
     }
 
     /// Pops the injector entry with the highest downstream
-    /// critical-path priority (plan order breaks ties, then lower slice
+    /// critical-path priority (plan order breaks ties, then lower piece
     /// index; a single entry pops straight off the front). The injector
     /// is short-lived and small — seeded ready tasks drain into local
     /// deques immediately — so a linear scan beats maintaining a heap.
@@ -558,7 +772,7 @@ impl ReadyExecutor {
             (
                 self.prio[i],
                 std::cmp::Reverse(self.pos[i]),
-                std::cmp::Reverse(t.part()),
+                std::cmp::Reverse(t.piece()),
             )
         };
         let mut best = 0usize;
@@ -616,38 +830,30 @@ impl ReadyExecutor {
     /// Executes one task on worker `me`. Returns a follow-on task for the
     /// worker to continue into directly (chains never touch the queues).
     fn run_task(&self, me: usize, task: Task) -> Option<Task> {
+        if self.shutdown.load(Ordering::Acquire) {
+            // A merge error ended the run; stop chaining continuations.
+            return None;
+        }
+        if self.pos[task.node()] > self.min_fail.load(Ordering::Acquire) {
+            // Past the earliest failure in plan order: the sequential loop
+            // would never have reached this node, so drop the task
+            // unexecuted. A dropped piece leaves its node's `remaining`
+            // above zero, so the node simply never completes — the merge
+            // cursor stops first.
+            return None;
+        }
         match task {
             Task::Node(i) => self.run_node_task(me, i),
-            Task::Part { node, part } => self.run_part(me, node, part),
+            Task::Piece { node, piece } => self.run_piece_task(me, node, piece),
         }
     }
 
-    /// Collects the already-computed outputs of `id`'s parents, in
-    /// declaration order (the same order `exec::execute` sees).
     fn parent_outputs(&self, id: NodeId) -> Result<Vec<&NodeOutput>> {
-        let node = self.workflow.node(id);
-        let mut outputs = Vec::with_capacity(node.parents.len());
-        for parent in &node.parents {
-            outputs.push(
-                self.results[parent.index()]
-                    .get()
-                    .map(|raw| &raw.output)
-                    .ok_or_else(|| {
-                        HelixError::Exec(format!(
-                            "parent `{}` of `{}` unavailable (plan bug)",
-                            self.workflow.node(*parent).name,
-                            node.name
-                        ))
-                    })?,
-            );
-        }
-        Ok(outputs)
+        parent_outputs(&self.workflow, id, |p| {
+            self.results[p.index()].get().map(|raw| &raw.output)
+        })
     }
 
-    /// Executes node `i` on worker `me` — splitting it into partitions
-    /// first when it is a wide data-parallel compute node — recording the
-    /// result, enqueuing any children it readies, and waking the merge
-    /// cursor when the completion can advance it.
     /// Effective rows-per-partition threshold for node `i`: the memo-
     /// derived per-node override when present, otherwise the scalar knob.
     fn threshold_for(&self, i: usize) -> usize {
@@ -658,33 +864,85 @@ impl ReadyExecutor {
             .max(1)
     }
 
+    /// Starts ready node `i` on worker `me`. A `Load` node is read back
+    /// and completed on the spot. A compute node gets its piece list
+    /// built and published; pieces 1.. fan out through the injector for
+    /// idle workers to grab while this worker runs piece 0 itself.
     fn run_node_task(&self, me: usize, i: usize) -> Option<Task> {
-        if self.shutdown.load(Ordering::Acquire) {
-            // A merge error ended the run; stop chaining continuations.
-            return None;
-        }
-        if self.pos[i] > self.min_fail.load(Ordering::Acquire) {
-            // Past the earliest failure in plan order: the sequential loop
-            // would never have reached this node, so drop it unexecuted.
-            return None;
-        }
         let id = NodeId(i as u32);
-        if self.plan.states[i] == NodeState::Compute && self.locals.len() > 1 {
-            if let Ok(parents) = self.parent_outputs(id) {
-                let rows = crate::exec::partitionable_rows(&self.workflow.node(id).kind, &parents);
-                if let Some(rows) = rows {
-                    if rows >= self.threshold_for(i).saturating_mul(2) {
-                        drop(parents);
-                        return self.start_partitioned(me, i, rows);
-                    }
-                }
-            }
-            // A missing parent falls through to `run_node`, which reports
-            // the plan bug with the standard error.
+        let node = self.workflow.node(id);
+        if self.plan.states[i] == NodeState::Load {
+            let loaded = load_node(&self.store, node, self.plan.signatures[i]);
+            return self.complete(me, i, loaded);
         }
-        let outcome = run_node(&self.workflow, &self.plan, &self.store, id, |p| {
-            self.results[p.index()].get().map(|raw| &raw.output)
+        let plan = match self.parent_outputs(id) {
+            Ok(parents) => plan_pieces(
+                &node.kind,
+                &parents,
+                node_chunks(&self.plan, i),
+                |sig| self.store.lookup(sig).is_some(),
+                Some(self.threshold_for(i)),
+            ),
+            Err(err) => return self.complete(me, i, Err(err)),
+        };
+        let count = plan.pieces.len();
+        let state = PieceState {
+            plan,
+            outs: (0..count).map(|_| Mutex::new(None)).collect(),
+            remaining: AtomicUsize::new(count),
+        };
+        let set = self.pieces[i].set(state);
+        debug_assert!(set.is_ok(), "node started twice");
+        if count > 1 {
+            // Publish the sibling pieces before running our own, so idle
+            // workers overlap with piece 0. Notify under the injector
+            // lock (see `next_task` for why that cannot miss a sleeper).
+            let mut injector = lock(&self.injector);
+            for piece in 1..count {
+                injector.ready.push_back(Task::Piece { node: i, piece });
+            }
+            for _ in 1..count {
+                self.work_cv.notify_one();
+            }
+        }
+        self.run_piece_task(me, i, 0)
+    }
+
+    /// Runs one piece of a started node; the worker that finishes the
+    /// last piece assembles the outputs and completes the node.
+    fn run_piece_task(&self, me: usize, i: usize, piece: usize) -> Option<Task> {
+        let state = self.pieces[i]
+            .get()
+            .expect("pieces are enqueued only after the piece state is set");
+        let id = NodeId(i as u32);
+        let outcome = self.parent_outputs(id).and_then(|parents| {
+            run_piece(
+                self.workflow.node(id),
+                &parents,
+                &self.store,
+                state.plan.pieces[piece],
+            )
         });
+        *lock(&state.outs[piece]) = Some(outcome);
+        if state.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
+        }
+        let outcomes = state.outs.iter().map(|cell| {
+            lock(cell).take().unwrap_or_else(|| {
+                debug_assert!(false, "piece finished without recording an outcome");
+                Err(HelixError::Exec(format!(
+                    "node `{}`: piece outcome missing (scheduler bug)",
+                    self.workflow.node(id).name
+                )))
+            })
+        });
+        self.complete(me, i, assemble(state.plan.sliceable, outcomes))
+    }
+
+    /// Completes node `i` with its raw result or its error — recording
+    /// the result and readying children, or recording the failure — and
+    /// wakes the merge cursor when the completion can advance it.
+    fn complete(&self, me: usize, i: usize, outcome: Result<RawResult>) -> Option<Task> {
         let continuation = match outcome {
             Ok(raw) => self.finish_ok(me, i, raw),
             Err(err) => {
@@ -693,145 +951,6 @@ impl ReadyExecutor {
             }
         };
         self.wake_merger(i);
-        continuation
-    }
-
-    /// Splits ready node `i` (whose first data input holds `rows` rows)
-    /// into deterministic, even row ranges, fans slices 1.. out through
-    /// the injector for idle workers to grab, and runs slice 0 itself.
-    /// The partition count depends only on `rows` and the threshold —
-    /// never on how many workers happen to be idle — so the split (and
-    /// with it every slice boundary) is reproducible run to run.
-    fn start_partitioned(&self, me: usize, i: usize, rows: usize) -> Option<Task> {
-        let threshold = self.threshold_for(i);
-        let count = rows
-            .div_ceil(threshold)
-            .min(MAX_PARTITIONS)
-            .min(rows)
-            .max(1);
-        let base = rows / count;
-        let extra = rows % count;
-        let mut ranges = Vec::with_capacity(count);
-        let mut start = 0usize;
-        for k in 0..count {
-            let len = base + usize::from(k < extra);
-            ranges.push((start, start + len));
-            start += len;
-        }
-        debug_assert_eq!(start, rows, "ranges must cover the input exactly");
-        let state = PartitionState {
-            ranges,
-            outs: (0..count).map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(count),
-        };
-        let set = self.parts[i].set(state);
-        debug_assert!(set.is_ok(), "node partitioned twice");
-        if count > 1 {
-            // Publish the sibling slices before running our own, so idle
-            // workers overlap with slice 0. Notify under the injector
-            // lock (see `next_task` for why that cannot miss a sleeper).
-            let mut injector = lock(&self.injector);
-            for part in 1..count {
-                injector.ready.push_back(Task::Part { node: i, part });
-            }
-            for _ in 1..count {
-                self.work_cv.notify_one();
-            }
-        }
-        self.run_part(me, i, 0)
-    }
-
-    /// Executes one slice of a partitioned node; the worker that finishes
-    /// the last slice assembles the outputs and completes the node.
-    fn run_part(&self, me: usize, node_idx: usize, part: usize) -> Option<Task> {
-        if self.shutdown.load(Ordering::Acquire) {
-            return None;
-        }
-        if self.pos[node_idx] > self.min_fail.load(Ordering::Acquire) {
-            // The node can no longer merge (an earlier failure wins), so
-            // drop the slice: `remaining` never reaches zero and the node
-            // simply never completes — the merge cursor stops first.
-            return None;
-        }
-        let state = self.parts[node_idx]
-            .get()
-            .expect("slices are enqueued only after the partition state is set");
-        let id = NodeId(node_idx as u32);
-        let node = self.workflow.node(id);
-        let (start, end) = state.ranges[part];
-        let outcome = (|| {
-            let parents = self.parent_outputs(id)?;
-            let started = Instant::now();
-            // Same panic conversion — and message — as `run_node`, so a
-            // row's panic reads identically whether its node split or not.
-            let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                crate::exec::execute_slice(&node.kind, &node.name, &parents, start, end)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(HelixError::Exec(format!(
-                    "node `{}` panicked: {}",
-                    node.name,
-                    panic_message(&payload)
-                )))
-            })?;
-            Ok((output, started.elapsed().as_secs_f64()))
-        })();
-        *lock(&state.outs[part]) = Some(outcome);
-        if state.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return None;
-        }
-        // Last slice home: assemble in index order. The first error by
-        // slice index holds the globally first failing row, matching the
-        // error a whole-node run reports; a node's cost is the *sum* of
-        // its slice times (the work done, not the wall time).
-        let mut outputs = Vec::with_capacity(state.outs.len());
-        let mut total_secs = 0.0;
-        let mut first_err: Option<HelixError> = None;
-        for cell in &state.outs {
-            match lock(cell).take() {
-                Some(Ok((output, secs))) => {
-                    outputs.push(output);
-                    total_secs += secs;
-                }
-                Some(Err(err)) => {
-                    first_err = Some(err);
-                    break;
-                }
-                None => {
-                    debug_assert!(false, "slice finished without recording an outcome");
-                    first_err = Some(HelixError::Exec(format!(
-                        "node `{}`: partition outcome missing (scheduler bug)",
-                        node.name
-                    )));
-                    break;
-                }
-            }
-        }
-        let continuation = match first_err {
-            Some(err) => {
-                self.record_failure(self.pos[node_idx], err);
-                None
-            }
-            None => match crate::exec::concat_slices(outputs) {
-                Ok(output) => self.finish_ok(
-                    me,
-                    node_idx,
-                    RawResult {
-                        output,
-                        executed: ExecutedNode {
-                            secs: total_secs,
-                            loaded_bytes: None,
-                            chunks_loaded: 0,
-                        },
-                    },
-                ),
-                Err(err) => {
-                    self.record_failure(self.pos[node_idx], err);
-                    None
-                }
-            },
-        };
-        self.wake_merger(node_idx);
         continuation
     }
 
@@ -1132,312 +1251,6 @@ where
     Ok(ExecutionResult { outputs, waves })
 }
 
-// ---------------------------------------------------------------------------
-// Wave-barrier baseline
-// ---------------------------------------------------------------------------
-
-/// The historical barrier executor, kept as the benchmark baseline: waves
-/// execute level-by-level with a join between levels, and the merge
-/// cursor drains between waves. Failure paths still merge (and record
-/// timings for) every completed node preceding the plan-order-earliest
-/// failure of the failing wave.
-fn execute_wave_barrier<M>(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    parallelism: usize,
-    merge: &mut M,
-) -> Result<ExecutionResult>
-where
-    M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
-{
-    let waves = crate::recompute::build_waves(workflow, &plan.order, &plan.states);
-    let n = workflow.len();
-    let mut outputs: Vec<Option<NodeOutput>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<Option<RawResult>> = (0..n).map(|_| None).collect();
-    let mut secs: Vec<Option<f64>> = vec![None; n];
-    let mut cursor = 0usize;
-
-    for wave in &waves {
-        let results = run_wave(workflow, plan, store, &outputs, &pending, wave, parallelism);
-        // Surface the plan-order-earliest failure so error behavior does
-        // not depend on thread interleaving.
-        let mut failure: Option<(usize, HelixError)> = None;
-        for (i, result) in results {
-            match result {
-                Ok(raw) => {
-                    secs[i] = Some(raw.executed.secs);
-                    pending[i] = Some(raw);
-                }
-                Err(err) => {
-                    let pos = plan_position(plan, i);
-                    if failure.as_ref().is_none_or(|(p, _)| pos < *p) {
-                        failure = Some((pos, err));
-                    }
-                }
-            }
-        }
-
-        // Drain the merge cursor as far as results allow — on failure,
-        // only up to the failing node's plan position, so side effects
-        // (materializations, cost observations) match what the
-        // sequential path commits before erroring at that same node.
-        let limit = failure
-            .as_ref()
-            .map_or(plan.order.len(), |(pos, _)| (*pos).min(plan.order.len()));
-        while cursor < limit {
-            let id = plan.order[cursor];
-            let i = id.index();
-            if plan.states[i] == NodeState::Prune {
-                cursor += 1;
-                continue;
-            }
-            let Some(raw) = pending[i].take() else { break };
-            merge(id, &raw.executed, &raw.output)?;
-            outputs[i] = Some(raw.output);
-            cursor += 1;
-        }
-        if let Some((_, err)) = failure {
-            return Err(err);
-        }
-    }
-    debug_assert_eq!(cursor, plan.order.len(), "merge cursor left nodes behind");
-
-    let waves = derive_waves(workflow, &plan.states, &secs, false);
-    Ok(ExecutionResult { outputs, waves })
-}
-
-/// Executes one wave's nodes on up to `parallelism` scoped threads,
-/// returning `(node_index, result)` pairs in unspecified order.
-fn run_wave(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    outputs: &[Option<NodeOutput>],
-    pending: &[Option<RawResult>],
-    wave: &[NodeId],
-    parallelism: usize,
-) -> Vec<(usize, Result<RawResult>)> {
-    // Parent results live in `outputs` once merged, or in `pending` when
-    // the merge cursor is stalled behind an unrelated slower node.
-    let parent_output = |p: NodeId| -> Option<&NodeOutput> {
-        outputs[p.index()]
-            .as_ref()
-            .or_else(|| pending[p.index()].as_ref().map(|raw| &raw.output))
-    };
-
-    let workers = parallelism.min(wave.len()).max(1);
-    if workers <= 1 {
-        return wave
-            .iter()
-            .map(|&id| {
-                (
-                    id.index(),
-                    run_node(workflow, plan, store, id, parent_output),
-                )
-            })
-            .collect();
-    }
-
-    // Round-robin assignment keeps neighbouring (often similar-cost)
-    // nodes on different workers.
-    let shares: Vec<Vec<NodeId>> = (0..workers)
-        .map(|w| wave.iter().skip(w).step_by(workers).copied().collect())
-        .collect();
-    let mut results: Vec<(usize, Result<RawResult>)> = Vec::with_capacity(wave.len());
-    let joined = crossbeam::scope(|scope| {
-        let handles: Vec<_> = shares
-            .iter()
-            .map(|share| {
-                let parent_output = &parent_output;
-                scope.spawn(move |_| {
-                    share
-                        .iter()
-                        .map(|&id| {
-                            (
-                                id.index(),
-                                run_node(workflow, plan, store, id, parent_output),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut collected = Vec::with_capacity(wave.len());
-        for handle in handles {
-            match handle.join() {
-                Ok(share_results) => collected.extend(share_results),
-                Err(payload) => collected.push((
-                    usize::MAX,
-                    Err(HelixError::Exec(format!(
-                        "scheduler worker panicked: {}",
-                        panic_message(&payload)
-                    ))),
-                )),
-            }
-        }
-        collected
-    });
-    match joined {
-        Ok(collected) => results.extend(collected),
-        Err(payload) => results.push((
-            usize::MAX,
-            Err(HelixError::Exec(format!(
-                "scheduler scope panicked: {}",
-                panic_message(&payload)
-            ))),
-        )),
-    }
-    results
-}
-
-/// Executes a single node (load or compute), timing it. A panicking
-/// operator is converted to [`HelixError::Exec`] *here* — not at thread
-/// joins — so a UDF panic produces the same error whether the node ran
-/// inline or on any worker.
-fn run_node<'a>(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    id: NodeId,
-    parent_output: impl Fn(NodeId) -> Option<&'a NodeOutput>,
-) -> Result<RawResult> {
-    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_node_inner(workflow, plan, store, id, parent_output)
-    }));
-    unwound.unwrap_or_else(|payload| {
-        Err(HelixError::Exec(format!(
-            "node `{}` panicked: {}",
-            workflow.node(id).name,
-            panic_message(&payload)
-        )))
-    })
-}
-
-fn run_node_inner<'a>(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    id: NodeId,
-    parent_output: impl Fn(NodeId) -> Option<&'a NodeOutput>,
-) -> Result<RawResult> {
-    let i = id.index();
-    match plan.states[i] {
-        NodeState::Prune => Err(HelixError::Exec(format!(
-            "pruned node `{}` scheduled (plan bug)",
-            workflow.node(id).name
-        ))),
-        NodeState::Load => {
-            let (output, bytes, secs) = store.get(plan.signatures[i])?;
-            Ok(RawResult {
-                output,
-                executed: ExecutedNode {
-                    secs,
-                    loaded_bytes: Some(bytes),
-                    chunks_loaded: 0,
-                },
-            })
-        }
-        NodeState::Compute => {
-            let node = workflow.node(id);
-            let mut parent_outputs: Vec<&NodeOutput> = Vec::with_capacity(node.parents.len());
-            for parent in &node.parents {
-                parent_outputs.push(parent_output(*parent).ok_or_else(|| {
-                    HelixError::Exec(format!(
-                        "parent `{}` of `{}` unavailable (plan bug)",
-                        workflow.node(*parent).name,
-                        node.name
-                    ))
-                })?);
-            }
-            let started = Instant::now();
-            let (output, chunks_loaded) =
-                match assemble_from_chunks(workflow, plan, store, i, &parent_outputs)? {
-                    Some(assembled) => assembled,
-                    None => (
-                        crate::exec::execute(&node.kind, &node.name, &parent_outputs)?,
-                        0,
-                    ),
-                };
-            Ok(RawResult {
-                output,
-                executed: ExecutedNode {
-                    secs: started.elapsed().as_secs_f64(),
-                    loaded_bytes: None,
-                    chunks_loaded,
-                },
-            })
-        }
-    }
-}
-
-/// The incremental-data fast path: when a computing node carries chunk
-/// structure ([`CompiledPlan::chunks`]) and some of its partition
-/// signatures are materialized, its output is assembled partition by
-/// partition — store hits are loaded, misses are computed with
-/// [`crate::exec::execute_slice`] over exactly their row range — and
-/// concatenated. Because partition signatures are content-derived, the
-/// assembled output is byte-identical to a whole-node compute; after a
-/// data delta only the partitions of new chunks miss.
-///
-/// `Ok(None)` means "no usable chunk entries; compute the node whole":
-/// zero hits, an unsliceable operator (a source reads files, not row
-/// ranges, so it reuses only on a full hit set), or entries that were
-/// evicted between probe and read.
-fn assemble_from_chunks(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    i: usize,
-    parent_outputs: &[&NodeOutput],
-) -> Result<Option<(NodeOutput, usize)>> {
-    let Some(chunks) = plan.chunks.get(i).and_then(|c| c.as_ref()) else {
-        return Ok(None);
-    };
-    if chunks.ranges.is_empty() {
-        return Ok(None);
-    }
-    let node = workflow.node(NodeId(i as u32));
-    let hits: Vec<bool> = chunks
-        .psigs
-        .iter()
-        .map(|&sig| store.lookup(sig).is_some())
-        .collect();
-    let hit_count = hits.iter().filter(|h| **h).count();
-    if hit_count == 0 {
-        return Ok(None);
-    }
-    let sliceable = crate::exec::partitionable_rows(&node.kind, parent_outputs).is_some();
-    if !sliceable && hit_count < hits.len() {
-        return Ok(None);
-    }
-    let mut parts = Vec::with_capacity(chunks.ranges.len());
-    let mut loaded = 0usize;
-    for (k, &(start, end)) in chunks.ranges.iter().enumerate() {
-        if hits[k] {
-            if let Ok((output, _, _)) = store.get(chunks.psigs[k]) {
-                parts.push(output);
-                loaded += 1;
-                continue;
-            }
-            if !sliceable {
-                return Ok(None);
-            }
-        }
-        parts.push(crate::exec::execute_slice(
-            &node.kind,
-            &node.name,
-            parent_outputs,
-            start,
-            end,
-        )?);
-    }
-    if loaded == 0 {
-        return Ok(None);
-    }
-    Ok(Some((crate::exec::concat_slices(parts)?, loaded)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1531,7 +1344,7 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_agree_on_outputs_and_merge_order() {
+    fn thread_counts_agree_on_outputs_and_merge_order() {
         let w = dag(
             7,
             &[
@@ -1546,17 +1359,13 @@ mod tests {
             ],
             &[5, 6],
         );
-        let store = tmp_store("strategies");
+        let store = tmp_store("threads");
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         let mut reference: Option<(Vec<Option<NodeOutput>>, Vec<NodeId>)> = None;
-        for strategy in [
-            ExecStrategy::Sequential,
-            ExecStrategy::WaveBarrier,
-            ExecStrategy::ReadyQueue,
-        ] {
+        for threads in [1, 2, 4] {
             let mut merged = Vec::new();
-            let result = execute_plan_with(&w, &plan, &store, strategy, 4, |id, _, _| {
+            let result = execute_plan(&w, &plan, &store, threads, |id, _, _| {
                 merged.push(id);
                 Ok(())
             })
@@ -1564,8 +1373,8 @@ mod tests {
             match &reference {
                 None => reference = Some((result.outputs, merged)),
                 Some((outputs, order)) => {
-                    assert_eq!(outputs, &result.outputs, "{strategy:?} outputs");
-                    assert_eq!(order, &merged, "{strategy:?} merge order");
+                    assert_eq!(outputs, &result.outputs, "{threads} threads: outputs");
+                    assert_eq!(order, &merged, "{threads} threads: merge order");
                 }
             }
         }
@@ -1799,10 +1608,11 @@ mod tests {
 
     #[test]
     fn dependent_starts_without_waiting_for_slow_sibling() {
-        // chain: a -> b, plus a slow independent node s. Under the wave
-        // barrier, b sat in wave 1 behind the whole of wave 0 = {a, s}, so
-        // the makespan was sleep(s) + sleep(b). The ready queue starts b
-        // the moment a finishes, overlapping it with s.
+        // chain: a -> b -> c, plus a slow independent node s. A barrier
+        // between dependency levels would hold b behind the whole of level
+        // 0 = {a, s}, for a makespan of sleep(s) + sleep(b) + sleep(c). The
+        // ready queue starts b the moment a finishes, overlapping the
+        // chain with s.
         let slow_ms = 60u64;
         let step_ms = 15u64;
         let mut w = Workflow::new("no-barrier");
@@ -1835,19 +1645,16 @@ mod tests {
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         let started = Instant::now();
-        execute_plan_with(&w, &plan, &store, ExecStrategy::ReadyQueue, 2, |_, _, _| {
-            Ok(())
-        })
-        .unwrap();
+        execute_plan(&w, &plan, &store, 2, |_, _, _| Ok(())).unwrap();
         let elapsed = started.elapsed();
-        // Barrier executor needs ≥ slow + 2 * step (chain stalls behind
-        // the slow wave member twice); the ready queue overlaps the chain
-        // with the slow node. Allow generous scheduling slack.
+        // A level barrier needs ≥ slow + 2 * step; the ready queue
+        // overlaps the chain with the slow node. Allow generous
+        // scheduling slack.
         let barrier_floor = std::time::Duration::from_millis(slow_ms + 2 * step_ms);
         assert!(
             elapsed < barrier_floor,
             "ready queue should overlap the chain with the slow sibling: \
-             took {elapsed:?}, wave-barrier floor is {barrier_floor:?}"
+             took {elapsed:?}, level-barrier floor is {barrier_floor:?}"
         );
     }
 
@@ -2150,6 +1957,210 @@ mod tests {
             msg.contains("node `bomb` panicked") && msg.contains("slice kaboom"),
             "got: {msg}"
         );
+    }
+
+    /// `rows` rows in `chunk`-row data chunks with synthetic partition
+    /// signatures (`base + k`), as [`crate::slicing::chunk_plan`] would
+    /// derive them from a source manifest.
+    fn chunked(rows: usize, chunk: usize, base: u64) -> NodeChunks {
+        let ranges: Vec<(usize, usize)> = (0..rows)
+            .step_by(chunk)
+            .map(|start| (start, (start + chunk).min(rows)))
+            .collect();
+        let psigs = (0..ranges.len() as u64)
+            .map(|k| Signature(base + k))
+            .collect();
+        NodeChunks { ranges, psigs }
+    }
+
+    /// Stores rows `[start, end)` of `whole` under chunk `k`'s signature.
+    fn store_chunk(store: &IntermediateStore, chunks: &NodeChunks, k: usize, whole: &[i64]) {
+        let (start, end) = chunks.ranges[k];
+        let part = NodeOutput::Data(int_rows(&whole[start..end]));
+        store.put(chunks.psigs[k], &part).unwrap();
+    }
+
+    fn piece(start: usize, end: usize, psig: Option<u64>) -> Piece {
+        Piece {
+            start,
+            end,
+            psig: psig.map(Signature),
+        }
+    }
+
+    #[test]
+    fn piece_list_interleaves_loads_with_split_miss_runs() {
+        let w = rows_workflow(100);
+        let kind = &w.nodes()[1].kind;
+        let input = NodeOutput::Data(int_rows(&(0..100).collect::<Vec<_>>()));
+        let chunks = chunked(100, 10, 500);
+        // Chunks 0, 3, 5, 6 are stored; 1-2, 4 and 7-9 are miss runs.
+        let stored = |sig: Signature| [500, 503, 505, 506].contains(&sig.0);
+        let inline = plan_pieces(kind, &[&input], Some(&chunks), stored, None);
+        assert!(inline.sliceable);
+        assert_eq!(
+            inline.pieces,
+            vec![
+                piece(0, 10, Some(500)),
+                piece(10, 30, None),
+                piece(30, 40, Some(503)),
+                piece(40, 50, None),
+                piece(50, 60, Some(505)),
+                piece(60, 70, Some(506)),
+                piece(70, 100, None),
+            ],
+            "without helpers each maximal miss run is one range"
+        );
+        // With helpers, a run of at least twice the threshold splits.
+        let fanned = plan_pieces(kind, &[&input], Some(&chunks), stored, Some(10));
+        assert_eq!(
+            fanned.pieces,
+            vec![
+                piece(0, 10, Some(500)),
+                piece(10, 20, None),
+                piece(20, 30, None),
+                piece(30, 40, Some(503)),
+                piece(40, 50, None),
+                piece(50, 60, Some(505)),
+                piece(60, 70, Some(506)),
+                piece(70, 80, None),
+                piece(80, 90, None),
+                piece(90, 100, None),
+            ]
+        );
+        // No hits, or no chunk entries: today's plain threshold split.
+        let split = vec![
+            piece(0, 34, None),
+            piece(34, 67, None),
+            piece(67, 100, None),
+        ];
+        let cold = plan_pieces(kind, &[&input], Some(&chunks), |_| false, Some(40));
+        assert_eq!(cold.pieces, split);
+        let bare = plan_pieces(kind, &[&input], None, |_| true, Some(40));
+        assert_eq!(bare.pieces, split);
+        // Chunk ranges that do not cover the input are not trusted.
+        let short = chunked(90, 10, 500);
+        let stale = plan_pieces(kind, &[&input], Some(&short), |_| true, None);
+        assert_eq!(stale.pieces, vec![piece(0, 100, None)]);
+    }
+
+    #[test]
+    fn chunk_hits_and_partitioning_compose_to_the_whole_node_output() {
+        let w = rows_workflow(200);
+        let doubled: Vec<i64> = (0..200).map(|v| v * 2).collect();
+        let chunks = chunked(200, 25, 9_000);
+        for hits in [vec![0, 1, 4, 7], vec![2], vec![0, 1, 2, 3, 4, 5, 6, 7]] {
+            for (parallelism, partition_rows) in [(1, 8), (2, 8), (4, 8), (4, 1), (4, usize::MAX)] {
+                let store = tmp_store(&format!("compose-{}-{parallelism}", hits.len()));
+                let cm = CostModel::new();
+                let mut plan =
+                    compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
+                plan.chunks[1] = Some(chunks.clone());
+                for &k in &hits {
+                    store_chunk(&store, &chunks, k, &doubled);
+                }
+                let opts = ExecOpts {
+                    parallelism,
+                    partition_rows,
+                    ..ExecOpts::default()
+                };
+                let mut loaded = Vec::new();
+                let result = execute_plan_opts(&w, &plan, &store, &opts, |_, executed, _| {
+                    loaded.push(executed.chunks_loaded);
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(
+                    result.outputs[1],
+                    Some(NodeOutput::Data(int_rows(&doubled))),
+                    "hits {hits:?}, parallelism {parallelism}, partition_rows {partition_rows}"
+                );
+                assert_eq!(
+                    loaded,
+                    vec![0, hits.len()],
+                    "every stored chunk is served from the store, split or not"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn evicted_chunk_recomputes_its_range() {
+        let w = rows_workflow(60);
+        let node = &w.nodes()[1];
+        let doubled: Vec<i64> = (0..60).map(|v| v * 2).collect();
+        let input = NodeOutput::Data(int_rows(&(0..60).collect::<Vec<_>>()));
+        let chunks = chunked(60, 20, 7_000);
+        let store = tmp_store("evicted");
+        store_chunk(&store, &chunks, 0, &doubled);
+        store_chunk(&store, &chunks, 2, &doubled);
+        let planned = plan_pieces(
+            &node.kind,
+            &[&input],
+            Some(&chunks),
+            |sig| store.lookup(sig).is_some(),
+            None,
+        );
+        assert_eq!(
+            planned.pieces,
+            vec![
+                piece(0, 20, Some(7_000)),
+                piece(20, 40, None),
+                piece(40, 60, Some(7_002)),
+            ]
+        );
+        // Chunk 2 disappears between the probe and the read.
+        assert!(store.evict(chunks.psigs[2]).unwrap());
+        let outcomes = planned
+            .pieces
+            .iter()
+            .map(|&p| run_piece(node, &[&input], &store, p));
+        let raw = assemble(planned.sliceable, outcomes).unwrap();
+        assert_eq!(raw.output, NodeOutput::Data(int_rows(&doubled)));
+        assert_eq!(raw.executed.chunks_loaded, 1, "only chunk 0 was served");
+    }
+
+    #[test]
+    fn source_reuses_chunks_only_on_a_full_hit_set() {
+        // `src` is unsliceable (a classic UDF standing in for a file
+        // source): it cannot compute a row range, so a partial hit set is
+        // useless and it computes whole.
+        let w = rows_workflow(60);
+        let node = &w.nodes()[0];
+        let iota: Vec<i64> = (0..60).collect();
+        let chunks = chunked(60, 20, 3_000);
+        let store = tmp_store("source-hits");
+        let stored = |sig: Signature| store.lookup(sig).is_some();
+        store_chunk(&store, &chunks, 0, &iota);
+        store_chunk(&store, &chunks, 1, &iota);
+        let partial = plan_pieces(&node.kind, &[], Some(&chunks), stored, Some(8));
+        assert!(!partial.sliceable);
+        assert_eq!(partial.pieces, vec![piece(0, 0, None)], "computes whole");
+
+        store_chunk(&store, &chunks, 2, &iota);
+        let full = plan_pieces(&node.kind, &[], Some(&chunks), stored, Some(8));
+        assert_eq!(
+            full.pieces,
+            vec![
+                piece(0, 20, Some(3_000)),
+                piece(20, 40, Some(3_001)),
+                piece(40, 60, Some(3_002)),
+            ]
+        );
+        let run = |pieces: &[Piece]| {
+            let outcomes = pieces.iter().map(|&p| run_piece(node, &[], &store, p));
+            assemble(false, outcomes).unwrap()
+        };
+        let raw = run(&full.pieces);
+        assert_eq!(raw.output, NodeOutput::Data(int_rows(&iota)));
+        assert_eq!(raw.executed.chunks_loaded, 3);
+
+        // An entry evicted after the probe: the fallback compute of an
+        // unsliceable operator is the whole output, not one range of it.
+        assert!(store.evict(chunks.psigs[1]).unwrap());
+        let raw = run(&full.pieces);
+        assert_eq!(raw.output, NodeOutput::Data(int_rows(&iota)));
+        assert_eq!(raw.executed.chunks_loaded, 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! shard lock pins the size of any entry it overwrites), so concurrent
 //! puts can never jointly overshoot the budget, and a failed write
 //! releases exactly its own reservation. The shard count comes from
-//! [`crate::EngineConfig::store_shards`] / `HELIX_STORE_SHARDS` (default
+//! [`crate::EngineConfig::store_shards`] (default
 //! [`DEFAULT_STORE_SHARDS`]); `1` reproduces the old single-lock store.
 //!
 //! # Durability
@@ -56,16 +56,9 @@ use std::time::Instant;
 /// Process-wide counter for unique temp-file names (see [`IntermediateStore::put`]).
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Default number of shards when `HELIX_STORE_SHARDS` is unset.
+/// Default number of shards ([`StoreOptions::shards`] and
+/// [`crate::EngineConfig::with_store_shards`] override it).
 pub const DEFAULT_STORE_SHARDS: usize = 16;
-
-/// The shard count the engine uses by default: the `HELIX_STORE_SHARDS`
-/// environment variable when set to a positive integer, otherwise
-/// [`DEFAULT_STORE_SHARDS`]. (One of the knobs unified behind
-/// [`crate::EngineConfig::from_env`].)
-pub fn default_store_shards() -> usize {
-    crate::config_env::store_shards()
-}
 
 /// How (and whether) the store and engine state survive a process crash.
 ///
@@ -119,10 +112,10 @@ impl Durability {
         matches!(self, Durability::Wal { .. })
     }
 
-    /// Overrides the WAL compaction threshold (the `HELIX_WAL_SNAPSHOT_BYTES`
-    /// knob): a shard whose log exceeds this many bytes compacts into a
-    /// snapshot on the next append, instead of only at open and on
-    /// `POST /admin/snapshot`. A no-op for [`Durability::Volatile`].
+    /// Overrides the WAL compaction threshold: a shard whose log exceeds
+    /// this many bytes compacts into a snapshot on the next append,
+    /// instead of only at open and on `POST /admin/snapshot`. A no-op for
+    /// [`Durability::Volatile`].
     pub fn with_compact_after_bytes(self, bytes: u64) -> Self {
         match self {
             Durability::Volatile => Durability::Volatile,
@@ -147,7 +140,7 @@ impl Durability {
 }
 
 /// Builder for opening an [`IntermediateStore`] — the one constructor
-/// path that replaced the positional `open`/`open_with_shards` family.
+/// path.
 ///
 /// ```no_run
 /// use helix_core::{Durability, StoreOptions};
@@ -168,13 +161,13 @@ pub struct StoreOptions {
 
 impl StoreOptions {
     /// Options rooted at `dir` with an unlimited budget, the default
-    /// shard count ([`default_store_shards`]), and
+    /// shard count ([`DEFAULT_STORE_SHARDS`]), and
     /// [`Durability::Volatile`].
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         StoreOptions {
             dir: dir.into(),
             budget_bytes: u64::MAX,
-            shards: default_store_shards(),
+            shards: DEFAULT_STORE_SHARDS,
             durability: Durability::default(),
         }
     }
@@ -429,34 +422,6 @@ fn replay_wal_file(
 }
 
 impl IntermediateStore {
-    /// Opens (or creates) a store rooted at `dir` with the default shard
-    /// count ([`default_store_shards`]), scanning existing entries so
-    /// prior iterations' materializations are visible.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `StoreOptions::new(dir).budget_bytes(..).open()`"
-    )]
-    pub fn open(dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<Self> {
-        StoreOptions::new(dir).budget_bytes(budget_bytes).open()
-    }
-
-    /// [`StoreOptions`] with an explicit shard count (clamped to ≥ 1).
-    /// `1` reproduces the historical single-lock store.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `StoreOptions::new(dir).budget_bytes(..).shards(..).open()`"
-    )]
-    pub fn open_with_shards(
-        dir: impl Into<PathBuf>,
-        budget_bytes: u64,
-        shards: usize,
-    ) -> Result<Self> {
-        StoreOptions::new(dir)
-            .budget_bytes(budget_bytes)
-            .shards(shards)
-            .open()
-    }
-
     /// Opens (or creates) a store from [`StoreOptions`]. For durable
     /// options this replays the WAL, verifies every replayed entry
     /// against the files on disk, adopts untracked files, truncates torn
@@ -1022,17 +987,25 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_open_shims_still_work() {
-        let dir = tmpdir("shim");
-        {
-            let store = IntermediateStore::open(&dir, 1 << 20).unwrap();
-            store.put(Signature(4), &sample_output(10)).unwrap();
-        }
-        let store = IntermediateStore::open_with_shards(&dir, 1 << 20, 3).unwrap();
-        assert_eq!(store.shard_count(), 3);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.durability(), Durability::Volatile);
+    fn compact_threshold_override_applies_only_to_wal() {
+        assert_eq!(
+            Durability::wal().with_compact_after_bytes(4096),
+            Durability::Wal {
+                fsync: true,
+                compact_after_bytes: 4096
+            }
+        );
+        assert_eq!(
+            Durability::wal_nosync().with_compact_after_bytes(0),
+            Durability::Wal {
+                fsync: false,
+                compact_after_bytes: 1
+            }
+        );
+        assert_eq!(
+            Durability::Volatile.with_compact_after_bytes(4096),
+            Durability::Volatile
+        );
     }
 
     #[test]

@@ -121,7 +121,7 @@ where
 }
 
 /// Renders a worker panic payload as a message (shared by every scoped
-/// thread pool in the workspace — see `helix-core`'s wave scheduler).
+/// thread pool in the workspace — see `helix-core`'s scheduler).
 pub fn panic_message(payload: &crossbeam::PanicPayload) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()

@@ -40,7 +40,7 @@ fn main() {
     // Durability comes from HELIX_DURABILITY (default: volatile). A
     // volatile store is wiped for a clean demo; a durable one is kept so
     // a restarted server resumes every session below.
-    let config = EngineConfig::from_env(dir.join("store"));
+    let config = EngineConfig::helix(dir.join("store"));
     if !config.durability.is_durable() {
         let _ = std::fs::remove_dir_all(dir.join("store"));
     }

@@ -241,3 +241,68 @@ fn durable_reopen_resumes_partition_reuse() {
     );
     let _ = std::fs::remove_dir_all(&work);
 }
+
+/// Partitioning × chunk reuse: with the source past the split point
+/// (≥ 2 × `partition_rows`), the parallel executor both fans a node out
+/// across workers *and* serves its unchanged data chunks from the store.
+/// The delta run must reuse partitions, and leave a store identical file
+/// for file to the sequential run's and to a from-scratch twin's.
+#[test]
+fn partitioned_nodes_reuse_chunks_after_a_delta() {
+    std::env::set_var("HELIX_DATA_CHUNK_ROWS", CHUNK_ROWS);
+    let work = tmpdir("split");
+    // 600 + 160 source rows in 64-row chunks against a 48-row threshold:
+    // every row-aligned node is ≥ 2 × 48 rows wide, so it splits.
+    let spec = CensusDataSpec {
+        train_rows: 600,
+        test_rows: 160,
+        ..Default::default()
+    };
+    let split_config = |store: &Path, parallelism: usize| {
+        config(store, parallelism, Durability::Volatile).with_partition_rows(48)
+    };
+    let delta = census::labeled_rows(24, 7);
+
+    let incremental = |tag: &str, parallelism: usize| {
+        let data = work.join(format!("{tag}-data"));
+        generate_census(&data, &spec).unwrap();
+        let store = work.join(format!("{tag}-store"));
+        let engine = Arc::new(Engine::new(split_config(&store, parallelism)).unwrap());
+        let workflow = census_workflow(&CensusParams::initial(&data)).unwrap();
+        let mut session = Session::new(engine, tag, workflow);
+        session.iterate().unwrap();
+        session.append_data("data", &delta).unwrap();
+        let report = session.iterate().unwrap();
+        (report, stored_files(&store), data)
+    };
+    let (par_report, par_files, par_data) = incremental("par", 2);
+    let (seq_report, seq_files, _) = incremental("seq", 1);
+
+    assert!(
+        par_report.chunks_reused() > 0,
+        "partitioned nodes must still serve unchanged chunks from the store"
+    );
+    assert_eq!(par_report.chunks_reused(), seq_report.chunks_reused());
+    assert_eq!(par_report.metrics, seq_report.metrics);
+    assert_eq!(plan_shape(&par_report), plan_shape(&seq_report));
+    assert!(
+        par_files == seq_files,
+        "parallelism 2 and 1 must leave identical stores"
+    );
+
+    // From-scratch twin on the grown data, also at parallelism 2.
+    let fresh_store = work.join("fresh-store");
+    let engine = Arc::new(Engine::new(split_config(&fresh_store, 2)).unwrap());
+    let workflow = census_workflow(&CensusParams::initial(&par_data)).unwrap();
+    let fresh_report = Session::new(engine, "fresh", workflow).iterate().unwrap();
+    assert_eq!(par_report.metrics, fresh_report.metrics);
+    let fresh_files = stored_files(&fresh_store);
+    assert!(!fresh_files.is_empty(), "fresh twin stored nothing");
+    for (name, bytes) in &fresh_files {
+        assert!(
+            par_files.get(name) == Some(bytes),
+            "fresh entry {name} missing from or different in the incremental store"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&work);
+}
