@@ -4,14 +4,14 @@
 //! criterion shim) against a committed baseline and fails when any
 //! benchmark's best-of-samples wall time regressed past the threshold
 //! (default 1.25 = +25%). `--compare A<=B` additionally asserts a
-//! within-run ordering — used to pin the ready-queue executor at or
-//! under the wave-barrier baseline regardless of runner speed.
+//! within-run ordering that holds regardless of runner speed — e.g. a
+//! delta rerun never losing to a full recompute.
 //!
 //! ```text
-//! bench_guard --baseline bench_results/BENCH_scheduler_baseline.json \
-//!             --current  bench_results/BENCH_scheduler.json \
+//! bench_guard --baseline bench_results/BENCH_incremental_baseline.json \
+//!             --current  bench_results/BENCH_incremental.json \
 //!             [--threshold 1.25] \
-//!             [--compare "scheduler_executor/news/ready<=scheduler_executor/news/wave"]...
+//!             [--compare "incremental/incremental_delta<=incremental/full_recompute"]...
 //! ```
 //!
 //! Refreshing baselines after an intentional perf change: capture a run

@@ -8,7 +8,10 @@
 //! load costs follow a latency + size/bandwidth disk model recalibrated
 //! from every real store read/write.
 
+use crate::persist::{f64_field, field};
+use crate::version::{metrics_from_json, metrics_to_json};
 use helix_dataflow::fx::FxHashMap;
+use helix_json::Json;
 
 /// Smoothing factor for cost EMAs: new observations dominate (workloads
 /// shift as users edit workflows) while damping scheduler noise.
@@ -145,43 +148,38 @@ impl CostModel {
         self.load_estimate_secs(bytes)
     }
 
-    /// Current bandwidth estimate (bytes/sec), exposed for reports.
-    pub fn bytes_per_sec(&self) -> f64 {
-        self.bytes_per_sec
-    }
-
     /// Number of node names with compute observations.
     pub fn observed_nodes(&self) -> usize {
         self.compute_secs.len()
     }
 
-    /// Every `(node name, EMA seconds)` compute observation — the state
-    /// the durable tier persists so cost history accumulates across
-    /// restarts (see `crate::persist`).
-    pub fn compute_observations(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.compute_secs.iter().map(|(k, &v)| (k.as_str(), v))
+    /// The persisted model: disk parameters plus every per-name compute
+    /// EMA (sorted by name for stable files), so cost history
+    /// accumulates across restarts.
+    pub(crate) fn to_json(&self) -> Json {
+        let mut observations: Vec<(String, f64)> = self
+            .compute_secs
+            .iter()
+            .map(|(name, &secs)| (name.clone(), secs))
+            .collect();
+        observations.sort_by(|a, b| a.0.cmp(&b.0));
+        Json::obj([
+            ("bytes_per_sec", Json::Num(self.bytes_per_sec)),
+            ("io_latency_sec", Json::Num(self.io_latency_sec)),
+            ("encode_ratio", Json::Num(self.encode_ratio)),
+            ("compute_secs", metrics_to_json(&observations)),
+        ])
     }
 
-    /// Current fixed-latency estimate (seconds), exposed for persistence.
-    pub fn io_latency_sec(&self) -> f64 {
-        self.io_latency_sec
-    }
-
-    /// Current encode-ratio estimate, exposed for persistence.
-    pub fn encode_ratio(&self) -> f64 {
-        self.encode_ratio
-    }
-
-    /// Rebuilds a model from persisted state (the inverse of the
-    /// accessors above). Non-finite or non-positive disk parameters fall
-    /// back to the defaults so a corrupt state file cannot wedge the
-    /// optimizer.
-    pub fn from_parts(
-        observations: impl IntoIterator<Item = (String, f64)>,
-        bytes_per_sec: f64,
-        io_latency_sec: f64,
-        encode_ratio: f64,
-    ) -> CostModel {
+    /// Inverse of [`CostModel::to_json`]. Non-finite or non-positive disk
+    /// parameters fall back to the defaults, and non-finite or negative
+    /// compute estimates are dropped, so a corrupt state file cannot
+    /// wedge the optimizer.
+    pub(crate) fn from_json(json: &Json) -> Result<CostModel, String> {
+        let observations = metrics_from_json(field(json, "compute_secs")?)?;
+        let bytes_per_sec = f64_field(json, "bytes_per_sec")?;
+        let io_latency_sec = f64_field(json, "io_latency_sec")?;
+        let encode_ratio = f64_field(json, "encode_ratio")?;
         let mut model = CostModel::new();
         if bytes_per_sec.is_finite() && bytes_per_sec > 0.0 {
             model.bytes_per_sec = bytes_per_sec;
@@ -197,7 +195,7 @@ impl CostModel {
                 model.compute_secs.insert(name, secs);
             }
         }
-        model
+        Ok(model)
     }
 }
 
@@ -248,19 +246,19 @@ mod tests {
     #[test]
     fn io_observation_moves_bandwidth() {
         let mut cm = CostModel::new();
-        let before = cm.bytes_per_sec();
+        let before = cm.bytes_per_sec;
         // 16 GiB in one second: much faster than the default.
         cm.observe_io(1 << 34, 1.0);
-        assert!(cm.bytes_per_sec() > before);
+        assert!(cm.bytes_per_sec > before);
     }
 
     #[test]
     fn small_transfers_calibrate_latency_not_bandwidth() {
         let mut cm = CostModel::new();
-        let bandwidth = cm.bytes_per_sec();
+        let bandwidth = cm.bytes_per_sec;
         // 200 bytes in 1 ms: pure latency, no bandwidth information.
         cm.observe_io(200, 0.001);
-        assert_eq!(cm.bytes_per_sec(), bandwidth, "bandwidth must not collapse");
+        assert_eq!(cm.bytes_per_sec, bandwidth, "bandwidth must not collapse");
         let latency = cm.load_estimate_secs(0);
         assert!(
             latency > DEFAULT_IO_LATENCY_SEC && latency < 0.01,
@@ -275,19 +273,19 @@ mod tests {
         for _ in 0..20 {
             cm.observe_io(200, 0.005);
         }
-        let bandwidth = cm.bytes_per_sec();
+        let bandwidth = cm.bytes_per_sec;
         // A 64 KiB read served from page cache "faster than latency" must
         // not explode the bandwidth EMA via a clamped divisor.
         cm.observe_io(64 * 1024, 1e-5);
-        assert_eq!(cm.bytes_per_sec(), bandwidth);
+        assert_eq!(cm.bytes_per_sec, bandwidth);
     }
 
     #[test]
     fn absurd_io_observations_rejected() {
         let mut cm = CostModel::new();
-        let before = cm.bytes_per_sec();
+        let before = cm.bytes_per_sec;
         cm.observe_io(0, 10.0);
-        assert_eq!(cm.bytes_per_sec(), before);
+        assert_eq!(cm.bytes_per_sec, before);
     }
 
     #[test]

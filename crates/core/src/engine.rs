@@ -19,6 +19,7 @@ use crate::cost::CostModel;
 use crate::materialize::{MaterializationContext, MaterializationPolicyKind};
 use crate::memo::{MemoTable, Observation, OfflineOutcome};
 use crate::ops::{NodeOutput, OperatorKind};
+use crate::persist::{arr_field, f64_field, field, hex_u64, str_field, u64_hex};
 use crate::recompute::RecomputationPolicy;
 use crate::report::{IterationReport, NodeReport};
 use crate::scheduler;
@@ -28,6 +29,7 @@ use crate::version::VersionStore;
 use crate::workflow::Workflow;
 use crate::{HelixError, Result};
 use helix_dataflow::fx::{FxHashMap, FxHashSet};
+use helix_json::Json;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -198,21 +200,53 @@ impl Lineage {
             .collect()
     }
 
-    /// The previous iteration's signature snapshot, for persistence.
+    /// The previous iteration's signature snapshot (node name → local and
+    /// Merkle signature).
     pub(crate) fn previous_map(&self) -> Option<&FxHashMap<String, (u64, Signature)>> {
         self.previous.as_ref()
     }
 
-    /// Rebuilds a lineage from persisted state (the inverse of
-    /// [`Lineage::previous_map`] + [`Lineage::iteration`]).
-    pub(crate) fn from_parts(
-        iteration: usize,
-        previous: Option<FxHashMap<String, (u64, Signature)>>,
-    ) -> Lineage {
-        Lineage {
+    /// The persisted lineage. Local and Merkle signatures are hex strings
+    /// (full `u64`s do not fit a JSON number), nodes sorted by name for
+    /// stable files; `previous` is `null` before the first iteration.
+    pub(crate) fn to_json(&self) -> Json {
+        let previous = self.previous.as_ref().map_or(Json::Null, |map| {
+            let mut entries: Vec<_> = map.iter().collect();
+            entries.sort_by(|a, b| a.0.cmp(b.0));
+            let entry = |(node, &(local, sig)): (&String, &(u64, Signature))| {
+                Json::obj([
+                    ("node", Json::str(node)),
+                    ("local", Json::str(u64_hex(local))),
+                    ("sig", Json::str(u64_hex(sig.0))),
+                ])
+            };
+            Json::Arr(entries.into_iter().map(entry).collect())
+        });
+        Json::obj([
+            ("iteration", Json::Num(self.iteration as f64)),
+            ("previous", previous),
+        ])
+    }
+
+    /// Inverse of [`Lineage::to_json`].
+    pub(crate) fn from_json(json: &Json) -> std::result::Result<Lineage, String> {
+        let previous = match field(json, "previous")? {
+            Json::Null => None,
+            _ => Some(
+                arr_field(json, "previous")?
+                    .iter()
+                    .map(|entry| {
+                        let local = hex_u64(&str_field(entry, "local")?)?;
+                        let sig = Signature(hex_u64(&str_field(entry, "sig")?)?);
+                        Ok((str_field(entry, "node")?, (local, sig)))
+                    })
+                    .collect::<std::result::Result<_, String>>()?,
+            ),
+        };
+        Ok(Lineage {
             previous,
-            iteration,
-        }
+            iteration: f64_field(json, "iteration")? as usize,
+        })
     }
 }
 
@@ -560,7 +594,6 @@ impl Engine {
         let plan = plan;
         let optimizer_secs = opt_started.elapsed().as_secs_f64();
 
-        let wave_of = crate::recompute::wave_levels(workflow, &plan.states);
         let node_reports: Vec<NodeReport> = workflow
             .nodes()
             .iter()
@@ -574,7 +607,6 @@ impl Engine {
                     .as_ref()
                     .map(|c| c.kinds[i])
                     .unwrap_or(ChangeKind::Added),
-                wave: wave_of[i],
                 duration_secs: 0.0,
                 output_bytes: 0,
                 materialized: false,
@@ -793,7 +825,7 @@ impl Engine {
                 memo.record(sig, &name, &parents, observation);
             }
         }
-        let result = result?;
+        result?;
 
         let change_summary = options.summary.unwrap_or_else(|| {
             plan.change
@@ -810,7 +842,6 @@ impl Engine {
             optimizer_secs,
             materialize_secs: ctx.materialize_secs,
             nodes: ctx.node_reports,
-            waves: result.waves,
             metrics: ctx.metrics,
             snapshot: std::sync::Arc::new(crate::version::DagSnapshot::capture(workflow)),
         };
@@ -1132,8 +1163,6 @@ mod tests {
                 .map(|n| n.name.as_str())
                 .collect();
             assert_eq!(mat_a, mat_b, "materialization set must match, reg={reg}");
-            assert_eq!(a.wave_count(), b.wave_count(), "reg={reg}");
-            assert!(a.wave_count() > 1, "census plan has dependency depth");
         }
     }
 

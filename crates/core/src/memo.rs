@@ -28,8 +28,12 @@
 
 use crate::cost::{secs_to_us, CostModel};
 use crate::materialize::{offline_optimal, OfflineCandidate};
+use crate::persist::{
+    arr_field, bool_field, f64_field, hex_u64, sig_arr, sig_list, str_field, u64_hex,
+};
 use crate::signature::Signature;
 use helix_dataflow::fx::{FxHashMap, FxHashSet};
+use helix_json::Json;
 use helix_mincut::{Project, ProjectSelection};
 use std::collections::VecDeque;
 
@@ -282,18 +286,82 @@ impl MemoTable {
         self.entries.iter().map(|(&sig, e)| (Signature(sig), e))
     }
 
-    /// Rebuilds a memo from persisted parts (the inverse of
-    /// [`MemoTable::entries`] + [`MemoTable::observations_recorded`]).
-    pub fn from_parts(
-        entries: impl IntoIterator<Item = (Signature, MemoEntry)>,
-        observations_recorded: u64,
-        current_run: u64,
-    ) -> MemoTable {
-        MemoTable {
-            entries: entries.into_iter().map(|(sig, e)| (sig.0, e)).collect(),
-            observations_recorded,
-            current_run,
+    /// The persisted memo, entries sorted by signature for stable files.
+    /// Signatures are hex strings: they do not fit a JSON number exactly.
+    pub(crate) fn to_json(&self) -> Json {
+        let mut entries: Vec<(Signature, &MemoEntry)> = self.entries().collect();
+        entries.sort_by_key(|(sig, _)| sig.0);
+        let observation = |obs: &Observation| {
+            Json::obj([
+                ("secs", Json::Num(obs.exec_secs)),
+                ("bytes", Json::Num(obs.output_bytes as f64)),
+                ("loaded", Json::Bool(obs.loaded)),
+                ("rows", Json::Num(obs.rows as f64)),
+                ("run", Json::Num(obs.run as f64)),
+            ])
+        };
+        let entry = |(sig, entry): (Signature, &MemoEntry)| {
+            Json::obj([
+                ("sig", Json::str(u64_hex(sig.0))),
+                ("name", Json::str(&entry.name)),
+                ("parents", sig_arr(&entry.parents)),
+                ("reuse_hits", Json::Num(entry.reuse_hits as f64)),
+                ("runs", Json::Num(entry.runs as f64)),
+                (
+                    "obs",
+                    Json::Arr(entry.observations.iter().map(observation).collect()),
+                ),
+            ])
+        };
+        Json::obj([
+            (
+                "observations_recorded",
+                Json::Num(self.observations_recorded as f64),
+            ),
+            ("current_run", Json::Num(self.current_run as f64)),
+            (
+                "entries",
+                Json::Arr(entries.into_iter().map(entry).collect()),
+            ),
+        ])
+    }
+
+    /// Inverse of [`MemoTable::to_json`].
+    pub(crate) fn from_json(json: &Json) -> Result<MemoTable, String> {
+        let observation = |json: &Json| {
+            Ok(Observation {
+                exec_secs: f64_field(json, "secs")?,
+                output_bytes: f64_field(json, "bytes")? as u64,
+                loaded: bool_field(json, "loaded")?,
+                rows: f64_field(json, "rows")? as u64,
+                // Absent in memos persisted before decay existed: treat as
+                // run 0, i.e. maximally stale.
+                run: json.get("run").and_then(Json::as_u64).unwrap_or(0),
+            })
+        };
+        let mut entries = FxHashMap::default();
+        for entry in arr_field(json, "entries")? {
+            let sig = hex_u64(&str_field(entry, "sig")?)?;
+            let observations = arr_field(entry, "obs")?
+                .iter()
+                .map(observation)
+                .collect::<Result<_, String>>()?;
+            entries.insert(
+                sig,
+                MemoEntry {
+                    name: str_field(entry, "name")?,
+                    parents: sig_list(entry, "parents")?,
+                    observations,
+                    reuse_hits: f64_field(entry, "reuse_hits")? as u64,
+                    runs: f64_field(entry, "runs")? as u64,
+                },
+            );
         }
+        Ok(MemoTable {
+            entries,
+            observations_recorded: f64_field(json, "observations_recorded")? as u64,
+            current_run: json.get("current_run").and_then(Json::as_u64).unwrap_or(0),
+        })
     }
 }
 
@@ -605,15 +673,11 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrips() {
+    fn json_roundtrips() {
         let mut memo = MemoTable::new();
         memo.record(Signature(1), "a", &[Signature(2)], obs(1.0, 10, false, 3));
         memo.record(Signature(2), "b", &[], obs(0.5, 20, false, 3));
-        let back = MemoTable::from_parts(
-            memo.entries().map(|(s, e)| (s, e.clone())),
-            memo.observations_recorded(),
-            memo.current_run(),
-        );
+        let back = MemoTable::from_json(&memo.to_json()).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.observations_recorded(), 2);
         assert_eq!(back.current_run(), memo.current_run());

@@ -73,11 +73,12 @@ pub enum ModelType {
 
 impl ModelType {
     /// Inverse of [`fmt::Display`]: parses the canonical short name back
-    /// into the enum (used when replaying persisted session edits).
+    /// into the enum (replaying persisted session edits, wire edits). The
+    /// long names are accepted as aliases.
     pub fn from_name(name: &str) -> Option<ModelType> {
         match name {
-            "logreg" => Some(ModelType::LogisticRegression),
-            "linreg" => Some(ModelType::LinearRegression),
+            "logreg" | "logistic_regression" => Some(ModelType::LogisticRegression),
+            "linreg" | "linear_regression" => Some(ModelType::LinearRegression),
             "naive_bayes" => Some(ModelType::NaiveBayes),
             "perceptron" => Some(ModelType::Perceptron),
             _ => None,

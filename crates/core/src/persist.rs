@@ -1,6 +1,9 @@
-//! Durable-tier codecs: JSON serialization for the engine's cross-run
-//! state (cost model, global version history, session records) plus the
-//! atomic-replace file writer every snapshot goes through.
+//! Durable-tier documents: the layout of the engine meta file (cost
+//! model, global version history, optimizer memo) and of the per-session
+//! records, plus the atomic-replace file writer every snapshot goes
+//! through. Each persisted type encodes itself beside its definition
+//! (`to_json` / `from_json`); this module only arranges those encodings
+//! into documents and provides the field readers they share.
 //!
 //! The store's per-entry WAL lives in [`crate::store`]; this module covers
 //! everything *above* the store: what a restarted engine needs to resume
@@ -12,20 +15,19 @@
 
 use crate::cost::CostModel;
 use crate::engine::Lineage;
-use crate::memo::{MemoEntry, MemoTable, Observation};
-use crate::ops::Stage;
+use crate::memo::MemoTable;
 use crate::session::WorkflowEdit;
 use crate::signature::Signature;
-use crate::version::{DagSnapshot, NodeSnapshot, VersionStore, WorkflowVersion};
-use helix_dataflow::fx::FxHashMap;
+use crate::version::{VersionStore, WorkflowVersion};
 use helix_json::Json;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Format version stamped into every persisted document.
-const FORMAT_V: f64 = 1.0;
+/// Format version stamped into every persisted document. v2 writes each
+/// version in its wire shape (DAG under `dag`, metrics as an object); the
+/// decoders still read v1 documents.
+const FORMAT_V: f64 = 2.0;
 
 // ---------------------------------------------------------------------------
 // Paths and atomic writes
@@ -111,45 +113,65 @@ pub(crate) fn sweep_tmp(dir: &Path) {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive helpers
+// Field readers and writers shared by the types' `to_json` / `from_json`
 // ---------------------------------------------------------------------------
 
-fn u64_hex(v: u64) -> String {
+/// Fixed-width hex: signatures and other full-range `u64`s do not fit a
+/// JSON number (an `f64`) exactly.
+pub(crate) fn u64_hex(v: u64) -> String {
     format!("{v:016x}")
 }
 
-fn hex_u64(text: &str) -> Result<u64, String> {
+pub(crate) fn hex_u64(text: &str) -> Result<u64, String> {
     u64::from_str_radix(text, 16).map_err(|e| format!("bad hex `{text}`: {e}"))
 }
 
-fn str_arr(items: &[String]) -> Json {
+pub(crate) fn str_arr(items: &[String]) -> Json {
     Json::Arr(items.iter().map(Json::str).collect())
 }
 
-fn field<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, String> {
+pub(crate) fn sig_arr(sigs: &[Signature]) -> Json {
+    Json::Arr(sigs.iter().map(|s| Json::str(u64_hex(s.0))).collect())
+}
+
+pub(crate) fn field<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, String> {
     obj.get(key).ok_or_else(|| format!("missing field `{key}`"))
 }
 
-fn str_field(obj: &Json, key: &str) -> Result<String, String> {
+pub(crate) fn str_field(obj: &Json, key: &str) -> Result<String, String> {
     field(obj, key)?
         .as_str()
         .map(str::to_string)
         .ok_or_else(|| format!("field `{key}` is not a string"))
 }
 
-fn f64_field(obj: &Json, key: &str) -> Result<f64, String> {
+/// A string field that may be `null`.
+pub(crate) fn opt_str_field(obj: &Json, key: &str) -> Result<Option<String>, String> {
+    match field(obj, key)? {
+        Json::Null => Ok(None),
+        _ => str_field(obj, key).map(Some),
+    }
+}
+
+pub(crate) fn f64_field(obj: &Json, key: &str) -> Result<f64, String> {
     field(obj, key)?
         .as_f64()
         .ok_or_else(|| format!("field `{key}` is not a number"))
 }
 
-fn arr_field<'j>(obj: &'j Json, key: &str) -> Result<&'j [Json], String> {
+pub(crate) fn bool_field(obj: &Json, key: &str) -> Result<bool, String> {
+    field(obj, key)?
+        .as_bool()
+        .ok_or_else(|| format!("field `{key}` is not a bool"))
+}
+
+pub(crate) fn arr_field<'j>(obj: &'j Json, key: &str) -> Result<&'j [Json], String> {
     field(obj, key)?
         .as_array()
         .ok_or_else(|| format!("field `{key}` is not an array"))
 }
 
-fn string_list(obj: &Json, key: &str) -> Result<Vec<String>, String> {
+pub(crate) fn string_list(obj: &Json, key: &str) -> Result<Vec<String>, String> {
     arr_field(obj, key)?
         .iter()
         .map(|j| {
@@ -160,393 +182,25 @@ fn string_list(obj: &Json, key: &str) -> Result<Vec<String>, String> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// DAG snapshots and versions
-// ---------------------------------------------------------------------------
-
-fn node_to_json(node: &NodeSnapshot) -> Json {
-    Json::obj([
-        ("name", Json::str(&node.name)),
-        ("tag", Json::str(&node.tag)),
-        ("params", Json::str(&node.params)),
-        ("parents", str_arr(&node.parents)),
-        ("stage", Json::str(node.stage.to_string())),
-    ])
-}
-
-fn node_from_json(json: &Json) -> Result<NodeSnapshot, String> {
-    let stage_name = str_field(json, "stage")?;
-    Ok(NodeSnapshot {
-        name: str_field(json, "name")?,
-        tag: str_field(json, "tag")?,
-        params: str_field(json, "params")?,
-        parents: string_list(json, "parents")?,
-        stage: Stage::from_name(&stage_name)
-            .ok_or_else(|| format!("unknown stage `{stage_name}`"))?,
-    })
-}
-
-fn snapshot_to_json(snapshot: &DagSnapshot) -> Json {
-    Json::obj([
-        (
-            "nodes",
-            Json::Arr(snapshot.nodes.iter().map(node_to_json).collect()),
-        ),
-        ("outputs", str_arr(&snapshot.outputs)),
-    ])
-}
-
-fn snapshot_from_json(json: &Json) -> Result<DagSnapshot, String> {
-    Ok(DagSnapshot {
-        nodes: arr_field(json, "nodes")?
-            .iter()
-            .map(node_from_json)
-            .collect::<Result<_, _>>()?,
-        outputs: string_list(json, "outputs")?,
-    })
-}
-
-fn metrics_to_json(metrics: &[(String, f64)]) -> Json {
-    Json::Arr(
-        metrics
-            .iter()
-            .map(|(name, value)| Json::Arr(vec![Json::str(name), Json::Num(*value)]))
-            .collect(),
-    )
-}
-
-fn metrics_from_json(json: &Json, key: &str) -> Result<Vec<(String, f64)>, String> {
-    arr_field(json, key)?
-        .iter()
-        .map(|pair| {
-            let items = pair
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| format!("`{key}` entry is not a [name, value] pair"))?;
-            let name = items[0]
-                .as_str()
-                .ok_or_else(|| format!("`{key}` name is not a string"))?;
-            let value = items[1]
-                .as_f64()
-                .ok_or_else(|| format!("`{key}` value is not a number"))?;
-            Ok((name.to_string(), value))
-        })
-        .collect()
-}
-
-fn version_to_json(version: &WorkflowVersion) -> Json {
-    Json::obj([
-        ("id", Json::Num(version.id as f64)),
-        (
-            "session",
-            version
-                .session
-                .as_deref()
-                .map(Json::str)
-                .unwrap_or(Json::Null),
-        ),
-        ("snapshot", snapshot_to_json(&version.snapshot)),
-        ("metrics", metrics_to_json(&version.metrics)),
-        ("total_secs", Json::Num(version.total_secs)),
-        ("change_summary", Json::str(&version.change_summary)),
-    ])
-}
-
-fn version_from_json(json: &Json) -> Result<WorkflowVersion, String> {
-    Ok(WorkflowVersion {
-        id: f64_field(json, "id")? as usize,
-        session: match field(json, "session")? {
-            Json::Null => None,
-            other => Some(
-                other
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or("field `session` is not a string or null")?,
-            ),
-        },
-        snapshot: Arc::new(snapshot_from_json(field(json, "snapshot")?)?),
-        metrics: metrics_from_json(json, "metrics")?,
-        total_secs: f64_field(json, "total_secs")?,
-        change_summary: str_field(json, "change_summary")?,
-    })
-}
-
-fn versions_to_json(versions: &VersionStore) -> Json {
-    Json::Arr(versions.all().iter().map(version_to_json).collect())
-}
-
-fn versions_from_json(json: &Json) -> Result<Vec<WorkflowVersion>, String> {
-    json.as_array()
-        .ok_or("versions is not an array")?
-        .iter()
-        .map(version_from_json)
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Cost model
-// ---------------------------------------------------------------------------
-
-fn cost_to_json(cost: &CostModel) -> Json {
-    let mut observations: Vec<(&str, f64)> = cost.compute_observations().collect();
-    observations.sort_by(|a, b| a.0.cmp(b.0));
-    Json::obj([
-        ("bytes_per_sec", Json::Num(cost.bytes_per_sec())),
-        ("io_latency_sec", Json::Num(cost.io_latency_sec())),
-        ("encode_ratio", Json::Num(cost.encode_ratio())),
-        (
-            "compute_secs",
-            Json::Arr(
-                observations
-                    .into_iter()
-                    .map(|(name, secs)| Json::Arr(vec![Json::str(name), Json::Num(secs)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn cost_from_json(json: &Json) -> Result<CostModel, String> {
-    let observations = metrics_from_json(json, "compute_secs")?;
-    Ok(CostModel::from_parts(
-        observations,
-        f64_field(json, "bytes_per_sec")?,
-        f64_field(json, "io_latency_sec")?,
-        f64_field(json, "encode_ratio")?,
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Optimizer memo
-// ---------------------------------------------------------------------------
-
-fn observation_to_json(obs: &Observation) -> Json {
-    Json::obj([
-        ("secs", Json::Num(obs.exec_secs)),
-        ("bytes", Json::Num(obs.output_bytes as f64)),
-        ("loaded", Json::Bool(obs.loaded)),
-        ("rows", Json::Num(obs.rows as f64)),
-        ("run", Json::Num(obs.run as f64)),
-    ])
-}
-
-fn observation_from_json(json: &Json) -> Result<Observation, String> {
-    Ok(Observation {
-        exec_secs: f64_field(json, "secs")?,
-        output_bytes: f64_field(json, "bytes")? as u64,
-        loaded: field(json, "loaded")?
-            .as_bool()
-            .ok_or("`loaded` is not a bool")?,
-        rows: f64_field(json, "rows")? as u64,
-        // Absent in memos persisted before decay existed: treat as run 0,
-        // i.e. maximally stale.
-        run: json.get("run").and_then(Json::as_u64).unwrap_or(0),
-    })
-}
-
-fn memo_to_json(memo: &MemoTable) -> Json {
-    let mut entries: Vec<(Signature, &MemoEntry)> = memo.entries().collect();
-    entries.sort_by_key(|(sig, _)| sig.0);
-    Json::obj([
-        (
-            "observations_recorded",
-            Json::Num(memo.observations_recorded() as f64),
-        ),
-        ("current_run", Json::Num(memo.current_run() as f64)),
-        (
-            "entries",
-            Json::Arr(
-                entries
-                    .into_iter()
-                    .map(|(sig, entry)| {
-                        Json::obj([
-                            ("sig", Json::str(u64_hex(sig.0))),
-                            ("name", Json::str(&entry.name)),
-                            (
-                                "parents",
-                                Json::Arr(
-                                    entry
-                                        .parents
-                                        .iter()
-                                        .map(|p| Json::str(u64_hex(p.0)))
-                                        .collect(),
-                                ),
-                            ),
-                            ("reuse_hits", Json::Num(entry.reuse_hits as f64)),
-                            ("runs", Json::Num(entry.runs as f64)),
-                            (
-                                "obs",
-                                Json::Arr(
-                                    entry.observations.iter().map(observation_to_json).collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn memo_from_json(json: &Json) -> Result<MemoTable, String> {
-    let recorded = f64_field(json, "observations_recorded")? as u64;
-    let mut entries = Vec::new();
-    for entry in arr_field(json, "entries")? {
-        let sig = Signature(hex_u64(&str_field(entry, "sig")?)?);
-        let parents = string_list(entry, "parents")?
-            .iter()
-            .map(|p| hex_u64(p).map(Signature))
-            .collect::<Result<Vec<_>, _>>()?;
-        let observations = arr_field(entry, "obs")?
-            .iter()
-            .map(observation_from_json)
-            .collect::<Result<std::collections::VecDeque<_>, _>>()?;
-        entries.push((
-            sig,
-            MemoEntry {
-                name: str_field(entry, "name")?,
-                parents,
-                observations,
-                reuse_hits: f64_field(entry, "reuse_hits")? as u64,
-                runs: f64_field(entry, "runs")? as u64,
-            },
-        ));
-    }
-    let current_run = json.get("current_run").and_then(Json::as_u64).unwrap_or(0);
-    Ok(MemoTable::from_parts(entries, recorded, current_run))
-}
-
-fn signature_list(json: &Json, key: &str) -> Result<Vec<Signature>, String> {
-    string_list(json, key)?
+pub(crate) fn sig_list(obj: &Json, key: &str) -> Result<Vec<Signature>, String> {
+    string_list(obj, key)?
         .iter()
         .map(|s| hex_u64(s).map(Signature))
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Lineage
-// ---------------------------------------------------------------------------
-
-fn lineage_to_json(lineage: &Lineage) -> Json {
-    let previous = match lineage.previous_map() {
-        None => Json::Null,
-        Some(map) => {
-            let mut entries: Vec<(&String, &(u64, Signature))> = map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            Json::Arr(
-                entries
-                    .into_iter()
-                    .map(|(node, &(local, sig))| {
-                        Json::obj([
-                            ("node", Json::str(node)),
-                            ("local", Json::str(u64_hex(local))),
-                            ("sig", Json::str(u64_hex(sig.0))),
-                        ])
-                    })
-                    .collect(),
-            )
-        }
-    };
-    Json::obj([
-        ("iteration", Json::Num(lineage.iteration() as f64)),
-        ("previous", previous),
-    ])
+fn version_list(obj: &Json) -> Result<Vec<WorkflowVersion>, String> {
+    arr_field(obj, "versions")?
+        .iter()
+        .map(WorkflowVersion::from_json)
+        .collect()
 }
 
-fn lineage_from_json(json: &Json) -> Result<Lineage, String> {
-    let iteration = f64_field(json, "iteration")? as usize;
-    let previous = match field(json, "previous")? {
-        Json::Null => None,
-        entries => {
-            let entries = entries.as_array().ok_or("`previous` is not an array")?;
-            let mut map = FxHashMap::default();
-            for entry in entries {
-                let node = str_field(entry, "node")?;
-                let local = hex_u64(&str_field(entry, "local")?)?;
-                let sig = Signature(hex_u64(&str_field(entry, "sig")?)?);
-                map.insert(node, (local, sig));
-            }
-            Some(map)
-        }
-    };
-    Ok(Lineage::from_parts(iteration, previous))
-}
-
-// ---------------------------------------------------------------------------
-// Workflow edits
-// ---------------------------------------------------------------------------
-
-fn edit_to_json(edit: &WorkflowEdit) -> Json {
-    match edit {
-        WorkflowEdit::SetLearnerParam { learner, param } => Json::obj([
-            ("kind", Json::str("set_learner_param")),
-            ("learner", Json::str(learner)),
-            ("param", Json::str(param)),
-        ]),
-        WorkflowEdit::ReplaceOperator { node, tag } => Json::obj([
-            ("kind", Json::str("replace_operator")),
-            ("node", Json::str(node)),
-            ("tag", Json::str(tag)),
-        ]),
-        WorkflowEdit::Rewire { node, parents } => Json::obj([
-            ("kind", Json::str("rewire")),
-            ("node", Json::str(node)),
-            ("parents", str_arr(parents)),
-        ]),
-        WorkflowEdit::AddOutput { node } => {
-            Json::obj([("kind", Json::str("add_output")), ("node", Json::str(node))])
-        }
-        WorkflowEdit::Freeform { description } => Json::obj([
-            ("kind", Json::str("freeform")),
-            ("description", Json::str(description)),
-        ]),
-        WorkflowEdit::AppendData { source, rows } => Json::obj([
-            ("kind", Json::str("append_data")),
-            ("source", Json::str(source)),
-            ("rows", Json::Num(*rows as f64)),
-        ]),
-    }
-}
-
-fn edit_from_json(json: &Json) -> Result<WorkflowEdit, String> {
-    let kind = str_field(json, "kind")?;
-    match kind.as_str() {
-        "set_learner_param" => Ok(WorkflowEdit::SetLearnerParam {
-            learner: str_field(json, "learner")?,
-            param: str_field(json, "param")?,
-        }),
-        "replace_operator" => Ok(WorkflowEdit::ReplaceOperator {
-            node: str_field(json, "node")?,
-            tag: str_field(json, "tag")?,
-        }),
-        "rewire" => Ok(WorkflowEdit::Rewire {
-            node: str_field(json, "node")?,
-            parents: string_list(json, "parents")?,
-        }),
-        "add_output" => Ok(WorkflowEdit::AddOutput {
-            node: str_field(json, "node")?,
-        }),
-        "freeform" => Ok(WorkflowEdit::Freeform {
-            description: str_field(json, "description")?,
-        }),
-        "append_data" => Ok(WorkflowEdit::AppendData {
-            source: str_field(json, "source")?,
-            rows: json
-                .get("rows")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| "append_data edit missing `rows`".to_string())?
-                as usize,
-        }),
-        other => Err(format!("unknown edit kind `{other}`")),
-    }
-}
-
-fn edits_to_json(edits: &[WorkflowEdit]) -> Json {
-    Json::Arr(edits.iter().map(edit_to_json).collect())
-}
-
-fn edits_from_json(json: &Json, key: &str) -> Result<Vec<WorkflowEdit>, String> {
-    arr_field(json, key)?.iter().map(edit_from_json).collect()
+fn edit_list(obj: &Json, key: &str) -> Result<Vec<WorkflowEdit>, String> {
+    arr_field(obj, key)?
+        .iter()
+        .map(WorkflowEdit::from_json)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -583,13 +237,19 @@ pub(crate) fn save_engine_meta(
     pinned.sort_unstable_by_key(|s| s.0);
     let doc = Json::obj([
         ("v", Json::Num(FORMAT_V)),
-        ("cost", cost_to_json(cost)),
-        ("versions", versions_to_json(versions)),
-        ("memo", memo_to_json(memo)),
+        ("cost", cost.to_json()),
         (
-            "pinned",
-            Json::Arr(pinned.iter().map(|s| Json::str(u64_hex(s.0))).collect()),
+            "versions",
+            Json::Arr(
+                versions
+                    .all()
+                    .iter()
+                    .map(WorkflowVersion::to_json)
+                    .collect(),
+            ),
         ),
+        ("memo", memo.to_json()),
+        ("pinned", sig_arr(&pinned)),
         ("replans_triggered", Json::Num(replans_triggered as f64)),
         ("last_offline_unix", Json::Num(last_offline_unix as f64)),
     ]);
@@ -610,11 +270,11 @@ pub(crate) fn load_engine_meta(path: &Path) -> Result<Option<EngineMeta>, String
     // Optimizer fields default when absent: meta files written before the
     // memo existed must keep loading (forward rolls never refuse).
     let memo = match doc.get("memo") {
-        Some(json) => memo_from_json(json)?,
+        Some(json) => MemoTable::from_json(json)?,
         None => MemoTable::new(),
     };
     let pinned = match doc.get("pinned") {
-        Some(_) => signature_list(&doc, "pinned")?,
+        Some(_) => sig_list(&doc, "pinned")?,
         None => Vec::new(),
     };
     let replans_triggered = doc
@@ -626,8 +286,8 @@ pub(crate) fn load_engine_meta(path: &Path) -> Result<Option<EngineMeta>, String
         .and_then(Json::as_f64)
         .unwrap_or(0.0) as u64;
     Ok(Some(EngineMeta {
-        cost: cost_from_json(field(&doc, "cost")?)?,
-        versions: versions_from_json(field(&doc, "versions")?)?,
+        cost: CostModel::from_json(field(&doc, "cost")?)?,
+        versions: version_list(&doc)?,
         memo,
         pinned,
         replans_triggered,
@@ -677,12 +337,36 @@ pub(crate) fn save_session_record(path: &Path, record: &SessionRecord) -> Result
                 .unwrap_or(Json::Null),
         ),
         ("workflow_replaced", Json::Bool(record.workflow_replaced)),
-        ("lineage", lineage_to_json(&record.lineage)),
-        ("applied_edits", edits_to_json(&record.applied_edits)),
-        ("pending_edits", edits_to_json(&record.pending_edits)),
+        ("lineage", record.lineage.to_json()),
+        (
+            "applied_edits",
+            Json::Arr(
+                record
+                    .applied_edits
+                    .iter()
+                    .map(WorkflowEdit::to_json)
+                    .collect(),
+            ),
+        ),
+        (
+            "pending_edits",
+            Json::Arr(
+                record
+                    .pending_edits
+                    .iter()
+                    .map(WorkflowEdit::to_json)
+                    .collect(),
+            ),
+        ),
         (
             "versions",
-            Json::Arr(record.versions.iter().map(version_to_json).collect()),
+            Json::Arr(
+                record
+                    .versions
+                    .iter()
+                    .map(WorkflowVersion::to_json)
+                    .collect(),
+            ),
         ),
     ]);
     write_atomic(path, &doc.to_string()).map_err(|e| format!("write {}: {e}", path.display()))
@@ -695,28 +379,22 @@ pub(crate) fn load_session_record(path: &Path) -> Result<SessionRecord, String> 
     let doc = Json::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
     Ok(SessionRecord {
         name: str_field(&doc, "name")?,
-        template: match field(&doc, "template")? {
-            Json::Null => None,
-            other => Some(
-                other
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or("field `template` is not a string or null")?,
-            ),
-        },
-        workflow_replaced: field(&doc, "workflow_replaced")?
-            .as_bool()
-            .ok_or("field `workflow_replaced` is not a bool")?,
-        lineage: lineage_from_json(field(&doc, "lineage")?)?,
-        applied_edits: edits_from_json(&doc, "applied_edits")?,
-        pending_edits: edits_from_json(&doc, "pending_edits")?,
-        versions: versions_from_json(field(&doc, "versions")?)?,
+        template: opt_str_field(&doc, "template")?,
+        workflow_replaced: bool_field(&doc, "workflow_replaced")?,
+        lineage: Lineage::from_json(field(&doc, "lineage")?)?,
+        applied_edits: edit_list(&doc, "applied_edits")?,
+        pending_edits: edit_list(&doc, "pending_edits")?,
+        versions: version_list(&doc)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::Observation;
+    use crate::ops::Stage;
+    use crate::version::{DagSnapshot, NodeSnapshot};
+    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("helix-persist-{tag}-{}", std::process::id()));
@@ -745,34 +423,65 @@ mod tests {
         }
     }
 
+    /// A lineage at `iteration` whose previous snapshot maps node names to
+    /// `(local, sig)`; `None` before the first iteration. Built through
+    /// the decoder: the fields are private to `engine.rs`.
+    fn lineage(iteration: usize, previous: Option<&[(&str, u64, u64)]>) -> Lineage {
+        let previous = previous.map_or(Json::Null, |entries| {
+            Json::Arr(
+                entries
+                    .iter()
+                    .map(|&(node, local, sig)| {
+                        Json::obj([
+                            ("node", Json::str(node)),
+                            ("local", Json::str(u64_hex(local))),
+                            ("sig", Json::str(u64_hex(sig))),
+                        ])
+                    })
+                    .collect(),
+            )
+        });
+        Lineage::from_json(&Json::obj([
+            ("iteration", Json::Num(iteration as f64)),
+            ("previous", previous),
+        ]))
+        .unwrap()
+    }
+
     #[test]
     fn cost_model_roundtrips() {
         let mut cost = CostModel::new();
         cost.observe_compute("rows", 0.25);
         cost.observe_io(1 << 20, 0.01);
         cost.observe_encode(100, 80);
-        let json = cost_to_json(&cost);
-        let back = cost_from_json(&json).unwrap();
+        let json = cost.to_json();
+        let back = CostModel::from_json(&json).unwrap();
         assert_eq!(back.compute_estimate_secs("rows"), Some(0.25));
-        assert_eq!(back.bytes_per_sec(), cost.bytes_per_sec());
-        assert_eq!(back.io_latency_sec(), cost.io_latency_sec());
-        assert_eq!(back.encode_ratio(), cost.encode_ratio());
+        let back = back.to_json();
+        for key in ["bytes_per_sec", "io_latency_sec", "encode_ratio"] {
+            assert_eq!(back.get(key), json.get(key), "{key}");
+        }
     }
 
     #[test]
     fn corrupt_cost_parameters_fall_back_to_defaults() {
-        let defaults = CostModel::new();
-        let restored = CostModel::from_parts(
-            vec![("bad".into(), f64::NAN), ("ok".into(), 0.5)],
-            -1.0,
-            f64::INFINITY,
-            0.0,
-        );
-        assert_eq!(restored.bytes_per_sec(), defaults.bytes_per_sec());
-        assert_eq!(restored.io_latency_sec(), defaults.io_latency_sec());
-        assert_eq!(restored.encode_ratio(), defaults.encode_ratio());
+        let defaults = CostModel::new().to_json();
+        let restored = CostModel::from_json(&Json::obj([
+            ("bytes_per_sec", Json::Num(-1.0)),
+            ("io_latency_sec", Json::Num(f64::INFINITY)),
+            ("encode_ratio", Json::Num(0.0)),
+            (
+                "compute_secs",
+                Json::obj([("bad", Json::Num(f64::NAN)), ("ok", Json::Num(0.5))]),
+            ),
+        ]))
+        .unwrap();
         assert_eq!(restored.compute_estimate_secs("bad"), None);
         assert_eq!(restored.compute_estimate_secs("ok"), Some(0.5));
+        let restored = restored.to_json();
+        for key in ["bytes_per_sec", "io_latency_sec", "encode_ratio"] {
+            assert_eq!(restored.get(key), defaults.get(key), "{key}");
+        }
     }
 
     #[test]
@@ -781,8 +490,13 @@ mod tests {
             sample_version(0, None),
             sample_version(1, Some("alice")),
         ]);
-        let json = versions_to_json(&store);
-        let back = VersionStore::from_versions(versions_from_json(&json).unwrap());
+        let json: Vec<Json> = store.all().iter().map(WorkflowVersion::to_json).collect();
+        let back = VersionStore::from_versions(
+            json.iter()
+                .map(WorkflowVersion::from_json)
+                .collect::<Result<_, _>>()
+                .unwrap(),
+        );
         assert_eq!(back.len(), 2);
         assert_eq!(back.get(1).unwrap().session.as_deref(), Some("alice"));
         assert_eq!(
@@ -794,19 +508,20 @@ mod tests {
 
     #[test]
     fn lineage_roundtrips_including_full_u64_signatures() {
-        let mut map = FxHashMap::default();
         // Values outside f64's exact-integer range must survive (hence hex
         // strings, not JSON numbers).
-        map.insert("rows".to_string(), (u64::MAX - 1, Signature(u64::MAX)));
-        map.insert("data".to_string(), (7, Signature(42)));
-        let lineage = Lineage::from_parts(3, Some(map));
-        let back = lineage_from_json(&lineage_to_json(&lineage)).unwrap();
+        let lineage = lineage(
+            3,
+            Some(&[("rows", u64::MAX - 1, u64::MAX), ("data", 7, 42)]),
+        );
+        let back = Lineage::from_json(&lineage.to_json()).unwrap();
         assert_eq!(back.iteration(), 3);
         let mut sigs: Vec<u64> = back.signatures().iter().map(|s| s.0).collect();
         sigs.sort_unstable();
         assert_eq!(sigs, vec![42, u64::MAX]);
+        assert_eq!(back.to_json(), lineage.to_json());
 
-        let fresh = lineage_from_json(&lineage_to_json(&Lineage::new())).unwrap();
+        let fresh = Lineage::from_json(&Lineage::new().to_json()).unwrap();
         assert!(!fresh.has_history());
     }
 
@@ -836,8 +551,11 @@ mod tests {
                 rows: 64,
             },
         ];
-        let json = Json::obj([("edits", edits_to_json(&edits))]);
-        let back = edits_from_json(&json, "edits").unwrap();
+        let json = Json::obj([(
+            "edits",
+            Json::Arr(edits.iter().map(WorkflowEdit::to_json).collect()),
+        )]);
+        let back = edit_list(&json, "edits").unwrap();
         assert_eq!(back, edits);
     }
 
@@ -853,7 +571,7 @@ mod tests {
             name: "alice/../etc".into(),
             template: Some("census".into()),
             workflow_replaced: false,
-            lineage: Lineage::from_parts(2, None),
+            lineage: lineage(2, None),
             applied_edits: vec![WorkflowEdit::AddOutput {
                 node: "income".into(),
             }],
@@ -917,17 +635,219 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_metrics_survive_a_restart() {
+        // JSON has no NaN or infinity, so a diverged learner's metric is
+        // written as `null`. Reading it back must not fail the document:
+        // that would drop every version (and, for the engine meta, the
+        // cost model and memo) on the next open.
+        let dir = tmpdir("non-finite");
+        let mut version = sample_version(0, Some("alice"));
+        version.metrics = vec![
+            ("log_loss".into(), f64::NAN),
+            ("rmse".into(), f64::INFINITY),
+            ("accuracy".into(), 0.5),
+        ];
+        let check = |versions: &[WorkflowVersion]| {
+            assert_eq!(versions.len(), 1);
+            let metrics = &versions[0].metrics;
+            let names: Vec<&str> = metrics.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, ["log_loss", "rmse", "accuracy"]);
+            assert!(metrics[0].1.is_nan() && metrics[1].1.is_nan());
+            assert_eq!(metrics[2].1, 0.5);
+        };
+
+        let path = engine_meta_path(&dir);
+        let versions = VersionStore::from_versions(vec![version.clone()]);
+        save_engine_meta(
+            &path,
+            &CostModel::new(),
+            &versions,
+            &MemoTable::new(),
+            &[],
+            0,
+            0,
+        )
+        .unwrap();
+        check(&load_engine_meta(&path).unwrap().unwrap().versions);
+
+        let path = session_path(&dir, "alice");
+        let record = SessionRecord {
+            name: "alice".into(),
+            template: None,
+            workflow_replaced: false,
+            lineage: Lineage::new(),
+            applied_edits: vec![],
+            pending_edits: vec![],
+            versions: vec![version],
+        };
+        save_session_record(&path, &record).unwrap();
+        check(&load_session_record(&path).unwrap().versions);
+    }
+
+    /// An engine meta file and a session record exactly as the v1 format
+    /// wrote them (DAG under `snapshot`, metrics and compute estimates as
+    /// `[[name, value], …]` pairs): a store directory from before v2 must
+    /// recover its whole history.
+    const V1_ENGINE_META: &str = r#"{"v":1,"cost":{"bytes_per_sec":922034100.4825652,"io_latency_sec":0.00002,"encode_ratio":0.88,"compute_secs":[["preds",1.5],["rows",0.25]]},"versions":[{"id":0,"session":null,"snapshot":{"nodes":[{"name":"rows","tag":"csv_scan","params":"age:int","parents":["data"],"stage":"data-pre-processing"},{"name":"preds","tag":"apply","params":"","parents":["rows","preds__model"],"stage":"machine-learning"}],"outputs":["preds"]},"metrics":[["accuracy",0.8],["f1",0.5]],"total_secs":1.25,"change_summary":"set preds reg_param=0.5"},{"id":1,"session":"alice","snapshot":{"nodes":[{"name":"rows","tag":"csv_scan","params":"age:int","parents":["data"],"stage":"data-pre-processing"},{"name":"preds","tag":"apply","params":"","parents":["rows","preds__model"],"stage":"machine-learning"}],"outputs":["preds"]},"metrics":[["accuracy",0.83],["f1",0.5]],"total_secs":1.25,"change_summary":"set preds reg_param=0.5"}],"memo":{"observations_recorded":3,"current_run":2,"entries":[{"sig":"0000000000000007","name":"rows","parents":["0000000000000003"],"reuse_hits":1,"runs":2,"obs":[{"secs":0.25,"bytes":2048,"loaded":false,"rows":100,"run":1},{"secs":0.01,"bytes":1024,"loaded":true,"rows":0,"run":2}]},{"sig":"ffffffffffffffff","name":"preds","parents":["0000000000000007","0000000000000009"],"reuse_hits":0,"runs":1,"obs":[{"secs":1.5,"bytes":4096,"loaded":false,"rows":10,"run":2}]}]},"pinned":["0000000000000003","0000000000000007"],"replans_triggered":5,"last_offline_unix":1234}"#;
+    const V1_SESSION_RECORD: &str = r#"{"v":1,"name":"alice","template":"census","workflow_replaced":true,"lineage":{"iteration":2,"previous":[{"node":"data","local":"0000000000000007","sig":"000000000000002a"},{"node":"rows","local":"fffffffffffffffe","sig":"ffffffffffffffff"}]},"applied_edits":[{"kind":"set_learner_param","learner":"preds","param":"model=logreg"},{"kind":"replace_operator","node":"checked","tag":"evaluate"},{"kind":"rewire","node":"income","parents":["rows","edu_f"]},{"kind":"freeform","description":"add age bucketizer"}],"pending_edits":[{"kind":"add_output","node":"income"},{"kind":"append_data","source":"data","rows":64}],"versions":[{"id":0,"session":"alice","snapshot":{"nodes":[{"name":"rows","tag":"csv_scan","params":"age:int","parents":["data"],"stage":"data-pre-processing"},{"name":"preds","tag":"apply","params":"","parents":["rows","preds__model"],"stage":"machine-learning"}],"outputs":["preds"]},"metrics":[["accuracy",0.83],["f1",0.5]],"total_secs":1.25,"change_summary":"set preds reg_param=0.5"}]}"#;
+
+    /// The state the v1 fixtures above were written from.
+    fn v1_version(id: usize, session: Option<&str>, accuracy: f64) -> WorkflowVersion {
+        WorkflowVersion {
+            id,
+            session: session.map(str::to_string),
+            snapshot: Arc::new(DagSnapshot {
+                nodes: vec![
+                    NodeSnapshot {
+                        name: "rows".into(),
+                        tag: "csv_scan".into(),
+                        params: "age:int".into(),
+                        parents: vec!["data".into()],
+                        stage: Stage::DataPreProcessing,
+                    },
+                    NodeSnapshot {
+                        name: "preds".into(),
+                        tag: "apply".into(),
+                        params: "".into(),
+                        parents: vec!["rows".into(), "preds__model".into()],
+                        stage: Stage::MachineLearning,
+                    },
+                ],
+                outputs: vec!["preds".into()],
+            }),
+            metrics: vec![("accuracy".into(), accuracy), ("f1".into(), 0.5)],
+            total_secs: 1.25,
+            change_summary: "set preds reg_param=0.5".into(),
+        }
+    }
+
+    fn encoded(versions: &[WorkflowVersion]) -> Vec<String> {
+        versions.iter().map(|v| v.to_json().to_string()).collect()
+    }
+
+    #[test]
+    fn v1_documents_still_load() {
+        let dir = tmpdir("v1");
+        let path = engine_meta_path(&dir);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, V1_ENGINE_META).unwrap();
+        let meta = load_engine_meta(&path).unwrap().unwrap();
+
+        let mut cost = CostModel::new();
+        cost.observe_compute("rows", 0.25);
+        cost.observe_compute("preds", 1.5);
+        cost.observe_io(1 << 20, 0.01);
+        cost.observe_encode(100, 80);
+        let mut memo = MemoTable::new();
+        let obs = |exec_secs, output_bytes, loaded, rows| Observation {
+            exec_secs,
+            output_bytes,
+            loaded,
+            rows,
+            run: 0,
+        };
+        memo.begin_run();
+        memo.record(
+            Signature(7),
+            "rows",
+            &[Signature(3)],
+            obs(0.25, 2048, false, 100),
+        );
+        memo.begin_run();
+        memo.record(
+            Signature(7),
+            "rows",
+            &[Signature(3)],
+            obs(0.01, 1024, true, 0),
+        );
+        memo.record(
+            Signature(u64::MAX),
+            "preds",
+            &[Signature(7), Signature(9)],
+            obs(1.5, 4096, false, 10),
+        );
+        assert_eq!(meta.cost.to_json(), cost.to_json());
+        assert_eq!(
+            encoded(&meta.versions),
+            encoded(&[v1_version(0, None, 0.8), v1_version(1, Some("alice"), 0.83)])
+        );
+        assert_eq!(meta.memo.to_json(), memo.to_json());
+        assert_eq!(meta.pinned, vec![Signature(3), Signature(7)]);
+        assert_eq!(meta.replans_triggered, 5);
+        assert_eq!(meta.last_offline_unix, 1234);
+
+        let path = session_path(&dir, "alice");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, V1_SESSION_RECORD).unwrap();
+        let record = load_session_record(&path).unwrap();
+        assert_eq!(record.name, "alice");
+        assert_eq!(record.template.as_deref(), Some("census"));
+        assert!(record.workflow_replaced);
+        assert_eq!(
+            record.lineage.to_json(),
+            lineage(
+                2,
+                Some(&[("rows", u64::MAX - 1, u64::MAX), ("data", 7, 42)])
+            )
+            .to_json()
+        );
+        assert_eq!(
+            record.applied_edits,
+            vec![
+                WorkflowEdit::SetLearnerParam {
+                    learner: "preds".into(),
+                    param: "model=logreg".into(),
+                },
+                WorkflowEdit::ReplaceOperator {
+                    node: "checked".into(),
+                    tag: "evaluate".into(),
+                },
+                WorkflowEdit::Rewire {
+                    node: "income".into(),
+                    parents: vec!["rows".into(), "edu_f".into()],
+                },
+                WorkflowEdit::Freeform {
+                    description: "add age bucketizer".into(),
+                },
+            ]
+        );
+        assert_eq!(
+            record.pending_edits,
+            vec![
+                WorkflowEdit::AddOutput {
+                    node: "income".into(),
+                },
+                WorkflowEdit::AppendData {
+                    source: "data".into(),
+                    rows: 64,
+                },
+            ]
+        );
+        assert_eq!(
+            encoded(&record.versions),
+            encoded(&[v1_version(0, Some("alice"), 0.83)])
+        );
+
+        // Re-saving writes v2, which reads back to the same state.
+        save_session_record(&path, &record).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(r#"{"v":2,"#) && text.contains(r#""dag":"#));
+        assert_eq!(
+            encoded(&load_session_record(&path).unwrap().versions),
+            encoded(&record.versions)
+        );
+    }
+
+    #[test]
     fn pre_memo_engine_meta_still_loads() {
         // A meta file written before the optimizer memo existed (PR 8
         // format): the new fields must default, not fail the load.
         let dir = tmpdir("engine-meta-premem");
         let path = engine_meta_path(&dir);
-        let cost = CostModel::new();
-        let versions = VersionStore::new();
         let doc = Json::obj([
             ("v", Json::Num(1.0)),
-            ("cost", cost_to_json(&cost)),
-            ("versions", versions_to_json(&versions)),
+            ("cost", CostModel::new().to_json()),
+            ("versions", Json::Arr(vec![])),
         ]);
         write_atomic(&path, &doc.to_string()).unwrap();
         let meta = load_engine_meta(&path).unwrap().unwrap();

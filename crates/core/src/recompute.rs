@@ -216,66 +216,6 @@ fn plan_load_all(workflow: &Workflow, active: &[bool], costs: &[NodeCosts]) -> V
     states
 }
 
-/// Dependency level ("wave") per node: `None` for pruned nodes, `Some(0)`
-/// for loads and for computes with no unpruned parents, and
-/// `1 + max(parent level)` for other computes. All nodes in one wave are
-/// mutually independent, so the parallel scheduler may run them
-/// concurrently; loads sit in wave 0 because the store satisfies them
-/// without upstream results.
-pub fn wave_levels(workflow: &Workflow, states: &[NodeState]) -> Vec<Option<usize>> {
-    let n = workflow.len();
-    assert_eq!(states.len(), n, "states length mismatch");
-    let mut levels: Vec<Option<usize>> = vec![None; n];
-    // `rewire` can point an early node at a later one, so walk in
-    // topological order rather than id order. A cyclic workflow cannot
-    // reach execution (compilation rejects it), so fall back to id order.
-    let order = workflow
-        .topo_order()
-        .unwrap_or_else(|_| (0..n as u32).map(NodeId).collect());
-    for id in order {
-        let i = id.index();
-        match states[i] {
-            NodeState::Prune => {}
-            NodeState::Load => levels[i] = Some(0),
-            NodeState::Compute => {
-                let level = workflow
-                    .node(id)
-                    .parents
-                    .iter()
-                    .filter_map(|p| levels[p.index()])
-                    .map(|l| l + 1)
-                    .max()
-                    .unwrap_or(0);
-                levels[i] = Some(level);
-            }
-        }
-    }
-    levels
-}
-
-/// Partitions a plan's non-pruned nodes into dependency waves, preserving
-/// `order` within each wave: wave *k* holds exactly the nodes whose
-/// [`wave_levels`] level is `k`.
-///
-/// The executor no longer runs wave-by-wave (see `crate::scheduler` for
-/// the ready-queue model); waves survive as the unit of the derived
-/// per-wave timings in iteration reports.
-pub fn build_waves(
-    workflow: &Workflow,
-    order: &[NodeId],
-    states: &[NodeState],
-) -> Vec<Vec<NodeId>> {
-    let levels = wave_levels(workflow, states);
-    let n_waves = levels.iter().flatten().copied().max().map_or(0, |l| l + 1);
-    let mut waves: Vec<Vec<NodeId>> = vec![Vec::new(); n_waves];
-    for &id in order {
-        if let Some(level) = levels[id.index()] {
-            waves[level].push(id);
-        }
-    }
-    waves
-}
-
 /// Per-node downstream critical-path estimate in µs: the node's own cost
 /// plus the most expensive chain of *compute* descendants hanging off it
 /// (`0` for pruned nodes). A node with a deep or expensive tail is the
@@ -625,37 +565,6 @@ mod tests {
             2
         ];
         assert!(plan_states(&w, &active, &costs, RecomputationPolicy::Optimal).is_err());
-    }
-
-    #[test]
-    fn wave_levels_partition_diamond() {
-        // 0 -> {1, 2} -> 3: waves are {0}, {1, 2}, {3}.
-        let w = dag_workflow(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3]);
-        let states = vec![NodeState::Compute; 4];
-        let levels = wave_levels(&w, &states);
-        assert_eq!(levels, vec![Some(0), Some(1), Some(1), Some(2)]);
-    }
-
-    #[test]
-    fn loads_sit_in_wave_zero_and_prunes_have_none() {
-        let w = dag_workflow(3, &[(0, 1), (1, 2)], &[2]);
-        let states = vec![NodeState::Prune, NodeState::Load, NodeState::Compute];
-        let levels = wave_levels(&w, &states);
-        assert_eq!(levels, vec![None, Some(0), Some(1)]);
-    }
-
-    #[test]
-    fn build_waves_partitions_by_level_in_order() {
-        let w = dag_workflow(5, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3, 4]);
-        let states = vec![NodeState::Compute; 5];
-        let order: Vec<NodeId> = (0..5u32).map(NodeId).collect();
-        let waves = build_waves(&w, &order, &states);
-        assert_eq!(waves.len(), 3);
-        assert_eq!(waves[0], vec![NodeId(0), NodeId(4)]);
-        assert_eq!(waves[1], vec![NodeId(1), NodeId(2)]);
-        assert_eq!(waves[2], vec![NodeId(3)]);
-        let total: usize = waves.iter().map(Vec::len).sum();
-        assert_eq!(total, 5);
     }
 
     #[test]

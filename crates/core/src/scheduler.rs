@@ -44,9 +44,7 @@
 //! compare the ready queue against `parallelism = 1`, and routing `1`
 //! through the ready queue would make them compare one driver with
 //! itself. This is ROADMAP's fallback for the executor collapse — "keep
-//! exactly two". Neither driver runs level by level:
-//! [`crate::recompute::build_waves`] / [`crate::recompute::wave_levels`]
-//! only feed the *derived* per-wave report timings.
+//! exactly two". Neither driver runs level by level.
 //!
 //! # Determinism
 //!
@@ -80,8 +78,7 @@
 use crate::compiler::CompiledPlan;
 use crate::ops::{NodeOutput, OperatorKind};
 use crate::pool::{Job, WorkerPool};
-use crate::recompute::{wave_levels, NodeState};
-use crate::report::WaveReport;
+use crate::recompute::NodeState;
 use crate::signature::Signature;
 use crate::slicing::NodeChunks;
 use crate::store::IntermediateStore;
@@ -196,12 +193,6 @@ pub struct ExecutedNode {
 pub struct ExecutionResult {
     /// Node outputs by [`NodeId::index`] (`None` for pruned nodes).
     pub outputs: Vec<Option<NodeOutput>>,
-    /// Per-wave timings *derived* from per-node durations and the plan's
-    /// dependency levels (the primary record is per node; see
-    /// [`crate::report::NodeReport`]). At `parallelism = 1` a wave's
-    /// `secs` is the sum of member durations; otherwise it is the slowest
-    /// member's duration.
-    pub waves: Vec<WaveReport>,
 }
 
 /// Raw per-node result held until the merge cursor reaches it.
@@ -262,38 +253,6 @@ where
     } else {
         execute_ready_queue(workflow, plan, store, opts, &mut merge)
     }
-}
-
-/// Derives per-wave timings from per-node durations: `secs[i]` indexed by
-/// node, `None` for nodes that did not execute. `sum_members` selects the
-/// sequential convention (sum of member durations) over the parallel one
-/// (slowest member).
-fn derive_waves(
-    workflow: &Workflow,
-    states: &[NodeState],
-    secs: &[Option<f64>],
-    sum_members: bool,
-) -> Vec<WaveReport> {
-    let levels = wave_levels(workflow, states);
-    let n_waves = levels.iter().flatten().copied().max().map_or(0, |l| l + 1);
-    let mut waves = vec![
-        WaveReport {
-            nodes: 0,
-            secs: 0.0
-        };
-        n_waves
-    ];
-    for (i, level) in levels.iter().enumerate() {
-        let Some(level) = level else { continue };
-        let Some(node_secs) = secs[i] else { continue };
-        waves[*level].nodes += 1;
-        if sum_members {
-            waves[*level].secs += node_secs;
-        } else {
-            waves[*level].secs = waves[*level].secs.max(node_secs);
-        }
-    }
-    waves
 }
 
 // ---------------------------------------------------------------------------
@@ -564,7 +523,6 @@ where
 {
     let n = workflow.len();
     let mut outputs: Vec<Option<NodeOutput>> = (0..n).map(|_| None).collect();
-    let mut secs: Vec<Option<f64>> = vec![None; n];
     for &id in &plan.order {
         let i = id.index();
         let node = workflow.node(id);
@@ -582,12 +540,10 @@ where
                 assemble(planned.sliceable, outcomes)?
             }
         };
-        secs[i] = Some(raw.executed.secs);
         merge(id, &raw.executed, &raw.output)?;
         outputs[i] = Some(raw.output);
     }
-    let waves = derive_waves(workflow, &plan.states, &secs, true);
-    Ok(ExecutionResult { outputs, waves })
+    Ok(ExecutionResult { outputs })
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,7 +1120,6 @@ where
     if executable == 0 {
         return Ok(ExecutionResult {
             outputs: (0..n).map(|_| None).collect(),
-            waves: Vec::new(),
         });
     }
     // The calling thread is a full participant (it merges *and* helps
@@ -1239,16 +1194,12 @@ where
     };
     outcome?;
 
-    let mut outputs: Vec<Option<NodeOutput>> = (0..n).map(|_| None).collect();
-    let mut secs: Vec<Option<f64>> = vec![None; n];
-    for (i, cell) in exec.results.into_iter().enumerate() {
-        if let Some(raw) = cell.into_inner() {
-            secs[i] = Some(raw.executed.secs);
-            outputs[i] = Some(raw.output);
-        }
-    }
-    let waves = derive_waves(workflow, &plan.states, &secs, false);
-    Ok(ExecutionResult { outputs, waves })
+    let outputs = exec
+        .results
+        .into_iter()
+        .map(|cell| cell.into_inner().map(|raw| raw.output))
+        .collect();
+    Ok(ExecutionResult { outputs })
 }
 
 #[cfg(test)]
@@ -1257,7 +1208,7 @@ mod tests {
     use crate::compiler::compile;
     use crate::cost::CostModel;
     use crate::ops::{OperatorKind, Udf};
-    use crate::recompute::{build_waves, RecomputationPolicy};
+    use crate::recompute::RecomputationPolicy;
     use crate::workflow::NodeRef;
     use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1401,9 +1352,6 @@ mod tests {
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         assert_eq!(plan.order, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(plan.states[2], NodeState::Load);
-        let waves = build_waves(&w, &plan.order, &plan.states);
-        assert_eq!(waves[0], vec![NodeId(0), NodeId(2)]);
-        assert_eq!(waves[1], vec![NodeId(1), NodeId(3)]);
         let mut merged = Vec::new();
         let result = execute_plan(&w, &plan, &store, 4, |id, _, _| {
             merged.push(id);
@@ -1675,11 +1623,17 @@ mod tests {
             .unwrap();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         assert_eq!(plan.states[1], NodeState::Load);
-        let waves = build_waves(&w, &plan.order, &plan.states);
-        assert_eq!(waves[0], vec![NodeId(1)]);
+        assert_eq!(
+            plan.states[0],
+            NodeState::Prune,
+            "the load shadows its parent"
+        );
         let result = execute_plan(&w, &plan, &store, 4, |_, _, _| Ok(())).unwrap();
         assert_eq!(result.outputs[1], Some(NodeOutput::Data(int_rows(&[42]))));
-        assert_eq!(result.waves.len(), 2, "derived wave depth");
+        assert!(
+            result.outputs[2].is_some(),
+            "the compute above the load ran"
+        );
     }
 
     #[test]

@@ -67,11 +67,13 @@
 
 use crate::engine::{Engine, Lineage, RunOptions};
 use crate::ops::{LearnerSpec, ModelType, OperatorKind};
+use crate::persist::{str_arr, str_field, string_list};
 use crate::report::IterationReport;
 use crate::signature::Signature;
 use crate::version::VersionStore;
 use crate::workflow::{NodeRef, Workflow};
 use crate::{HelixError, Result};
+use helix_json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -196,6 +198,71 @@ impl WorkflowEdit {
                 | WorkflowEdit::AddOutput { .. }
                 | WorkflowEdit::AppendData { .. }
         )
+    }
+
+    /// The persisted edit: a `kind` tag plus the variant's fields.
+    pub(crate) fn to_json(&self) -> Json {
+        match self {
+            WorkflowEdit::SetLearnerParam { learner, param } => Json::obj([
+                ("kind", Json::str("set_learner_param")),
+                ("learner", Json::str(learner)),
+                ("param", Json::str(param)),
+            ]),
+            WorkflowEdit::ReplaceOperator { node, tag } => Json::obj([
+                ("kind", Json::str("replace_operator")),
+                ("node", Json::str(node)),
+                ("tag", Json::str(tag)),
+            ]),
+            WorkflowEdit::Rewire { node, parents } => Json::obj([
+                ("kind", Json::str("rewire")),
+                ("node", Json::str(node)),
+                ("parents", str_arr(parents)),
+            ]),
+            WorkflowEdit::AddOutput { node } => {
+                Json::obj([("kind", Json::str("add_output")), ("node", Json::str(node))])
+            }
+            WorkflowEdit::Freeform { description } => Json::obj([
+                ("kind", Json::str("freeform")),
+                ("description", Json::str(description)),
+            ]),
+            WorkflowEdit::AppendData { source, rows } => Json::obj([
+                ("kind", Json::str("append_data")),
+                ("source", Json::str(source)),
+                ("rows", Json::Num(*rows as f64)),
+            ]),
+        }
+    }
+
+    /// Inverse of [`WorkflowEdit::to_json`].
+    pub(crate) fn from_json(json: &Json) -> std::result::Result<WorkflowEdit, String> {
+        Ok(match str_field(json, "kind")?.as_str() {
+            "set_learner_param" => WorkflowEdit::SetLearnerParam {
+                learner: str_field(json, "learner")?,
+                param: str_field(json, "param")?,
+            },
+            "replace_operator" => WorkflowEdit::ReplaceOperator {
+                node: str_field(json, "node")?,
+                tag: str_field(json, "tag")?,
+            },
+            "rewire" => WorkflowEdit::Rewire {
+                node: str_field(json, "node")?,
+                parents: string_list(json, "parents")?,
+            },
+            "add_output" => WorkflowEdit::AddOutput {
+                node: str_field(json, "node")?,
+            },
+            "freeform" => WorkflowEdit::Freeform {
+                description: str_field(json, "description")?,
+            },
+            "append_data" => WorkflowEdit::AppendData {
+                source: str_field(json, "source")?,
+                rows: json
+                    .get("rows")
+                    .and_then(Json::as_u64)
+                    .ok_or("append_data edit missing `rows`")? as usize,
+            },
+            other => return Err(format!("unknown edit kind `{other}`")),
+        })
     }
 }
 

@@ -6,8 +6,10 @@
 //! git-like diffs between any two versions.
 
 use crate::ops::Stage;
+use crate::persist::{arr_field, f64_field, field, opt_str_field, str_arr, str_field, string_list};
 use crate::report::IterationReport;
 use crate::workflow::Workflow;
+use helix_json::Json;
 use std::sync::Arc;
 
 /// An immutable snapshot of one node's definition.
@@ -64,6 +66,85 @@ impl DagSnapshot {
     pub fn node(&self, name: &str) -> Option<&NodeSnapshot> {
         self.nodes.iter().find(|n| n.name == name)
     }
+
+    /// The DAG as JSON: nodes with operator tag, canonical params,
+    /// parents, and stage, plus the output set. The same shape is
+    /// persisted and served (`docs/API.md`).
+    pub fn to_json(&self) -> Json {
+        let node = |node: &NodeSnapshot| {
+            Json::obj([
+                ("name", Json::str(&node.name)),
+                ("tag", Json::str(&node.tag)),
+                ("params", Json::str(&node.params)),
+                ("parents", str_arr(&node.parents)),
+                ("stage", Json::str(node.stage.to_string())),
+            ])
+        };
+        Json::obj([
+            ("nodes", Json::Arr(self.nodes.iter().map(node).collect())),
+            ("outputs", str_arr(&self.outputs)),
+        ])
+    }
+
+    /// Inverse of [`DagSnapshot::to_json`].
+    ///
+    /// # Errors
+    /// Names the first missing or mistyped field.
+    pub fn from_json(json: &Json) -> Result<DagSnapshot, String> {
+        let node = |json: &Json| {
+            let stage = str_field(json, "stage")?;
+            Ok(NodeSnapshot {
+                name: str_field(json, "name")?,
+                tag: str_field(json, "tag")?,
+                params: str_field(json, "params")?,
+                parents: string_list(json, "parents")?,
+                stage: Stage::from_name(&stage).ok_or(format!("unknown stage `{stage}`"))?,
+            })
+        };
+        Ok(DagSnapshot {
+            nodes: arr_field(json, "nodes")?
+                .iter()
+                .map(node)
+                .collect::<Result<_, String>>()?,
+            outputs: string_list(json, "outputs")?,
+        })
+    }
+}
+
+/// Named values (harvested metrics, per-node cost estimates) as one
+/// `{name: value}` object, in order. JSON has no NaN or infinity, so a
+/// non-finite value is written as `null`.
+pub fn metrics_to_json(metrics: &[(String, f64)]) -> Json {
+    Json::Obj(
+        metrics
+            .iter()
+            .map(|(name, value)| (name.clone(), Json::Num(*value)))
+            .collect(),
+    )
+}
+
+/// Inverse of [`metrics_to_json`]. `null` reads back as NaN, so one
+/// diverged metric cannot make the whole document unreadable. Also
+/// accepts the v1 `[[name, value], …]` pair list.
+pub(crate) fn metrics_from_json(json: &Json) -> Result<Vec<(String, f64)>, String> {
+    let value = |v: &Json| match v {
+        Json::Null => Ok(f64::NAN),
+        v => v.as_f64().ok_or("metric value is not a number"),
+    };
+    if let Some(pairs) = json.as_object() {
+        return pairs
+            .iter()
+            .map(|(name, v)| Ok((name.clone(), value(v)?)))
+            .collect();
+    }
+    json.as_array()
+        .ok_or("metrics are neither an object nor a pair list")?
+        .iter()
+        .map(|pair| match pair.as_array() {
+            Some([Json::Str(name), v]) => Ok((name.clone(), value(v)?)),
+            _ => Err("metric entry is not a [name, value] pair".to_string()),
+        })
+        .collect()
 }
 
 /// One executed workflow version.
@@ -85,6 +166,55 @@ pub struct WorkflowVersion {
     pub total_secs: f64,
     /// One-line change summary vs the previous version.
     pub change_summary: String,
+}
+
+impl WorkflowVersion {
+    /// The history list view: `id, session, change_summary, total_secs,
+    /// metrics` — [`WorkflowVersion::to_json`] without its DAG, so a long
+    /// history lists without encoding every snapshot.
+    pub fn summary_json(&self) -> Json {
+        Json::obj([
+            ("id", Json::Num(self.id as f64)),
+            (
+                "session",
+                self.session.as_deref().map_or(Json::Null, Json::str),
+            ),
+            ("change_summary", Json::str(&self.change_summary)),
+            ("total_secs", Json::Num(self.total_secs)),
+            ("metrics", metrics_to_json(&self.metrics)),
+        ])
+    }
+
+    /// The whole record: [`WorkflowVersion::summary_json`] plus the DAG
+    /// under `dag`. One shape for the durable tier and the wire's
+    /// version-detail view.
+    pub fn to_json(&self) -> Json {
+        let mut json = self.summary_json();
+        if let Json::Obj(pairs) = &mut json {
+            pairs.push(("dag".to_string(), self.snapshot.to_json()));
+        }
+        json
+    }
+
+    /// Inverse of [`WorkflowVersion::to_json`]; also reads the v1 record
+    /// (DAG under `snapshot`, metrics as `[[name, value], …]`).
+    ///
+    /// # Errors
+    /// Names the first missing or mistyped field.
+    pub fn from_json(json: &Json) -> Result<WorkflowVersion, String> {
+        let dag = json
+            .get("dag")
+            .or_else(|| json.get("snapshot"))
+            .ok_or("missing field `dag`")?;
+        Ok(WorkflowVersion {
+            id: f64_field(json, "id")? as usize,
+            session: opt_str_field(json, "session")?,
+            snapshot: Arc::new(DagSnapshot::from_json(dag)?),
+            metrics: metrics_from_json(field(json, "metrics")?)?,
+            total_secs: f64_field(json, "total_secs")?,
+            change_summary: str_field(json, "change_summary")?,
+        })
+    }
 }
 
 /// Differences between two versions' DAGs.
@@ -302,14 +432,12 @@ mod tests {
                 stage: Stage::MachineLearning,
                 state: NodeState::Compute,
                 change: ChangeKind::Unchanged,
-                wave: Some(0),
                 duration_secs: secs,
                 output_bytes: 0,
                 materialized: false,
                 chunks_loaded: 0,
                 decision_source: crate::memo::DecisionSource::Estimate,
             }],
-            waves: vec![],
             metrics: vec![("accuracy".into(), acc)],
         }
     }

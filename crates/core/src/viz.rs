@@ -214,7 +214,6 @@ mod tests {
                         NodeState::Compute
                     },
                     change: ChangeKind::Unchanged,
-                    wave: Some(0),
                     duration_secs: 0.1,
                     output_bytes: 123,
                     materialized: i == 1,
@@ -222,7 +221,6 @@ mod tests {
                     decision_source: crate::memo::DecisionSource::Estimate,
                 })
                 .collect(),
-            waves: vec![],
             metrics: vec![("accuracy".into(), 0.9)],
         }
     }

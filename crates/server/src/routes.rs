@@ -421,7 +421,7 @@ impl Api {
             let versions = session.versions();
             Ok(ok(Json::obj([(
                 "versions",
-                Json::Arr(versions.all().iter().map(wire::version_json).collect()),
+                Json::Arr(versions.all().iter().map(|v| v.summary_json()).collect()),
             )])))
         })
     }
@@ -433,7 +433,7 @@ impl Api {
         self.with_session(name, |session| {
             let versions = session.versions();
             Ok(match versions.get(id) {
-                Some(version) => ok(wire::version_detail_json(version)),
+                Some(version) => ok(version.to_json()),
                 None => error_body(404, format!("session `{name}` has no version {id}")),
             })
         })
@@ -566,7 +566,7 @@ impl Api {
         let versions = self.manager.engine().versions();
         ok(Json::obj([(
             "versions",
-            Json::Arr(versions.all().iter().map(wire::version_json).collect()),
+            Json::Arr(versions.all().iter().map(|v| v.summary_json()).collect()),
         )]))
     }
 }

@@ -1,8 +1,9 @@
 //! Translation between engine types and their JSON wire shapes.
 //!
-//! One direction serializes [`IterationReport`], version history, and
-//! diffs into [`Json`] values (the shapes documented in
-//! `docs/API.md`); the other parses the typed-edit request bodies into
+//! One direction serializes [`IterationReport`] and diffs into [`Json`]
+//! values (the shapes documented in `docs/API.md`; version records
+//! encode themselves, see [`helix_core::version::WorkflowVersion`]); the
+//! other parses the typed-edit request bodies into
 //! an [`EditRequest`] the routing layer applies through a
 //! [`helix_core::SessionHandle`]. Parsing rejects unknown fields'
 //! *values* loudly (unknown edit kinds, bad metric names) but ignores
@@ -10,9 +11,9 @@
 
 use crate::json::Json;
 use helix_core::ops::{EvalSpec, MetricKind, ModelType, OperatorKind};
-use helix_core::report::{IterationReport, NodeReport, WaveReport};
+use helix_core::report::{IterationReport, NodeReport};
 use helix_core::signature::ChangeKind;
-use helix_core::version::{DagSnapshot, VersionDiff, WorkflowVersion};
+use helix_core::version::{metrics_to_json, VersionDiff};
 use helix_core::{LearnerParam, LearnerSpec, NodeState};
 
 /// Stable wire name of a plan state.
@@ -40,10 +41,6 @@ fn node_json(node: &NodeReport) -> Json {
         ("stage", Json::str(node.stage.to_string())),
         ("state", Json::str(node_state_str(node.state))),
         ("change", Json::str(change_kind_str(node.change))),
-        (
-            "wave",
-            node.wave.map_or(Json::Null, |w| Json::Num(w as f64)),
-        ),
         ("duration_secs", Json::Num(node.duration_secs)),
         ("output_bytes", Json::Num(node.output_bytes as f64)),
         ("materialized", Json::Bool(node.materialized)),
@@ -55,25 +52,8 @@ fn node_json(node: &NodeReport) -> Json {
     ])
 }
 
-fn wave_json(wave: &WaveReport) -> Json {
-    Json::obj([
-        ("nodes", Json::Num(wave.nodes as f64)),
-        ("secs", Json::Num(wave.secs)),
-    ])
-}
-
-fn metrics_json(metrics: &[(String, f64)]) -> Json {
-    Json::Obj(
-        metrics
-            .iter()
-            .map(|(name, value)| (name.clone(), Json::Num(*value)))
-            .collect(),
-    )
-}
-
 /// The full report shape returned by `POST /sessions/{name}/iterate`:
-/// per-node timings and states, derived wave summaries, reuse counts,
-/// and harvested metrics.
+/// per-node timings and states, reuse counts, and harvested metrics.
 pub fn report_json(report: &IterationReport) -> Json {
     Json::obj([
         ("iteration", Json::Num(report.iteration as f64)),
@@ -91,66 +71,10 @@ pub fn report_json(report: &IterationReport) -> Json {
         ("pruned", Json::Num(report.pruned() as f64)),
         ("reuse_rate", Json::Num(report.reuse_rate())),
         ("chunks_reused", Json::Num(report.chunks_reused() as f64)),
-        ("metrics", metrics_json(&report.metrics)),
+        ("metrics", metrics_to_json(&report.metrics)),
         (
             "nodes",
             Json::Arr(report.nodes.iter().map(node_json).collect()),
-        ),
-        (
-            "waves",
-            Json::Arr(report.waves.iter().map(wave_json).collect()),
-        ),
-    ])
-}
-
-/// A version-history entry, without its DAG snapshot (list view).
-pub fn version_json(version: &WorkflowVersion) -> Json {
-    Json::obj([
-        ("id", Json::Num(version.id as f64)),
-        (
-            "session",
-            version.session.as_deref().map_or(Json::Null, Json::str),
-        ),
-        ("change_summary", Json::str(&version.change_summary)),
-        ("total_secs", Json::Num(version.total_secs)),
-        ("metrics", metrics_json(&version.metrics)),
-    ])
-}
-
-/// A version-history entry including its full DAG snapshot (detail /
-/// lineage view).
-pub fn version_detail_json(version: &WorkflowVersion) -> Json {
-    let Json::Obj(mut pairs) = version_json(version) else {
-        unreachable!("version_json returns an object");
-    };
-    pairs.push(("dag".to_string(), snapshot_json(&version.snapshot)));
-    Json::Obj(pairs)
-}
-
-/// The executed DAG: nodes with operator tag, canonical params, parents,
-/// and stage, plus the output set.
-pub fn snapshot_json(snapshot: &DagSnapshot) -> Json {
-    let nodes = snapshot
-        .nodes
-        .iter()
-        .map(|node| {
-            Json::obj([
-                ("name", Json::str(&node.name)),
-                ("tag", Json::str(&node.tag)),
-                ("params", Json::str(&node.params)),
-                (
-                    "parents",
-                    Json::Arr(node.parents.iter().map(Json::str).collect()),
-                ),
-                ("stage", Json::str(node.stage.to_string())),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("nodes", Json::Arr(nodes)),
-        (
-            "outputs",
-            Json::Arr(snapshot.outputs.iter().map(Json::str).collect()),
         ),
     ])
 }
@@ -246,13 +170,7 @@ fn required_str(body: &Json, key: &str) -> Result<String, EditParseError> {
 }
 
 fn parse_model(name: &str) -> Result<ModelType, EditParseError> {
-    match name {
-        "logreg" | "logistic_regression" => Ok(ModelType::LogisticRegression),
-        "linreg" | "linear_regression" => Ok(ModelType::LinearRegression),
-        "naive_bayes" => Ok(ModelType::NaiveBayes),
-        "perceptron" => Ok(ModelType::Perceptron),
-        other => Err(EditParseError(format!("unknown model `{other}`"))),
-    }
+    ModelType::from_name(name).ok_or_else(|| EditParseError(format!("unknown model `{name}`")))
 }
 
 fn parse_metric(name: &str) -> Result<MetricKind, EditParseError> {
@@ -534,11 +452,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn report_json_shape() {
-        use helix_core::ops::Stage;
-        use std::sync::Arc;
-        let report = IterationReport {
+    use helix_core::ops::Stage;
+    use helix_core::version::{DagSnapshot, NodeSnapshot, WorkflowVersion};
+    use std::sync::Arc;
+
+    fn node(name: &str, state: NodeState, materialized: bool) -> NodeReport {
+        NodeReport {
+            name: name.into(),
+            stage: Stage::DataPreProcessing,
+            state,
+            change: ChangeKind::Unchanged,
+            duration_secs: 0.5,
+            output_bytes: 2048,
+            materialized,
+            chunks_loaded: 0,
+            decision_source: helix_core::DecisionSource::Estimate,
+        }
+    }
+
+    fn report(nodes: Vec<NodeReport>) -> IterationReport {
+        IterationReport {
             iteration: 2,
             workflow_name: "census".into(),
             session: Some("alice".into()),
@@ -546,26 +479,15 @@ mod tests {
             total_secs: 1.25,
             optimizer_secs: 0.01,
             materialize_secs: 0.25,
-            nodes: vec![NodeReport {
-                name: "rows".into(),
-                stage: Stage::DataPreProcessing,
-                state: NodeState::Load,
-                change: ChangeKind::Unchanged,
-                wave: Some(0),
-                duration_secs: 0.5,
-                output_bytes: 2048,
-                materialized: false,
-                chunks_loaded: 0,
-                decision_source: helix_core::DecisionSource::Estimate,
-            }],
-            waves: vec![WaveReport {
-                nodes: 1,
-                secs: 0.5,
-            }],
+            nodes,
             metrics: vec![("accuracy".into(), 0.83)],
             snapshot: Arc::default(),
-        };
-        let json = report_json(&report);
+        }
+    }
+
+    #[test]
+    fn report_json_shape() {
+        let json = report_json(&report(vec![node("rows", NodeState::Load, false)]));
         assert_eq!(json.get("iteration").unwrap().as_u64(), Some(2));
         assert_eq!(json.get("loaded").unwrap().as_u64(), Some(1));
         assert_eq!(json.get("session").unwrap().as_str(), Some("alice"));
@@ -586,5 +508,56 @@ mod tests {
         );
         // The whole report reparses as valid JSON.
         assert_eq!(Json::parse(&json.to_string()).unwrap(), json);
+    }
+
+    /// Byte-for-byte wire output of one fixed fixture, captured from the
+    /// build before versions and metrics got their shared encoders (the
+    /// report's `wave`/`waves` fields removed since): the history list,
+    /// version detail and iterate report must not move.
+    #[test]
+    fn wire_bytes_match_the_golden_strings() {
+        let version = WorkflowVersion {
+            id: 3,
+            session: Some("alice".into()),
+            snapshot: Arc::new(DagSnapshot {
+                nodes: vec![
+                    NodeSnapshot {
+                        name: "rows".into(),
+                        tag: "csv_scan".into(),
+                        params: "age:int".into(),
+                        parents: vec!["data".into()],
+                        stage: Stage::DataPreProcessing,
+                    },
+                    NodeSnapshot {
+                        name: "preds".into(),
+                        tag: "apply".into(),
+                        params: "".into(),
+                        parents: vec!["rows".into(), "preds__model".into()],
+                        stage: Stage::MachineLearning,
+                    },
+                ],
+                outputs: vec!["preds".into()],
+            }),
+            metrics: vec![("accuracy".into(), 0.83), ("log_loss".into(), f64::NAN)],
+            total_secs: 1.25,
+            change_summary: "set preds reg_param=0.5".into(),
+        };
+        assert_eq!(
+            version.summary_json().to_string(),
+            r#"{"id":3,"session":"alice","change_summary":"set preds reg_param=0.5","total_secs":1.25,"metrics":{"accuracy":0.83,"log_loss":null}}"#
+        );
+        assert_eq!(
+            version.to_json().to_string(),
+            r#"{"id":3,"session":"alice","change_summary":"set preds reg_param=0.5","total_secs":1.25,"metrics":{"accuracy":0.83,"log_loss":null},"dag":{"nodes":[{"name":"rows","tag":"csv_scan","params":"age:int","parents":["data"],"stage":"data-pre-processing"},{"name":"preds","tag":"apply","params":"","parents":["rows","preds__model"],"stage":"machine-learning"}],"outputs":["preds"]}}"#
+        );
+        let report = report(vec![
+            node("rows", NodeState::Load, false),
+            node("data", NodeState::Prune, false),
+            node("preds", NodeState::Compute, true),
+        ]);
+        assert_eq!(
+            report_json(&report).to_string(),
+            r#"{"iteration":2,"workflow":"census","session":"alice","change_summary":"set preds reg_param=0.5","total_secs":1.25,"optimizer_secs":0.01,"materialize_secs":0.25,"loaded":1,"computed":1,"pruned":1,"reuse_rate":0.5,"chunks_reused":0,"metrics":{"accuracy":0.83},"nodes":[{"name":"rows","stage":"data-pre-processing","state":"load","change":"unchanged","duration_secs":0.5,"output_bytes":2048,"materialized":false,"chunks_loaded":0,"decision_source":"estimate"},{"name":"data","stage":"data-pre-processing","state":"prune","change":"unchanged","duration_secs":0.5,"output_bytes":2048,"materialized":false,"chunks_loaded":0,"decision_source":"estimate"},{"name":"preds","stage":"data-pre-processing","state":"compute","change":"unchanged","duration_secs":0.5,"output_bytes":2048,"materialized":true,"chunks_loaded":0,"decision_source":"estimate"}]}"#
+        );
     }
 }

@@ -7,7 +7,7 @@
 //!   news articles (synthetic corpus over a name gazetteer). [`news`]
 //!   additionally hosts [`news::news_workflow`], a document-density
 //!   classifier over the same corpus whose wide extractor fan-out
-//!   exercises the engine's wave scheduler.
+//!   exercises the engine's parallel (ready-queue) scheduler.
 //! * [`iterations`] — the shared "human-in-the-loop" machinery: a list of
 //!   workflow modifications, each tagged with the paper's iteration
 //!   category (data pre-processing / ML / evaluation).

@@ -294,7 +294,7 @@ fn evaluation_uses_test_split() {
 /// Under `All`, every decision is timing-independent, so the harness
 /// asserts **strict** equality of loaded/computed/pruned counts, the full
 /// per-node materialization set, and metrics — pinning down exactly what
-/// the wave scheduler changed (execution) with nothing else varying.
+/// the parallel scheduler changed (execution) with nothing else varying.
 /// Under the Helix online policy, per-node materialization of
 /// microsecond-scale nodes is decided by measured wall times (two
 /// sequential runs flip those too), so the harness asserts the semantic
@@ -438,27 +438,4 @@ fn ie_parallel_matches_sequential_and_reuses() {
         ie_workflow(&params).unwrap()
     });
     assert!(seq.loaded() > 0, "second IE iteration must reuse");
-}
-
-/// The parallel engine's report carries wave timings whose node total
-/// matches the per-node report.
-#[test]
-fn wave_reports_cover_every_executed_node() {
-    let dir = tmpdir("waves-cover");
-    generate_census(
-        &dir,
-        &CensusDataSpec {
-            train_rows: 400,
-            test_rows: 100,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let params = CensusParams::initial(&dir);
-    let engine = Engine::new(EngineConfig::helix(dir.join("store")).with_parallelism(4)).unwrap();
-    let report = engine.run(&census_workflow(&params).unwrap()).unwrap();
-    let wave_nodes: usize = report.waves.iter().map(|w| w.nodes).sum();
-    assert_eq!(wave_nodes, report.loaded() + report.computed());
-    assert!(report.wave_count() > 1, "census has dependency depth");
-    assert!(report.exec_secs() > 0.0);
 }

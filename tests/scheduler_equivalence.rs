@@ -20,12 +20,11 @@
 use helix::core::compiler::compile;
 use helix::core::cost::CostModel;
 use helix::core::ops::{OperatorKind, Udf};
-use helix::core::recompute::build_waves;
 use helix::core::scheduler::{default_parallelism, execute_plan, execute_plan_opts, ExecOpts};
 use helix::core::signature::Signature;
 use helix::core::store::StoreOptions;
 use helix::core::{
-    Engine, EngineConfig, MaterializationPolicyKind, NodeId, NodeOutput, NodeRef,
+    Engine, EngineConfig, MaterializationPolicyKind, NodeId, NodeOutput, NodeRef, NodeState,
     RecomputationPolicy, Workflow,
 };
 use helix::dataflow::{DataCollection, DataType, Row, Schema, Value};
@@ -248,8 +247,8 @@ proptest! {
             }).unwrap();
             prop_assert_eq!(&seq.outputs, &par.outputs, "outputs at {} threads", threads);
             prop_assert_eq!(&merged_seq, &merged_par, "merge order at {} threads", threads);
-            // Waves cover exactly the non-pruned nodes at any thread count.
-            let executed: usize = par.waves.iter().map(|ws| ws.nodes).sum();
+            // Outputs cover exactly the non-pruned nodes at any thread count.
+            let executed = par.outputs.iter().filter(|o| o.is_some()).count();
             prop_assert_eq!(executed, plan.compute_count() + plan.load_count());
         }
     }
@@ -288,10 +287,10 @@ proptest! {
                 prop_assert_eq!(Some(output), first.outputs[i].as_ref(), "node {}", i);
             }
         }
-        // Wave structure stays a partition of the non-pruned plan.
-        let waves = build_waves(&w, &plan.order, &plan.states);
-        let total: usize = waves.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, plan.compute_count() + plan.load_count());
+        // Exactly the non-pruned plan executed.
+        let executed = par.outputs.iter().filter(|o| o.is_some()).count();
+        let non_pruned = plan.states.iter().filter(|&&s| s != NodeState::Prune).count();
+        prop_assert_eq!(executed, non_pruned);
     }
 
     /// Adversarial shapes: long chains feeding wide fan-outs and stacked
@@ -398,7 +397,6 @@ proptest! {
             prop_assert_eq!(a.computed(), b.computed(), "computed, iter {}", iteration);
             prop_assert_eq!(a.pruned(), b.pruned(), "pruned, iter {}", iteration);
             prop_assert_eq!(&a.metrics, &b.metrics, "metrics, iter {}", iteration);
-            prop_assert_eq!(a.wave_count(), b.wave_count(), "waves, iter {}", iteration);
         }
         prop_assert_eq!(seq.versions().len(), par.versions().len());
     }

@@ -249,22 +249,12 @@ fn assert_reports_match(wire_report: &Json, report: &helix::core::IterationRepor
             node.name
         );
         assert_eq!(
-            wire_node.get("wave").unwrap().as_u64(),
-            node.wave.map(|w| w as u64),
-            "wave mismatch on {}",
-            node.name
-        );
-        assert_eq!(
             wire_node.get("materialized").unwrap().as_bool(),
             Some(node.materialized),
             "materialized mismatch on {}",
             node.name
         );
     }
-    assert_eq!(
-        wire_report.get("waves").unwrap().as_array().unwrap().len(),
-        report.waves.len()
-    );
 }
 
 #[test]

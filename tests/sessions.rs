@@ -41,7 +41,6 @@ struct ReportFacts {
     loaded: usize,
     computed: usize,
     pruned: usize,
-    wave_count: usize,
     metrics: Vec<(String, f64)>,
     materialized: Vec<String>,
     change_summary: String,
@@ -54,7 +53,6 @@ impl ReportFacts {
             loaded: report.loaded(),
             computed: report.computed(),
             pruned: report.pruned(),
-            wave_count: report.wave_count(),
             metrics: report.metrics.clone(),
             materialized: report
                 .nodes
