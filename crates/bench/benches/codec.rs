@@ -1,8 +1,14 @@
 //! Binary-codec throughput: encode/decode speed bounds materialization
 //! cost, which the online optimizer's `l_i` estimates track.
+//!
+//! `encode_grouped` and `decode_group` are the store's chunk-aligned
+//! shape: a 38 000-row node written as 75 row groups (one per data chunk,
+//! as `census_script` writes them), and one of those groups read back on
+//! its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use helix_dataflow::{codec, DataCollection, DataType, Row, Schema, Value};
+use helix_dataflow::codec::{self, GroupSpec};
+use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
 
 fn collection(rows: usize) -> DataCollection {
     let schema = Schema::of(&[
@@ -40,6 +46,37 @@ fn bench_codec(c: &mut Criterion) {
             b.iter(|| codec::decode(bytes).unwrap().len())
         });
     }
+
+    let (rows, groups) = (38_000usize, 75usize);
+    let dc = collection(rows);
+    let specs: Vec<GroupSpec> = (0..groups)
+        .map(|k| GroupSpec {
+            start: k * rows / groups,
+            end: (k + 1) * rows / groups,
+            key: k as u64 + 1,
+        })
+        .collect();
+    let encoded = codec::encode_grouped(&dc, &specs);
+    group.throughput(Throughput::Bytes(encoded.len() as u64));
+    group.bench_with_input(
+        BenchmarkId::new("encode_grouped", format!("{rows}x{groups}")),
+        &dc,
+        |b, dc| b.iter(|| codec::encode_grouped(dc, &specs).len()),
+    );
+    let header = codec::read_header(&encoded).unwrap();
+    let range = header.group_range(0, encoded.len() as u64).unwrap();
+    let one = &encoded[range.start as usize..range.end as usize];
+    group.throughput(Throughput::Bytes((header.len + one.len()) as u64));
+    group.bench_with_input(
+        BenchmarkId::new("decode_group", format!("{}rows", specs[0].end)),
+        &encoded,
+        |b, bytes| {
+            b.iter(|| {
+                let header = codec::read_header(bytes).unwrap();
+                codec::decode_group(&header, 0, one).unwrap().len()
+            })
+        },
+    );
     group.finish();
 }
 

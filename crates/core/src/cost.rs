@@ -29,6 +29,11 @@ const DEFAULT_IO_LATENCY_SEC: f64 = 0.000_02;
 /// latency term of the I/O model, never the bandwidth term.
 const MIN_BANDWIDTH_CALIBRATION_BYTES: u64 = 64 * 1024;
 
+/// Outputs estimated smaller than this do not calibrate the encode ratio:
+/// a store file's header and checksums (about 70 bytes for one row group)
+/// would dominate it.
+const MIN_ENCODE_CALIBRATION_BYTES: u64 = 512;
+
 /// Smoothing factor for the latency EMA. Much smaller than [`EMA_ALPHA`]:
 /// I/O latency is a property of the machine, not of the workload, so one
 /// contended write must not be able to swing load estimates for the next
@@ -117,9 +122,11 @@ impl CostModel {
     }
 
     /// Records an observed encode ratio (on-disk bytes over the in-memory
-    /// estimate the engine had before encoding).
+    /// estimate the engine had before encoding). Outputs estimated under
+    /// `MIN_ENCODE_CALIBRATION_BYTES` are ignored: their file is mostly
+    /// fixed framing, which says nothing about how large outputs encode.
     pub fn observe_encode(&mut self, estimated_bytes: u64, actual_bytes: u64) {
-        if estimated_bytes == 0 {
+        if estimated_bytes < MIN_ENCODE_CALIBRATION_BYTES {
             return;
         }
         let ratio = actual_bytes as f64 / estimated_bytes as f64;

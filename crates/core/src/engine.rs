@@ -24,10 +24,12 @@ use crate::recompute::RecomputationPolicy;
 use crate::report::{IterationReport, NodeReport};
 use crate::scheduler;
 use crate::signature::{snapshot, ChangeKind, Signature};
+use crate::slicing::NodeChunks;
 use crate::store::{Durability, IntermediateStore, RecoveryInfo, StoreOptions};
 use crate::version::VersionStore;
 use crate::workflow::Workflow;
 use crate::{HelixError, Result};
+use helix_dataflow::codec::GroupSpec;
 use helix_dataflow::fx::{FxHashMap, FxHashSet};
 use helix_json::Json;
 use std::path::PathBuf;
@@ -369,6 +371,8 @@ pub struct Engine {
     replans_triggered: AtomicU64,
     /// Unix timestamp of the last offline pass (0 = never ran).
     last_offline_unix: AtomicU64,
+    /// Lifetime count of chunk-only writes skipped after an I/O error.
+    chunk_writes_skipped: AtomicU64,
 }
 
 impl Engine {
@@ -433,7 +437,15 @@ impl Engine {
             pinned: Mutex::new(pinned),
             replans_triggered: AtomicU64::new(replans_triggered),
             last_offline_unix: AtomicU64::new(last_offline_unix),
+            chunk_writes_skipped: AtomicU64::new(0),
         })
+    }
+
+    /// How many best-effort chunk-only writes this engine skipped because
+    /// the write failed (a full disk, an I/O error); those chunks are
+    /// recomputed on the next data delta instead of loaded.
+    pub fn chunk_writes_skipped(&self) -> u64 {
+        self.chunk_writes_skipped.load(Ordering::Relaxed)
     }
 
     /// What this engine recovered when it opened: store WAL counters plus
@@ -633,6 +645,7 @@ impl Engine {
         // touched after execution completes.
         let store = &self.store;
         let config = &self.config;
+        let chunk_writes_skipped = &self.chunk_writes_skipped;
         // Partition sizing seeded from the memo: a node with observed
         // per-row cost gets a threshold derived from it; everything else
         // falls back to the configured knob. Purely a performance hint —
@@ -726,15 +739,25 @@ impl Engine {
                             .unwrap_or(1.0),
                         pinned: pinned_snapshot.contains(&plan.signatures[i].0),
                     };
+                    // A chunk-aligned output is written as one row group
+                    // per data chunk, keyed by the chunk's partition
+                    // signature, so the next data delta can serve
+                    // unchanged partitions out of this same file.
+                    let groups = output
+                        .as_data()
+                        .map(|data| row_groups(plan.chunks[i].as_ref(), data.len()))
+                        .unwrap_or_default();
+                    let mut materialized = false;
                     if config.materialization.decide(&decision)
                         && store.lookup(plan.signatures[i]).is_none()
                     {
-                        match store.put(plan.signatures[i], output) {
+                        match store.put_grouped(plan.signatures[i], output, &groups) {
                             Ok((bytes, secs)) => {
                                 ctx.observe_io(bytes, secs);
                                 ctx.observe_encode(est_bytes, bytes);
                                 ctx.materialize_secs += secs;
                                 ctx.node_reports[i].materialized = true;
+                                materialized = true;
                             }
                             Err(HelixError::Store(_)) => {
                                 // Either a budget race between estimate
@@ -749,38 +772,38 @@ impl Engine {
                         }
                     }
 
-                    // Persist the node's data-chunk partitions so the next
-                    // data delta can serve unchanged partitions from the
-                    // store. Off under `Never` (a store the policy keeps
-                    // empty must stay empty). Best-effort within the same
-                    // budget ledger as whole-node entries: `put` reserves
-                    // before writing and refuses rather than evicts, so
-                    // chunk entries can never push the store over budget
-                    // or displace a materialization — a refused chunk is
-                    // simply recomputed next delta. Chunk writes don't
-                    // calibrate the cost model, which tracks whole-output
-                    // materialization.
-                    if !matches!(
-                        config.materialization,
-                        crate::materialize::MaterializationPolicyKind::Never
-                    ) {
-                        if let (Some(chunks), Ok(data)) =
-                            (plan.chunks[i].as_ref(), output.as_data())
-                        {
-                            for (k, &(start, end)) in chunks.ranges.iter().enumerate() {
-                                if end > data.len() || store.lookup(chunks.psigs[k]).is_some() {
-                                    continue;
-                                }
-                                let part = NodeOutput::Data(
-                                    helix_dataflow::DataCollection::from_rows_unchecked(
-                                        data.schema().clone(),
-                                        data.rows()[start..end].to_vec(),
-                                    ),
-                                );
-                                match store.put(chunks.psigs[k], &part) {
-                                    Ok((_, secs)) => ctx.materialize_secs += secs,
-                                    Err(HelixError::Store(_)) => {}
-                                    Err(other) => return Err(other),
+                    // A node the policy did not store still keeps its
+                    // missing chunks, in one chunk-only file, so a data
+                    // delta reuses them. Off under `Never` (a store the
+                    // policy keeps empty must stay empty). Best-effort
+                    // within the same budget ledger: `put_chunks` reserves
+                    // before writing and refuses rather than evicts, so it
+                    // can never push the store over budget or displace a
+                    // materialization, and an I/O failure is warned about
+                    // and counted, never failed — a chunk that is not
+                    // stored is simply recomputed next delta. Chunk writes
+                    // don't calibrate the cost model, which tracks
+                    // whole-output materialization.
+                    if !materialized
+                        && !matches!(
+                            config.materialization,
+                            crate::materialize::MaterializationPolicyKind::Never
+                        )
+                    {
+                        let missing: Vec<GroupSpec> = groups
+                            .into_iter()
+                            .filter(|g| store.lookup(Signature(g.key)).is_none())
+                            .collect();
+                        if !missing.is_empty() {
+                            match store.put_chunks(output.as_data()?, &missing) {
+                                Ok((_, secs)) => ctx.materialize_secs += secs,
+                                Err(HelixError::Store(_)) => {}
+                                Err(err) => {
+                                    eprintln!(
+                                        "helix-engine: skipped the chunk write of `{}`: {err}",
+                                        node.name
+                                    );
+                                    chunk_writes_skipped.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                         }
@@ -933,6 +956,26 @@ pub struct OptimizerStats {
     pub last_offline_unix: u64,
 }
 
+/// One row group per data chunk of a chunk-aligned output, keyed by the
+/// chunk's partition signature. Empty unless the chunk ranges cover
+/// exactly the output's `rows` (the data file can grow between compile
+/// and execute).
+fn row_groups(chunks: Option<&NodeChunks>, rows: usize) -> Vec<GroupSpec> {
+    match chunks {
+        Some(c) if c.ranges.last().is_some_and(|&(_, end)| end == rows) => c
+            .ranges
+            .iter()
+            .zip(&c.psigs)
+            .map(|(&(start, end), psig)| GroupSpec {
+                start,
+                end,
+                key: psig.0,
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
 /// Sum of compute-cost estimates over all ancestors of `id` — the
 /// `Σ_{j ∈ A(i)} c_j` term of the materialization heuristic. A free
 /// function (rather than a method) so the engine's merge callback can use
@@ -1037,6 +1080,32 @@ mod tests {
         assert_eq!(report.metric("accuracy"), Some(1.0), "separable data");
         assert_eq!(engine.versions().len(), 1);
         assert_eq!(report.change_summary, "initial version");
+    }
+
+    #[test]
+    fn a_failed_chunk_write_is_skipped_and_counted() {
+        // A budget under the in-memory size estimate of every chunked
+        // node: the policy declines them all, so each one's chunks go to
+        // a best-effort chunk-only write — and every such write hits a
+        // full disk.
+        let dir = tmpdir("chunk-write-fails");
+        std::fs::create_dir_all(&dir).unwrap();
+        let w = census_workflow(&dir, 0.1);
+        let engine =
+            Engine::new(EngineConfig::helix(dir.join("store")).with_budget(150 * 1024)).unwrap();
+        engine.store().fail_chunk_writes();
+        let report = engine
+            .run(&w)
+            .expect("a failed best-effort chunk write must not fail the run");
+        assert!(
+            engine.chunk_writes_skipped() > 0,
+            "skipped writes are counted"
+        );
+        assert_eq!(report.metric("accuracy"), Some(1.0));
+        assert!(report
+            .nodes
+            .iter()
+            .all(|n| n.name != "rows" || !n.materialized));
     }
 
     #[test]

@@ -445,8 +445,8 @@ pub enum NodeOutput {
     Model(TrainedModel),
 }
 
-const OUT_TAG_DATA: u8 = 1;
-const OUT_TAG_MODEL: u8 = 2;
+pub(crate) const OUT_TAG_DATA: u8 = 1;
+pub(crate) const OUT_TAG_MODEL: u8 = 2;
 
 impl NodeOutput {
     /// Borrows the data collection, if this is one.

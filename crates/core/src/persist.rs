@@ -453,7 +453,7 @@ mod tests {
         let mut cost = CostModel::new();
         cost.observe_compute("rows", 0.25);
         cost.observe_io(1 << 20, 0.01);
-        cost.observe_encode(100, 80);
+        cost.observe_encode(1000, 800);
         let json = cost.to_json();
         let back = CostModel::from_json(&json).unwrap();
         assert_eq!(back.compute_estimate_secs("rows"), Some(0.25));
@@ -737,7 +737,7 @@ mod tests {
         cost.observe_compute("rows", 0.25);
         cost.observe_compute("preds", 1.5);
         cost.observe_io(1 << 20, 0.01);
-        cost.observe_encode(100, 80);
+        cost.observe_encode(1000, 800);
         let mut memo = MemoTable::new();
         let obs = |exec_secs, output_bytes, loaded, rows| Observation {
             exec_secs,

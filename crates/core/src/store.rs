@@ -6,48 +6,84 @@
 //! old file simply stops matching (it stays on disk and becomes reusable
 //! again if the user reverts — the paper's version-rollback story).
 //!
+//! # Keys, files and row groups
+//!
+//! A *key* is what callers look up: a node signature, or the partition
+//! signature (psig) of one of a node's data chunks
+//! ([`crate::slicing::NodeChunks`]). A *file* is what the disk and the
+//! budget hold. A chunk-aligned node is written once
+//! ([`IntermediateStore::put_grouped`]): its file is codec v3 row groups
+//! (see [`helix_dataflow::codec`]), one per chunk, and each group's key is
+//! the chunk's psig — so the node's signature serves the whole output and
+//! each psig serves just its rows, read from the file's header and that
+//! group's byte range. When the materialization policy declines a node,
+//! the engine still keeps its missing chunks in a *chunk-only* file
+//! ([`IntermediateStore::put_chunks`]) that serves only its group keys and
+//! is invisible to whole-node lookups. A key may live in several files
+//! (an unchanged chunk appears in every version of the node); reads try
+//! each location in turn.
+//!
+//! The budget ledger counts each file once. [`IntermediateStore::evict`]
+//! removes one key; a file is deleted along with its last key. A read
+//! verifies the checksums of the bytes it decodes; a file that fails is
+//! deleted with all its keys (every other location of those keys stays
+//! serviceable), and the read reports a [`HelixError::Store`] naming the
+//! key, so the caller recomputes. Version-2 files — one whole output each,
+//! as earlier releases wrote both node outputs and per-psig chunk entries
+//! — are still read; they serve their file name as their one key.
+//!
 //! The store enforces the materialization optimizer's **storage budget**
 //! (paper §2.3: "with a maximum storage constraint") and reports measured
 //! I/O durations to the cost model.
 //!
 //! # Sharding
 //!
-//! The entry map is split across `N` shards keyed by signature hash, so
-//! the ready-queue executor's concurrent `get`/`put`/`evict` traffic does
-//! not serialize on one lock — only operations on signatures that land in
-//! the same shard contend. The byte ledger is a store-wide atomic with
-//! the same **reservation** semantics the single-lock store had: a `put`
-//! reserves its bytes with one compare-and-swap (performed while its
-//! shard lock pins the size of any entry it overwrites), so concurrent
-//! puts can never jointly overshoot the budget, and a failed write
-//! releases exactly its own reservation. The shard count comes from
+//! Both maps — files by id, keys by signature — are split across `N`
+//! shards by hash, so the ready-queue executor's concurrent
+//! `lookup`/`get`/`put`/`evict` traffic does not serialize on one lock;
+//! no operation holds two shard locks at once (except [`clear`], which
+//! takes them all in index order). The byte ledger is a store-wide atomic
+//! with **reservation** semantics: a `put` reserves its file's bytes with
+//! one compare-and-swap (performed while the file's shard lock pins the
+//! size of any file it overwrites), so concurrent puts can never jointly
+//! overshoot the budget, and a failed write releases exactly its own
+//! reservation. The shard count comes from
 //! [`crate::EngineConfig::store_shards`] (default
-//! [`DEFAULT_STORE_SHARDS`]); `1` reproduces the old single-lock store.
+//! [`DEFAULT_STORE_SHARDS`]); `1` reproduces a single-lock store.
+//!
+//! [`clear`]: IntermediateStore::clear
 //!
 //! # Durability
 //!
 //! A store opened with [`Durability::Wal`] keeps a per-shard write-ahead
 //! log under `<dir>/wal/shard-<i>.wal`: one JSON-line record is appended
-//! (and optionally fsync'd) for every committed `put` and `evict`, and
-//! the log is compacted into a snapshot (a log holding exactly one `put`
-//! record per live entry) whenever it outgrows `compact_after_bytes`.
-//! Opening a durable store replays the log, **verifies every record
-//! against the files actually on disk** (missing file → entry dropped;
-//! size mismatch → repaired to the file's actual size; untracked `.hlx`
-//! file → adopted), truncates torn or corrupt tail records with a
-//! warning — the store never refuses to start — and finally writes a
-//! fresh snapshot. Because replay rebuilds the budget ledger from the
-//! deduplicated, disk-verified entry map, a crash at *any* point between
-//! a file write/rename and the matching log append can never double-count
-//! budget. See docs/ARCHITECTURE.md § Durability.
+//! (and optionally fsync'd) for every file written and every file
+//! deleted, and the log is compacted into a snapshot (a log holding
+//! exactly one `put` record per live file) whenever it outgrows
+//! `compact_after_bytes`. Opening a durable store replays the log,
+//! **verifies every record against the files actually on disk** (missing
+//! file → entry dropped; size mismatch → repaired to the file's actual
+//! size; untracked `.hlx` file → adopted), truncates torn or corrupt tail
+//! records with a warning — the store never refuses to start — and
+//! finally writes a fresh snapshot. Because replay rebuilds the budget
+//! ledger from the deduplicated, disk-verified file map, a crash at *any*
+//! point between a file write/rename and the matching log append can
+//! never double-count budget. Every open — durable or volatile — then
+//! rebuilds the keys from the files' headers: the file is the ground
+//! truth, so an evicted key whose file still serves other keys returns
+//! after a reopen (it never held bytes of its own). See
+//! docs/ARCHITECTURE.md § Durability.
 
 use crate::ops::NodeOutput;
 use crate::signature::Signature;
 use crate::{HelixError, Result};
-use helix_dataflow::fx::FxHashMap;
+use helix_dataflow::codec::{self, GroupSpec};
+use helix_dataflow::fx::{FxHashMap, FxHasher};
+use helix_dataflow::DataCollection;
 use helix_json::Json;
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::hash::Hasher;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,6 +95,11 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// Default number of shards ([`StoreOptions::shards`] and
 /// [`crate::EngineConfig::with_store_shards`] override it).
 pub const DEFAULT_STORE_SHARDS: usize = 16;
+
+/// First byte of a chunk-only file (a node output's own first byte is
+/// its [`NodeOutput`] tag, 1 or 2): codec v3 row groups that serve their
+/// keys only, never a whole node output.
+const TAG_CHUNKS: u8 = 3;
 
 /// How (and whether) the store and engine state survive a process crash.
 ///
@@ -202,15 +243,17 @@ impl StoreOptions {
 /// was opened. All zeros for [`Durability::Volatile`] stores.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryInfo {
-    /// Entries live after replay, verification, and adoption.
+    /// Keys live after replay, verification, adoption and the header
+    /// scan.
     pub recovered_entries: usize,
     /// `.hlx` files present on disk but absent from the log (e.g. written
     /// before a crash beat the log append, or inherited from a volatile
-    /// store) that were adopted into the entry map.
+    /// store) that were adopted into the file map.
     pub adopted_files: usize,
-    /// Replayed entries dropped because their file no longer exists.
+    /// Replayed files dropped because they no longer exist, and
+    /// chunk-only files dropped because their header is unreadable.
     pub dropped_entries: usize,
-    /// Replayed entries whose logged size disagreed with the file on
+    /// Replayed files whose logged size disagreed with the file on
     /// disk; the ledger uses the file's actual size.
     pub repaired_sizes: usize,
     /// Torn or corrupt log records skipped under the truncate-and-warn
@@ -220,10 +263,11 @@ pub struct RecoveryInfo {
     pub wal_bytes_replayed: u64,
 }
 
-/// Metadata for one stored entry.
+/// Metadata for one stored key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryMeta {
-    /// On-disk size in bytes.
+    /// Bytes a read of the key returns: the whole file for a node
+    /// output, the row group for a chunk.
     pub bytes: u64,
 }
 
@@ -267,14 +311,42 @@ impl WalWriter {
     }
 }
 
-/// One shard of the signature-keyed maps.
+/// Where one key's bytes live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc {
+    /// Id of the file (named `<id>.hlx`).
+    file: u64,
+    /// The file's incarnation this location belongs to (an overwrite of
+    /// the same id starts a new one).
+    gen: u64,
+    /// Row group within the file; `None` for the whole output.
+    group: Option<u32>,
+    /// Bytes a read of this location returns.
+    bytes: u64,
+}
+
+/// One file on disk.
+#[derive(Debug, Clone, Copy)]
+struct FileMeta {
+    /// On-disk size — the file's whole share of the budget ledger.
+    bytes: u64,
+    /// Incarnation, matched against [`Loc::gen`].
+    gen: u64,
+    /// Keys still pointing here; the file is deleted when this hits 0.
+    live: usize,
+}
+
+/// One shard of the key and file maps.
 #[derive(Debug, Default)]
 struct Shard {
-    /// Entries whose file exists on disk (visible to `lookup`/`get`).
-    entries: FxHashMap<u64, EntryMeta>,
-    /// Budget reserved by in-flight `put` calls, keyed by signature.
-    /// Invisible to readers and to `evict` — a reservation becomes an
-    /// entry only once its file is fully written and renamed.
+    /// Keys hashing to this shard → their locations, oldest first.
+    keys: FxHashMap<u64, Vec<Loc>>,
+    /// Files whose id hashes to this shard (visible to readers through
+    /// their keys only once fully written and renamed).
+    files: FxHashMap<u64, FileMeta>,
+    /// Budget reserved by in-flight `put` calls, keyed by file id.
+    /// Invisible to readers and to `evict` — a reservation becomes a
+    /// file only once it is fully written and renamed.
     reserved: FxHashMap<u64, u64>,
     /// This shard's WAL append handle (durable stores only).
     wal: Option<WalWriter>,
@@ -285,8 +357,8 @@ struct Shard {
 struct StoreInner {
     dir: PathBuf,
     budget_bytes: u64,
-    /// Bytes of entries plus in-flight reservations across all shards
-    /// (the budget ledger).
+    /// Bytes of files plus in-flight reservations across all shards (the
+    /// budget ledger).
     used_bytes: AtomicU64,
     shards: Box<[Mutex<Shard>]>,
     durability: Durability,
@@ -294,15 +366,20 @@ struct StoreInner {
     wal_dir: Option<PathBuf>,
     /// Unix seconds of the most recent snapshot compaction (0 = never).
     last_snapshot_unix: AtomicU64,
+    /// Next file incarnation number.
+    next_gen: AtomicU64,
     /// What replay found at open time.
     recovery: RecoveryInfo,
     /// Per-instance failpoints for crash-consistency regression tests:
     /// simulate a kill between the file rename and the WAL append
-    /// (`put`), or between file removal and log compaction (`clear`).
+    /// (`put`), or between file removal and log compaction (`clear`), or
+    /// a full disk under a chunk-only write (`put_chunks`).
     #[cfg(test)]
     fail_skip_wal_append: std::sync::atomic::AtomicBool,
     #[cfg(test)]
     fail_skip_clear_compaction: std::sync::atomic::AtomicBool,
+    #[cfg(test)]
+    fail_chunk_write: std::sync::atomic::AtomicBool,
 }
 
 /// On-disk store with budget accounting, sharded for concurrent access.
@@ -360,7 +437,7 @@ fn sweep_tmp_files(dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Replays one WAL file into `map` (last record per signature wins),
+/// Replays one WAL file into `map` (last record per file wins),
 /// applying the truncate-and-warn policy to torn or corrupt records.
 fn replay_wal_file(
     path: &Path,
@@ -421,12 +498,83 @@ fn replay_wal_file(
     Ok(())
 }
 
+/// Reads a file's first byte and, for a codec v3 data file, its header
+/// — nothing else. `None` for a model or a version-2 file, which have no
+/// row groups.
+fn read_file_header(file: &mut std::fs::File, len: u64) -> Result<(u8, Option<codec::Header>)> {
+    let mut prefix = [0u8; 1 + codec::PREFIX_BYTES];
+    let have = (len as usize).min(prefix.len());
+    file.read_exact(&mut prefix[..have])?;
+    let Some((&tag, rest)) = prefix[..have].split_first() else {
+        return Err(HelixError::Store("empty store file".into()));
+    };
+    if tag == crate::ops::OUT_TAG_MODEL {
+        return Ok((tag, None));
+    }
+    let Some(header_len) = codec::header_len(rest)? else {
+        return Ok((tag, None));
+    };
+    if header_len as u64 > len - 1 {
+        return Err(HelixError::Store(format!(
+            "header of {header_len} bytes in a {len}-byte file"
+        )));
+    }
+    let mut header = vec![0u8; header_len];
+    header[..rest.len()].copy_from_slice(rest);
+    file.read_exact(&mut header[rest.len()..])?;
+    Ok((tag, Some(codec::read_header(&header)?)))
+}
+
+/// The keys file `id` serves, with the group each reads and its bytes:
+/// the id itself for the whole output (unless the file is chunk-only),
+/// then every keyed row group.
+fn file_keys(
+    id: u64,
+    len: u64,
+    tag: u8,
+    header: Option<&codec::Header>,
+) -> Vec<(u64, Option<u32>, u64)> {
+    let whole = (tag != TAG_CHUNKS).then_some((id, None, len));
+    let groups = header.into_iter().flat_map(|h| {
+        h.groups
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.key != 0)
+            .map(|(k, g)| (g.key, Some(k as u32), g.len))
+    });
+    whole.into_iter().chain(groups).collect()
+}
+
+/// Whether a failed read means the bytes on disk are bad (as opposed to
+/// the file having gone away, or a transient I/O error).
+fn is_corruption(err: &HelixError) -> bool {
+    match err {
+        HelixError::Io(io) => io.kind() == std::io::ErrorKind::UnexpectedEof,
+        HelixError::Dataflow(_) | HelixError::Ml(_) | HelixError::Store(_) => true,
+        _ => false,
+    }
+}
+
+/// Checks that keyed `groups` cover `[0, rows)` in order, so the file's
+/// whole decode is the output itself.
+fn groups_tile(groups: &[GroupSpec], rows: usize) -> bool {
+    let mut at = 0;
+    for g in groups {
+        if g.start != at || g.end < g.start || g.key == 0 {
+            return false;
+        }
+        at = g.end;
+    }
+    at == rows
+}
+
 impl IntermediateStore {
     /// Opens (or creates) a store from [`StoreOptions`]. For durable
-    /// options this replays the WAL, verifies every replayed entry
-    /// against the files on disk, adopts untracked files, truncates torn
-    /// tail records with a warning, and writes a fresh snapshot — it
-    /// never refuses to start over a recoverable directory.
+    /// options this replays the WAL, verifies every replayed file
+    /// against the disk, adopts untracked files, truncates torn tail
+    /// records with a warning, and writes a fresh snapshot; every open
+    /// then rebuilds the keys from the file headers. It never refuses to
+    /// start over a recoverable directory.
     pub fn open_with(options: StoreOptions) -> Result<Self> {
         let StoreOptions {
             dir,
@@ -500,16 +648,64 @@ impl IntermediateStore {
                 recovery.adopted_files += 1;
             }
         }
-        if wal_dir.is_some() {
-            recovery.recovered_entries = map.len();
-        }
         let mut shard_maps: Vec<Shard> = (0..shard_count).map(|_| Shard::default()).collect();
         let mut used = 0u64;
-        for (sig, bytes) in map {
-            shard_maps[shard_index(sig, shard_count)]
-                .entries
-                .insert(sig, EntryMeta { bytes });
+        let mut next_gen = 0u64;
+        let mut files: Vec<(u64, u64)> = map.into_iter().collect();
+        // A key held by several files lists them in a reproducible order.
+        files.sort_unstable();
+        for (id, bytes) in files {
+            let path = dir.join(sig_file_name(id));
+            let header = std::fs::File::open(&path)
+                .map_err(HelixError::from)
+                .and_then(|mut file| read_file_header(&mut file, bytes));
+            let keys = match header {
+                Ok((tag, header)) => file_keys(id, bytes, tag, header.as_ref()),
+                // An unreadable file still occupies its bytes and answers
+                // to its name; the first read finds it corrupt and drops
+                // it. A chunk-only file has no name to answer to.
+                Err(err) => {
+                    let mut first = [0u8; 1];
+                    let chunk_only = std::fs::File::open(&path)
+                        .and_then(|mut f| f.read_exact(&mut first))
+                        .is_ok()
+                        && first[0] == TAG_CHUNKS;
+                    if chunk_only {
+                        eprintln!("helix-store: dropping unreadable chunk file {id:016x}: {err}");
+                        if wal_dir.is_some() {
+                            recovery.dropped_entries += 1;
+                        }
+                        let _ = std::fs::remove_file(&path);
+                        continue;
+                    }
+                    vec![(id, None, bytes)]
+                }
+            };
+            next_gen += 1;
+            shard_maps[shard_index(id, shard_count)].files.insert(
+                id,
+                FileMeta {
+                    bytes,
+                    gen: next_gen,
+                    live: keys.len(),
+                },
+            );
             used += bytes;
+            for (key, group, key_bytes) in keys {
+                shard_maps[shard_index(key, shard_count)]
+                    .keys
+                    .entry(key)
+                    .or_default()
+                    .push(Loc {
+                        file: id,
+                        gen: next_gen,
+                        group,
+                        bytes: key_bytes,
+                    });
+            }
+        }
+        if wal_dir.is_some() {
+            recovery.recovered_entries = shard_maps.iter().map(|s| s.keys.len()).sum();
         }
         let store = IntermediateStore {
             inner: Arc::new(StoreInner {
@@ -520,11 +716,14 @@ impl IntermediateStore {
                 durability,
                 wal_dir,
                 last_snapshot_unix: AtomicU64::new(0),
+                next_gen: AtomicU64::new(next_gen + 1),
                 recovery,
                 #[cfg(test)]
                 fail_skip_wal_append: std::sync::atomic::AtomicBool::new(false),
                 #[cfg(test)]
                 fail_skip_clear_compaction: std::sync::atomic::AtomicBool::new(false),
+                #[cfg(test)]
+                fail_chunk_write: std::sync::atomic::AtomicBool::new(false),
             }),
         };
         // A durable open ends with a fresh snapshot: stale log files from
@@ -538,7 +737,7 @@ impl IntermediateStore {
         self.inner.budget_bytes
     }
 
-    /// Number of shards the entry maps are split across.
+    /// Number of shards the key and file maps are split across.
     pub fn shard_count(&self) -> usize {
         self.inner.shards.len()
     }
@@ -575,7 +774,7 @@ impl IntermediateStore {
         self.inner.last_snapshot_unix.load(Ordering::Acquire)
     }
 
-    /// Bytes currently used (entries plus in-flight reservations).
+    /// Bytes currently used (files plus in-flight reservations).
     pub fn used_bytes(&self) -> u64 {
         self.inner.used_bytes.load(Ordering::Acquire)
     }
@@ -585,13 +784,9 @@ impl IntermediateStore {
         self.inner.budget_bytes.saturating_sub(self.used_bytes())
     }
 
-    /// Number of stored entries.
+    /// Number of stored keys: whole outputs plus row-group keys.
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().entries.len())
-            .sum()
+        self.inner.shards.iter().map(|s| s.lock().keys.len()).sum()
     }
 
     /// Whether the store holds nothing.
@@ -599,25 +794,26 @@ impl IntermediateStore {
         self.len() == 0
     }
 
-    /// Size of the entry for `sig`, if present.
+    /// Size of what a read of `sig` returns, if stored.
     pub fn lookup(&self, sig: Signature) -> Option<EntryMeta> {
-        self.shard(sig).lock().entries.get(&sig.0).copied()
+        self.slot(sig.0)
+            .lock()
+            .keys
+            .get(&sig.0)
+            .and_then(|locs| locs.first())
+            .map(|loc| EntryMeta { bytes: loc.bytes })
     }
 
-    fn shard_slot(&self, sig: Signature) -> usize {
-        shard_index(sig.0, self.inner.shards.len())
+    fn slot(&self, id: u64) -> &Mutex<Shard> {
+        &self.inner.shards[shard_index(id, self.inner.shards.len())]
     }
 
-    fn shard(&self, sig: Signature) -> &Mutex<Shard> {
-        &self.inner.shards[self.shard_slot(sig)]
-    }
-
-    fn path_for(&self, sig: Signature) -> PathBuf {
-        self.inner.dir.join(sig_file_name(sig.0))
+    fn path_for(&self, id: u64) -> PathBuf {
+        self.inner.dir.join(sig_file_name(id))
     }
 
     /// Rewrites shard `idx`'s WAL as a snapshot — exactly one `put`
-    /// record per live entry — via temp file + rename, then reopens the
+    /// record per live file — via temp file + rename, then reopens the
     /// append handle. Must be called with the shard's lock held.
     fn compact_shard_locked(&self, idx: usize, shard: &mut Shard) -> Result<()> {
         let Some(wal_dir) = &self.inner.wal_dir else {
@@ -628,8 +824,8 @@ impl IntermediateStore {
         let token = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
         let tmp = wal_dir.join(format!("shard-{idx}.wal.{token}.tmp"));
         let mut text = String::new();
-        for (&sig, meta) in &shard.entries {
-            text.push_str(&wal_record_put(sig, meta.bytes, 0.0));
+        for (&id, meta) in &shard.files {
+            text.push_str(&wal_record_put(id, meta.bytes, 0.0));
             text.push('\n');
         }
         let written = (|| -> Result<()> {
@@ -684,7 +880,7 @@ impl IntermediateStore {
     }
 
     /// Appends a WAL record for the shard, warning instead of failing:
-    /// the entry map and the files on disk are already consistent, and
+    /// the file map and the files on disk are already consistent, and
     /// replay verification self-heals a lost record (the file is the
     /// ground truth), so a log write error must not fail the operation.
     fn wal_append_locked(&self, idx: usize, shard: &mut Shard, record: &str) {
@@ -723,7 +919,7 @@ impl IntermediateStore {
     /// Returns `(bytes_written, seconds)` on success. Writing is atomic
     /// (temp file + rename) so a crash cannot leave a torn entry behind,
     /// and the budget check **reserves** the entry's bytes with a single
-    /// compare-and-swap on the ledger while the signature's shard lock is
+    /// compare-and-swap on the ledger while the file's shard lock is
     /// held — concurrent puts can never jointly overshoot the budget by
     /// each passing a stale check (the ready-queue executor's workers and
     /// any future background materializer rely on this). Reservations are
@@ -732,7 +928,7 @@ impl IntermediateStore {
     /// reservation, so racing `get`/`evict` calls cannot be corrupted by
     /// a put that later fails.
     ///
-    /// An overwrite conservatively holds both the old entry's bytes and
+    /// An overwrite conservatively holds both the old file's bytes and
     /// the new reservation until the rename lands (the old file stays
     /// readable throughout).
     ///
@@ -749,25 +945,97 @@ impl IntermediateStore {
         // Encoding is part of the materialization cost the optimizer
         // trades off, so it is inside the timed region.
         let bytes = output.encode();
-        let size = bytes.len() as u64;
+        self.write_file(sig.0, bytes, started)
+    }
+
+    /// [`put`](Self::put) for a chunk-aligned data output: one file
+    /// whose row groups `groups` (which must cover the output's rows in
+    /// order, with non-zero keys) are also served under their own keys.
+    /// No groups is a plain `put`.
+    ///
+    /// # Errors
+    /// As [`put`](Self::put); [`HelixError::Store`] if the groups do not
+    /// tile the output.
+    pub fn put_grouped(
+        &self,
+        sig: Signature,
+        output: &NodeOutput,
+        groups: &[GroupSpec],
+    ) -> Result<(u64, f64)> {
+        if groups.is_empty() {
+            return self.put(sig, output);
+        }
+        let started = Instant::now();
+        let data = output.as_data()?;
+        if !groups_tile(groups, data.len()) {
+            return Err(HelixError::Store(format!(
+                "row groups of {} do not tile its {} rows",
+                sig.hex(),
+                data.len()
+            )));
+        }
+        let mut bytes = vec![crate::ops::OUT_TAG_DATA];
+        codec::encode_grouped_into(data, groups, &mut bytes);
+        self.write_file(sig.0, bytes, started)
+    }
+
+    /// Writes a **chunk-only** file: the rows of `groups` (ranges of
+    /// `data` with non-zero keys), served under the group keys only
+    /// and never as a whole output. The file's name is derived from the
+    /// keys. Same budget, atomicity and durability as
+    /// [`put`](Self::put).
+    ///
+    /// # Errors
+    /// As [`put`](Self::put); [`HelixError::Store`] for no groups, a zero
+    /// key or a range outside `data`.
+    pub fn put_chunks(&self, data: &DataCollection, groups: &[GroupSpec]) -> Result<(u64, f64)> {
+        let started = Instant::now();
+        if groups.is_empty()
+            || groups
+                .iter()
+                .any(|g| g.key == 0 || g.start > g.end || g.end > data.len())
         {
-            let mut shard = self.shard(sig).lock();
-            if shard.reserved.contains_key(&sig.0) {
-                // Two in-flight puts of one signature would race the
-                // rename. One run's plan-order merge never does this, but
-                // two concurrent sessions materializing the same workflow
+            return Err(HelixError::Store(
+                "chunk groups must be keyed ranges of the output".into(),
+            ));
+        }
+        let mut hasher = FxHasher::default();
+        hasher.write(b"chunks");
+        for g in groups {
+            hasher.write_u64(g.key);
+        }
+        let mut bytes = vec![TAG_CHUNKS];
+        codec::encode_grouped_into(data, groups, &mut bytes);
+        self.write_file(hasher.finish(), bytes, started)
+    }
+
+    /// The body of every put: reserve, write a temp file, rename it to
+    /// `<id>.hlx`, commit the file (and log it), then publish its keys.
+    fn write_file(&self, id: u64, bytes: Vec<u8>, started: Instant) -> Result<(u64, f64)> {
+        let size = bytes.len() as u64;
+        let header = match bytes.first() {
+            Some(&tag) if tag != crate::ops::OUT_TAG_MODEL => codec::read_header(&bytes[1..]).ok(),
+            _ => None,
+        };
+        let keys = file_keys(id, size, bytes[0], header.as_ref());
+        let idx = shard_index(id, self.inner.shards.len());
+        {
+            let mut shard = self.inner.shards[idx].lock();
+            if shard.reserved.contains_key(&id) {
+                // Two in-flight puts of one file would race the rename.
+                // One run's plan-order merge never does this, but two
+                // concurrent sessions materializing the same workflow
                 // can: both pass the engine's lookup-before-put check,
                 // and the loser lands here. The engine treats the error
                 // as "someone else is materializing it" and moves on.
                 return Err(HelixError::Store(format!(
-                    "concurrent put already in flight for signature {}",
-                    sig.hex()
+                    "concurrent put already in flight for signature {id:016x}"
                 )));
             }
-            // The shard lock pins `existing` (an evict of this signature
-            // needs the same lock), so the CAS admits exactly the puts the
-            // single-lock store would have.
-            let existing = shard.entries.get(&sig.0).map(|m| m.bytes).unwrap_or(0);
+            // The shard lock pins `existing` (deleting this file needs the
+            // same lock), so the CAS admits exactly the puts a single-lock
+            // store would have.
+            let existing = shard.files.get(&id).map(|m| m.bytes).unwrap_or(0);
             let reserve =
                 self.inner
                     .used_bytes
@@ -782,114 +1050,261 @@ impl IntermediateStore {
                     self.used_bytes()
                 )));
             }
-            shard.reserved.insert(sig.0, size);
+            shard.reserved.insert(id, size);
         }
-        // Unique temp name: a racing put of another signature must not
-        // write through this one's half-finished temp file.
+        // Unique temp name: a racing put of another file must not write
+        // through this one's half-finished temp file.
         let token = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.inner.dir.join(format!("{}.{token}.tmp", sig.hex()));
+        let tmp = self.inner.dir.join(format!("{id:016x}.{token}.tmp"));
         let written = (|| -> Result<()> {
-            let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            #[cfg(test)]
+            if bytes[0] == TAG_CHUNKS
+                && self
+                    .inner
+                    .fail_chunk_write
+                    .load(std::sync::atomic::Ordering::Relaxed)
+            {
+                return Err(std::io::Error::other("injected: no space left on device").into());
+            }
+            let mut file = std::fs::File::create(&tmp)?;
             file.write_all(&bytes)?;
             file.flush()?;
             Ok(())
         })();
-        let idx = self.shard_slot(sig);
-        let mut shard = self.inner.shards[idx].lock();
-        shard.reserved.remove(&sig.0);
-        // The rename happens under the shard lock (a cheap metadata op)
-        // so an `evict` of a replaced entry can never delete the fresh
-        // file: evict holds the same lock across its own remove_file.
-        let published = written.and_then(|()| Ok(std::fs::rename(&tmp, self.path_for(sig))?));
-        if let Err(err) = published {
-            // Release only this call's reservation; entries were never
-            // touched, so concurrent get/evict state is unaffected.
-            self.inner.used_bytes.fetch_sub(size, Ordering::AcqRel);
-            drop(shard);
-            let _ = std::fs::remove_file(&tmp);
-            return Err(err);
+        let gen = self.inner.next_gen.fetch_add(1, Ordering::Relaxed);
+        let (previous, secs) = {
+            let mut shard = self.inner.shards[idx].lock();
+            shard.reserved.remove(&id);
+            // The rename happens under the shard lock (a cheap metadata
+            // op) so deleting a replaced file can never delete the fresh
+            // one: deletion holds the same lock across its remove_file.
+            let published = written.and_then(|()| Ok(std::fs::rename(&tmp, self.path_for(id))?));
+            if let Err(err) = published {
+                // Release only this call's reservation; nothing else was
+                // touched, so concurrent get/evict state is unaffected.
+                self.inner.used_bytes.fetch_sub(size, Ordering::AcqRel);
+                drop(shard);
+                let _ = std::fs::remove_file(&tmp);
+                return Err(err);
+            }
+            let meta = FileMeta {
+                bytes: size,
+                gen,
+                live: keys.len(),
+            };
+            let previous = shard.files.insert(id, meta);
+            // The reservation's bytes stay in the ledger as the file's; an
+            // overwrite releases the replaced file's share now.
+            if let Some(old) = previous {
+                self.inner.used_bytes.fetch_sub(old.bytes, Ordering::AcqRel);
+            }
+            let secs = started.elapsed().as_secs_f64();
+            #[cfg(test)]
+            let skip_wal = self
+                .inner
+                .fail_skip_wal_append
+                .load(std::sync::atomic::Ordering::Relaxed);
+            #[cfg(not(test))]
+            let skip_wal = false;
+            if !skip_wal {
+                self.wal_append_locked(idx, &mut shard, &wal_record_put(id, size, secs));
+            }
+            (previous, secs)
+        };
+        if let Some(old) = previous {
+            self.purge_locations(id, old.gen);
         }
-        let previous = shard.entries.insert(sig.0, EntryMeta { bytes: size });
-        // The reservation's bytes stay in the ledger as the entry's; an
-        // overwrite releases the replaced entry's share now.
-        if let Some(meta) = previous {
-            self.inner
-                .used_bytes
-                .fetch_sub(meta.bytes, Ordering::AcqRel);
+        for (key, group, key_bytes) in keys {
+            self.slot(key)
+                .lock()
+                .keys
+                .entry(key)
+                .or_default()
+                .push(Loc {
+                    file: id,
+                    gen,
+                    group,
+                    bytes: key_bytes,
+                });
         }
-        let secs = started.elapsed().as_secs_f64();
-        #[cfg(test)]
-        if self
-            .inner
-            .fail_skip_wal_append
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            return Ok((size, secs));
-        }
-        self.wal_append_locked(idx, &mut shard, &wal_record_put(sig.0, size, secs));
         Ok((size, secs))
     }
 
-    /// Reads the output stored under `sig`.
+    /// Removes every key location that points at incarnation `gen` of
+    /// file `id` (an overwritten or corrupt file), dropping keys left with
+    /// no location.
+    fn purge_locations(&self, id: u64, gen: u64) {
+        for slot in self.inner.shards.iter() {
+            slot.lock().keys.retain(|_, locs| {
+                locs.retain(|l| l.file != id || l.gen != gen);
+                !locs.is_empty()
+            });
+        }
+    }
+
+    /// Reads the output stored under `sig`: the whole file for a node
+    /// output, only the header and the group's bytes for a chunk. A
+    /// location whose bytes fail verification is dropped — its whole file
+    /// is deleted — and the next location is tried.
     ///
     /// Returns `(output, bytes_read, seconds)`.
     ///
     /// # Errors
-    /// [`HelixError::Store`] if the entry is missing or corrupt.
+    /// [`HelixError::Store`] if the entry is missing, or corrupt (naming
+    /// the signature; the entry is then gone).
     pub fn get(&self, sig: Signature) -> Result<(NodeOutput, u64, f64)> {
-        if self.lookup(sig).is_none() {
+        let locs = self
+            .slot(sig.0)
+            .lock()
+            .keys
+            .get(&sig.0)
+            .cloned()
+            .unwrap_or_default();
+        if locs.is_empty() {
             return Err(HelixError::Store(format!(
                 "no entry for signature {}",
                 sig.hex()
             )));
         }
         let started = Instant::now();
-        let mut bytes = Vec::new();
-        let mut file = std::io::BufReader::new(std::fs::File::open(self.path_for(sig))?);
-        file.read_to_end(&mut bytes)?;
-        let output = NodeOutput::decode(&bytes)?;
-        let secs = started.elapsed().as_secs_f64();
-        Ok((output, bytes.len() as u64, secs))
+        let mut failure = None;
+        for loc in locs {
+            match self.read_loc(sig, loc) {
+                Ok(output) => return Ok((output, loc.bytes, started.elapsed().as_secs_f64())),
+                Err(err) if is_corruption(&err) => {
+                    eprintln!(
+                        "helix-store: entry {} in {} failed verification ({err}); dropping the file",
+                        sig.hex(),
+                        sig_file_name(loc.file)
+                    );
+                    self.drop_file(loc.file, loc.gen);
+                    failure = Some(HelixError::Store(format!(
+                        "stored entry {} is corrupt and was evicted: {err}",
+                        sig.hex()
+                    )));
+                }
+                Err(err) => failure = Some(err),
+            }
+        }
+        Err(failure.expect("at least one location was tried"))
     }
 
-    /// Deletes the entry for `sig` if present, freeing budget.
+    /// Decodes one location of key `sig`.
+    fn read_loc(&self, sig: Signature, loc: Loc) -> Result<NodeOutput> {
+        let mut file = std::fs::File::open(self.path_for(loc.file))?;
+        let Some(group) = loc.group else {
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes)?;
+            return NodeOutput::decode(&bytes);
+        };
+        let len = file.metadata()?.len();
+        let (_, header) = read_file_header(&mut file, len)?;
+        let header = header.ok_or_else(|| HelixError::Store("file has no row groups".into()))?;
+        let group = group as usize;
+        if header.groups.get(group).map(|g| g.key) != Some(sig.0) {
+            return Err(HelixError::Store(format!(
+                "group {group} of {} is not keyed {}",
+                sig_file_name(loc.file),
+                sig.hex()
+            )));
+        }
+        let range = header.group_range(group, len - 1)?;
+        file.seek(SeekFrom::Start(1 + range.start))?;
+        let mut bytes = vec![0u8; (range.end - range.start) as usize];
+        file.read_exact(&mut bytes)?;
+        Ok(NodeOutput::Data(codec::decode_group(
+            &header, group, &bytes,
+        )?))
+    }
+
+    /// Deletes incarnation `gen` of file `id` and every key location in
+    /// it (a corrupt file). If the removal itself fails the file keeps
+    /// its ledger bytes — the ledger stays equal to the disk — but serves
+    /// nothing.
+    fn drop_file(&self, id: u64, gen: u64) {
+        let idx = shard_index(id, self.inner.shards.len());
+        {
+            let mut shard = self.inner.shards[idx].lock();
+            if shard.files.get(&id).is_some_and(|m| m.gen == gen) {
+                match std::fs::remove_file(self.path_for(id)) {
+                    Ok(()) => self.forget_file_locked(idx, &mut shard, id),
+                    Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
+                        self.forget_file_locked(idx, &mut shard, id)
+                    }
+                    Err(err) => eprintln!("helix-store: could not delete {id:016x}: {err}"),
+                }
+            }
+        }
+        self.purge_locations(id, gen);
+    }
+
+    /// Bookkeeping for a file that is gone from disk: drop it from the
+    /// map and the ledger, and log the removal.
+    fn forget_file_locked(&self, idx: usize, shard: &mut Shard, id: u64) {
+        if let Some(meta) = shard.files.remove(&id) {
+            self.inner
+                .used_bytes
+                .fetch_sub(meta.bytes, Ordering::AcqRel);
+            self.wal_append_locked(idx, shard, &wal_record_evict(id));
+        }
+    }
+
+    /// Removes the key `sig` (every location of it) if present; each file
+    /// that loses its last key is deleted and frees its budget.
     ///
-    /// The file removal happens under the signature's shard lock so it
-    /// cannot race a concurrent `put`'s rename of a fresh file to the
-    /// same path. The file is removed *before* any bookkeeping mutates:
-    /// if the removal fails, the entry stays in the map and the ledger
-    /// keeps its bytes, so the store's view still matches the disk (a
-    /// reopen rescan would find the surviving file). An already-missing
-    /// file (`NotFound`) counts as removed. On a durable store an evict
-    /// record is appended after the bookkeeping; a crash before the
-    /// append is harmless because replay drops entries whose file is
-    /// gone.
+    /// A file removal happens under the file's shard lock so it cannot
+    /// race a concurrent `put`'s rename of a fresh file to the same path.
+    /// The file is removed *before* its bookkeeping mutates: if the
+    /// removal fails, the key is restored, the file stays in the map and
+    /// the ledger keeps its bytes, so the store's view still matches the
+    /// disk (a reopen rescan would find the surviving file). An
+    /// already-missing file (`NotFound`) counts as removed. On a durable
+    /// store an evict record is appended after the bookkeeping; a crash
+    /// before the append is harmless because replay drops entries whose
+    /// file is gone.
     pub fn evict(&self, sig: Signature) -> Result<bool> {
-        let idx = self.shard_slot(sig);
-        let mut shard = self.inner.shards[idx].lock();
-        let Some(meta) = shard.entries.get(&sig.0).copied() else {
+        let Some(locs) = self.slot(sig.0).lock().keys.remove(&sig.0) else {
             return Ok(false);
         };
-        match std::fs::remove_file(self.path_for(sig)) {
+        for (k, &loc) in locs.iter().enumerate() {
+            if let Err(err) = self.release(loc) {
+                let mut shard = self.slot(sig.0).lock();
+                let restored = shard.keys.entry(sig.0).or_default();
+                restored.splice(0..0, locs[k..].iter().copied());
+                return Err(err);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Drops one key location's hold on its file, deleting the file with
+    /// its last hold. A location of a replaced incarnation holds nothing.
+    fn release(&self, loc: Loc) -> Result<()> {
+        let idx = shard_index(loc.file, self.inner.shards.len());
+        let mut shard = self.inner.shards[idx].lock();
+        let Some(meta) = shard.files.get_mut(&loc.file).filter(|m| m.gen == loc.gen) else {
+            return Ok(());
+        };
+        if meta.live > 1 {
+            meta.live -= 1;
+            return Ok(());
+        }
+        match std::fs::remove_file(self.path_for(loc.file)) {
             Ok(()) => {}
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
             Err(err) => return Err(err.into()),
         }
-        shard.entries.remove(&sig.0);
-        self.inner
-            .used_bytes
-            .fetch_sub(meta.bytes, Ordering::AcqRel);
-        self.wal_append_locked(idx, &mut shard, &wal_record_evict(sig.0));
-        Ok(true)
+        self.forget_file_locked(idx, &mut shard, loc.file);
+        Ok(())
     }
 
-    /// Every signature currently stored, in no particular order (the
-    /// retention sweep walks this to find unreferenced entries).
+    /// Every key currently stored, in no particular order (the retention
+    /// sweep walks this to find unreferenced entries).
     pub fn signatures(&self) -> Vec<Signature> {
         self.inner
             .shards
             .iter()
-            .flat_map(|shard| shard.lock().entries.keys().copied().collect::<Vec<_>>())
+            .flat_map(|shard| shard.lock().keys.keys().copied().collect::<Vec<_>>())
             .map(Signature)
             .collect()
     }
@@ -909,11 +1324,10 @@ impl IntermediateStore {
         let mut guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
         let mut reserved = 0u64;
         for (idx, guard) in guards.iter_mut().enumerate() {
-            let sigs: Vec<u64> = guard.entries.keys().copied().collect();
-            for sig in sigs {
-                guard.entries.remove(&sig);
-                let _ = std::fs::remove_file(self.inner.dir.join(sig_file_name(sig)));
+            for (id, _) in guard.files.drain() {
+                let _ = std::fs::remove_file(self.path_for(id));
             }
+            guard.keys.clear();
             reserved += guard.reserved.values().sum::<u64>();
             #[cfg(test)]
             if self
@@ -931,6 +1345,16 @@ impl IntermediateStore {
         }
         self.inner.used_bytes.store(reserved, Ordering::Release);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl IntermediateStore {
+    /// Makes every later chunk-only write fail as a full disk would.
+    pub(crate) fn fail_chunk_writes(&self) {
+        self.inner
+            .fail_chunk_write
+            .store(true, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -1096,7 +1520,7 @@ mod tests {
         let store = open_store(tmpdir("evict-fail"), 1 << 20);
         store.put(Signature(9), &sample_output(10)).unwrap();
         let used_before = store.used_bytes();
-        let path = store.path_for(Signature(9));
+        let path = store.path_for(9);
         std::fs::remove_file(&path).unwrap();
         std::fs::create_dir(&path).unwrap();
         std::fs::write(path.join("occupant"), b"x").unwrap();
@@ -1123,7 +1547,7 @@ mod tests {
     fn evict_treats_missing_file_as_removed() {
         let store = open_store(tmpdir("evict-gone"), 1 << 20);
         store.put(Signature(3), &sample_output(10)).unwrap();
-        std::fs::remove_file(store.path_for(Signature(3))).unwrap();
+        std::fs::remove_file(store.path_for(3)).unwrap();
         assert!(store.evict(Signature(3)).unwrap());
         assert_eq!(store.used_bytes(), 0);
         assert!(store.lookup(Signature(3)).is_none());
@@ -1583,5 +2007,244 @@ mod tests {
             2,
             "stale shard logs removed: {wal_files:?}"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // Row groups
+    // ------------------------------------------------------------------
+
+    fn int_rows(values: std::ops::Range<i64>) -> DataCollection {
+        let schema = Schema::of(&[("x", DataType::Int)]);
+        DataCollection::new(schema, values.map(|i| Row(vec![Value::Int(i)])).collect()).unwrap()
+    }
+
+    /// Groups of `data` at the given bounds, keyed `base + k`.
+    fn groups_at(bounds: &[usize], base: u64) -> Vec<GroupSpec> {
+        bounds
+            .windows(2)
+            .enumerate()
+            .map(|(k, w)| GroupSpec {
+                start: w[0],
+                end: w[1],
+                key: base + k as u64,
+            })
+            .collect()
+    }
+
+    fn hlx_files(store: &IntermediateStore) -> usize {
+        std::fs::read_dir(store.dir())
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .path()
+                    .extension()
+                    .and_then(|x| x.to_str())
+                    == Some("hlx")
+            })
+            .count()
+    }
+
+    /// The header of file `id` as stored (after its one tag byte).
+    fn stored_header(store: &IntermediateStore, id: u64) -> codec::Header {
+        let bytes = std::fs::read(store.path_for(id)).unwrap();
+        codec::read_header(&bytes[1..]).unwrap()
+    }
+
+    #[test]
+    fn one_grouped_put_serves_the_whole_key_and_every_group_key() {
+        let store = open_store(tmpdir("groups-serve"), 1 << 20);
+        let data = int_rows(0..10);
+        let groups = groups_at(&[0, 3, 7, 10], 500);
+        let output = NodeOutput::Data(data.clone());
+        let (written, _) = store.put_grouped(Signature(7), &output, &groups).unwrap();
+        assert_eq!(hlx_files(&store), 1, "one file for the node and its chunks");
+        assert_eq!(store.len(), 4, "the whole key plus three group keys");
+        assert_eq!(store.used_bytes(), written);
+        assert_matches_disk(&store);
+
+        let (whole, read, _) = store.get(Signature(7)).unwrap();
+        assert_eq!((whole, read), (output, written));
+        let header = stored_header(&store, 7);
+        for (k, g) in groups.iter().enumerate() {
+            let (part, read, _) = store.get(Signature(g.key)).unwrap();
+            assert_eq!(part.as_data().unwrap().rows(), &data.rows()[g.start..g.end]);
+            assert_eq!(
+                read, header.groups[k].len,
+                "a group read reports its own bytes"
+            );
+            assert!(read < written);
+            assert_eq!(store.lookup(Signature(g.key)).unwrap().bytes, read);
+        }
+    }
+
+    #[test]
+    fn evicting_the_whole_key_keeps_group_keys_and_frees_the_file_once() {
+        let store = open_store(tmpdir("groups-evict"), 1 << 20);
+        let data = int_rows(0..9);
+        let groups = groups_at(&[0, 4, 9], 600);
+        let (written, _) = store
+            .put_grouped(Signature(8), &NodeOutput::Data(data.clone()), &groups)
+            .unwrap();
+
+        assert!(store.evict(Signature(8)).unwrap());
+        assert!(store.lookup(Signature(8)).is_none());
+        assert!(store.get(Signature(8)).is_err());
+        let (part, ..) = store.get(Signature(601)).unwrap();
+        assert_eq!(part.as_data().unwrap().rows(), &data.rows()[4..9]);
+        assert_eq!(
+            store.used_bytes(),
+            written,
+            "the file still holds its bytes"
+        );
+        assert_matches_disk(&store);
+
+        assert!(store.evict(Signature(600)).unwrap());
+        assert_eq!(store.used_bytes(), written);
+        assert_matches_disk(&store);
+
+        assert!(store.evict(Signature(601)).unwrap());
+        assert_eq!(store.used_bytes(), 0, "the last key takes the file with it");
+        assert_eq!(hlx_files(&store), 0);
+        assert_matches_disk(&store);
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn a_psig_held_by_two_files_survives_eviction_of_one_of_them() {
+        let store = open_store(tmpdir("groups-shared"), 1 << 20);
+        let data = int_rows(0..6);
+        // The node file, then a chunk-only file holding chunk 700 again.
+        store
+            .put_grouped(
+                Signature(9),
+                &NodeOutput::Data(data.clone()),
+                &groups_at(&[0, 3, 6], 700),
+            )
+            .unwrap();
+        store
+            .put_chunks(&data, &groups_at(&[0, 3], 700)[..1])
+            .unwrap();
+        assert_eq!(hlx_files(&store), 2);
+        assert_eq!(store.len(), 3, "chunk 700 is one key with two locations");
+
+        // Chunk 700's bytes in the node file go bad. The read evicts that
+        // file — every key it held — and serves the chunk from the other.
+        let header = stored_header(&store, 9);
+        let range = header.group_range(0, u64::MAX).unwrap();
+        let path = store.path_for(9);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[1 + range.start as usize + 9] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let (part, ..) = store.get(Signature(700)).unwrap();
+        assert_eq!(part.as_data().unwrap().rows(), &data.rows()[0..3]);
+        assert!(!path.exists(), "the corrupt file is gone");
+        assert!(store.lookup(Signature(9)).is_none());
+        assert!(store.lookup(Signature(701)).is_none());
+        assert!(store.lookup(Signature(700)).is_some());
+        assert_eq!(hlx_files(&store), 1);
+        assert_matches_disk(&store);
+
+        // Evicting the key removes its remaining location and file.
+        assert!(store.evict(Signature(700)).unwrap());
+        assert!(store.is_empty());
+        assert_matches_disk(&store);
+    }
+
+    #[test]
+    fn a_corrupt_whole_entry_is_evicted_with_a_store_error_naming_it() {
+        let store = open_store(tmpdir("groups-corrupt"), 1 << 20);
+        let data = int_rows(0..8);
+        store
+            .put_grouped(
+                Signature(10),
+                &NodeOutput::Data(data),
+                &groups_at(&[0, 4, 8], 800),
+            )
+            .unwrap();
+        let path = store.path_for(10);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = store.get(Signature(10)).unwrap_err();
+        assert!(
+            matches!(&err, HelixError::Store(msg) if msg.contains(&Signature(10).hex())),
+            "got {err}"
+        );
+        assert!(store.is_empty(), "the file and all its keys are gone");
+        assert_eq!(store.used_bytes(), 0);
+        assert_matches_disk(&store);
+    }
+
+    #[test]
+    fn wal_nosync_reopen_restores_every_group_key() {
+        let dir = tmpdir("groups-reopen");
+        let data = int_rows(0..12);
+        let node_groups = groups_at(&[0, 5, 12], 900);
+        let loose = groups_at(&[5, 12], 950);
+        {
+            let store = StoreOptions::new(&dir)
+                .budget_bytes(1 << 20)
+                .durability(Durability::wal_nosync())
+                .open()
+                .unwrap();
+            store
+                .put_grouped(Signature(11), &NodeOutput::Data(data.clone()), &node_groups)
+                .unwrap();
+            // A chunk-only file whose log record never lands.
+            store
+                .inner
+                .fail_skip_wal_append
+                .store(true, std::sync::atomic::Ordering::Relaxed);
+            store.put_chunks(&data, &loose).unwrap();
+        }
+        let store = StoreOptions::new(&dir)
+            .budget_bytes(1 << 20)
+            .durability(Durability::wal_nosync())
+            .open()
+            .unwrap();
+        assert_eq!(store.recovery().adopted_files, 1);
+        assert_eq!(store.recovery().recovered_entries, 4);
+        assert_eq!(store.len(), 4);
+        assert_matches_disk(&store);
+        let (whole, ..) = store.get(Signature(11)).unwrap();
+        assert_eq!(whole, NodeOutput::Data(data.clone()));
+        for g in node_groups.iter().chain(&loose) {
+            let (part, ..) = store.get(Signature(g.key)).unwrap();
+            assert_eq!(part.as_data().unwrap().rows(), &data.rows()[g.start..g.end]);
+        }
+    }
+
+    #[test]
+    fn version_2_entries_serve_their_file_name() {
+        // `sample_output(3)` exactly as the version-2 writer stored it.
+        let v2: &[u8] = &[
+            1, 72, 76, 88, 68, 2, 0, 0, 0, 1, 1, 120, 1, 0, 3, 3, 0, 3, 2, 3, 4,
+        ];
+        let dir = tmpdir("v2-entry");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(sig_file_name(12)), v2).unwrap();
+        let store = open_store(&dir, 1 << 20);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.lookup(Signature(12)).unwrap().bytes, v2.len() as u64);
+        assert_eq!(store.get(Signature(12)).unwrap().0, sample_output(3));
+        assert_matches_disk(&store);
+    }
+
+    #[test]
+    fn grouped_puts_reject_groups_that_do_not_tile() {
+        let store = open_store(tmpdir("groups-bad"), 1 << 20);
+        let output = NodeOutput::Data(int_rows(0..6));
+        for bounds in [&[0, 3][..], &[1, 6], &[0, 4, 3, 6]] {
+            let groups = groups_at(bounds, 1);
+            assert!(matches!(
+                store.put_grouped(Signature(13), &output, &groups),
+                Err(HelixError::Store(_))
+            ));
+        }
+        assert!(store.put_chunks(&int_rows(0..6), &[]).is_err());
+        assert!(store.is_empty());
+        assert_eq!(store.used_bytes(), 0);
     }
 }

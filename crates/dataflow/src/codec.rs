@@ -1,25 +1,62 @@
 //! Self-describing binary serialization for [`DataCollection`]s.
 //!
-//! Materialized intermediate results are written in this format. It is a
-//! simple length-prefixed layout (magic, version, schema, row count, tagged
-//! values) with LEB128 varints for lengths and zigzag varints for integers.
+//! Materialized intermediate results are written in this format.
 //! Implemented locally because no serde *format* crate is in the approved
 //! offline dependency set (see DESIGN.md §5); this also keeps the on-disk
 //! size — an input to the materialization optimizer — fully under our
 //! control.
+//!
+//! # Layout (version 3)
+//!
+//! A collection is written as a fixed prefix, a header, and a data section
+//! of **row groups**:
+//!
+//! ```text
+//! prefix   magic "HLXD" · version u32 = 3 · header length u32
+//! header   schema: field count (varint), then per field its name
+//!            (varint length + UTF-8) and dtype tag
+//!          total rows u64 · group count u32
+//!          per group: rows u64 · offset u64 · length u64 · key u64 · checksum u64
+//!          header checksum u64
+//! data     the groups back to back; each group is
+//!            values length u64 · its rows' tagged values, row-major ·
+//!            string dictionary: count (varint), then varint length + UTF-8 each
+//! ```
+//!
+//! Fixed-width integers are little-endian; lengths are LEB128 varints and
+//! integer values zigzag varints. A group's offset counts from the first
+//! data byte. The header checksum is the [Fx hash](crate::fx) of every byte
+//! before it, a group's checksum the Fx hash of the group's bytes; both are
+//! verified on every read.
+//!
+//! Each group carries its own string dictionary, written *after* its values
+//! so the writer interns each string as it meets it (one hash per
+//! occurrence). Any one group therefore decodes from the header plus its
+//! own byte range ([`read_header`] + [`decode_group`]) — the intermediate
+//! store uses that to serve a data chunk out of a whole node's file. The
+//! group key is opaque here: the store files a group under the chunk's
+//! partition signature, and `0` means the group has no key of its own.
+//!
+//! Version 2 (no header, one dictionary ahead of row-major values) is still
+//! decoded by [`decode`]; it is never written.
 
+use crate::fx::{hash_bytes, FxHashMap};
 use crate::{DataCollection, DataType, DataflowError, Field, Result, Row, Schema, Value};
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic: "HLXD" (HeLiX Data).
 pub const MAGIC: [u8; 4] = *b"HLXD";
-/// Current format version. Version 2 adds a string dictionary: repeated
-/// strings (categorical values, feature names in fragment lists) are
-/// written once and referenced by varint index, shrinking materializations
-/// of feature-heavy intermediates by 5–10× — which directly lowers the
-/// `l_i` the optimizers trade off against recomputation.
-pub const VERSION: u32 = 2;
+/// The format version [`encode`] writes.
+pub const VERSION: u32 = 3;
+/// The previous, header-less version, still decoded.
+const VERSION_2: u32 = 2;
+/// Bytes before the header: magic, version, header length.
+pub const PREFIX_BYTES: usize = 12;
+/// Bytes of one group's header entry (five u64 fields).
+const GROUP_ENTRY_BYTES: usize = 40;
 
 // Value tags. Distinct from DataType tags: values carry their own runtime
 // type so `Any` columns round-trip exactly.
@@ -31,142 +68,454 @@ const TAG_FLOAT: u8 = 4;
 const TAG_STR: u8 = 5;
 const TAG_LIST: u8 = 6;
 
-/// Encodes a collection into a fresh buffer.
+/// One row group to write: rows `[start, end)` of the collection, filed
+/// under an opaque `key` (`0` = none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupSpec {
+    /// First row of the group.
+    pub start: usize,
+    /// One past the group's last row.
+    pub end: usize,
+    /// Opaque key stored in the header.
+    pub key: u64,
+}
+
+/// One row group as the header describes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupMeta {
+    /// Rows in the group.
+    pub rows: u64,
+    /// Byte offset of the group from the first data byte.
+    pub offset: u64,
+    /// Byte length of the group.
+    pub len: u64,
+    /// The key the group was written with (`0` = none).
+    pub key: u64,
+    /// Fx hash of the group's bytes.
+    pub checksum: u64,
+}
+
+/// A parsed, checksum-verified version-3 header.
+#[derive(Debug, Clone)]
+pub struct Header {
+    /// The collection's schema, shared by every group.
+    pub schema: Arc<Schema>,
+    /// Rows across all groups.
+    pub rows: u64,
+    /// The row groups in file order.
+    pub groups: Vec<GroupMeta>,
+    /// Bytes from the magic to the first data byte.
+    pub len: usize,
+}
+
+impl Header {
+    /// Byte range of group `index`, counted from the magic, checked to
+    /// lie inside a buffer of `total_len` bytes (offsets come from the
+    /// file, so they are not trusted).
+    pub fn group_range(&self, index: usize, total_len: u64) -> Result<Range<u64>> {
+        let group = self
+            .groups
+            .get(index)
+            .ok_or_else(|| codec_err(format!("no group {index}")))?;
+        let start = (self.len as u64).checked_add(group.offset);
+        let end = start.and_then(|s| s.checked_add(group.len));
+        match (start, end) {
+            (Some(start), Some(end)) if end <= total_len => Ok(start..end),
+            _ => Err(codec_err(format!("group {index} lies outside the data"))),
+        }
+    }
+}
+
+fn codec_err(msg: impl Into<String>) -> DataflowError {
+    DataflowError::Codec(msg.into())
+}
+
+/// Encodes a collection into a fresh buffer, as one group without a key.
 pub fn encode(dc: &DataCollection) -> Vec<u8> {
-    // Rough pre-size: header + values; avoids repeated growth on big batches.
     let mut buf = Vec::with_capacity(64 + dc.estimated_bytes() / 2);
     encode_into(dc, &mut buf);
     buf
 }
 
-/// Interning dictionary used during encoding.
-#[derive(Default)]
-struct StringTable {
-    by_str: crate::fx::FxHashMap<String, u64>,
-    entries: Vec<String>,
-}
-
-impl StringTable {
-    fn intern(&mut self, s: &str) -> u64 {
-        if let Some(&idx) = self.by_str.get(s) {
-            return idx;
-        }
-        let idx = self.entries.len() as u64;
-        self.by_str.insert(s.to_string(), idx);
-        self.entries.push(s.to_string());
-        idx
-    }
-
-    fn collect_value(&mut self, value: &Value) {
-        match value {
-            Value::Str(s) => {
-                self.intern(s);
-            }
-            Value::List(items) => items.iter().for_each(|v| self.collect_value(v)),
-            _ => {}
-        }
-    }
-}
-
-/// Encodes a collection, appending to `buf`.
+/// Encodes a collection as one group without a key, appending to `buf`.
 pub fn encode_into(dc: &DataCollection, buf: &mut Vec<u8>) {
+    let whole = GroupSpec {
+        start: 0,
+        end: dc.len(),
+        key: 0,
+    };
+    encode_grouped_into(dc, &[whole], buf);
+}
+
+/// Encodes the rows of `groups`, in order, each as its own row group.
+/// The groups need not cover the collection: the encoded collection is
+/// their concatenation.
+///
+/// # Panics
+/// If a group's range is reversed or runs past the collection.
+pub fn encode_grouped(dc: &DataCollection, groups: &[GroupSpec]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + dc.estimated_bytes() / 2);
+    encode_grouped_into(dc, groups, &mut buf);
+    buf
+}
+
+/// [`encode_grouped`], appending to `buf`.
+///
+/// # Panics
+/// If a group's range is reversed or runs past the collection.
+pub fn encode_grouped_into(dc: &DataCollection, groups: &[GroupSpec], buf: &mut Vec<u8>) {
+    let base = buf.len();
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
+    let len_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
     write_varint(buf, dc.schema().len() as u64);
     for field in dc.schema().fields() {
         write_varint(buf, field.name.len() as u64);
         buf.extend_from_slice(field.name.as_bytes());
         buf.push(field.dtype.tag());
     }
-    // Build and emit the string dictionary.
+    let total_rows: usize = groups.iter().map(|g| g.end - g.start).sum();
+    buf.extend_from_slice(&(total_rows as u64).to_le_bytes());
+    buf.extend_from_slice(&(groups.len() as u32).to_le_bytes());
+    let table_at = buf.len();
+    buf.resize(table_at + groups.len() * GROUP_ENTRY_BYTES + 8, 0);
+    let checksum_at = buf.len() - 8;
+    let header_len = u32::try_from(buf.len() - len_at - 4).expect("header under 4 GiB");
+    buf[len_at..len_at + 4].copy_from_slice(&header_len.to_le_bytes());
+
+    let data_start = buf.len();
     let mut table = StringTable::default();
-    for row in dc.rows() {
-        for value in row.values() {
-            table.collect_value(value);
+    for (i, group) in groups.iter().enumerate() {
+        let start = buf.len();
+        encode_group(&dc.rows()[group.start..group.end], &mut table, buf);
+        let entry = [
+            (group.end - group.start) as u64,
+            (start - data_start) as u64,
+            (buf.len() - start) as u64,
+            group.key,
+            hash_bytes(&buf[start..]),
+        ];
+        let at = table_at + i * GROUP_ENTRY_BYTES;
+        for (k, field) in entry.iter().enumerate() {
+            buf[at + 8 * k..at + 8 * k + 8].copy_from_slice(&field.to_le_bytes());
         }
     }
+    let header_checksum = hash_bytes(&buf[base..checksum_at]);
+    buf[checksum_at..checksum_at + 8].copy_from_slice(&header_checksum.to_le_bytes());
+}
+
+/// Interning dictionary for one group: strings are borrowed from the
+/// collection being encoded and hashed once per occurrence.
+#[derive(Default)]
+struct StringTable<'a> {
+    index: FxHashMap<&'a str, u64>,
+    entries: Vec<&'a str>,
+}
+
+impl<'a> StringTable<'a> {
+    fn intern(&mut self, s: &'a str) -> u64 {
+        let entries = &mut self.entries;
+        *self.index.entry(s).or_insert_with(|| {
+            entries.push(s);
+            entries.len() as u64 - 1
+        })
+    }
+}
+
+/// Writes one group: its values (interning strings on the way), then the
+/// dictionary those values index.
+fn encode_group<'a>(rows: &'a [Row], table: &mut StringTable<'a>, buf: &mut Vec<u8>) {
+    table.index.clear();
+    table.entries.clear();
+    let len_at = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    for row in rows {
+        for value in row.values() {
+            write_value(buf, value, table);
+        }
+    }
+    let values_len = (buf.len() - len_at - 8) as u64;
+    buf[len_at..len_at + 8].copy_from_slice(&values_len.to_le_bytes());
     write_varint(buf, table.entries.len() as u64);
     for s in &table.entries {
         write_varint(buf, s.len() as u64);
         buf.extend_from_slice(s.as_bytes());
     }
-    write_varint(buf, dc.len() as u64);
-    for row in dc.rows() {
-        for value in row.values() {
-            write_value(buf, value, &table);
+}
+
+/// Header bytes (prefix included) of an encoded collection, read from its
+/// first [`PREFIX_BYTES`]: `Some` for version 3, `None` for a version-2
+/// buffer, which has no header and must be decoded whole.
+///
+/// # Errors
+/// [`DataflowError::Codec`] on a short prefix, bad magic or an unknown
+/// version.
+pub fn header_len(prefix: &[u8]) -> Result<Option<usize>> {
+    if prefix.len() < 8 {
+        return Err(codec_err("truncated input: no version"));
+    }
+    if prefix[..4] != MAGIC {
+        return Err(codec_err("bad magic; not a Helix data file"));
+    }
+    match u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes")) {
+        VERSION_2 => Ok(None),
+        VERSION if prefix.len() >= PREFIX_BYTES => {
+            let len = u32::from_le_bytes(prefix[8..12].try_into().expect("4 bytes"));
+            Ok(Some(PREFIX_BYTES + len as usize))
         }
+        VERSION => Err(codec_err("truncated input: no header length")),
+        version => Err(codec_err(format!("unsupported version {version}"))),
     }
 }
 
-/// Decodes a collection from bytes produced by [`encode`].
+/// Parses and verifies the version-3 header at the start of `bytes`
+/// (which must hold at least [`header_len`] bytes; the data may follow).
 ///
 /// # Errors
-/// [`DataflowError::Codec`] on truncated or malformed input.
-pub fn decode(bytes: &[u8]) -> Result<DataCollection> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    let magic = cursor.take(4)?;
-    if magic != MAGIC {
-        return Err(DataflowError::Codec(
-            "bad magic; not a Helix data file".into(),
-        ));
-    }
-    let version = u32::from_le_bytes(cursor.take(4)?.try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(DataflowError::Codec(format!(
-            "unsupported version {version}"
+/// [`DataflowError::Codec`] on a version-2 buffer, truncation, a header
+/// checksum mismatch or a malformed header.
+pub fn read_header(bytes: &[u8]) -> Result<Header> {
+    let len = header_len(bytes)?.ok_or_else(|| codec_err("version 2 has no header"))?;
+    if len < PREFIX_BYTES + 8 || bytes.len() < len {
+        return Err(codec_err(format!(
+            "truncated input: header of {len} bytes, {} available",
+            bytes.len()
         )));
     }
+    let stored = u64::from_le_bytes(bytes[len - 8..len].try_into().expect("8 bytes"));
+    if hash_bytes(&bytes[..len - 8]) != stored {
+        return Err(codec_err("header checksum mismatch"));
+    }
+    parse_header(bytes, len)
+}
+
+/// Parses the `len`-byte header at the start of `bytes` without checking
+/// its checksum.
+fn parse_header(bytes: &[u8], len: usize) -> Result<Header> {
+    let mut cursor = Cursor {
+        bytes: &bytes[..len - 8],
+        pos: PREFIX_BYTES,
+    };
+    let schema = read_schema(&mut cursor)?;
+    let rows = cursor.read_u64()?;
+    let count = cursor.read_u32()? as usize;
+    if cursor.remaining() != count.saturating_mul(GROUP_ENTRY_BYTES) {
+        return Err(codec_err(format!(
+            "header holds {} group-table bytes for {count} groups",
+            cursor.remaining()
+        )));
+    }
+    let mut groups = Vec::with_capacity(count);
+    for _ in 0..count {
+        groups.push(GroupMeta {
+            rows: cursor.read_u64()?,
+            offset: cursor.read_u64()?,
+            len: cursor.read_u64()?,
+            key: cursor.read_u64()?,
+            checksum: cursor.read_u64()?,
+        });
+    }
+    Ok(Header {
+        schema,
+        rows,
+        groups,
+        len,
+    })
+}
+
+/// Decodes group `index` of a collection from its header and exactly the
+/// group's bytes (see [`Header::group_range`]), verifying its checksum.
+///
+/// # Errors
+/// [`DataflowError::Codec`] on a length or checksum mismatch, or malformed
+/// group bytes.
+pub fn decode_group(header: &Header, index: usize, bytes: &[u8]) -> Result<DataCollection> {
+    let group = header
+        .groups
+        .get(index)
+        .ok_or_else(|| codec_err(format!("no group {index}")))?;
+    let mut rows = Vec::new();
+    decode_group_rows(&header.schema, index, group, bytes, &mut rows)?;
+    DataCollection::new(Arc::clone(&header.schema), rows)
+}
+
+/// Verifies one group's bytes against its header entry and appends its
+/// rows to `out`.
+fn decode_group_rows(
+    schema: &Schema,
+    index: usize,
+    group: &GroupMeta,
+    bytes: &[u8],
+    out: &mut Vec<Row>,
+) -> Result<()> {
+    if bytes.len() as u64 != group.len {
+        return Err(codec_err(format!(
+            "group {index} is {} bytes, header says {}",
+            bytes.len(),
+            group.len
+        )));
+    }
+    if hash_bytes(bytes) != group.checksum {
+        return Err(codec_err(format!("group {index} checksum mismatch")));
+    }
+    let mut cursor = Cursor { bytes, pos: 0 };
+    let values_len = cursor.read_u64()?;
+    if values_len > cursor.remaining() as u64 {
+        return Err(codec_err(format!("group {index} values overrun the group")));
+    }
+    let values_end = 8 + values_len as usize;
+    let mut dict = Cursor {
+        bytes: &bytes[values_end..],
+        pos: 0,
+    };
+    let strings = read_dictionary(&mut dict)?;
+    if dict.remaining() != 0 {
+        return Err(codec_err(format!(
+            "{} trailing bytes after group {index}'s dictionary",
+            dict.remaining()
+        )));
+    }
+    let mut values = Cursor {
+        bytes: &bytes[..values_end],
+        pos: 8,
+    };
+    read_rows(&mut values, schema.len(), group.rows, &strings, out)?;
+    if values.remaining() != 0 {
+        return Err(codec_err(format!(
+            "{} trailing value bytes in group {index}",
+            values.remaining()
+        )));
+    }
+    Ok(())
+}
+
+/// Decodes a whole collection produced by [`encode`] or
+/// [`encode_grouped`] — or by the version-2 writer — verifying every
+/// checksum.
+///
+/// # Errors
+/// [`DataflowError::Codec`] on truncated, corrupt or malformed input.
+pub fn decode(bytes: &[u8]) -> Result<DataCollection> {
+    if header_len(bytes)?.is_none() {
+        return decode_v2(bytes);
+    }
+    let header = read_header(bytes)?;
+    let data = &bytes[header.len..];
+    let mut rows = Vec::with_capacity((header.rows as usize).min(data.len()));
+    let mut at = 0u64;
+    for (index, group) in header.groups.iter().enumerate() {
+        if group.offset != at || group.len > (data.len() as u64 - at) {
+            return Err(codec_err(format!(
+                "group {index} does not follow its predecessor"
+            )));
+        }
+        let end = (at + group.len) as usize;
+        decode_group_rows(
+            &header.schema,
+            index,
+            group,
+            &data[at as usize..end],
+            &mut rows,
+        )?;
+        at = end as u64;
+    }
+    if at != data.len() as u64 {
+        return Err(codec_err(format!(
+            "{} trailing bytes after payload",
+            data.len() as u64 - at
+        )));
+    }
+    if rows.len() as u64 != header.rows {
+        return Err(codec_err(format!(
+            "groups hold {} rows, header says {}",
+            rows.len(),
+            header.rows
+        )));
+    }
+    // Values were written from a validated collection but the file may have
+    // been corrupted or hand-crafted: re-validate.
+    DataCollection::new(header.schema, rows)
+}
+
+/// The version-2 layout: magic, version, schema, one dictionary, row
+/// count, row-major tagged values.
+fn decode_v2(bytes: &[u8]) -> Result<DataCollection> {
+    let mut cursor = Cursor { bytes, pos: 8 };
+    let schema = read_schema(&mut cursor)?;
+    let strings = read_dictionary(&mut cursor)?;
+    let nrows = cursor.read_varint()?;
+    let mut rows = Vec::new();
+    read_rows(&mut cursor, schema.len(), nrows, &strings, &mut rows)?;
+    if cursor.remaining() != 0 {
+        return Err(codec_err(format!(
+            "{} trailing bytes after payload",
+            cursor.remaining()
+        )));
+    }
+    DataCollection::new(schema, rows)
+}
+
+fn read_schema(cursor: &mut Cursor<'_>) -> Result<Arc<Schema>> {
     let nfields = cursor.read_varint()? as usize;
     if nfields > 1 << 20 {
-        return Err(DataflowError::Codec(format!(
-            "implausible field count {nfields}"
-        )));
+        return Err(codec_err(format!("implausible field count {nfields}")));
     }
-    let mut fields = Vec::with_capacity(nfields);
+    let mut fields = Vec::with_capacity(nfields.min(cursor.remaining()));
     for _ in 0..nfields {
         let name_len = cursor.read_varint()? as usize;
         let name_bytes = cursor.take(name_len)?;
         let name = std::str::from_utf8(name_bytes)
-            .map_err(|_| DataflowError::Codec("field name is not UTF-8".into()))?
+            .map_err(|_| codec_err("field name is not UTF-8"))?
             .to_string();
         let dtype = DataType::from_tag(cursor.take(1)?[0])?;
         fields.push(Field::new(name, dtype));
     }
-    let schema = Schema::new(fields)?;
+    Schema::new(fields)
+}
+
+fn read_dictionary(cursor: &mut Cursor<'_>) -> Result<Vec<String>> {
     let nstrings = cursor.read_varint()? as usize;
     if nstrings > 1 << 26 {
-        return Err(DataflowError::Codec(format!(
-            "implausible dictionary size {nstrings}"
-        )));
+        return Err(codec_err(format!("implausible dictionary size {nstrings}")));
     }
-    let mut strings = Vec::with_capacity(nstrings.min(1 << 16));
+    let mut strings = Vec::with_capacity(nstrings.min(cursor.remaining()));
     for _ in 0..nstrings {
         let len = cursor.read_varint()? as usize;
         let bytes = cursor.take(len)?;
         strings.push(
             std::str::from_utf8(bytes)
-                .map_err(|_| DataflowError::Codec("dictionary string is not UTF-8".into()))?
+                .map_err(|_| codec_err("dictionary string is not UTF-8"))?
                 .to_string(),
         );
     }
-    let nrows = cursor.read_varint()? as usize;
-    let mut rows = Vec::with_capacity(nrows.min(1 << 24));
+    Ok(strings)
+}
+
+/// Reads `nrows` rows of `ncols` tagged values each into `out`.
+fn read_rows(
+    cursor: &mut Cursor<'_>,
+    ncols: usize,
+    nrows: u64,
+    strings: &[String],
+    out: &mut Vec<Row>,
+) -> Result<()> {
+    // Every value takes at least one byte, so a row count the remaining
+    // bytes cannot hold is corrupt; a column-less collection reads no
+    // bytes at all and is capped instead.
+    let budget = cursor.remaining().checked_div(ncols).unwrap_or(1 << 24) as u64;
+    if nrows > budget {
+        return Err(codec_err(format!("implausible row count {nrows}")));
+    }
+    out.reserve(nrows as usize);
     for _ in 0..nrows {
-        let mut values = Vec::with_capacity(schema.len());
-        for _ in 0..schema.len() {
-            values.push(read_value(&mut cursor, &strings, 0)?);
+        let mut values = Vec::with_capacity(ncols);
+        for _ in 0..ncols {
+            values.push(read_value(cursor, strings, 0)?);
         }
-        rows.push(Row(values));
+        out.push(Row(values));
     }
-    if cursor.pos != bytes.len() {
-        return Err(DataflowError::Codec(format!(
-            "{} trailing bytes after payload",
-            bytes.len() - cursor.pos
-        )));
-    }
-    // Values were written from a validated collection but the file may have
-    // been corrupted or hand-crafted: re-validate.
-    DataCollection::new(schema, rows)
+    Ok(())
 }
 
 /// Writes a collection to a file (buffered, then flushed).
@@ -192,7 +541,7 @@ pub fn read_file(path: &Path) -> Result<DataCollection> {
 // Value encoding
 // ---------------------------------------------------------------------------
 
-fn write_value(buf: &mut Vec<u8>, value: &Value, table: &StringTable) {
+fn write_value<'a>(buf: &mut Vec<u8>, value: &'a Value, table: &mut StringTable<'a>) {
     match value {
         Value::Null => buf.push(TAG_NULL),
         Value::Bool(false) => buf.push(TAG_BOOL_FALSE),
@@ -207,10 +556,7 @@ fn write_value(buf: &mut Vec<u8>, value: &Value, table: &StringTable) {
         }
         Value::Str(s) => {
             buf.push(TAG_STR);
-            let idx = *table
-                .by_str
-                .get(s)
-                .expect("string interned during collection pass");
+            let idx = table.intern(s);
             write_varint(buf, idx);
         }
         Value::List(items) => {
@@ -227,7 +573,7 @@ const MAX_LIST_DEPTH: u32 = 64;
 
 fn read_value(cursor: &mut Cursor<'_>, strings: &[String], depth: u32) -> Result<Value> {
     if depth > MAX_LIST_DEPTH {
-        return Err(DataflowError::Codec("list nesting too deep".into()));
+        return Err(codec_err("list nesting too deep"));
     }
     let tag = cursor.take(1)?[0];
     Ok(match tag {
@@ -235,31 +581,26 @@ fn read_value(cursor: &mut Cursor<'_>, strings: &[String], depth: u32) -> Result
         TAG_BOOL_FALSE => Value::Bool(false),
         TAG_BOOL_TRUE => Value::Bool(true),
         TAG_INT => Value::Int(zigzag_decode(cursor.read_varint()?)),
-        TAG_FLOAT => {
-            let bits = u64::from_le_bytes(cursor.take(8)?.try_into().expect("8 bytes"));
-            Value::Float(f64::from_bits(bits))
-        }
+        TAG_FLOAT => Value::Float(f64::from_bits(cursor.read_u64()?)),
         TAG_STR => {
             let idx = cursor.read_varint()? as usize;
-            let s = strings.get(idx).ok_or_else(|| {
-                DataflowError::Codec(format!("dictionary index {idx} out of range"))
-            })?;
+            let s = strings
+                .get(idx)
+                .ok_or_else(|| codec_err(format!("dictionary index {idx} out of range")))?;
             Value::Str(s.clone())
         }
         TAG_LIST => {
             let len = cursor.read_varint()? as usize;
-            if len > 1 << 28 {
-                return Err(DataflowError::Codec(format!(
-                    "implausible list length {len}"
-                )));
+            if len > cursor.remaining() {
+                return Err(codec_err(format!("implausible list length {len}")));
             }
-            let mut items = Vec::with_capacity(len.min(1 << 16));
+            let mut items = Vec::with_capacity(len);
             for _ in 0..len {
                 items.push(read_value(cursor, strings, depth + 1)?);
             }
             Value::List(items)
         }
-        other => return Err(DataflowError::Codec(format!("bad value tag {other}"))),
+        other => return Err(codec_err(format!("bad value tag {other}"))),
     })
 }
 
@@ -293,9 +634,13 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
-            return Err(DataflowError::Codec(format!(
+        if n > self.remaining() {
+            return Err(codec_err(format!(
                 "truncated input: wanted {n} bytes at offset {}",
                 self.pos
             )));
@@ -305,13 +650,25 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
+    fn read_u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    fn read_u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
     fn read_varint(&mut self) -> Result<u64> {
         let mut result: u64 = 0;
         let mut shift = 0u32;
         loop {
             let byte = self.take(1)?[0];
             if shift >= 64 {
-                return Err(DataflowError::Codec("varint overflows u64".into()));
+                return Err(codec_err("varint overflows u64"));
             }
             result |= ((byte & 0x7f) as u64) << shift;
             if byte & 0x80 == 0 {
@@ -355,6 +712,30 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// Recomputes every group checksum and the header checksum of a
+    /// version-3 buffer, so a test can corrupt the *structure* without
+    /// the checksums catching it first.
+    fn reseal(bytes: &mut [u8]) {
+        let Ok(Some(len)) = header_len(bytes) else {
+            return;
+        };
+        if len < PREFIX_BYTES + 8 || len > bytes.len() {
+            return;
+        }
+        if let Ok(header) = parse_header(bytes, len) {
+            let table_at = len - 8 - header.groups.len() * GROUP_ENTRY_BYTES;
+            for k in 0..header.groups.len() {
+                if let Ok(range) = header.group_range(k, bytes.len() as u64) {
+                    let sum = hash_bytes(&bytes[range.start as usize..range.end as usize]);
+                    let at = table_at + k * GROUP_ENTRY_BYTES + 32;
+                    bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+                }
+            }
+        }
+        let sum = hash_bytes(&bytes[..len - 8]);
+        bytes[len - 8..len].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
@@ -441,10 +822,94 @@ mod tests {
         let schema = Schema::of(&[("s", DataType::Str)]);
         let dc = DataCollection::new(schema, vec![Row(vec![Value::Str("abc".into())])]).unwrap();
         let mut bytes = encode(&dc);
-        // Last value is TAG_STR + varint index 0; corrupt the index.
-        let len = bytes.len();
-        bytes[len - 1] = 0x7f;
-        assert!(decode(&bytes).is_err());
+        // The one group is: values length (8 bytes), TAG_STR, varint
+        // index 0, then the dictionary. Point the index past it.
+        let at = read_header(&bytes).unwrap().len + 8 + 1;
+        assert_eq!(bytes[at], 0);
+        bytes[at] = 0x7f;
+        assert!(decode(&bytes).unwrap_err().to_string().contains("checksum"));
+        reseal(&mut bytes);
+        assert!(decode(&bytes)
+            .unwrap_err()
+            .to_string()
+            .contains("dictionary index 127"));
+    }
+
+    #[test]
+    fn groups_decode_alone_and_together() {
+        let dc = sample();
+        let groups = [
+            GroupSpec {
+                start: 0,
+                end: 1,
+                key: 11,
+            },
+            GroupSpec {
+                start: 1,
+                end: 2,
+                key: 22,
+            },
+        ];
+        let bytes = encode_grouped(&dc, &groups);
+        assert_eq!(decode(&bytes).unwrap(), dc);
+        let header = read_header(&bytes).unwrap();
+        assert_eq!(header.rows, 2);
+        assert_eq!(
+            header.groups.iter().map(|g| g.key).collect::<Vec<_>>(),
+            [11, 22]
+        );
+        for (k, spec) in groups.iter().enumerate() {
+            let range = header.group_range(k, bytes.len() as u64).unwrap();
+            let part =
+                decode_group(&header, k, &bytes[range.start as usize..range.end as usize]).unwrap();
+            assert_eq!(part.rows(), &dc.rows()[spec.start..spec.end]);
+        }
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_fails_only_its_group() {
+        let dc = sample();
+        let groups = [
+            GroupSpec {
+                start: 0,
+                end: 1,
+                key: 1,
+            },
+            GroupSpec {
+                start: 1,
+                end: 2,
+                key: 2,
+            },
+        ];
+        let mut bytes = encode_grouped(&dc, &groups);
+        let header = read_header(&bytes).unwrap();
+        let first = header.group_range(0, bytes.len() as u64).unwrap();
+        bytes[first.start as usize + 9] ^= 0x40;
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("group 0 checksum"), "{err}");
+        let slice = |k: usize| {
+            let r = header.group_range(k, bytes.len() as u64).unwrap();
+            &bytes[r.start as usize..r.end as usize]
+        };
+        assert!(decode_group(&header, 0, slice(0)).is_err());
+        assert_eq!(
+            decode_group(&header, 1, slice(1)).unwrap().rows(),
+            &dc.rows()[1..]
+        );
+    }
+
+    #[test]
+    fn version_2_files_still_decode() {
+        // `sample()` exactly as the version-2 writer encoded it.
+        let v2: &[u8] = &[
+            72, 76, 88, 68, 2, 0, 0, 0, 5, 2, 105, 100, 1, 4, 110, 97, 109, 101, 3, 5, 115, 99,
+            111, 114, 101, 2, 4, 116, 97, 103, 115, 4, 2, 111, 107, 0, 2, 3, 97, 110, 110, 1, 97,
+            2, 3, 9, 5, 0, 4, 0, 0, 0, 0, 0, 0, 208, 63, 6, 2, 5, 1, 3, 18, 2, 3, 254, 255, 255,
+            255, 255, 255, 255, 255, 255, 1, 0, 4, 0, 0, 0, 0, 0, 0, 240, 255, 6, 0, 1,
+        ];
+        assert_eq!(header_len(v2).unwrap(), None);
+        assert_eq!(decode(v2).unwrap(), sample());
+        assert!(read_header(v2).is_err());
     }
 
     #[test]
@@ -488,30 +953,124 @@ mod tests {
         }
     }
 
+    fn arb_collection() -> impl Strategy<Value = DataCollection> {
+        (
+            1usize..5,
+            proptest::collection::vec(proptest::collection::vec(arb_value(2), 4), 0..20),
+        )
+            .prop_map(|(ncols, rows)| {
+                let fields = (0..ncols)
+                    .map(|i| Field::new(format!("c{i}"), DataType::Any))
+                    .collect();
+                let schema = Schema::new(fields).unwrap();
+                let rows: Vec<Row> = rows
+                    .into_iter()
+                    .map(|values| {
+                        Row(values
+                            .into_iter()
+                            .take(ncols)
+                            .chain(std::iter::repeat(Value::Null))
+                            .take(ncols)
+                            .collect())
+                    })
+                    .collect();
+                DataCollection::new(schema, rows).unwrap()
+            })
+    }
+
+    /// Cuts `[0, rows)` at the (sorted, deduplicated) `cuts`, keyed 1, 2, ….
+    fn tiling(rows: usize, cuts: &[usize]) -> Vec<GroupSpec> {
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (rows + 1)).collect();
+        bounds.extend([0, rows]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        bounds
+            .windows(2)
+            .enumerate()
+            .map(|(k, w)| GroupSpec {
+                start: w[0],
+                end: w[1],
+                key: k as u64 + 1,
+            })
+            .collect()
+    }
+
+    /// A valid single- or multi-group encoding to mutate.
+    fn sample_grouped() -> Vec<u8> {
+        let dc = sample();
+        encode_grouped(&dc, &tiling(dc.len(), &[1]))
+    }
+
+    /// Every decoding entry point over `bytes`; none may panic.
+    fn decode_everything(bytes: &[u8]) {
+        let _ = decode(bytes);
+        if let Ok(header) = read_header(bytes) {
+            for k in 0..header.groups.len() {
+                if let Ok(range) = header.group_range(k, bytes.len() as u64) {
+                    let _ =
+                        decode_group(&header, k, &bytes[range.start as usize..range.end as usize]);
+                }
+                // Lengths that disagree with the header, too.
+                let _ = decode_group(&header, k, &bytes[header.len.min(bytes.len())..]);
+            }
+        }
+    }
+
     proptest! {
         #[test]
-        fn round_trip_random_collections(
-            ncols in 1usize..5,
-            rows in proptest::collection::vec(
-                proptest::collection::vec(arb_value(2), 4),
-                0..20,
-            ),
-        ) {
-            let fields = (0..ncols).map(|i| Field::new(format!("c{i}"), DataType::Any)).collect();
-            let schema = Schema::new(fields).unwrap();
-            let rows: Vec<Row> = rows
-                .into_iter()
-                .map(|values| Row(values.into_iter().take(ncols).chain(
-                    std::iter::repeat(Value::Null)).take(ncols).collect()))
-                .collect();
-            let dc = DataCollection::new(schema, rows).unwrap();
+        fn round_trip_random_collections(dc in arb_collection()) {
             prop_assert_eq!(decode(&encode(&dc)).unwrap(), dc);
         }
 
-        /// Decoding arbitrary bytes must never panic — only error.
+        /// Random collections × random group boundaries: the whole
+        /// decodes to the collection and each group to exactly its rows.
         #[test]
-        fn decode_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = decode(&bytes);
+        fn grouped_round_trip_random_boundaries(
+            dc in arb_collection(),
+            cuts in proptest::collection::vec(0usize..32, 0..6),
+        ) {
+            let groups = tiling(dc.len(), &cuts);
+            let bytes = encode_grouped(&dc, &groups);
+            prop_assert_eq!(&decode(&bytes).unwrap(), &dc);
+            let header = read_header(&bytes).unwrap();
+            prop_assert_eq!(header.groups.len(), groups.len());
+            for (k, spec) in groups.iter().enumerate() {
+                prop_assert_eq!(header.groups[k].key, spec.key);
+                let range = header.group_range(k, bytes.len() as u64).unwrap();
+                let part = decode_group(
+                    &header,
+                    k,
+                    &bytes[range.start as usize..range.end as usize],
+                )
+                .unwrap();
+                prop_assert_eq!(part.rows(), &dc.rows()[spec.start..spec.end]);
+            }
+        }
+
+        /// Decoding arbitrary bytes must never panic — only error: raw
+        /// bytes, bytes behind a valid version-3 prefix (so the header
+        /// parser sees untrusted lengths and offsets), and valid encodings
+        /// with one byte changed and the checksums recomputed.
+        #[test]
+        fn decode_arbitrary_bytes_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            decode_everything(&bytes);
+            let mut prefixed = MAGIC.to_vec();
+            prefixed.extend_from_slice(&VERSION.to_le_bytes());
+            prefixed.extend_from_slice(&(bytes.len().min(255) as u32).to_le_bytes());
+            prefixed.extend_from_slice(&bytes);
+            decode_everything(&prefixed);
+            reseal(&mut prefixed);
+            decode_everything(&prefixed);
+            let mut mutated = sample_grouped();
+            let at = at % mutated.len();
+            mutated[at] = byte;
+            decode_everything(&mutated);
+            reseal(&mut mutated);
+            decode_everything(&mutated);
         }
     }
 }

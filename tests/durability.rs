@@ -2,7 +2,8 @@
 //! killed and reopened must resume every session's lineage with the
 //! same results a never-restarted engine produces.
 //!
-//! Three layers of abuse:
+//! Four layers of abuse, plus a store directory from the previous file
+//! format (version 2) that must still serve:
 //!
 //! * **Twin comparison** — a restarted durable engine driven through the
 //!   analyst loop, checked field-by-field against an identically
@@ -14,6 +15,9 @@
 //! * **WAL-tail fuzz** — the last WAL record is truncated at every byte
 //!   boundary; every prefix must open cleanly (torn tail = truncate and
 //!   warn, never refuse to start).
+//! * **Flipped payload bytes** — a stored row group or node output with
+//!   one bit changed is caught by its checksum: a run recomputes it or
+//!   fails with a store error, and never answers wrong.
 
 use helix::core::ops::ExtractorKind;
 use helix::core::session::LearnerParam;
@@ -729,6 +733,183 @@ fn torn_wal_tail_opens_cleanly_at_every_truncation_point() {
         assert!(reopened.len() == baseline || reopened.len() + 1 == baseline);
         std::fs::remove_dir_all(&scratch).unwrap();
     }
+}
+
+/// Index of the node called `name`.
+fn node_index(w: &Workflow, name: &str) -> usize {
+    w.nodes().iter().position(|n| n.name == name).unwrap()
+}
+
+/// XORs one byte of the stored row group keyed `key` (a byte of its
+/// values, not of the header) and returns the file it lives in.
+fn flip_group_byte(store: &Path, key: u64) -> PathBuf {
+    use helix::dataflow::codec;
+    for entry in std::fs::read_dir(store).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "hlx") {
+            continue;
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        let Ok(header) = codec::read_header(&bytes[1..]) else {
+            continue;
+        };
+        if let Some(k) = header.groups.iter().position(|g| g.key == key) {
+            let range = header.group_range(k, bytes.len() as u64 - 1).unwrap();
+            bytes[1 + range.start as usize + 9] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            return path;
+        }
+    }
+    panic!("no stored row group is keyed {key:016x}");
+}
+
+/// A flipped payload byte in a stored row group is caught by its
+/// checksum: the next data delta recomputes that chunk instead of loading
+/// it, and its metrics equal both a from-scratch twin's and an
+/// uncorrupted incremental twin's — no run answers wrong.
+#[test]
+fn flipped_chunk_byte_is_recomputed_by_the_next_delta_run() {
+    let dir = tmpdir("flip-chunk");
+    let delta: String = (0..7).map(|i| format!("PhD,{},1\n", 50 + i)).collect();
+    let incremental = |tag: &str, corrupt: bool| {
+        let data = dir.join(format!("{tag}-data"));
+        std::fs::create_dir_all(&data).unwrap();
+        let store = dir.join(format!("{tag}-store"));
+        let engine = durable_engine(&store);
+        let w = workflow(&data).unwrap();
+        engine.run(&w).unwrap();
+        if corrupt {
+            // The first chunk of `rows`: unchanged by the append below,
+            // so the delta run would load it.
+            let plan = engine.compile_only(&w).unwrap();
+            let chunks = plan.chunks[node_index(&w, "rows")].as_ref().unwrap();
+            flip_group_byte(&store, chunks.psigs[0].0);
+        }
+        let mut train = std::fs::OpenOptions::new()
+            .append(true)
+            .open(data.join("train.csv"))
+            .unwrap();
+        std::io::Write::write_all(&mut train, delta.as_bytes()).unwrap();
+        let report = engine
+            .run(&w)
+            .expect("a corrupt chunk recomputes, it does not fail the run");
+        (
+            report,
+            std::fs::read_to_string(data.join("train.csv")).unwrap(),
+        )
+    };
+    let (clean, clean_data) = incremental("clean", false);
+    let (flipped, flipped_data) = incremental("flipped", true);
+    assert_eq!(clean_data, flipped_data);
+
+    let twin_data = dir.join("twin-data");
+    std::fs::create_dir_all(&twin_data).unwrap();
+    std::fs::write(twin_data.join("train.csv"), &flipped_data).unwrap();
+    std::fs::copy(
+        dir.join("clean-data").join("test.csv"),
+        twin_data.join("test.csv"),
+    )
+    .unwrap();
+    let twin = durable_engine(&dir.join("twin-store"))
+        .run(&workflow(&twin_data).unwrap())
+        .unwrap();
+
+    assert_eq!(flipped.metrics, twin.metrics);
+    assert_eq!(clean.metrics, twin.metrics);
+    assert!(clean.chunks_reused() > 0, "the delta run reuses chunks");
+    assert!(
+        flipped.chunks_reused() < clean.chunks_reused(),
+        "the corrupt chunk was computed, not loaded ({} vs {})",
+        flipped.chunks_reused(),
+        clean.chunks_reused()
+    );
+}
+
+/// A flipped payload byte in a node the next plan loads whole fails that
+/// run with a store error naming the node's signature; the run after it
+/// recomputes the node and answers like a never-corrupted engine.
+#[test]
+fn flipped_byte_in_a_loaded_node_fails_one_run_then_recomputes() {
+    let dir = tmpdir("flip-whole");
+    workflow(&dir).unwrap();
+    let store = dir.join("store");
+    let engine = durable_engine(&store);
+    let w = workflow(&dir).unwrap();
+    let income = engine.compile_only(&w).unwrap().signatures[node_index(&w, "income")];
+    let manager = SessionManager::new(Arc::clone(&engine));
+    let session = manager.create("alice", w).unwrap();
+    session.iterate().unwrap();
+    let path = store.join(format!("{}.hlx", income.hex()));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - 2;
+    bytes[last] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    // A learner edit: the plan loads `income` and retrains.
+    session
+        .set_learner_param("predictions", LearnerParam::RegParam(0.9))
+        .unwrap();
+    let err = session
+        .iterate()
+        .expect_err("the corrupt load must fail the run, not answer");
+    assert!(
+        matches!(&err, helix::core::HelixError::Store(msg) if msg.contains(&income.hex())),
+        "got {err}"
+    );
+    assert!(!path.exists(), "the corrupt file was evicted");
+    let recovered = session.iterate().unwrap();
+    let income_state = recovered.nodes.iter().find(|n| n.name == "income").unwrap();
+    assert_eq!(income_state.state, helix::core::NodeState::Compute);
+
+    let control = SessionManager::new(durable_engine(&dir.join("control-store")));
+    let twin = control.create("bob", workflow(&dir).unwrap()).unwrap();
+    twin.iterate().unwrap();
+    twin.set_learner_param("predictions", LearnerParam::RegParam(0.9))
+        .unwrap();
+    assert_eq!(recovered.metrics, twin.iterate().unwrap().metrics);
+}
+
+/// A store directory as the version-2 writer left it — whole node
+/// outputs plus one file per data-chunk partition signature — opens,
+/// serves the whole outputs as loads, and serves its chunk files to the
+/// next data delta; both runs answer like a fresh engine.
+#[test]
+fn a_version_2_store_serves_whole_loads_and_chunk_hits() {
+    let dir = tmpdir("v2-store");
+    let data = dir.join("data");
+    std::fs::create_dir_all(&data).unwrap();
+    // The data the fixture was written from (see tests/fixtures/README.md).
+    std::fs::write(data.join("train.csv"), "BS,30,1\nMS,40,0\n".repeat(300)).unwrap();
+    std::fs::write(data.join("test.csv"), "BS,35,1\nMS,45,0\n".repeat(50)).unwrap();
+    let store = dir.join("store");
+    copy_dir(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2_store"),
+        &store,
+    );
+    let fresh = |tag: &str| durable_engine(&dir.join(format!("fresh-{tag}")));
+
+    let engine = durable_engine(&store);
+    assert!(engine.recovery().store.adopted_files > 10);
+    let w = workflow(&data).unwrap();
+    let loaded = engine.run(&w).unwrap();
+    assert!(
+        loaded.loaded() > 0,
+        "whole outputs load from version-2 files"
+    );
+    assert_eq!(loaded.computed(), 0);
+    assert_eq!(loaded.metrics, fresh("base").run(&w).unwrap().metrics);
+
+    let mut train = std::fs::OpenOptions::new()
+        .append(true)
+        .open(data.join("train.csv"))
+        .unwrap();
+    std::io::Write::write_all(&mut train, b"PhD,61,1\nHS,19,0\n").unwrap();
+    let delta = engine.run(&w).unwrap();
+    assert!(
+        delta.chunks_reused() > 0,
+        "unchanged chunks load from version-2 chunk files"
+    );
+    assert_eq!(delta.metrics, fresh("delta").run(&w).unwrap().metrics);
 }
 
 /// Corrupting the WAL mid-file (not just the tail) must still open: the
