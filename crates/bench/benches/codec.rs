@@ -1,32 +1,47 @@
 //! Binary-codec throughput: encode/decode speed bounds materialization
 //! cost, which the online optimizer's `l_i` estimates track.
 //!
+//! `encode` and `decode` come in two forms with the same feature pairs:
+//! `typed` holds them as `Value::Feats` cells (what the operators write),
+//! `legacy` as nested `[name, value]` lists (what store files written
+//! before feature cells hold). CI gates `decode/typed ≤ decode/legacy`.
+//!
 //! `encode_grouped` and `decode_group` are the store's chunk-aligned
-//! shape: a 38 000-row node written as 75 row groups (one per data chunk,
-//! as `census_script` writes them), and one of those groups read back on
-//! its own.
+//! shape: a 38 000-row node of typed cells written as 75 row groups (one
+//! per data chunk, as `census_script` writes them), and one of those
+//! groups read back on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use helix_dataflow::codec::{self, GroupSpec};
 use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
+use std::sync::Arc;
 
-fn collection(rows: usize) -> DataCollection {
+fn collection(rows: usize, typed: bool) -> DataCollection {
     let schema = Schema::of(&[
         ("id", DataType::Int),
         ("name", DataType::Str),
         ("score", DataType::Float),
         ("feats", DataType::List),
     ]);
-    let rows = (0..rows as i64)
+    let names: Vec<Arc<str>> = (0..50).map(|k| Arc::from(format!("f{k}"))).collect();
+    let bias: Arc<str> = Arc::from("bias");
+    let rows = (0..rows)
         .map(|i| {
+            let pairs = [(&names[i % 50], 1.0), (&bias, 1.0)];
+            let feats = if typed {
+                Value::Feats(pairs.map(|(n, v)| (Arc::clone(n), v)).to_vec())
+            } else {
+                Value::List(
+                    pairs
+                        .map(|(n, v)| Value::List(vec![Value::Str(n.to_string()), Value::Float(v)]))
+                        .to_vec(),
+                )
+            };
             Row(vec![
-                Value::Int(i),
+                Value::Int(i as i64),
                 Value::Str(format!("entity-{i}")),
                 Value::Float(i as f64 * 0.25),
-                Value::List(vec![
-                    Value::List(vec![Value::Str(format!("f{}", i % 50)), Value::Float(1.0)]),
-                    Value::List(vec![Value::Str("bias".into()), Value::Float(1.0)]),
-                ]),
+                feats,
             ])
         })
         .collect();
@@ -36,19 +51,24 @@ fn collection(rows: usize) -> DataCollection {
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec");
     for &rows in &[1_000usize, 20_000] {
-        let dc = collection(rows);
-        let encoded = codec::encode(&dc);
-        group.throughput(Throughput::Bytes(encoded.len() as u64));
-        group.bench_with_input(BenchmarkId::new("encode", rows), &dc, |b, dc| {
-            b.iter(|| codec::encode(dc).len())
-        });
-        group.bench_with_input(BenchmarkId::new("decode", rows), &encoded, |b, bytes| {
-            b.iter(|| codec::decode(bytes).unwrap().len())
-        });
+        for (form, typed) in [("typed", true), ("legacy", false)] {
+            let dc = collection(rows, typed);
+            let encoded = codec::encode(&dc);
+            group.throughput(Throughput::Bytes(encoded.len() as u64));
+            group.bench_with_input(
+                BenchmarkId::new(format!("encode/{form}"), rows),
+                &dc,
+                |b, dc| b.iter(|| codec::encode(dc).len()),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("decode/{form}"), rows),
+                &encoded,
+                |b, bytes| b.iter(|| codec::decode(bytes).unwrap().len()),
+            );
+        }
     }
 
     let (rows, groups) = (38_000usize, 75usize);
-    let dc = collection(rows);
     let specs: Vec<GroupSpec> = (0..groups)
         .map(|k| GroupSpec {
             start: k * rows / groups,
@@ -56,6 +76,7 @@ fn bench_codec(c: &mut Criterion) {
             key: k as u64 + 1,
         })
         .collect();
+    let dc = collection(rows, true);
     let encoded = codec::encode_grouped(&dc, &specs);
     group.throughput(Throughput::Bytes(encoded.len() as u64));
     group.bench_with_input(

@@ -1,16 +1,20 @@
 //! Operator execution: runs one [`OperatorKind`] over its parents' outputs.
 //!
 //! Feature fragments flow between extractor operators as the
-//! human-readable `(name, value)` pair lists the paper's pre-processing
-//! data structure keeps (§2.1); the `Train` operator is the single point
-//! where they become ML-ready sparse vectors.
+//! human-readable `(name, value)` pairs the paper's pre-processing data
+//! structure keeps (§2.1), one [`Value::Feats`] cell per row; the `Train`
+//! and `Apply` operators are the only points where they become ML-ready
+//! sparse vectors.
 
 use crate::ops::{
     EvalSpec, ExtractorKind, LearnerSpec, MetricKind, ModelType, NodeOutput, OperatorKind,
     TrainedModel,
 };
 use crate::{HelixError, Result, SPLIT_COL, SPLIT_TEST, SPLIT_TRAIN};
+use helix_dataflow::fx::FxHashSet;
 use helix_dataflow::{csv, DataCollection, DataType, Row, Schema, Value};
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -43,16 +47,29 @@ pub fn metrics_schema() -> Arc<Schema> {
     Schema::of(&[("metric", DataType::Str), ("value", DataType::Float)])
 }
 
-/// Encodes one feature pair as a nested list value.
-pub fn feature_pair(name: &str, value: f64) -> Value {
-    Value::List(vec![Value::Str(name.to_string()), Value::Float(value)])
+/// One `(name, value)` pair of a [`Value::Feats`] cell.
+pub type Feature = (Arc<str>, f64);
+
+/// Builds a `feats` cell from `(name, value)` pairs.
+pub fn features<N: Into<Arc<str>>>(pairs: impl IntoIterator<Item = (N, f64)>) -> Value {
+    Value::Feats(
+        pairs
+            .into_iter()
+            .map(|(name, value)| (name.into(), value))
+            .collect(),
+    )
 }
 
-/// Decodes a `feats` cell back into `(name, value)` pairs.
-pub fn decode_pairs(cell: &Value) -> Result<Vec<(String, f64)>> {
-    let items = cell
-        .as_list()
-        .ok_or_else(|| HelixError::Exec("feats cell is not a list".into()))?;
+/// The `(name, value)` pairs of a `feats` cell: borrowed from a
+/// [`Value::Feats`] cell, or read from the older form, a list of
+/// `[name, value]` lists — store files written before feature cells
+/// existed, and UDFs that still build lists, hold that form.
+pub fn feature_pairs(cell: &Value) -> Result<Cow<'_, [Feature]>> {
+    let items = match cell {
+        Value::Feats(pairs) => return Ok(Cow::Borrowed(pairs)),
+        Value::List(items) => items,
+        _ => return Err(HelixError::Exec("feats cell is not a list".into())),
+    };
     let mut pairs = Vec::with_capacity(items.len());
     for item in items {
         let pair = item
@@ -70,9 +87,32 @@ pub fn decode_pairs(cell: &Value) -> Result<Vec<(String, f64)>> {
         let value = pair[1]
             .as_f64()
             .ok_or_else(|| HelixError::Exec("feature value is not numeric".into()))?;
-        pairs.push((name.to_string(), value));
+        pairs.push((Arc::from(name), value));
     }
-    Ok(pairs)
+    Ok(Cow::Owned(pairs))
+}
+
+/// Feature names an operator builds row by row, interned so that each
+/// distinct name is allocated once per piece and its cells share it.
+#[derive(Default)]
+struct Names {
+    seen: FxHashSet<Arc<str>>,
+    buf: String,
+}
+
+impl Names {
+    fn get(&mut self, name: fmt::Arguments<'_>) -> Arc<str> {
+        self.buf.clear();
+        self.buf
+            .write_fmt(name)
+            .expect("formatting into a String cannot fail");
+        if let Some(known) = self.seen.get(self.buf.as_str()) {
+            return Arc::clone(known);
+        }
+        let fresh: Arc<str> = Arc::from(self.buf.as_str());
+        self.seen.insert(Arc::clone(&fresh));
+        fresh
+    }
 }
 
 /// Executes `kind` over parent outputs (in wiring order).
@@ -308,7 +348,7 @@ fn exec_csv_scan(
         let line = row.get(line_idx).as_str().unwrap_or("");
         let records = csv::parse_records(line)
             .map_err(|e| helix_dataflow::DataflowError::Csv(format!("{e}")))?;
-        let record = records.first().cloned().unwrap_or_default();
+        let record = records.into_iter().next().unwrap_or_default();
         if record.len() != fields.len() {
             return Err(helix_dataflow::DataflowError::Csv(format!(
                 "line has {} fields, scanner expects {}",
@@ -341,20 +381,22 @@ fn exec_field_extractor(
     end: usize,
 ) -> Result<NodeOutput> {
     let idx = input.column_index(field)?;
+    let numeric: Arc<str> = Arc::from(field);
+    let mut names = Names::default();
     let mut rows = Vec::with_capacity(end - start);
     for row in &input.rows()[start..end] {
         let cell = row.get(idx);
         let pairs = match (kind, cell) {
             (_, Value::Null) => Vec::new(),
             (ExtractorKind::Categorical, value) => {
-                vec![feature_pair(&format!("{field}={value}"), 1.0)]
+                vec![(names.get(format_args!("{field}={value}")), 1.0)]
             }
             (ExtractorKind::Numeric, value) => match value.as_f64() {
-                Some(v) => vec![feature_pair(field, v)],
+                Some(v) => vec![(Arc::clone(&numeric), v)],
                 None => Vec::new(),
             },
         };
-        rows.push(Row(vec![Value::List(pairs)]));
+        rows.push(Row(vec![Value::Feats(pairs)]));
     }
     Ok(NodeOutput::Data(DataCollection::from_rows_unchecked(
         feats_schema(),
@@ -368,7 +410,7 @@ fn exec_bucketizer(bins: usize, input: &DataCollection) -> Result<NodeOutput> {
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
     for row in input.rows() {
-        for (_, v) in decode_pairs(row.get(feats_idx))? {
+        for &(_, v) in feature_pairs(row.get(feats_idx))?.iter() {
             min = min.min(v);
             max = max.max(v);
         }
@@ -378,7 +420,7 @@ fn exec_bucketizer(bins: usize, input: &DataCollection) -> Result<NodeOutput> {
         let rows = input
             .rows()
             .iter()
-            .map(|_| Row(vec![Value::List(vec![])]))
+            .map(|_| Row(vec![Value::Feats(Vec::new())]))
             .collect();
         return Ok(NodeOutput::Data(DataCollection::from_rows_unchecked(
             feats_schema(),
@@ -390,14 +432,16 @@ fn exec_bucketizer(bins: usize, input: &DataCollection) -> Result<NodeOutput> {
     } else {
         1.0
     };
+    let mut names = Names::default();
     let mut rows = Vec::with_capacity(input.len());
     for row in input.rows() {
-        let mut out_pairs = Vec::new();
-        for (name, v) in decode_pairs(row.get(feats_idx))? {
+        let pairs = feature_pairs(row.get(feats_idx))?;
+        let mut out_pairs = Vec::with_capacity(pairs.len());
+        for (name, v) in pairs.iter() {
             let bucket = (((v - min) / width) as usize).min(bins - 1);
-            out_pairs.push(feature_pair(&format!("{name}[b={bucket}]"), 1.0));
+            out_pairs.push((names.get(format_args!("{name}[b={bucket}]")), 1.0));
         }
-        rows.push(Row(vec![Value::List(out_pairs)]));
+        rows.push(Row(vec![Value::Feats(out_pairs)]));
     }
     Ok(NodeOutput::Data(DataCollection::from_rows_unchecked(
         feats_schema(),
@@ -418,31 +462,31 @@ fn exec_interaction(inputs: &[&DataCollection], start: usize, end: usize) -> Res
             )));
         }
     }
+    let unnamed: Arc<str> = Arc::from("");
+    let mut names = Names::default();
+    let (mut acc, mut next) = (Vec::new(), Vec::new());
     let mut rows = Vec::with_capacity(end - start);
     for r in start..end {
         // Cross product across parents, left-to-right.
-        let mut acc: Vec<(String, f64)> = vec![(String::new(), 1.0)];
+        acc.clear();
+        acc.push((Arc::clone(&unnamed), 1.0));
         for dc in inputs {
-            let pairs = decode_pairs(dc.rows()[r].get(0))?;
-            let mut next = Vec::with_capacity(acc.len() * pairs.len());
+            let pairs = feature_pairs(dc.rows()[r].get(0))?;
+            next.clear();
             for (base_name, base_v) in &acc {
-                for (name, v) in &pairs {
+                for (name, v) in pairs.iter() {
                     let joined = if base_name.is_empty() {
-                        name.clone()
+                        Arc::clone(name)
                     } else {
-                        format!("{base_name}×{name}")
+                        names.get(format_args!("{base_name}×{name}"))
                     };
                     next.push((joined, base_v * v));
                 }
             }
-            acc = next;
+            std::mem::swap(&mut acc, &mut next);
         }
-        let out_pairs: Vec<Value> = acc
-            .into_iter()
-            .filter(|(name, _)| !name.is_empty())
-            .map(|(name, v)| feature_pair(&name, v))
-            .collect();
-        rows.push(Row(vec![Value::List(out_pairs)]));
+        let out_pairs = acc.drain(..).filter(|(name, _)| !name.is_empty()).collect();
+        rows.push(Row(vec![Value::Feats(out_pairs)]));
     }
     Ok(NodeOutput::Data(DataCollection::from_rows_unchecked(
         feats_schema(),
@@ -471,7 +515,7 @@ fn exec_assemble(
     // exactly its rows' contribution to the whole-node output.
     let mut rows = Vec::with_capacity(end - start);
     for r in start..end {
-        let label_pairs = decode_pairs(label.rows()[r].get(0))?;
+        let label_pairs = feature_pairs(label.rows()[r].get(0))?;
         // Rows without a label (missing target field) are dropped, as real
         // census data contains incomplete records.
         let Some(&(_, label_value)) = label_pairs.first() else {
@@ -479,14 +523,12 @@ fn exec_assemble(
         };
         let mut all_pairs = Vec::new();
         for dc in extractors {
-            for (name, v) in decode_pairs(dc.rows()[r].get(0))? {
-                all_pairs.push(feature_pair(&name, v));
-            }
+            all_pairs.extend_from_slice(&feature_pairs(dc.rows()[r].get(0))?);
         }
         rows.push(Row(vec![
             base.rows()[r].get(split_idx).clone(),
             Value::Float(label_value),
-            Value::List(all_pairs),
+            Value::Feats(all_pairs),
         ]));
     }
     Ok(NodeOutput::Data(DataCollection::from_rows_unchecked(
@@ -498,6 +540,11 @@ fn exec_assemble(
 // ---------------------------------------------------------------------------
 // Learning and evaluation
 // ---------------------------------------------------------------------------
+
+/// Feature pairs with borrowed names, as [`helix_ml::FeatureSpace`] reads them.
+fn borrowed(pairs: &[Feature]) -> impl Iterator<Item = (&str, f64)> {
+    pairs.iter().map(|(name, value)| (&**name, *value))
+}
 
 fn exec_train(spec: &LearnerSpec, assembled: &DataCollection) -> Result<NodeOutput> {
     let split_idx = assembled.column_index(SPLIT_COL)?;
@@ -513,8 +560,8 @@ fn exec_train(spec: &LearnerSpec, assembled: &DataCollection) -> Result<NodeOutp
             .get(label_idx)
             .as_f64()
             .ok_or_else(|| HelixError::Exec("non-numeric label".into()))?;
-        let pairs = decode_pairs(row.get(feats_idx))?;
-        examples.push(space.example(&pairs, label)?);
+        let pairs = feature_pairs(row.get(feats_idx))?;
+        examples.push(space.example(borrowed(&pairs), label)?);
     }
     let dataset = helix_ml::Dataset::new(examples, space.len() as u32);
     let model = match spec.model_type {
@@ -570,8 +617,8 @@ fn exec_apply(
     let space = bundle.feature_space();
     let mut rows = Vec::with_capacity(end - start);
     for row in &assembled.rows()[start..end] {
-        let pairs = decode_pairs(row.get(feats_idx))?;
-        let vector = space.vectorize_frozen(&pairs);
+        let pairs = feature_pairs(row.get(feats_idx))?;
+        let vector = space.vectorize_frozen(borrowed(&pairs));
         let score = bundle.model.predict(&vector);
         let pred = bundle.model.decide(&vector);
         rows.push(Row(vec![
@@ -675,6 +722,13 @@ mod tests {
         exec_apply(bundle, assembled, 0, assembled.len())
     }
 
+    fn owned_pairs(cell: &Value) -> Result<Vec<(String, f64)>> {
+        Ok(feature_pairs(cell)?
+            .iter()
+            .map(|(name, value)| (name.to_string(), *value))
+            .collect())
+    }
+
     fn write_csv(dir: &Path, name: &str, content: &str) -> std::path::PathBuf {
         let path = dir.join(name);
         std::fs::write(&path, content).unwrap();
@@ -724,7 +778,7 @@ mod tests {
         let rows = source_and_scan(&dir);
         let out = field_extractor("edu", ExtractorKind::Categorical, &rows).unwrap();
         let dc = out.as_data().unwrap();
-        let pairs = decode_pairs(dc.rows()[0].get(0)).unwrap();
+        let pairs = owned_pairs(dc.rows()[0].get(0)).unwrap();
         assert_eq!(pairs, vec![("edu=BS".to_string(), 1.0)]);
     }
 
@@ -733,7 +787,7 @@ mod tests {
         let dir = tmpdir("num");
         let rows = source_and_scan(&dir);
         let out = field_extractor("age", ExtractorKind::Numeric, &rows).unwrap();
-        let pairs = decode_pairs(out.as_data().unwrap().rows()[2].get(0)).unwrap();
+        let pairs = owned_pairs(out.as_data().unwrap().rows()[2].get(0)).unwrap();
         assert_eq!(pairs, vec![("age".to_string(), 50.0)]);
     }
 
@@ -753,7 +807,7 @@ mod tests {
         .unwrap();
         let out =
             field_extractor("age", ExtractorKind::Numeric, scanned.as_data().unwrap()).unwrap();
-        let pairs = decode_pairs(out.as_data().unwrap().rows()[0].get(0)).unwrap();
+        let pairs = owned_pairs(out.as_data().unwrap().rows()[0].get(0)).unwrap();
         assert!(pairs.is_empty());
     }
 
@@ -765,8 +819,8 @@ mod tests {
         let out = exec_bucketizer(2, ages.as_data().unwrap()).unwrap();
         let dc = out.as_data().unwrap();
         // ages: 30..50, width 10; 30 → b0, 50 → b1 (clamped).
-        let first = decode_pairs(dc.rows()[0].get(0)).unwrap();
-        let last = decode_pairs(dc.rows()[2].get(0)).unwrap();
+        let first = owned_pairs(dc.rows()[0].get(0)).unwrap();
+        let last = owned_pairs(dc.rows()[2].get(0)).unwrap();
         assert_eq!(first[0].0, "age[b=0]");
         assert_eq!(last[0].0, "age[b=1]");
     }
@@ -778,7 +832,7 @@ mod tests {
         let edu = field_extractor("edu", ExtractorKind::Categorical, &rows).unwrap();
         let age = field_extractor("age", ExtractorKind::Numeric, &rows).unwrap();
         let out = interaction(&[edu.as_data().unwrap(), age.as_data().unwrap()]).unwrap();
-        let pairs = decode_pairs(out.as_data().unwrap().rows()[0].get(0)).unwrap();
+        let pairs = owned_pairs(out.as_data().unwrap().rows()[0].get(0)).unwrap();
         assert_eq!(pairs, vec![("edu=BS×age".to_string(), 30.0)]);
     }
 
@@ -792,7 +846,7 @@ mod tests {
         let dc = out.as_data().unwrap();
         assert_eq!(dc.len(), 5);
         assert_eq!(dc.rows()[0].get(1), &Value::Float(1.0));
-        let pairs = decode_pairs(dc.rows()[0].get(2)).unwrap();
+        let pairs = owned_pairs(dc.rows()[0].get(2)).unwrap();
         assert_eq!(pairs.len(), 1);
     }
 
@@ -881,5 +935,145 @@ mod tests {
             src.as_data().unwrap(),
         );
         assert!(result.is_err());
+    }
+
+    /// A feature cell in the nested-list form.
+    fn legacy(cell: &Value) -> Value {
+        Value::List(
+            feature_pairs(cell)
+                .unwrap()
+                .iter()
+                .map(|(name, v)| Value::List(vec![Value::Str(name.to_string()), Value::Float(*v)]))
+                .collect(),
+        )
+    }
+
+    /// `out` with column `col` of every odd row in the nested-list form.
+    fn half_legacy(out: &NodeOutput, col: usize) -> NodeOutput {
+        let dc = out.as_data().unwrap();
+        let rows = dc
+            .rows()
+            .iter()
+            .enumerate()
+            .map(|(r, row)| {
+                let mut row = row.clone();
+                if r % 2 == 1 {
+                    row.0[col] = legacy(row.get(col));
+                }
+                row
+            })
+            .collect();
+        NodeOutput::Data(DataCollection::from_rows_unchecked(
+            Arc::clone(dc.schema()),
+            rows,
+        ))
+    }
+
+    fn all_pairs(out: &NodeOutput, col: usize) -> Vec<Vec<(String, f64)>> {
+        let dc = out.as_data().unwrap();
+        dc.rows()
+            .iter()
+            .map(|row| owned_pairs(row.get(col)).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn legacy_list_cells_read_like_feature_cells() {
+        let dir = tmpdir("legacy");
+        let train = write_csv(&dir, "train.csv", &"BS,30,1\nMS,42,0\n".repeat(20));
+        let test = write_csv(&dir, "test.csv", "BS,35,1\nMS,45,0\nPhD,60,1\n");
+        let src = exec_csv_source(&train, Some(&test)).unwrap();
+        let fields = [
+            ("edu".to_string(), DataType::Str),
+            ("age".to_string(), DataType::Int),
+            ("target".to_string(), DataType::Int),
+        ];
+        let scanned = csv_scan(&fields, src.as_data().unwrap()).unwrap();
+        let rows = scanned.as_data().unwrap();
+        let edu = field_extractor("edu", ExtractorKind::Categorical, rows).unwrap();
+        let age = field_extractor("age", ExtractorKind::Numeric, rows).unwrap();
+        let target = field_extractor("target", ExtractorKind::Numeric, rows).unwrap();
+        let spec = EvalSpec {
+            metrics: vec![MetricKind::Accuracy, MetricKind::LogLoss],
+            split: SPLIT_TEST.into(),
+        };
+        // The census tail (bucketize, cross, assemble, train, apply,
+        // evaluate); `mix` rewrites every feats input it is handed.
+        let run = |mix: &dyn Fn(&NodeOutput, usize) -> NodeOutput| {
+            let (edu, age, target) = (mix(&edu, 0), mix(&age, 0), mix(&target, 0));
+            let bucket = mix(&exec_bucketizer(3, age.as_data().unwrap()).unwrap(), 0);
+            let cross = mix(
+                &interaction(&[edu.as_data().unwrap(), bucket.as_data().unwrap()]).unwrap(),
+                0,
+            );
+            let extractors = [
+                edu.as_data().unwrap(),
+                bucket.as_data().unwrap(),
+                cross.as_data().unwrap(),
+            ];
+            let assembled = mix(
+                &assemble(rows, &extractors, target.as_data().unwrap()).unwrap(),
+                2,
+            );
+            let model = exec_train(&LearnerSpec::default(), assembled.as_data().unwrap()).unwrap();
+            let preds = apply(model.as_model().unwrap(), assembled.as_data().unwrap()).unwrap();
+            let metrics = metric_values(&exec_evaluate(&spec, preds.as_data().unwrap()).unwrap());
+            (
+                [
+                    all_pairs(&bucket, 0),
+                    all_pairs(&cross, 0),
+                    all_pairs(&assembled, 2),
+                ],
+                model.as_model().unwrap().clone(),
+                preds,
+                metrics.unwrap(),
+            )
+        };
+        let typed = run(&|out: &NodeOutput, _: usize| out.clone());
+        let mixed = run(&half_legacy);
+        assert!(typed.0[1][0][0].0.contains('×'), "{:?}", typed.0[1][0]);
+        assert_eq!(mixed.0, typed.0);
+        assert_eq!(mixed.1, typed.1);
+        assert_eq!(mixed.2, typed.2);
+        assert_eq!(mixed.3, typed.3);
+    }
+
+    #[test]
+    fn malformed_legacy_cells_keep_their_errors() {
+        let s = |x: &str| Value::Str(x.into());
+        let cases = [
+            (Value::Int(1), "feats cell is not a list"),
+            (Value::List(vec![s("a")]), "feature pair is not a list"),
+            (
+                Value::List(vec![Value::List(vec![s("a")])]),
+                "feature pair has 1 items",
+            ),
+            (
+                Value::List(vec![Value::List(vec![Value::Int(1), Value::Float(1.0)])]),
+                "feature name is not a string",
+            ),
+            (
+                Value::List(vec![Value::List(vec![s("a"), s("b")])]),
+                "feature value is not numeric",
+            ),
+        ];
+        for (cell, expected) in cases {
+            let err = feature_pairs(&cell).unwrap_err().to_string();
+            assert!(err.contains(expected), "{cell:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_feature_cell_prints_like_its_list_twin() {
+        for cell in [
+            features([("edu=BS", 1.0), ("age", 30.5)]),
+            features::<&str>([]),
+        ] {
+            assert_eq!(cell.to_string(), legacy(&cell).to_string());
+        }
+        assert_eq!(
+            features([("edu=BS", 1.0), ("age", 30.5)]).to_string(),
+            "[[edu=BS, 1], [age, 30.5]]"
+        );
     }
 }

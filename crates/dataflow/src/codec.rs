@@ -29,6 +29,25 @@
 //! before it, a group's checksum the Fx hash of the group's bytes; both are
 //! verified on every read.
 //!
+//! Each value is a tag byte and a body:
+//!
+//! ```text
+//! 0 null · 1 false · 2 true           no body
+//! 3 int                               zigzag varint
+//! 4 float                             f64 bits, u64
+//! 5 string                            dictionary index (varint)
+//! 6 list                              item count (varint), then the items
+//! 7 feature cell (Value::Feats)       pair count (varint), then per pair
+//!                                       name: dictionary index (varint) ·
+//!                                       value: f64 bits, u64
+//! ```
+//!
+//! A feature name shares the group's dictionary with string values. The
+//! decoder turns a dictionary entry into one `Arc<str>` the first time a
+//! feature cell names it, and every cell of the group naming it shares that
+//! `Arc`. Nested `[name, value]` lists written before feature cells existed
+//! stay tag 6 and decode as lists.
+//!
 //! Each group carries its own string dictionary, written *after* its values
 //! so the writer interns each string as it meets it (one hash per
 //! occurrence). Any one group therefore decodes from the header plus its
@@ -67,6 +86,9 @@ const TAG_INT: u8 = 3;
 const TAG_FLOAT: u8 = 4;
 const TAG_STR: u8 = 5;
 const TAG_LIST: u8 = 6;
+const TAG_FEATS: u8 = 7;
+/// Bytes of one encoded feature pair, at least: a one-byte index and an f64.
+const MIN_PAIR_BYTES: usize = 9;
 
 /// One row group to write: rows `[start, end)` of the collection, filed
 /// under an opaque `key` (`0` = none).
@@ -369,7 +391,7 @@ fn decode_group_rows(
         bytes: &bytes[values_end..],
         pos: 0,
     };
-    let strings = read_dictionary(&mut dict)?;
+    let mut strings = read_dictionary(&mut dict)?;
     if dict.remaining() != 0 {
         return Err(codec_err(format!(
             "{} trailing bytes after group {index}'s dictionary",
@@ -380,7 +402,7 @@ fn decode_group_rows(
         bytes: &bytes[..values_end],
         pos: 8,
     };
-    read_rows(&mut values, schema.len(), group.rows, &strings, out)?;
+    read_rows(&mut values, schema.len(), group.rows, &mut strings, out)?;
     if values.remaining() != 0 {
         return Err(codec_err(format!(
             "{} trailing value bytes in group {index}",
@@ -443,10 +465,10 @@ pub fn decode(bytes: &[u8]) -> Result<DataCollection> {
 fn decode_v2(bytes: &[u8]) -> Result<DataCollection> {
     let mut cursor = Cursor { bytes, pos: 8 };
     let schema = read_schema(&mut cursor)?;
-    let strings = read_dictionary(&mut cursor)?;
+    let mut strings = read_dictionary(&mut cursor)?;
     let nrows = cursor.read_varint()?;
     let mut rows = Vec::new();
-    read_rows(&mut cursor, schema.len(), nrows, &strings, &mut rows)?;
+    read_rows(&mut cursor, schema.len(), nrows, &mut strings, &mut rows)?;
     if cursor.remaining() != 0 {
         return Err(codec_err(format!(
             "{} trailing bytes after payload",
@@ -474,7 +496,34 @@ fn read_schema(cursor: &mut Cursor<'_>) -> Result<Arc<Schema>> {
     Schema::new(fields)
 }
 
-fn read_dictionary(cursor: &mut Cursor<'_>) -> Result<Vec<String>> {
+/// A decoded string dictionary, borrowed from the encoded bytes. Feature
+/// names become `Arc`s on first use, one per entry, shared by every cell
+/// that names the entry.
+struct Dictionary<'a> {
+    strings: Vec<&'a str>,
+    names: Vec<Option<Arc<str>>>,
+}
+
+impl<'a> Dictionary<'a> {
+    fn get(&self, idx: u64) -> Result<&'a str> {
+        usize::try_from(idx)
+            .ok()
+            .and_then(|i| self.strings.get(i).copied())
+            .ok_or_else(|| codec_err(format!("dictionary index {idx} out of range")))
+    }
+
+    fn name(&mut self, idx: u64) -> Result<Arc<str>> {
+        let s = self.get(idx)?;
+        if self.names.is_empty() {
+            self.names.resize(self.strings.len(), None);
+        }
+        Ok(Arc::clone(
+            self.names[idx as usize].get_or_insert_with(|| Arc::from(s)),
+        ))
+    }
+}
+
+fn read_dictionary<'a>(cursor: &mut Cursor<'a>) -> Result<Dictionary<'a>> {
     let nstrings = cursor.read_varint()? as usize;
     if nstrings > 1 << 26 {
         return Err(codec_err(format!("implausible dictionary size {nstrings}")));
@@ -484,12 +533,13 @@ fn read_dictionary(cursor: &mut Cursor<'_>) -> Result<Vec<String>> {
         let len = cursor.read_varint()? as usize;
         let bytes = cursor.take(len)?;
         strings.push(
-            std::str::from_utf8(bytes)
-                .map_err(|_| codec_err("dictionary string is not UTF-8"))?
-                .to_string(),
+            std::str::from_utf8(bytes).map_err(|_| codec_err("dictionary string is not UTF-8"))?,
         );
     }
-    Ok(strings)
+    Ok(Dictionary {
+        strings,
+        names: Vec::new(),
+    })
 }
 
 /// Reads `nrows` rows of `ncols` tagged values each into `out`.
@@ -497,7 +547,7 @@ fn read_rows(
     cursor: &mut Cursor<'_>,
     ncols: usize,
     nrows: u64,
-    strings: &[String],
+    strings: &mut Dictionary<'_>,
     out: &mut Vec<Row>,
 ) -> Result<()> {
     // Every value takes at least one byte, so a row count the remaining
@@ -566,12 +616,21 @@ fn write_value<'a>(buf: &mut Vec<u8>, value: &'a Value, table: &mut StringTable<
                 write_value(buf, item, table);
             }
         }
+        Value::Feats(pairs) => {
+            buf.push(TAG_FEATS);
+            write_varint(buf, pairs.len() as u64);
+            for (name, value) in pairs {
+                let idx = table.intern(name);
+                write_varint(buf, idx);
+                buf.extend_from_slice(&value.to_bits().to_le_bytes());
+            }
+        }
     }
 }
 
 const MAX_LIST_DEPTH: u32 = 64;
 
-fn read_value(cursor: &mut Cursor<'_>, strings: &[String], depth: u32) -> Result<Value> {
+fn read_value(cursor: &mut Cursor<'_>, strings: &mut Dictionary<'_>, depth: u32) -> Result<Value> {
     if depth > MAX_LIST_DEPTH {
         return Err(codec_err("list nesting too deep"));
     }
@@ -582,13 +641,7 @@ fn read_value(cursor: &mut Cursor<'_>, strings: &[String], depth: u32) -> Result
         TAG_BOOL_TRUE => Value::Bool(true),
         TAG_INT => Value::Int(zigzag_decode(cursor.read_varint()?)),
         TAG_FLOAT => Value::Float(f64::from_bits(cursor.read_u64()?)),
-        TAG_STR => {
-            let idx = cursor.read_varint()? as usize;
-            let s = strings
-                .get(idx)
-                .ok_or_else(|| codec_err(format!("dictionary index {idx} out of range")))?;
-            Value::Str(s.clone())
-        }
+        TAG_STR => Value::Str(strings.get(cursor.read_varint()?)?.to_string()),
         TAG_LIST => {
             let len = cursor.read_varint()? as usize;
             if len > cursor.remaining() {
@@ -599,6 +652,18 @@ fn read_value(cursor: &mut Cursor<'_>, strings: &[String], depth: u32) -> Result
                 items.push(read_value(cursor, strings, depth + 1)?);
             }
             Value::List(items)
+        }
+        TAG_FEATS => {
+            let len = cursor.read_varint()? as usize;
+            if len > cursor.remaining() / MIN_PAIR_BYTES {
+                return Err(codec_err(format!("implausible feature count {len}")));
+            }
+            let mut pairs = Vec::with_capacity(len);
+            for _ in 0..len {
+                let name = strings.name(cursor.read_varint()?)?;
+                pairs.push((name, f64::from_bits(cursor.read_u64()?)));
+            }
+            Value::Feats(pairs)
         }
         other => return Err(codec_err(format!("bad value tag {other}"))),
     })
@@ -912,6 +977,128 @@ mod tests {
         assert!(read_header(v2).is_err());
     }
 
+    /// `[name, value]` as a nested list, the form written before
+    /// [`Value::Feats`] existed.
+    fn legacy_pair(name: &str, value: f64) -> Value {
+        Value::List(vec![Value::Str(name.into()), Value::Float(value)])
+    }
+
+    #[test]
+    fn nested_list_feats_written_before_feature_cells_decode_to_lists() {
+        // A version-3 file whose feats are nested lists, exactly as the
+        // writer before feature cells encoded it.
+        let old: &[u8] = &[
+            72, 76, 88, 68, 3, 0, 0, 0, 68, 0, 0, 0, 1, 5, 102, 101, 97, 116, 115, 4, 3, 0, 0, 0,
+            0, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 65, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 68, 4, 26, 163, 240, 92, 122, 248, 117, 94, 14, 251,
+            126, 67, 166, 60, 45, 0, 0, 0, 0, 0, 0, 0, 6, 2, 6, 2, 5, 0, 4, 0, 0, 0, 0, 0, 0, 240,
+            63, 6, 2, 5, 1, 4, 0, 0, 0, 0, 0, 0, 62, 64, 6, 0, 6, 1, 6, 2, 5, 0, 4, 0, 0, 0, 0, 0,
+            0, 240, 63, 2, 6, 101, 100, 117, 61, 66, 83, 3, 97, 103, 101,
+        ];
+        let lists = DataCollection::new(
+            Schema::of(&[("feats", DataType::List)]),
+            vec![
+                Row(vec![Value::List(vec![
+                    legacy_pair("edu=BS", 1.0),
+                    legacy_pair("age", 30.0),
+                ])]),
+                Row(vec![Value::List(vec![])]),
+                Row(vec![Value::List(vec![legacy_pair("edu=BS", 1.0)])]),
+            ],
+        )
+        .unwrap();
+        assert_eq!(decode(old).unwrap(), lists);
+        assert_eq!(encode(&lists), old, "lists are still written as tag 6");
+    }
+
+    /// A feature column: a name repeated across rows, a unique one, an
+    /// empty cell.
+    fn feats_sample() -> DataCollection {
+        let bias: Arc<str> = Arc::from("bias");
+        DataCollection::new(
+            Schema::of(&[("feats", DataType::List)]),
+            vec![
+                Row(vec![Value::Feats(vec![
+                    (Arc::clone(&bias), 1.0),
+                    (Arc::from("edu=BS"), 0.5),
+                ])]),
+                Row(vec![Value::Feats(vec![])]),
+                Row(vec![Value::Feats(vec![(bias, -2.0)])]),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn feature_cells_round_trip_sharing_each_name() {
+        let dc = feats_sample();
+        let decoded = decode(&encode(&dc)).unwrap();
+        assert_eq!(decoded, dc);
+        let first_name = |r: usize| match decoded.rows()[r].get(0) {
+            Value::Feats(pairs) => Arc::clone(&pairs[0].0),
+            other => panic!("not a feature cell: {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&first_name(0), &first_name(2)));
+    }
+
+    /// Rewrites the values of a one-group encoding with `edit`, then fixes
+    /// the values length, the group length and both checksums, so only
+    /// the value decoder can object.
+    fn with_values(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let header = read_header(bytes).unwrap();
+        let group = &bytes[header.len..];
+        let values_end = 8 + u64::from_le_bytes(group[..8].try_into().unwrap()) as usize;
+        let mut values = group[8..values_end].to_vec();
+        edit(&mut values);
+        let mut out = bytes[..header.len].to_vec();
+        out.extend_from_slice(&(values.len() as u64).to_le_bytes());
+        out.extend_from_slice(&values);
+        out.extend_from_slice(&group[values_end..]);
+        let group_len = (out.len() - header.len) as u64;
+        let len_at = header.len - 8 - GROUP_ENTRY_BYTES + 16;
+        out[len_at..len_at + 8].copy_from_slice(&group_len.to_le_bytes());
+        reseal(&mut out);
+        out
+    }
+
+    #[test]
+    fn corrupt_feature_cells_are_codec_errors() {
+        let dc = DataCollection::new(
+            Schema::of(&[("feats", DataType::List)]),
+            vec![Row(vec![Value::Feats(vec![(Arc::from("a"), 1.5)])])],
+        )
+        .unwrap();
+        let bytes = encode(&dc);
+        // The values: tag 7, one pair, dictionary index 0, the f64.
+        assert_eq!(decode(&with_values(&bytes, |_| {})).unwrap(), dc);
+        type Edit = fn(&mut Vec<u8>);
+        let cases: [(&str, Edit, &str); 3] = [
+            ("index out of range", |v| v[2] = 5, "dictionary index 5"),
+            ("count past the group", |v| v[1] = 2, "feature count 2"),
+            // The count bound sees the short pair before the f64 read does.
+            (
+                "truncated f64",
+                |v| v.truncate(v.len() - 3),
+                "feature count 1",
+            ),
+        ];
+        for (case, edit, expected) in cases {
+            let bad = with_values(&bytes, edit);
+            let header = read_header(&bad).unwrap();
+            let range = header.group_range(0, bad.len() as u64).unwrap();
+            let group = &bad[range.start as usize..range.end as usize];
+            for err in [
+                decode(&bad).unwrap_err(),
+                decode_group(&header, 0, group).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, DataflowError::Codec(msg) if msg.contains(expected)),
+                    "{case}: {err}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn varint_boundaries() {
         for value in [0u64, 1, 127, 128, 16383, 16384, u64::MAX] {
@@ -932,6 +1119,16 @@ mod tests {
         }
     }
 
+    /// Feature pairs: names from a small shared vocabulary or unique.
+    fn arb_pairs() -> impl Strategy<Value = Vec<(String, f64)>> {
+        let name = prop_oneof![
+            Just("bias".to_string()),
+            Just("edu=BS".to_string()),
+            "[a-z]{0,12}",
+        ];
+        proptest::collection::vec((name, -1e12f64..1e12), 0..5)
+    }
+
     fn arb_value(depth: u32) -> BoxedStrategy<Value> {
         let leaf = prop_oneof![
             Just(Value::Null),
@@ -940,6 +1137,12 @@ mod tests {
             // Use finite floats: NaN breaks PartialEq-based comparison.
             (-1e12f64..1e12).prop_map(Value::Float),
             "[a-z]{0,12}".prop_map(Value::Str),
+            arb_pairs().prop_map(|pairs| Value::Feats(
+                pairs.into_iter().map(|(n, v)| (Arc::from(n), v)).collect()
+            )),
+            arb_pairs().prop_map(|pairs| Value::List(
+                pairs.iter().map(|(n, v)| legacy_pair(n, *v)).collect()
+            )),
         ];
         if depth == 0 {
             leaf.boxed()
@@ -995,12 +1198,6 @@ mod tests {
             .collect()
     }
 
-    /// A valid single- or multi-group encoding to mutate.
-    fn sample_grouped() -> Vec<u8> {
-        let dc = sample();
-        encode_grouped(&dc, &tiling(dc.len(), &[1]))
-    }
-
     /// Every decoding entry point over `bytes`; none may panic.
     fn decode_everything(bytes: &[u8]) {
         let _ = decode(bytes);
@@ -1049,8 +1246,9 @@ mod tests {
 
         /// Decoding arbitrary bytes must never panic — only error: raw
         /// bytes, bytes behind a valid version-3 prefix (so the header
-        /// parser sees untrusted lengths and offsets), and valid encodings
-        /// with one byte changed and the checksums recomputed.
+        /// parser sees untrusted lengths and offsets), and valid two-group
+        /// encodings — of mixed values, and of feature cells — with one
+        /// byte changed and the checksums recomputed.
         #[test]
         fn decode_arbitrary_bytes_never_panics(
             bytes in proptest::collection::vec(any::<u8>(), 0..256),
@@ -1065,12 +1263,14 @@ mod tests {
             decode_everything(&prefixed);
             reseal(&mut prefixed);
             decode_everything(&prefixed);
-            let mut mutated = sample_grouped();
-            let at = at % mutated.len();
-            mutated[at] = byte;
-            decode_everything(&mutated);
-            reseal(&mut mutated);
-            decode_everything(&mutated);
+            for valid in [sample(), feats_sample()] {
+                let mut mutated = encode_grouped(&valid, &tiling(valid.len(), &[1]));
+                let at = at % mutated.len();
+                mutated[at] = byte;
+                decode_everything(&mutated);
+                reseal(&mut mutated);
+                decode_everything(&mutated);
+            }
         }
     }
 }

@@ -1,12 +1,16 @@
 //! The dynamically typed cell value stored in rows.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A single cell in a [`Row`](crate::Row).
 ///
 /// Helix's pre-processing data structures keep features "in human-readable
 /// format for ease of development" (paper §2.1); `Value` is that format.
 /// Conversion to ML-ready vectors happens in `helix-ml`'s feature space.
+///
+/// Equality is structural: a [`Value::Feats`] cell never equals the nested
+/// list that prints the same.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Missing / not applicable.
@@ -21,6 +25,12 @@ pub enum Value {
     Str(String),
     /// Nested list (e.g. token lists, candidate spans, feature name lists).
     List(Vec<Value>),
+    /// A feature cell: named `(name, value)` pairs. It reads and prints as
+    /// the list of `[name, value]` lists it stands for (its
+    /// [`data_type`](Value::data_type) is `List`), but costs one allocation
+    /// per cell, not two per pair: names are `Arc`s that the cells of a
+    /// collection share.
+    Feats(Vec<(Arc<str>, f64)>),
 }
 
 impl Value {
@@ -32,7 +42,7 @@ impl Value {
             Value::Int(_) => crate::DataType::Int,
             Value::Float(_) => crate::DataType::Float,
             Value::Str(_) => crate::DataType::Str,
-            Value::List(_) => crate::DataType::List,
+            Value::List(_) | Value::Feats(_) => crate::DataType::List,
         }
     }
 
@@ -91,6 +101,8 @@ impl Value {
             Value::Int(_) | Value::Float(_) => 8,
             Value::Str(s) => 24 + s.len(),
             Value::List(items) => 24 + items.iter().map(Value::estimated_bytes).sum::<usize>(),
+            // The names are shared, so a pair costs its slot alone.
+            Value::Feats(pairs) => 24 + 24 * pairs.len(),
         }
     }
 
@@ -137,6 +149,16 @@ impl fmt::Display for Value {
                         write!(f, ", ")?;
                     }
                     write!(f, "{item}")?;
+                }
+                write!(f, "]")
+            }
+            Value::Feats(pairs) => {
+                write!(f, "[")?;
+                for (i, (name, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ", ")?;
+                    }
+                    write!(f, "[{name}, {value}]")?;
                 }
                 write!(f, "]")
             }
@@ -229,6 +251,15 @@ mod tests {
         assert!(big > small);
         let nested = Value::List(vec![Value::Int(1); 10]).estimated_bytes();
         assert!(nested >= 80);
+    }
+
+    #[test]
+    fn feats_cell_is_a_compact_list() {
+        let name: Arc<str> = Arc::from("edu=BS");
+        let cell = Value::Feats(vec![(Arc::clone(&name), 1.0), (name, 2.5)]);
+        assert_eq!(cell.data_type(), DataType::List);
+        assert_eq!(cell.estimated_bytes(), 24 + 2 * 24);
+        assert_eq!(std::mem::size_of::<Value>(), 32);
     }
 
     #[test]

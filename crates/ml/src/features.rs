@@ -80,26 +80,37 @@ impl FeatureSpace {
     }
 
     /// Builds a sparse vector from `(name, value)` pairs, interning names.
-    pub fn vectorize(&mut self, pairs: &[(String, f64)]) -> Result<SparseVector> {
-        let mut indexed = Vec::with_capacity(pairs.len());
+    pub fn vectorize<'a>(
+        &mut self,
+        pairs: impl IntoIterator<Item = (&'a str, f64)>,
+    ) -> Result<SparseVector> {
+        let pairs = pairs.into_iter();
+        let mut indexed = Vec::with_capacity(pairs.size_hint().0);
         for (name, value) in pairs {
-            indexed.push((self.intern(name)?, *value));
+            indexed.push((self.intern(name)?, value));
         }
         Ok(SparseVector::from_pairs(indexed))
     }
 
     /// Builds a sparse vector from `(name, value)` pairs, silently dropping
     /// names missing from a frozen space (standard test-time behaviour).
-    pub fn vectorize_frozen(&self, pairs: &[(String, f64)]) -> SparseVector {
+    pub fn vectorize_frozen<'a>(
+        &self,
+        pairs: impl IntoIterator<Item = (&'a str, f64)>,
+    ) -> SparseVector {
         let indexed = pairs
-            .iter()
-            .filter_map(|(name, value)| self.lookup(name).map(|idx| (idx, *value)))
+            .into_iter()
+            .filter_map(|(name, value)| self.lookup(name).map(|idx| (idx, value)))
             .collect();
         SparseVector::from_pairs(indexed)
     }
 
     /// Builds a labeled example, interning names.
-    pub fn example(&mut self, pairs: &[(String, f64)], label: f64) -> Result<LabeledExample> {
+    pub fn example<'a>(
+        &mut self,
+        pairs: impl IntoIterator<Item = (&'a str, f64)>,
+        label: f64,
+    ) -> Result<LabeledExample> {
         Ok(LabeledExample {
             features: self.vectorize(pairs)?,
             label,
@@ -139,7 +150,7 @@ mod tests {
         let mut fs = FeatureSpace::new();
         fs.intern("a").unwrap();
         fs.freeze();
-        let v = fs.vectorize_frozen(&[("a".into(), 1.0), ("b".into(), 9.0)]);
+        let v = fs.vectorize_frozen([("a", 1.0), ("b", 9.0)]);
         assert_eq!(v.nnz(), 1);
         assert_eq!(v.get(0), 1.0);
     }
@@ -147,9 +158,7 @@ mod tests {
     #[test]
     fn vectorize_merges_duplicate_names() {
         let mut fs = FeatureSpace::new();
-        let v = fs
-            .vectorize(&[("tok=the".into(), 1.0), ("tok=the".into(), 1.0)])
-            .unwrap();
+        let v = fs.vectorize([("tok=the", 1.0), ("tok=the", 1.0)]).unwrap();
         assert_eq!(v.nnz(), 1);
         assert_eq!(v.get(0), 2.0);
     }
@@ -157,7 +166,7 @@ mod tests {
     #[test]
     fn example_carries_label() {
         let mut fs = FeatureSpace::new();
-        let ex = fs.example(&[("x".into(), 1.0)], 1.0).unwrap();
+        let ex = fs.example([("x", 1.0)], 1.0).unwrap();
         assert_eq!(ex.label, 1.0);
         assert_eq!(ex.features.nnz(), 1);
     }

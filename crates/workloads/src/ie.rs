@@ -206,9 +206,7 @@ fn udf_labels() -> Udf {
                     row.get(cend).as_int().unwrap_or(-2),
                 );
                 let label = if gold_set.contains(&key) { 1.0 } else { 0.0 };
-                Row(vec![Value::List(vec![helix_core::exec::feature_pair(
-                    "label", label,
-                )])])
+                Row(vec![helix_core::exec::features([("label", label)])])
             })
             .collect();
         Ok(DataCollection::from_rows_unchecked(
@@ -270,11 +268,7 @@ fn udf_feature_group(tag: &str, config: FeatureConfig) -> Udf {
             let (tokens, cand) = row_candidate(row, candidates)
                 .map_err(|e| helix_dataflow::DataflowError::Udf(e.to_string()))?;
             let feats = candidate_features(&cand, &tokens, &first, &last, &config);
-            let pairs: Vec<Value> = feats
-                .into_iter()
-                .map(|(name, v)| helix_core::exec::feature_pair(&name, v))
-                .collect();
-            rows.push(Row(vec![Value::List(pairs)]));
+            rows.push(Row(vec![helix_core::exec::features(feats)]));
         }
         Ok(DataCollection::from_rows_unchecked(
             helix_core::exec::feats_schema(),

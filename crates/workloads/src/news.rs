@@ -19,7 +19,7 @@ use helix_core::ops::{EvalSpec, LearnerSpec, MetricKind, Udf};
 use helix_core::workflow::Workflow;
 use helix_core::Result;
 use helix_dataflow::fx::FxHashMap;
-use helix_dataflow::{DataCollection, DataType, Row, Value};
+use helix_dataflow::{DataCollection, DataType, Row};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::Write as _;
@@ -401,11 +401,7 @@ fn doc_feature_udf(
             .iter()
             .map(|row| {
                 let text = row.get(text_idx).as_str().unwrap_or("");
-                let pairs: Vec<Value> = feats(text)
-                    .into_iter()
-                    .map(|(name, v)| helix_core::exec::feature_pair(&name, v))
-                    .collect();
-                Row(vec![Value::List(pairs)])
+                Row(vec![helix_core::exec::features(feats(text))])
             })
             .collect();
         Ok(DataCollection::from_rows_unchecked(
@@ -435,7 +431,7 @@ fn udf_doc_labels(threshold: usize) -> Udf {
             .map(|row| {
                 let doc = row.get(doc_idx).as_int().unwrap_or(-2);
                 let dense = counts.get(&doc).copied().unwrap_or(0) >= threshold;
-                Row(vec![Value::List(vec![helix_core::exec::feature_pair(
+                Row(vec![helix_core::exec::features([(
                     "label",
                     if dense { 1.0 } else { 0.0 },
                 )])])
