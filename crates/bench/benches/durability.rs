@@ -1,7 +1,7 @@
-//! Durability overhead on the store's put path, and recovery (reopen)
-//! cost.
+//! Durability overhead on the store's put path, recovery (reopen) cost,
+//! and the store's read path with and without its decoded-read cache.
 //!
-//! Two groups:
+//! Three groups:
 //!
 //! * `durability_put` — one materialization (encode + write + rename +
 //!   ledger commit) of a fixed ~8 KB collection under each durability
@@ -14,12 +14,18 @@
 //! * `durability_recovery` — wall time of `StoreOptions::open` over a
 //!   WAL directory holding several hundred committed entries: the
 //!   restart latency a served deployment pays before it can answer.
+//! * `store_get` — one whole-output read of a census-sized output (the
+//!   serving loop's 10 k-row `predictions`): `decode/<n>` reads a fresh
+//!   signature per sample (file read, checksums, decode, free), and
+//!   `cached/<n>` a signature already read twice, which the store answers
+//!   from memory. The CI gate holds `cached` under half of `decode`, so a
+//!   cache that silently stops hitting fails the build.
 //!
 //! Run with `cargo bench -p helix-bench --bench durability`. Set
 //! `HELIX_BENCH_FAST=1` for the reduced CI configuration and
 //! `HELIX_BENCH_JSON=path.json` to capture machine-readable results.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use helix_core::signature::Signature;
 use helix_core::store::{Durability, StoreOptions};
 use helix_core::NodeOutput;
@@ -45,6 +51,24 @@ fn payload() -> NodeOutput {
         .map(|i| Row(vec![Value::Int(i), Value::Float(i as f64 * 0.5)]))
         .collect();
     NodeOutput::Data(DataCollection::new(schema, rows).unwrap())
+}
+
+/// `rows` rows shaped like the Census workflow's `predictions` output:
+/// the split column and the label, score and predicted class.
+fn predictions(rows: usize) -> NodeOutput {
+    let rows = (0..rows)
+        .map(|i| {
+            let split = if i % 5 == 0 { "test" } else { "train" };
+            let score = (i % 97) as f64 / 97.0;
+            Row(vec![
+                Value::Str(split.into()),
+                Value::Float((i % 2) as f64),
+                Value::Float(score),
+                Value::Float(f64::from(score > 0.5)),
+            ])
+        })
+        .collect();
+    NodeOutput::Data(DataCollection::new(helix_core::exec::predictions_schema(), rows).unwrap())
 }
 
 fn bench_durability(c: &mut Criterion) {
@@ -108,6 +132,37 @@ fn bench_durability(c: &mut Criterion) {
             })
         },
     );
+    group.finish();
+
+    let mut group = c.benchmark_group("store_get");
+    group.sample_size(samples);
+    let rows = 10_000usize;
+    let store = StoreOptions::new(bench_dir("get"))
+        .budget_bytes(1 << 30)
+        .open()
+        .unwrap();
+    let output = predictions(rows);
+    let mut next_sig = 1u64;
+    group.bench_with_input(BenchmarkId::new("decode", rows), &rows, |b, _| {
+        b.iter_batched(
+            || {
+                next_sig += 1;
+                store.put(Signature(next_sig), &output).unwrap();
+                Signature(next_sig)
+            },
+            |sig| store.get(sig).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+    // The second read admits the output; every sample after is a hit.
+    let cached = Signature(u64::MAX);
+    store.put(cached, &output).unwrap();
+    for _ in 0..2 {
+        store.get(cached).unwrap();
+    }
+    group.bench_with_input(BenchmarkId::new("cached", rows), &rows, |b, _| {
+        b.iter(|| store.get(cached).unwrap())
+    });
     group.finish();
 }
 

@@ -692,7 +692,12 @@ impl Engine {
                     .map(|p| plan.signatures[p.index()])
                     .collect();
                 if let Some(bytes) = executed.loaded_bytes {
-                    ctx.observe_io(bytes, executed.secs);
+                    // A load answered from the store's decoded cache read
+                    // no file, so it says nothing about disk I/O: the
+                    // model stays calibrated by disk reads only.
+                    if !executed.cached {
+                        ctx.observe_io(bytes, executed.secs);
+                    }
                     ctx.node_reports[i].duration_secs = executed.secs;
                     ctx.node_reports[i].output_bytes = bytes;
                     ctx.memo_events.push((
@@ -885,7 +890,7 @@ impl Engine {
 
     /// Fetches a computed output from the store by signature (used by
     /// examples to inspect results).
-    pub fn fetch(&self, sig: Signature) -> Result<NodeOutput> {
+    pub fn fetch(&self, sig: Signature) -> Result<std::sync::Arc<NodeOutput>> {
         Ok(self.store.get(sig)?.0)
     }
 

@@ -445,6 +445,14 @@ pub enum NodeOutput {
     Model(TrainedModel),
 }
 
+/// Compares a shared output, as the store and the scheduler hand them
+/// out, with an owned one.
+impl PartialEq<NodeOutput> for std::sync::Arc<NodeOutput> {
+    fn eq(&self, other: &NodeOutput) -> bool {
+        **self == *other
+    }
+}
+
 pub(crate) const OUT_TAG_DATA: u8 = 1;
 pub(crate) const OUT_TAG_MODEL: u8 = 2;
 

@@ -182,6 +182,10 @@ pub struct ExecutedNode {
     /// `Some(bytes_read)` when the node was loaded from the store,
     /// `None` when it was computed.
     pub loaded_bytes: Option<u64>,
+    /// Whether a load was answered from the store's decoded cache, so no
+    /// file was read (`loaded_bytes` is what the disk read would have
+    /// returned).
+    pub cached: bool,
     /// Number of pieces served from the store while *computing* this node
     /// (data-chunk partitions, see [`crate::slicing::chunk_plan`]); `0`
     /// for whole-node loads and chunk-free computes.
@@ -191,13 +195,14 @@ pub struct ExecutedNode {
 /// Everything [`execute_plan`] hands back to the engine.
 #[derive(Debug)]
 pub struct ExecutionResult {
-    /// Node outputs by [`NodeId::index`] (`None` for pruned nodes).
-    pub outputs: Vec<Option<NodeOutput>>,
+    /// Node outputs by [`NodeId::index`] (`None` for pruned nodes). A
+    /// loaded output may be shared with the store's decoded cache.
+    pub outputs: Vec<Option<Arc<NodeOutput>>>,
 }
 
 /// Raw per-node result held until the merge cursor reaches it.
 struct RawResult {
-    output: NodeOutput,
+    output: Arc<NodeOutput>,
     executed: ExecutedNode,
 }
 
@@ -411,8 +416,10 @@ fn run_piece(
 ) -> Result<PieceOutput> {
     let started = Instant::now();
     let (output, loaded) = catch_node_panic(&node.name, || {
+        // A row-group read is never shared with the decoded cache, so
+        // the unwrap does not copy.
         if let Some((output, _, _)) = piece.psig.and_then(|sig| store.get(sig).ok()) {
-            return Ok((output, true));
+            return Ok((Arc::unwrap_or_clone(output), true));
         }
         let output =
             crate::exec::execute_slice(&node.kind, &node.name, parents, piece.start, piece.end)?;
@@ -433,10 +440,11 @@ fn assemble(
     outcomes: impl Iterator<Item = Result<PieceOutput>>,
 ) -> Result<RawResult> {
     let raw = |output, secs, chunks_loaded| RawResult {
-        output,
+        output: Arc::new(output),
         executed: ExecutedNode {
             secs,
             loaded_bytes: None,
+            cached: false,
             chunks_loaded,
         },
     };
@@ -468,12 +476,13 @@ fn assemble(
 
 /// Executes a `Load` node: reads its whole output back from the store.
 fn load_node(store: &IntermediateStore, node: &Node, sig: Signature) -> Result<RawResult> {
-    let (output, bytes, secs) = catch_node_panic(&node.name, || store.get(sig))?;
+    let read = catch_node_panic(&node.name, || store.read(sig))?;
     Ok(RawResult {
-        output,
+        output: read.output,
         executed: ExecutedNode {
-            secs,
-            loaded_bytes: Some(bytes),
+            secs: read.secs,
+            loaded_bytes: Some(read.bytes),
+            cached: read.cached,
             chunks_loaded: 0,
         },
     })
@@ -522,7 +531,7 @@ where
     M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
 {
     let n = workflow.len();
-    let mut outputs: Vec<Option<NodeOutput>> = (0..n).map(|_| None).collect();
+    let mut outputs: Vec<Option<Arc<NodeOutput>>> = (0..n).map(|_| None).collect();
     for &id in &plan.order {
         let i = id.index();
         let node = workflow.node(id);
@@ -530,7 +539,7 @@ where
             NodeState::Prune => continue,
             NodeState::Load => load_node(store, node, plan.signatures[i])?,
             NodeState::Compute => {
-                let parents = parent_outputs(workflow, id, |p| outputs[p.index()].as_ref())?;
+                let parents = parent_outputs(workflow, id, |p| outputs[p.index()].as_deref())?;
                 let stored = |sig| store.lookup(sig).is_some();
                 let planned = plan_pieces(&node.kind, &parents, node_chunks(plan, i), stored, None);
                 let outcomes = planned
@@ -806,7 +815,7 @@ impl ReadyExecutor {
 
     fn parent_outputs(&self, id: NodeId) -> Result<Vec<&NodeOutput>> {
         parent_outputs(&self.workflow, id, |p| {
-            self.results[p.index()].get().map(|raw| &raw.output)
+            self.results[p.index()].get().map(|raw| &*raw.output)
         })
     }
 
@@ -1313,7 +1322,7 @@ mod tests {
         let store = tmp_store("threads");
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        let mut reference: Option<(Vec<Option<NodeOutput>>, Vec<NodeId>)> = None;
+        let mut reference: Option<(ExecutionResult, Vec<NodeId>)> = None;
         for threads in [1, 2, 4] {
             let mut merged = Vec::new();
             let result = execute_plan(&w, &plan, &store, threads, |id, _, _| {
@@ -1322,9 +1331,9 @@ mod tests {
             })
             .unwrap();
             match &reference {
-                None => reference = Some((result.outputs, merged)),
-                Some((outputs, order)) => {
-                    assert_eq!(outputs, &result.outputs, "{threads} threads: outputs");
+                None => reference = Some((result, merged)),
+                Some((first, order)) => {
+                    assert_eq!(first.outputs, result.outputs, "{threads} threads: outputs");
                     assert_eq!(order, &merged, "{threads} threads: merge order");
                 }
             }
@@ -1360,7 +1369,10 @@ mod tests {
         .unwrap();
         assert_eq!(merged, plan.order, "merge must follow plan order");
         // Node 3 = salt 4 + loaded parent value 4.
-        assert_eq!(result.outputs[3], Some(NodeOutput::Data(int_rows(&[8]))));
+        assert_eq!(
+            result.outputs[3].as_deref(),
+            Some(&NodeOutput::Data(int_rows(&[8])))
+        );
     }
 
     #[test]
@@ -1629,7 +1641,10 @@ mod tests {
             "the load shadows its parent"
         );
         let result = execute_plan(&w, &plan, &store, 4, |_, _, _| Ok(())).unwrap();
-        assert_eq!(result.outputs[1], Some(NodeOutput::Data(int_rows(&[42]))));
+        assert_eq!(
+            result.outputs[1].as_deref(),
+            Some(&NodeOutput::Data(int_rows(&[42])))
+        );
         assert!(
             result.outputs[2].is_some(),
             "the compute above the load ran"
@@ -2025,8 +2040,8 @@ mod tests {
                 })
                 .unwrap();
                 assert_eq!(
-                    result.outputs[1],
-                    Some(NodeOutput::Data(int_rows(&doubled))),
+                    result.outputs[1].as_deref(),
+                    Some(&NodeOutput::Data(int_rows(&doubled))),
                     "hits {hits:?}, parallelism {parallelism}, partition_rows {partition_rows}"
                 );
                 assert_eq!(

@@ -36,6 +36,26 @@
 //! (paper §2.3: "with a maximum storage constraint") and reports measured
 //! I/O durations to the cost model.
 //!
+//! # Decoded reads
+//!
+//! Reads hand out [`Arc<NodeOutput>`]. The store keeps recently decoded
+//! whole outputs in memory, so a repeated load of the same key is a
+//! refcount increment rather than a file read, checksum pass, decode and
+//! later free. Only whole-output reads of version-3 data files are
+//! admitted. Their checksums were verified by the decode that admits
+//! them, and that is the one verification the entry ever gets: a later
+//! change to the file is caught by the next *disk* read (after the entry
+//! leaves the cache, or after a reopen). Admission happens on a key's
+//! *second* verified decode, so outputs read once and never again stay
+//! out. The cache holds at most [`DECODED_CACHE_BYTES`] of
+//! [`NodeOutput::estimated_bytes`], evicts least recently used entries
+//! first, and never admits an entry larger than a quarter of that. An
+//! entry is served only while the location it was decoded from is still
+//! listed for its key, and it leaves together with that location: on
+//! [`IntermediateStore::evict`], when a corrupt file is dropped, when a
+//! file is overwritten, and on [`IntermediateStore::clear`]. A reopened
+//! store starts with an empty cache.
+//!
 //! # Sharding
 //!
 //! Both maps — files by id, keys by signature — are split across `N`
@@ -82,6 +102,7 @@ use helix_dataflow::fx::{FxHashMap, FxHasher};
 use helix_dataflow::DataCollection;
 use helix_json::Json;
 use parking_lot::Mutex;
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hasher;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -95,6 +116,16 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// Default number of shards ([`StoreOptions::shards`] and
 /// [`crate::EngineConfig::with_store_shards`] override it).
 pub const DEFAULT_STORE_SHARDS: usize = 16;
+
+/// Bytes of decoded outputs, counted in [`NodeOutput::estimated_bytes`],
+/// the store keeps in memory (see the module docs, "Decoded reads"). An
+/// output larger than a quarter of this is never kept. Sized for the
+/// serving loop's hot set: a few prediction outputs of about 0.8 MB each.
+pub const DECODED_CACHE_BYTES: usize = 8 << 20;
+
+/// How many keys decoded once the decoded cache remembers while it waits
+/// for their second decode.
+const DECODED_ONCE_KEYS: usize = 256;
 
 /// First byte of a chunk-only file (a node output's own first byte is
 /// its [`NodeOutput`] tag, 1 or 2): codec v3 row groups that serve their
@@ -271,6 +302,27 @@ pub struct EntryMeta {
     pub bytes: u64,
 }
 
+/// What the decoded-read cache holds now, and how often it answered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodedStats {
+    /// Outputs held.
+    pub entries: usize,
+    /// Their [`NodeOutput::estimated_bytes`], summed.
+    pub bytes: u64,
+    /// Reads answered from memory since the store was opened.
+    pub hits: u64,
+}
+
+/// One answered read (see [`IntermediateStore::get`]).
+pub(crate) struct StoreRead {
+    pub(crate) output: Arc<NodeOutput>,
+    /// Bytes of the location read: the file, or the row group.
+    pub(crate) bytes: u64,
+    pub(crate) secs: f64,
+    /// Answered from the decoded cache; no file was read.
+    pub(crate) cached: bool,
+}
+
 /// Append handle for one shard's write-ahead log.
 #[derive(Debug)]
 struct WalWriter {
@@ -352,6 +404,116 @@ struct Shard {
     wal: Option<WalWriter>,
 }
 
+/// One admitted output.
+#[derive(Debug)]
+struct Decoded {
+    output: Arc<NodeOutput>,
+    /// The location it was decoded from. A hit needs it still listed for
+    /// the key, and reports its bytes.
+    loc: Loc,
+    /// [`NodeOutput::estimated_bytes`] of the output.
+    size: usize,
+    /// Last use, the entry's key in [`DecodedCache::lru`].
+    used: u64,
+}
+
+/// The decoded-read cache (module docs, "Decoded reads"). Lock order: a
+/// shard lock may be held while taking this one, never the reverse.
+#[derive(Debug, Default)]
+struct DecodedCache {
+    entries: FxHashMap<u64, Decoded>,
+    /// Keys by last use, oldest first.
+    lru: BTreeMap<u64, u64>,
+    /// Keys decoded once and not admitted, oldest first.
+    once: VecDeque<u64>,
+    bytes: usize,
+    tick: u64,
+    hits: u64,
+}
+
+impl DecodedCache {
+    /// The output held for `key`, if it was decoded from one of `locs`.
+    fn hit(&mut self, key: u64, locs: &[Loc]) -> Option<(Arc<NodeOutput>, u64)> {
+        let entry = self
+            .entries
+            .get_mut(&key)
+            .filter(|e| locs.contains(&e.loc))?;
+        self.tick += 1;
+        self.lru.remove(&entry.used);
+        self.lru.insert(self.tick, key);
+        entry.used = self.tick;
+        self.hits += 1;
+        Some((Arc::clone(&entry.output), entry.loc.bytes))
+    }
+
+    /// Notes a verified decode of `key`: `true` when it is the second
+    /// since the key was last remembered.
+    fn decoded_before(&mut self, key: u64) -> bool {
+        if let Some(at) = self.once.iter().position(|&k| k == key) {
+            self.once.remove(at);
+            return true;
+        }
+        if self.once.len() == DECODED_ONCE_KEYS {
+            self.once.pop_front();
+        }
+        self.once.push_back(key);
+        false
+    }
+
+    /// Admits `output`, then drops least recently used entries until the
+    /// cache is back under its bound.
+    fn insert(&mut self, key: u64, loc: Loc, output: Arc<NodeOutput>, size: usize) {
+        self.remove(key);
+        self.tick += 1;
+        self.lru.insert(self.tick, key);
+        self.bytes += size;
+        self.entries.insert(
+            key,
+            Decoded {
+                output,
+                loc,
+                size,
+                used: self.tick,
+            },
+        );
+        while self.bytes > DECODED_CACHE_BYTES {
+            let Some((_, oldest)) = self.lru.pop_first() else {
+                break;
+            };
+            if let Some(entry) = self.entries.remove(&oldest) {
+                self.bytes -= entry.size;
+            }
+        }
+    }
+
+    fn remove(&mut self, key: u64) {
+        if let Some(entry) = self.entries.remove(&key) {
+            self.lru.remove(&entry.used);
+            self.bytes -= entry.size;
+        }
+    }
+
+    /// Drops every entry decoded from incarnation `gen` of file `file`.
+    fn remove_file(&mut self, file: u64, gen: u64) {
+        let keys: Vec<u64> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| e.loc.file == file && e.loc.gen == gen)
+            .map(|(&key, _)| key)
+            .collect();
+        for key in keys {
+            self.remove(key);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.lru.clear();
+        self.once.clear();
+        self.bytes = 0;
+    }
+}
+
 /// The shared state behind [`IntermediateStore`] handles.
 #[derive(Debug)]
 struct StoreInner {
@@ -370,6 +532,8 @@ struct StoreInner {
     next_gen: AtomicU64,
     /// What replay found at open time.
     recovery: RecoveryInfo,
+    /// Decoded outputs kept in memory (module docs, "Decoded reads").
+    decoded: Mutex<DecodedCache>,
     /// Per-instance failpoints for crash-consistency regression tests:
     /// simulate a kill between the file rename and the WAL append
     /// (`put`), or between file removal and log compaction (`clear`), or
@@ -380,6 +544,10 @@ struct StoreInner {
     fail_skip_clear_compaction: std::sync::atomic::AtomicBool,
     #[cfg(test)]
     fail_chunk_write: std::sync::atomic::AtomicBool,
+    /// When set, a read about to admit its output waits on this barrier
+    /// twice, so a test can run another operation in between.
+    #[cfg(test)]
+    pause_before_admit: Mutex<Option<Arc<std::sync::Barrier>>>,
 }
 
 /// On-disk store with budget accounting, sharded for concurrent access.
@@ -718,12 +886,15 @@ impl IntermediateStore {
                 last_snapshot_unix: AtomicU64::new(0),
                 next_gen: AtomicU64::new(next_gen + 1),
                 recovery,
+                decoded: Mutex::new(DecodedCache::default()),
                 #[cfg(test)]
                 fail_skip_wal_append: std::sync::atomic::AtomicBool::new(false),
                 #[cfg(test)]
                 fail_skip_clear_compaction: std::sync::atomic::AtomicBool::new(false),
                 #[cfg(test)]
                 fail_chunk_write: std::sync::atomic::AtomicBool::new(false),
+                #[cfg(test)]
+                pause_before_admit: Mutex::new(None),
             }),
         };
         // A durable open ends with a fresh snapshot: stale log files from
@@ -792,6 +963,16 @@ impl IntermediateStore {
     /// Whether the store holds nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// What the decoded-read cache holds (module docs, "Decoded reads").
+    pub fn decoded_stats(&self) -> DecodedStats {
+        let cache = self.inner.decoded.lock();
+        DecodedStats {
+            entries: cache.entries.len(),
+            bytes: cache.bytes as u64,
+            hits: cache.hits,
+        }
     }
 
     /// Size of what a read of `sig` returns, if stored.
@@ -1140,37 +1321,68 @@ impl IntermediateStore {
                 !locs.is_empty()
             });
         }
+        // After the keys: an admission that re-checks a key's locations
+        // from here on no longer finds this file.
+        self.inner.decoded.lock().remove_file(id, gen);
     }
 
     /// Reads the output stored under `sig`: the whole file for a node
     /// output, only the header and the group's bytes for a chunk. A
     /// location whose bytes fail verification is dropped — its whole file
-    /// is deleted — and the next location is tried.
+    /// is deleted — and the next location is tried. A whole output held
+    /// by the decoded cache is answered from memory instead (module docs,
+    /// "Decoded reads").
     ///
-    /// Returns `(output, bytes_read, seconds)`.
+    /// Returns `(output, bytes_read, seconds)`; a cached answer reports the
+    /// bytes its disk read would have returned.
     ///
     /// # Errors
     /// [`HelixError::Store`] if the entry is missing, or corrupt (naming
     /// the signature; the entry is then gone).
-    pub fn get(&self, sig: Signature) -> Result<(NodeOutput, u64, f64)> {
-        let locs = self
-            .slot(sig.0)
-            .lock()
-            .keys
-            .get(&sig.0)
-            .cloned()
-            .unwrap_or_default();
+    pub fn get(&self, sig: Signature) -> Result<(Arc<NodeOutput>, u64, f64)> {
+        let read = self.read(sig)?;
+        Ok((read.output, read.bytes, read.secs))
+    }
+
+    /// [`get`](Self::get), also saying whether the answer came from the
+    /// decoded cache.
+    pub(crate) fn read(&self, sig: Signature) -> Result<StoreRead> {
+        let started = Instant::now();
+        let (locs, hit) = {
+            let shard = self.slot(sig.0).lock();
+            let locs = shard.keys.get(&sig.0).cloned().unwrap_or_default();
+            let hit = self.inner.decoded.lock().hit(sig.0, &locs);
+            (locs, hit)
+        };
+        if let Some((output, bytes)) = hit {
+            return Ok(StoreRead {
+                output,
+                bytes,
+                secs: started.elapsed().as_secs_f64(),
+                cached: true,
+            });
+        }
         if locs.is_empty() {
             return Err(HelixError::Store(format!(
                 "no entry for signature {}",
                 sig.hex()
             )));
         }
-        let started = Instant::now();
         let mut failure = None;
         for loc in locs {
             match self.read_loc(sig, loc) {
-                Ok(output) => return Ok((output, loc.bytes, started.elapsed().as_secs_f64())),
+                Ok((output, verified)) => {
+                    let output = Arc::new(output);
+                    if verified {
+                        self.offer(sig, loc, &output);
+                    }
+                    return Ok(StoreRead {
+                        output,
+                        bytes: loc.bytes,
+                        secs: started.elapsed().as_secs_f64(),
+                        cached: false,
+                    });
+                }
                 Err(err) if is_corruption(&err) => {
                     eprintln!(
                         "helix-store: entry {} in {} failed verification ({err}); dropping the file",
@@ -1189,13 +1401,52 @@ impl IntermediateStore {
         Err(failure.expect("at least one location was tried"))
     }
 
-    /// Decodes one location of key `sig`.
-    fn read_loc(&self, sig: Signature, loc: Loc) -> Result<NodeOutput> {
+    /// Offers a verified whole-output decode of `sig` from `loc` to the
+    /// decoded cache, which admits the key's second one if it is small
+    /// enough and `loc` still serves the key.
+    fn offer(&self, sig: Signature, loc: Loc, output: &Arc<NodeOutput>) {
+        if !self.inner.decoded.lock().decoded_before(sig.0) {
+            return;
+        }
+        let size = output.estimated_bytes();
+        if size > DECODED_CACHE_BYTES / 4 {
+            return;
+        }
+        #[cfg(test)]
+        {
+            let pause = self.inner.pause_before_admit.lock().clone();
+            if let Some(pause) = pause {
+                pause.wait();
+                pause.wait();
+            }
+        }
+        // Re-checked under the key's shard lock: an `evict` or a dropped
+        // file that won the race took the location away, and the key must
+        // not come back through the cache.
+        let shard = self.slot(sig.0).lock();
+        if shard
+            .keys
+            .get(&sig.0)
+            .is_some_and(|locs| locs.contains(&loc))
+        {
+            self.inner
+                .decoded
+                .lock()
+                .insert(sig.0, loc, Arc::clone(output), size);
+        }
+    }
+
+    /// Decodes one location of key `sig`. The flag is set when the read
+    /// verified checksums over the whole output (a version-3 data file
+    /// read whole): the only reads the decoded cache admits.
+    fn read_loc(&self, sig: Signature, loc: Loc) -> Result<(NodeOutput, bool)> {
         let mut file = std::fs::File::open(self.path_for(loc.file))?;
         let Some(group) = loc.group else {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
-            return NodeOutput::decode(&bytes);
+            let verified = bytes.first() == Some(&crate::ops::OUT_TAG_DATA)
+                && matches!(codec::header_len(&bytes[1..]), Ok(Some(_)));
+            return Ok((NodeOutput::decode(&bytes)?, verified));
         };
         let len = file.metadata()?.len();
         let (_, header) = read_file_header(&mut file, len)?;
@@ -1212,9 +1463,8 @@ impl IntermediateStore {
         file.seek(SeekFrom::Start(1 + range.start))?;
         let mut bytes = vec![0u8; (range.end - range.start) as usize];
         file.read_exact(&mut bytes)?;
-        Ok(NodeOutput::Data(codec::decode_group(
-            &header, group, &bytes,
-        )?))
+        let output = NodeOutput::Data(codec::decode_group(&header, group, &bytes)?);
+        Ok((output, false))
     }
 
     /// Deletes incarnation `gen` of file `id` and every key location in
@@ -1250,7 +1500,9 @@ impl IntermediateStore {
     }
 
     /// Removes the key `sig` (every location of it) if present; each file
-    /// that loses its last key is deleted and frees its budget.
+    /// that loses its last key is deleted and frees its budget. The key's
+    /// decoded-cache entry goes in the same step, under the key's shard
+    /// lock.
     ///
     /// A file removal happens under the file's shard lock so it cannot
     /// race a concurrent `put`'s rename of a fresh file to the same path.
@@ -1263,7 +1515,12 @@ impl IntermediateStore {
     /// before the append is harmless because replay drops entries whose
     /// file is gone.
     pub fn evict(&self, sig: Signature) -> Result<bool> {
-        let Some(locs) = self.slot(sig.0).lock().keys.remove(&sig.0) else {
+        let removed = {
+            let mut shard = self.slot(sig.0).lock();
+            self.inner.decoded.lock().remove(sig.0);
+            shard.keys.remove(&sig.0)
+        };
+        let Some(locs) = removed else {
             return Ok(false);
         };
         for (k, &loc) in locs.iter().enumerate() {
@@ -1309,7 +1566,8 @@ impl IntermediateStore {
             .collect()
     }
 
-    /// Deletes everything (used between benchmark scenarios). In-flight
+    /// Deletes everything, the decoded cache included (used between
+    /// benchmark scenarios). In-flight
     /// `put` reservations keep their budget share so a concurrent put
     /// completing after the clear stays correctly accounted.
     ///
@@ -1343,6 +1601,7 @@ impl IntermediateStore {
                 }
             }
         }
+        self.inner.decoded.lock().clear();
         self.inner.used_bytes.store(reserved, Ordering::Release);
         Ok(())
     }
@@ -1626,12 +1885,12 @@ mod tests {
                 .open()
                 .unwrap();
             let sigs: Vec<Signature> = (0..32).map(|i| Signature(1000 + i)).collect();
-            let accepted: usize = crossbeam::scope(|scope| {
+            let accepted: usize = std::thread::scope(|scope| {
                 let handles: Vec<_> = sigs
                     .iter()
                     .map(|&sig| {
                         let store = &store;
-                        scope.spawn(move |_| match store.put(sig, &sample_output(100)) {
+                        scope.spawn(move || match store.put(sig, &sample_output(100)) {
                             Ok(_) => 1usize,
                             Err(HelixError::Store(_)) => 0usize,
                             Err(other) => panic!("unexpected error: {other}"),
@@ -1639,8 +1898,7 @@ mod tests {
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).sum()
-            })
-            .unwrap();
+            });
             assert_eq!(
                 accepted, 8,
                 "{shards} shards: exactly the entries that fit are accepted"
@@ -1659,10 +1917,10 @@ mod tests {
         let store = open_wal_store(tmpdir("race-evict"), 1 << 22);
         let per_writer = 24i64;
         let writers = 4i64;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..writers {
                 let store = &store;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for k in 0..per_writer {
                         let sig = Signature((w * per_writer + k) as u64 + 1);
                         // Payload derived from the signature so readers can
@@ -1674,13 +1932,12 @@ mod tests {
                 });
             }
             let store = &store;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for round in 0..64u64 {
                     let _ = store.evict(Signature(round % (writers * per_writer) as u64 + 1));
                 }
             });
-        })
-        .unwrap();
+        });
         let sigs: Vec<Signature> = (0..writers * per_writer)
             .map(|i| Signature(i as u64 + 1))
             .collect();
@@ -1706,10 +1963,10 @@ mod tests {
         for i in 0..8 {
             store.put(Signature(i + 1), &sample_output(50)).unwrap();
         }
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..8 {
                 let store = &store;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..8u64 {
                         let (out, bytes, _) = store.get(Signature(i + 1)).unwrap();
                         assert_eq!(out, sample_output(50));
@@ -1717,8 +1974,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(store.len(), 8);
     }
 
@@ -2064,7 +2320,7 @@ mod tests {
         assert_matches_disk(&store);
 
         let (whole, read, _) = store.get(Signature(7)).unwrap();
-        assert_eq!((whole, read), (output, written));
+        assert_eq!((&*whole, read), (&output, written));
         let header = stored_header(&store, 7);
         for (k, g) in groups.iter().enumerate() {
             let (part, read, _) = store.get(Signature(g.key)).unwrap();
@@ -2246,5 +2502,220 @@ mod tests {
         assert!(store.put_chunks(&int_rows(0..6), &[]).is_err());
         assert!(store.is_empty());
         assert_eq!(store.used_bytes(), 0);
+    }
+
+    // ------------------------------------------------------------------
+    // Decoded reads
+    // ------------------------------------------------------------------
+
+    /// An `Int` collection whose estimated size is exactly `bytes` (to
+    /// within one row of 32 bytes).
+    fn output_of_size(bytes: usize) -> NodeOutput {
+        NodeOutput::Data(int_rows(0..((bytes - 48) / 32) as i64))
+    }
+
+    /// Reads `sig` `times` times and returns whether the last read was
+    /// answered from memory.
+    fn read_times(store: &IntermediateStore, sig: u64, times: usize) -> bool {
+        let mut cached = false;
+        for _ in 0..times {
+            cached = store.read(Signature(sig)).unwrap().cached;
+        }
+        cached
+    }
+
+    #[test]
+    fn a_whole_output_is_admitted_on_its_second_verified_decode() {
+        let store = open_store(tmpdir("dc-admit"), 1 << 20);
+        let out = sample_output(100);
+        let (written, _) = store.put(Signature(7), &out).unwrap();
+
+        assert!(!store.read(Signature(7)).unwrap().cached);
+        assert_eq!(store.decoded_stats(), DecodedStats::default());
+        let second = store.read(Signature(7)).unwrap();
+        assert!(!second.cached, "the admitting read is a disk read");
+        assert_eq!(
+            store.decoded_stats(),
+            DecodedStats {
+                entries: 1,
+                bytes: out.estimated_bytes() as u64,
+                hits: 0
+            }
+        );
+        let third = store.read(Signature(7)).unwrap();
+        assert!(third.cached);
+        assert!(Arc::ptr_eq(&second.output, &third.output));
+        assert_eq!(third.bytes, written, "a hit reports the stored bytes");
+        assert_eq!(store.get(Signature(7)).unwrap().0, out);
+        assert_eq!(store.decoded_stats().hits, 2);
+
+        // An overwrite replaces the file the entry was decoded from.
+        store.put(Signature(7), &out).unwrap();
+        assert_eq!(store.decoded_stats().entries, 0);
+        assert!(!store.read(Signature(7)).unwrap().cached);
+    }
+
+    #[test]
+    fn row_group_and_version_2_reads_are_never_admitted() {
+        let store = open_store(tmpdir("dc-groups"), 1 << 20);
+        let data = int_rows(0..10);
+        let groups = groups_at(&[0, 4, 10], 500);
+        store
+            .put_grouped(Signature(8), &NodeOutput::Data(data), &groups)
+            .unwrap();
+        assert!(!read_times(&store, 500, 3));
+        assert!(!read_times(&store, 501, 3));
+        assert_eq!(store.decoded_stats(), DecodedStats::default());
+
+        // A version-2 file carries no checksums to verify.
+        let v2: &[u8] = &[
+            1, 72, 76, 88, 68, 2, 0, 0, 0, 1, 1, 120, 1, 0, 3, 3, 0, 3, 2, 3, 4,
+        ];
+        std::fs::write(store.dir().join(sig_file_name(12)), v2).unwrap();
+        let store = open_store(store.dir(), 1 << 20);
+        assert!(!read_times(&store, 12, 3));
+        assert_eq!(store.decoded_stats(), DecodedStats::default());
+    }
+
+    #[test]
+    fn lru_eviction_keeps_the_cache_under_its_bound() {
+        // Five entries of 3/16 of the bound fit; the sixth evicts.
+        let store = open_store(tmpdir("dc-lru"), 1 << 30);
+        let out = output_of_size(DECODED_CACHE_BYTES * 3 / 16);
+        let size = out.estimated_bytes() as u64;
+        for sig in 1..=7 {
+            store.put(Signature(sig), &out).unwrap();
+            read_times(&store, sig, 2);
+            assert!(store.decoded_stats().bytes <= DECODED_CACHE_BYTES as u64);
+        }
+        assert_eq!(store.decoded_stats().entries, 5);
+        assert_eq!(store.decoded_stats().bytes, 5 * size);
+        assert!(read_times(&store, 3, 1), "recent entries stay");
+        // 3 is now the most recent: admitting 8 evicts 4, the oldest.
+        store.put(Signature(8), &out).unwrap();
+        read_times(&store, 8, 2);
+        assert_eq!(store.decoded_stats().entries, 5);
+        assert!(read_times(&store, 3, 1));
+        assert!(!read_times(&store, 4, 1), "the least recently used left");
+        assert!(!read_times(&store, 1, 1));
+        assert_eq!(store.len(), 8, "eviction from memory keeps the files");
+    }
+
+    #[test]
+    fn an_entry_over_a_quarter_of_the_bound_is_never_admitted() {
+        let store = open_store(tmpdir("dc-large"), 1 << 30);
+        let out = output_of_size(DECODED_CACHE_BYTES / 4 + 64);
+        assert!(out.estimated_bytes() > DECODED_CACHE_BYTES / 4);
+        store.put(Signature(3), &out).unwrap();
+        assert!(!read_times(&store, 3, 4));
+        assert_eq!(store.decoded_stats(), DecodedStats::default());
+    }
+
+    #[test]
+    fn evict_and_clear_invalidate_entries() {
+        let store = open_store(tmpdir("dc-evict"), 1 << 20);
+        store.put(Signature(1), &sample_output(10)).unwrap();
+        store.put(Signature(2), &sample_output(20)).unwrap();
+        read_times(&store, 1, 2);
+        read_times(&store, 2, 2);
+        assert_eq!(store.decoded_stats().entries, 2);
+
+        assert!(store.evict(Signature(1)).unwrap());
+        assert_eq!(store.decoded_stats().entries, 1);
+        let err = store.get(Signature(1)).unwrap_err();
+        assert!(err.to_string().contains("no entry"), "got {err}");
+
+        store.clear().unwrap();
+        assert_eq!(store.decoded_stats().entries, 0);
+        assert_eq!(store.decoded_stats().bytes, 0);
+        assert!(store.get(Signature(2)).is_err());
+    }
+
+    #[test]
+    fn a_dropped_corrupt_file_takes_its_entries_along() {
+        let store = open_store(tmpdir("dc-drop"), 1 << 20);
+        let data = int_rows(0..6);
+        store
+            .put_grouped(
+                Signature(9),
+                &NodeOutput::Data(data.clone()),
+                &groups_at(&[0, 3, 6], 700),
+            )
+            .unwrap();
+        // Chunk 700 and key 9 each also live in a chunk-only file.
+        store
+            .put_chunks(&data, &groups_at(&[0, 3], 700)[..1])
+            .unwrap();
+        store.put_chunks(&data, &groups_at(&[0, 6], 9)).unwrap();
+        assert!(!read_times(&store, 9, 2));
+        assert_eq!(store.decoded_stats().entries, 1, "admitted from file 9");
+
+        // A corrupt chunk drops file 9, and the entry decoded from it.
+        let range = stored_header(&store, 9).group_range(0, u64::MAX).unwrap();
+        let path = store.path_for(9);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[1 + range.start as usize + 9] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        store.get(Signature(700)).unwrap();
+        assert!(!path.exists());
+        assert_eq!(store.decoded_stats().entries, 0);
+
+        // Key 9 is then served by its next location, as without a cache.
+        let read = store.read(Signature(9)).unwrap();
+        assert!(!read.cached);
+        assert_eq!(read.output, NodeOutput::Data(data));
+    }
+
+    #[test]
+    fn a_file_corrupted_after_admission_fails_its_next_disk_read() {
+        let dir = tmpdir("dc-corrupt");
+        let store = open_store(&dir, 1 << 20);
+        let out = sample_output(40);
+        store.put(Signature(4), &out).unwrap();
+        read_times(&store, 4, 2);
+        let path = store.path_for(4);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        // The verified copy in memory still answers.
+        let read = store.read(Signature(4)).unwrap();
+        assert!(read.cached);
+        assert_eq!(read.output, out);
+
+        // A reopened store starts empty, so its first read is from disk.
+        drop(store);
+        let store = open_store(&dir, 1 << 20);
+        assert_eq!(store.decoded_stats(), DecodedStats::default());
+        let err = store.get(Signature(4)).unwrap_err();
+        assert!(
+            matches!(&err, HelixError::Store(msg) if msg.contains(&Signature(4).hex())),
+            "got {err}"
+        );
+        assert!(!path.exists(), "the corrupt file was dropped");
+    }
+
+    #[test]
+    fn a_get_racing_an_evict_cannot_bring_the_key_back() {
+        let store = open_store(tmpdir("dc-race"), 1 << 20);
+        let out = sample_output(50);
+        store.put(Signature(5), &out).unwrap();
+        read_times(&store, 5, 1);
+        let pause = Arc::new(std::sync::Barrier::new(2));
+        *store.inner.pause_before_admit.lock() = Some(Arc::clone(&pause));
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| store.get(Signature(5)));
+            // The reader has decoded and verified, and waits to admit.
+            pause.wait();
+            assert!(store.evict(Signature(5)).unwrap());
+            pause.wait();
+            let (read, ..) = reader.join().unwrap().unwrap();
+            assert_eq!(read, out, "the read itself finished before the evict");
+        });
+        *store.inner.pause_before_admit.lock() = None;
+        assert_eq!(store.decoded_stats(), DecodedStats::default());
+        assert!(store.get(Signature(5)).is_err());
+        assert!(store.lookup(Signature(5)).is_none());
     }
 }

@@ -466,10 +466,12 @@ impl Api {
     /// session count, the durability counters — sessions and store
     /// entries recovered at startup, current WAL size, and the unix time
     /// of the last snapshot compaction (all zero on a volatile engine) —
-    /// and the optimizer counters: memo size, observations recorded,
+    /// the optimizer counters: memo size, observations recorded,
     /// adaptive re-plans triggered, and the unix time of the last
-    /// offline optimization pass. An API never attached to a socket
-    /// server reports zeroed serving counters.
+    /// offline optimization pass — and the store's decoded-read cache:
+    /// outputs held, their estimated bytes, and loads answered from it.
+    /// An API never attached to a socket server reports zeroed serving
+    /// counters.
     fn stats(&self) -> Response {
         let snap = self
             .server_stats
@@ -479,6 +481,7 @@ impl Api {
         let engine = self.manager.engine();
         let recovery = engine.recovery();
         let optimizer = engine.optimizer_stats();
+        let decoded = engine.store().decoded_stats();
         ok(Json::obj([
             ("v", Json::Num(3.0)),
             ("connections", Json::Num(snap.connections as f64)),
@@ -514,6 +517,9 @@ impl Api {
                 "last_offline_pass",
                 Json::Num(optimizer.last_offline_unix as f64),
             ),
+            ("decoded_entries", Json::Num(decoded.entries as f64)),
+            ("decoded_bytes", Json::Num(decoded.bytes as f64)),
+            ("decoded_hits", Json::Num(decoded.hits as f64)),
         ]))
     }
 
@@ -595,5 +601,44 @@ mod tests {
         assert_eq!(Api::parse_failure(&malformed).status, 400);
         let stalled = ParseError::TimedOut { mid_request: true };
         assert_eq!(Api::parse_failure(&stalled).status, 408);
+    }
+
+    #[test]
+    fn stats_report_the_decoded_read_cache() {
+        use helix_core::signature::Signature;
+        use helix_core::{EngineConfig, NodeOutput};
+        use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
+
+        let dir = std::env::temp_dir().join(format!("helix-routes-stats-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manager = Arc::new(SessionManager::with_config(EngineConfig::helix(&dir)).unwrap());
+        let schema = Schema::of(&[("x", DataType::Int)]);
+        let rows = (0..64).map(|i| Row(vec![Value::Int(i)])).collect();
+        let output = NodeOutput::Data(DataCollection::new(schema, rows).unwrap());
+        let store = manager.engine().store().clone();
+        store.put(Signature(1), &output).unwrap();
+        // The second read admits the output, the third is a hit.
+        for _ in 0..3 {
+            store.get(Signature(1)).unwrap();
+        }
+
+        let api = Api::new(manager, WorkflowRegistry::new());
+        let response = api.handle(&Request {
+            method: "GET".into(),
+            path: "/stats".into(),
+            query: Vec::new(),
+            body: String::new(),
+            close: false,
+        });
+        let stats = Json::parse(&response.body).unwrap();
+        let field = |key: &str| stats.get(key).and_then(Json::as_u64);
+        assert_eq!(field("v"), Some(3));
+        assert_eq!(field("decoded_entries"), Some(1));
+        assert_eq!(
+            field("decoded_bytes"),
+            Some(output.estimated_bytes() as u64)
+        );
+        assert_eq!(field("decoded_hits"), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
