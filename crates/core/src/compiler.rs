@@ -425,6 +425,73 @@ mod tests {
         assert_eq!(plan2.sources[income], DecisionSource::Observed);
     }
 
+    mod properties {
+        use super::*;
+        use crate::memo::{MemoTable, Observation};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A run plans from `MemoTable::subset(&plan.signatures)`: the
+            /// re-plan must read exactly what it reads from the whole memo.
+            #[test]
+            fn adapt_plan_on_the_plan_subset_matches_the_whole_memo(
+                // Per node: its load cost (µs), if loadable, and the memo's
+                // samples of its signature as (ms, loaded, runs begun before).
+                history in proptest::collection::vec(
+                    (
+                        proptest::option::of(1u64..400_000),
+                        proptest::collection::vec((1u64..500, any::<bool>(), 0u64..40), 0..4),
+                    ),
+                    12,
+                ),
+                others in proptest::collection::vec((any::<u64>(), 1u64..500), 0..6),
+                factor in prop_oneof![Just(1.0), Just(2.0), Just(4.0), Just(f64::INFINITY)],
+            ) {
+                let w = census_like();
+                let store = tmp_store("subset");
+                let mut plan =
+                    compile(&w, &store, &CostModel::new(), RecomputationPolicy::Optimal, None)
+                        .unwrap();
+                let mut memo = MemoTable::new();
+                let observation = |ms: u64, loaded: bool| Observation {
+                    exec_secs: ms as f64 / 1e3,
+                    output_bytes: ms * 10,
+                    loaded,
+                    rows: ms,
+                    run: 0,
+                };
+                // More histories than nodes: the surplus goes unused.
+                prop_assert!(w.len() <= history.len());
+                for (i, (load_us, samples)) in history.iter().take(w.len()).enumerate() {
+                    plan.costs[i].load_us = *load_us;
+                    for &(ms, loaded, runs) in samples {
+                        for _ in 0..runs {
+                            memo.begin_run();
+                        }
+                        memo.record(plan.signatures[i], "n", &[], observation(ms, loaded));
+                    }
+                }
+                for &(sig, ms) in &others {
+                    memo.record(Signature(sig), "other", &[], observation(ms, false));
+                }
+
+                let subset = memo.subset(&plan.signatures);
+                prop_assert_eq!(subset.current_run(), memo.current_run());
+                let (mut whole_plan, mut subset_plan) = (plan.clone(), plan);
+                let policy = RecomputationPolicy::Optimal;
+                let whole = adapt_plan_with_memo(&w, &mut whole_plan, &memo, policy, factor);
+                let from_subset =
+                    adapt_plan_with_memo(&w, &mut subset_plan, &subset, policy, factor);
+                prop_assert_eq!(whole.unwrap(), from_subset.unwrap());
+                prop_assert_eq!(whole_plan.states, subset_plan.states);
+                prop_assert_eq!(whole_plan.costs, subset_plan.costs);
+                prop_assert_eq!(whole_plan.sources, subset_plan.sources);
+            }
+        }
+    }
+
     #[test]
     fn describe_plan_lists_every_node() {
         let w = census_like();

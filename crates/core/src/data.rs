@@ -26,6 +26,13 @@
 //! [`crate::slicing::chunk_plan`]): appending rows leaves every existing
 //! chunk's hash intact, so downstream row-aligned partitions keep their
 //! store entries and only the new tail recomputes.
+//!
+//! Every compile needs the manifests, so a split file's chunk list is
+//! cached process-wide under its *stamp* (length, mtime, ctime, inode,
+//! device) and served again only while a fresh `stat` still returns that
+//! stamp. A file changed within [`RACY_WINDOW`] of being hashed is never
+//! cached (git's "racy timestamp" rule), so a same-length rewrite inside
+//! one coarse clock tick cannot hide behind an unchanged stamp.
 
 use crate::ops::OperatorKind;
 use crate::workflow::Workflow;
@@ -35,6 +42,8 @@ use helix_json::Json;
 use std::hash::Hasher;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Default rows per data chunk when `HELIX_DATA_CHUNK_ROWS` is unset:
 /// small enough that the census workloads split into several chunks,
@@ -100,10 +109,130 @@ fn chunk_split(path: &Path, split: &str, chunk_rows: usize, out: &mut Vec<DataCh
     }
 }
 
+/// How much older than the start of hashing a file's mtime and ctime must
+/// be before its chunk list is cached. Filesystem timestamps come from a
+/// clock that ticks in up to 1–2 s on some filesystems, so a same-length
+/// rewrite within one tick of the hash could keep the stamp the hash was
+/// cached under. ctime counts too: restoring an mtime is itself a change.
+pub const RACY_WINDOW: Duration = Duration::from_secs(2);
+
+/// Split files whose chunk lists the manifest cache holds at once; an
+/// insert into a full cache drops the oldest entry.
+const MANIFEST_CACHE_ENTRIES: usize = 32;
+
+/// What a `stat` says about one version of a file's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    len: u64,
+    mtime_ns: i128,
+    ctime_ns: i128,
+    ino: u64,
+    dev: u64,
+}
+
+impl Stamp {
+    /// Whether the file was last changed at least [`RACY_WINDOW`] before
+    /// `started`.
+    fn settled_before(&self, started: SystemTime) -> bool {
+        let Ok(since_epoch) = started.duration_since(UNIX_EPOCH) else {
+            return false;
+        };
+        let cutoff = since_epoch.saturating_sub(RACY_WINDOW).as_nanos() as i128;
+        self.mtime_ns.max(self.ctime_ns) <= cutoff
+    }
+}
+
+/// The file's stamp; `None` when it cannot be stat'ed.
+#[cfg(unix)]
+fn stamp(path: &Path) -> Option<Stamp> {
+    use std::os::unix::fs::MetadataExt;
+    let meta = std::fs::metadata(path).ok()?;
+    let ns = |secs: i64, nsec: i64| i128::from(secs) * 1_000_000_000 + i128::from(nsec);
+    Some(Stamp {
+        len: meta.len(),
+        mtime_ns: ns(meta.mtime(), meta.mtime_nsec()),
+        ctime_ns: ns(meta.ctime(), meta.ctime_nsec()),
+        ino: meta.ino(),
+        dev: meta.dev(),
+    })
+}
+
+/// Without a ctime and an inode a stamp cannot catch a restored mtime or a
+/// replaced file, so nothing is cached.
+#[cfg(not(unix))]
+fn stamp(_path: &Path) -> Option<Stamp> {
+    None
+}
+
+/// One split file's chunk list, valid while the file's stamp is `stamp`.
+struct CachedSplit {
+    path: PathBuf,
+    split: &'static str,
+    chunk_rows: usize,
+    stamp: Stamp,
+    chunks: Vec<DataChunk>,
+}
+
+impl CachedSplit {
+    fn is_for(&self, path: &Path, split: &str, chunk_rows: usize) -> bool {
+        self.path == path && self.split == split && self.chunk_rows == chunk_rows
+    }
+}
+
+static MANIFEST_CACHE: Mutex<Vec<CachedSplit>> = Mutex::new(Vec::new());
+
+/// [`chunk_split`] behind the manifest cache: served from the cache while
+/// the file's stamp is unchanged, otherwise hashed and, if the file held
+/// still during the read and is older than [`RACY_WINDOW`], cached.
+fn chunk_split_cached(
+    path: &Path,
+    split: &'static str,
+    chunk_rows: usize,
+    out: &mut Vec<DataChunk>,
+) {
+    let Some(before) = stamp(path) else {
+        return chunk_split(path, split, chunk_rows, out);
+    };
+    if let Some(hit) = crate::lock(&MANIFEST_CACHE)
+        .iter()
+        .find(|e| e.is_for(path, split, chunk_rows) && e.stamp == before)
+    {
+        out.extend_from_slice(&hit.chunks);
+        return;
+    }
+    let started = SystemTime::now();
+    let start = out.len();
+    chunk_split(path, split, chunk_rows, out);
+    if stamp(path) != Some(before) || !before.settled_before(started) {
+        return;
+    }
+    let mut cache = crate::lock(&MANIFEST_CACHE);
+    cache.retain(|e| !e.is_for(path, split, chunk_rows));
+    if cache.len() >= MANIFEST_CACHE_ENTRIES {
+        cache.remove(0);
+    }
+    cache.push(CachedSplit {
+        path: path.to_path_buf(),
+        split,
+        chunk_rows,
+        stamp: before,
+        chunks: out[start..].to_vec(),
+    });
+}
+
 /// Builds the [`SourceManifest`] for a data-source operator, healing any
 /// pending ingest sidecar first so a half-applied delta is never hashed.
 /// `None` for operators that are not chunkable data sources.
 pub fn source_manifest(kind: &OperatorKind, chunk_rows: usize) -> Option<SourceManifest> {
+    manifest_with(kind, chunk_rows, chunk_split_cached)
+}
+
+/// [`source_manifest`] with `chunks_of` producing each split's chunks.
+fn manifest_with(
+    kind: &OperatorKind,
+    chunk_rows: usize,
+    chunks_of: fn(&Path, &'static str, usize, &mut Vec<DataChunk>),
+) -> Option<SourceManifest> {
     let OperatorKind::CsvSource {
         train_path,
         test_path,
@@ -114,12 +243,12 @@ pub fn source_manifest(kind: &OperatorKind, chunk_rows: usize) -> Option<SourceM
     let chunk_rows = chunk_rows.max(1);
     let mut chunks = Vec::new();
     let mut combined = FxHasher::default();
-    let mut split = |path: &Path, tag: &str| {
+    let mut split = |path: &Path, tag: &'static str| {
         let _ = heal_pending_ingest(path);
         combined.write(tag.as_bytes());
         combined.write_u8(0xfe);
         let start = chunks.len();
-        chunk_split(path, tag, chunk_rows, &mut chunks);
+        chunks_of(path, tag, chunk_rows, &mut chunks);
         for chunk in &chunks[start..] {
             combined.write_u64(chunk.hash);
         }
@@ -284,6 +413,124 @@ mod tests {
             train_path: train.to_path_buf(),
             test_path: None,
         }
+    }
+
+    /// The manifest as hashed from the file, bypassing the cache.
+    fn uncached(path: &Path, chunk_rows: usize) -> SourceManifest {
+        manifest_with(&source(path), chunk_rows, chunk_split).unwrap()
+    }
+
+    /// Whether the cache holds `path`'s train chunks under its current
+    /// stamp, i.e. whether the next `source_manifest` call is a hit.
+    fn cached(path: &Path, chunk_rows: usize) -> bool {
+        let now = stamp(path);
+        crate::lock(&MANIFEST_CACHE)
+            .iter()
+            .any(|e| e.is_for(path, crate::SPLIT_TRAIN, chunk_rows) && Some(e.stamp) == now)
+    }
+
+    #[test]
+    fn a_racy_same_length_rewrite_is_rehashed() {
+        let dir = tmpdir("racy");
+        let train = dir.join("train.csv");
+        std::fs::write(&train, "a,1\nb,2\n").unwrap();
+        let before = source_manifest(&source(&train), 4).unwrap();
+        assert!(
+            !cached(&train, 4),
+            "a file inside the racy window is not cached"
+        );
+        std::fs::write(&train, "c,3\nd,4\n").unwrap();
+        let after = source_manifest(&source(&train), 4).unwrap();
+        assert_eq!(after, uncached(&train, 4));
+        assert_ne!(after, before);
+    }
+
+    /// Every case that needs a file older than the racy window, so the
+    /// suite waits the window out once.
+    #[cfg(unix)]
+    #[test]
+    fn cache_serves_a_manifest_only_while_its_stamp_holds() {
+        let dir = tmpdir("stamp");
+        let file = |name: &str| dir.join(format!("{name}.csv"));
+        let names = [
+            "hit",
+            "restamped",
+            "renamed",
+            "appended",
+            "deleted",
+            "rechunked",
+        ];
+        for name in names {
+            std::fs::write(file(name), "a,1\nb,2\nc,3\n").unwrap();
+        }
+        std::thread::sleep(RACY_WINDOW + Duration::from_millis(100));
+        let original = uncached(&file("hit"), 2);
+        for name in names {
+            assert_eq!(source_manifest(&source(&file(name)), 2).unwrap(), original);
+            assert!(cached(&file(name), 2), "{name}: a settled file is cached");
+        }
+
+        // A hit equals the uncached manifest bit for bit.
+        assert_eq!(source_manifest(&source(&file("hit")), 2).unwrap(), original);
+
+        // A same-length rewrite with its mtime put back: ctime tells.
+        let restamped = file("restamped");
+        let mtime = std::fs::metadata(&restamped).unwrap().modified().unwrap();
+        std::fs::write(&restamped, "x,9\ny,8\nz,7\n").unwrap();
+        std::fs::File::options()
+            .write(true)
+            .open(&restamped)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+        assert_eq!(
+            std::fs::metadata(&restamped).unwrap().modified().unwrap(),
+            mtime
+        );
+        assert!(!cached(&restamped, 2));
+        let rehashed = source_manifest(&source(&restamped), 2).unwrap();
+        assert_eq!(rehashed, uncached(&restamped, 2));
+        assert_ne!(rehashed, original);
+
+        // A rename-replace by a same-length file with the same mtime: a
+        // new inode.
+        let renamed = file("renamed");
+        let replacement = dir.join("replacement.tmp");
+        std::fs::write(&replacement, "x,9\ny,8\nz,7\n").unwrap();
+        std::fs::File::options()
+            .write(true)
+            .open(&replacement)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+        std::fs::rename(&replacement, &renamed).unwrap();
+        assert!(!cached(&renamed, 2));
+        assert_eq!(source_manifest(&source(&renamed), 2).unwrap(), rehashed);
+
+        // An append grows the file.
+        let appended = file("appended");
+        append_lines(&appended, &["d,4".into()]).unwrap();
+        assert!(!cached(&appended, 2));
+        let grown = source_manifest(&source(&appended), 2).unwrap();
+        assert_eq!(grown, uncached(&appended, 2));
+        assert_eq!(grown.chunks.len(), 2);
+        assert_ne!(grown, original);
+
+        // A deleted file has no stamp and no chunks.
+        let deleted = file("deleted");
+        std::fs::remove_file(&deleted).unwrap();
+        assert!(!cached(&deleted, 2));
+        assert!(source_manifest(&source(&deleted), 2)
+            .unwrap()
+            .chunks
+            .is_empty());
+
+        // Another chunk size is another key.
+        let rechunked = file("rechunked");
+        assert!(!cached(&rechunked, 3));
+        let whole = source_manifest(&source(&rechunked), 3).unwrap();
+        assert_eq!(whole, uncached(&rechunked, 3));
+        assert_eq!(whole.chunks.len(), 1);
     }
 
     #[test]

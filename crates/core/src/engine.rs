@@ -539,11 +539,21 @@ impl Engine {
     /// Compiles a workflow against an explicit lineage without executing
     /// it (sessions preview their own plans this way).
     pub fn compile_in(&self, workflow: &Workflow, lineage: &Lineage) -> Result<CompiledPlan> {
-        let cost_model = lock(&self.cost_model);
+        self.compile_against(workflow, lineage, &self.cost_model())
+    }
+
+    /// Compiles against a cost-model snapshot, so no engine lock is held
+    /// while the compiler hashes sources and plans.
+    fn compile_against(
+        &self,
+        workflow: &Workflow,
+        lineage: &Lineage,
+        cost_model: &CostModel,
+    ) -> Result<CompiledPlan> {
         crate::compiler::compile_with_slicing(
             workflow,
             &self.store,
-            &cost_model,
+            cost_model,
             self.config.recomputation,
             lineage.previous.as_ref(),
             self.config.enable_slicing,
@@ -585,14 +595,20 @@ impl Engine {
     ) -> Result<IterationReport> {
         let total_started = Instant::now();
         let opt_started = Instant::now();
-        let mut plan = self.compile_in(workflow, lineage)?;
+        // One cost-model snapshot serves the whole run: the plan is
+        // compiled against it, and the merge callback below prices and
+        // calibrates against it.
+        let cost = self.cost_model();
+        let mut plan = self.compile_against(workflow, lineage, &cost)?;
         // The adaptive re-plan: when per-signature observed history
         // diverges from the name-keyed estimates the plan was compiled
         // with, swap the observed costs in and re-run the recomputation
         // optimizer. Snapshots of the memo and pin set are taken once
         // here and reused by the merge callback below, so a concurrent
         // run's recordings never shift this run's decisions mid-flight.
-        let memo_snapshot = lock(&self.memo).clone();
+        // Every memo read in this run is keyed by a plan signature, so
+        // the snapshot copies only those entries.
+        let memo_snapshot = lock(&self.memo).subset(&plan.signatures);
         let pinned_snapshot: FxHashSet<u64> = lock(&self.pinned).clone();
         if crate::compiler::adapt_plan_with_memo(
             workflow,
@@ -627,7 +643,7 @@ impl Engine {
             })
             .collect();
         let mut ctx = RunContext {
-            cost: lock(&self.cost_model).clone(),
+            cost,
             events: Vec::new(),
             memo_events: Vec::new(),
             node_reports,

@@ -231,6 +231,20 @@ impl MemoTable {
         self.entries.get(&sig.0)
     }
 
+    /// A copy holding only the history of `sigs`, with the same counters,
+    /// so lookups of those signatures (decay included) answer exactly as
+    /// on the whole table. A run plans from this instead of a full clone.
+    pub fn subset(&self, sigs: &[Signature]) -> MemoTable {
+        MemoTable {
+            entries: sigs
+                .iter()
+                .filter_map(|sig| Some((sig.0, self.entries.get(&sig.0)?.clone())))
+                .collect(),
+            observations_recorded: self.observations_recorded,
+            current_run: self.current_run,
+        }
+    }
+
     /// The logical run counter: how many engine runs have merged their
     /// observations into this memo.
     pub fn current_run(&self) -> u64 {

@@ -306,3 +306,66 @@ fn partitioned_nodes_reuse_chunks_after_a_delta() {
     }
     let _ = std::fs::remove_dir_all(&work);
 }
+
+/// Never silently wrong: the compiler caches source manifests by file
+/// stamp, so a source rewritten in place at the same byte length with its
+/// mtime put back must still be re-hashed. The data is aged past the racy
+/// window first, so the session's manifests are cached before the
+/// rewrite; the next iterate must then answer exactly like a fresh engine
+/// reading the new file.
+#[cfg(unix)]
+#[test]
+fn same_length_rewrite_with_restored_mtime_matches_a_fresh_engine() {
+    std::env::set_var("HELIX_DATA_CHUNK_ROWS", CHUNK_ROWS);
+    let work = tmpdir("restamp");
+    let data = work.join("data");
+    generate_census(
+        &data,
+        &CensusDataSpec {
+            train_rows: 200,
+            test_rows: 60,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    std::thread::sleep(helix::core::data::RACY_WINDOW + std::time::Duration::from_millis(100));
+
+    let session = |store: &str, name: &str| {
+        let engine =
+            Arc::new(Engine::new(config(&work.join(store), 0, Durability::Volatile)).unwrap());
+        Session::new(
+            engine,
+            name,
+            census_workflow(&CensusParams::initial(&data)).unwrap(),
+        )
+    };
+    let mut analyst = session("store", "analyst");
+    let before = analyst.iterate().unwrap();
+    analyst.iterate().unwrap();
+
+    // Flip every label: different rows, the same bytes per row.
+    let train = data.join("train.csv");
+    let mtime = std::fs::metadata(&train).unwrap().modified().unwrap();
+    let text = std::fs::read_to_string(&train).unwrap();
+    let flipped: String = text
+        .lines()
+        .map(|line| {
+            let (fields, label) = line.rsplit_once(',').unwrap();
+            format!("{fields},{}\n", if label == "1" { "0" } else { "1" })
+        })
+        .collect();
+    assert_eq!(flipped.len(), text.len());
+    std::fs::write(&train, &flipped).unwrap();
+    std::fs::File::options()
+        .write(true)
+        .open(&train)
+        .unwrap()
+        .set_modified(mtime)
+        .unwrap();
+
+    let after = analyst.iterate().unwrap();
+    let fresh = session("fresh-store", "fresh").iterate().unwrap();
+    assert_eq!(after.metrics, fresh.metrics);
+    assert_ne!(after.metrics, before.metrics, "the rewrite must matter");
+    let _ = std::fs::remove_dir_all(&work);
+}
