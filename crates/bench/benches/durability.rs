@@ -19,7 +19,10 @@
 //!   signature per sample (file read, checksums, decode, free), and
 //!   `cached/<n>` a signature already read twice, which the store answers
 //!   from memory. The CI gate holds `cached` under half of `decode`, so a
-//!   cache that silently stops hitting fails the build.
+//!   cache that silently stops hitting fails the build. The same pair for
+//!   one row group — a data chunk a delta run reuses — is
+//!   `group_decode` (header and group read, checksum, decode) and
+//!   `group_cached`, gated the same way.
 //!
 //! Run with `cargo bench -p helix-bench --bench durability`. Set
 //! `HELIX_BENCH_FAST=1` for the reduced CI configuration and
@@ -29,6 +32,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use helix_core::signature::Signature;
 use helix_core::store::{Durability, StoreOptions};
 use helix_core::NodeOutput;
+use helix_dataflow::codec::GroupSpec;
 use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
 use std::path::PathBuf;
 
@@ -163,6 +167,43 @@ fn bench_durability(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("cached", rows), &rows, |b, _| {
         b.iter(|| store.get(cached).unwrap())
     });
+
+    // One 512-row chunk (the default data chunk) out of a four-chunk node
+    // file, keyed as the engine keys chunks.
+    let chunk = 512;
+    let chunked = predictions(4 * chunk);
+    let groups = |base: u64| -> Vec<GroupSpec> {
+        (0..4)
+            .map(|k| GroupSpec {
+                start: k * chunk,
+                end: (k + 1) * chunk,
+                key: base + k as u64,
+            })
+            .collect()
+    };
+    let mut next_base = 1u64 << 32;
+    group.bench_function("group_decode", |b| {
+        b.iter_batched(
+            || {
+                next_base += 4;
+                store
+                    .put_grouped(Signature(next_base), &chunked, &groups(next_base + 1))
+                    .unwrap();
+                Signature(next_base + 2)
+            },
+            |psig| store.get(psig).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+    let base = u64::MAX - 8;
+    store
+        .put_grouped(Signature(base), &chunked, &groups(base + 1))
+        .unwrap();
+    let psig = Signature(base + 2);
+    for _ in 0..2 {
+        store.get(psig).unwrap();
+    }
+    group.bench_function("group_cached", |b| b.iter(|| store.get(psig).unwrap()));
     group.finish();
 }
 

@@ -220,17 +220,14 @@ pub fn execute_slice(
         OperatorKind::RowUdf(udf) => {
             let first = data(inputs, 0, name)?;
             // Whole-range calls see the original collection; true slices
-            // get a sub-collection of the same rows, so the row-wise
+            // get a sub-collection sharing the same rows, so the row-wise
             // contract makes the outputs concatenate identically.
             let sliced;
             let mut collections: Vec<&DataCollection> = Vec::with_capacity(inputs.len());
             if start == 0 && end == first.len() {
                 collections.push(first);
             } else {
-                sliced = DataCollection::from_rows_unchecked(
-                    Arc::clone(first.schema()),
-                    first.rows()[start..end].to_vec(),
-                );
+                sliced = first.slice(start, end);
                 collections.push(&sliced);
             }
             for i in 1..inputs.len() {
@@ -242,23 +239,22 @@ pub fn execute_slice(
 }
 
 /// Concatenates partition outputs (in partition-index order) back into
-/// one node output. All partitionable operators produce data collections.
+/// one node output, sharing their rows. All partitionable operators
+/// produce data collections.
 pub fn concat_slices(parts: Vec<NodeOutput>) -> Result<NodeOutput> {
-    let take = |out: NodeOutput| match out {
-        NodeOutput::Data(dc) => Ok(dc.into_parts()),
-        NodeOutput::Model(_) => Err(HelixError::Exec("partitioned node produced a model".into())),
-    };
-    let mut iter = parts.into_iter();
-    let first = iter
-        .next()
-        .ok_or_else(|| HelixError::Exec("no partition outputs to merge".into()))?;
-    let (schema, mut rows) = take(first)?;
-    for part in iter {
-        rows.extend(take(part)?.1);
+    let parts = parts
+        .into_iter()
+        .map(|out| match out {
+            NodeOutput::Data(dc) => Ok(dc),
+            NodeOutput::Model(_) => {
+                Err(HelixError::Exec("partitioned node produced a model".into()))
+            }
+        })
+        .collect::<Result<Vec<_>>>()?;
+    if parts.is_empty() {
+        return Err(HelixError::Exec("no partition outputs to merge".into()));
     }
-    Ok(NodeOutput::Data(DataCollection::from_rows_unchecked(
-        schema, rows,
-    )))
+    Ok(NodeOutput::Data(DataCollection::concat_all(parts)?))
 }
 
 fn data<'a>(inputs: &[&'a NodeOutput], i: usize, name: &str) -> Result<&'a DataCollection> {
@@ -344,7 +340,7 @@ fn exec_csv_scan(
     let split_idx = input.column_index(SPLIT_COL)?;
     let line_idx = input.column_index("line")?;
     let mut rows = Vec::with_capacity(end - start);
-    for row in &input.rows()[start..end] {
+    for row in input.rows_range(start, end) {
         let line = row.get(line_idx).as_str().unwrap_or("");
         let records = csv::parse_records(line)
             .map_err(|e| helix_dataflow::DataflowError::Csv(format!("{e}")))?;
@@ -384,7 +380,7 @@ fn exec_field_extractor(
     let numeric: Arc<str> = Arc::from(field);
     let mut names = Names::default();
     let mut rows = Vec::with_capacity(end - start);
-    for row in &input.rows()[start..end] {
+    for row in input.rows_range(start, end) {
         let cell = row.get(idx);
         let pairs = match (kind, cell) {
             (_, Value::Null) => Vec::new(),
@@ -465,13 +461,18 @@ fn exec_interaction(inputs: &[&DataCollection], start: usize, end: usize) -> Res
     let unnamed: Arc<str> = Arc::from("");
     let mut names = Names::default();
     let (mut acc, mut next) = (Vec::new(), Vec::new());
+    let mut parents: Vec<_> = inputs
+        .iter()
+        .map(|dc| dc.rows_range(start, end).iter())
+        .collect();
     let mut rows = Vec::with_capacity(end - start);
-    for r in start..end {
+    for _ in start..end {
         // Cross product across parents, left-to-right.
         acc.clear();
         acc.push((Arc::clone(&unnamed), 1.0));
-        for dc in inputs {
-            let pairs = feature_pairs(dc.rows()[r].get(0))?;
+        for parent in &mut parents {
+            let row = parent.next().expect("inputs are aligned");
+            let pairs = feature_pairs(row.get(0))?;
             next.clear();
             for (base_name, base_v) in &acc {
                 for (name, v) in pairs.iter() {
@@ -513,20 +514,29 @@ fn exec_assemble(
     let split_idx = base.column_index(SPLIT_COL)?;
     // Label-less rows drop independently per row, so a slice's output is
     // exactly its rows' contribution to the whole-node output.
+    let mut features: Vec<_> = extractors
+        .iter()
+        .map(|dc| dc.rows_range(start, end).iter())
+        .collect();
     let mut rows = Vec::with_capacity(end - start);
-    for r in start..end {
-        let label_pairs = feature_pairs(label.rows()[r].get(0))?;
+    let bases = base.rows_range(start, end).iter();
+    for (base_row, label_row) in bases.zip(label.rows_range(start, end)) {
+        let label_pairs = feature_pairs(label_row.get(0))?;
         // Rows without a label (missing target field) are dropped, as real
         // census data contains incomplete records.
         let Some(&(_, label_value)) = label_pairs.first() else {
+            features.iter_mut().for_each(|feature| {
+                feature.next();
+            });
             continue;
         };
         let mut all_pairs = Vec::new();
-        for dc in extractors {
-            all_pairs.extend_from_slice(&feature_pairs(dc.rows()[r].get(0))?);
+        for feature in &mut features {
+            let row = feature.next().expect("inputs are aligned");
+            all_pairs.extend_from_slice(&feature_pairs(row.get(0))?);
         }
         rows.push(Row(vec![
-            base.rows()[r].get(split_idx).clone(),
+            base_row.get(split_idx).clone(),
             Value::Float(label_value),
             Value::Feats(all_pairs),
         ]));
@@ -616,7 +626,7 @@ fn exec_apply(
     let feats_idx = assembled.column_index("feats")?;
     let space = bundle.feature_space();
     let mut rows = Vec::with_capacity(end - start);
-    for row in &assembled.rows()[start..end] {
+    for row in assembled.rows_range(start, end) {
         let pairs = feature_pairs(row.get(feats_idx))?;
         let vector = space.vectorize_frozen(borrowed(&pairs));
         let score = bundle.model.predict(&vector);
@@ -768,8 +778,8 @@ mod tests {
             .map(|v| v.as_str().unwrap())
             .collect();
         assert_eq!(splits, vec!["train", "train", "train", "test", "test"]);
-        assert_eq!(rows.rows()[0].get(1), &Value::Int(30));
-        assert_eq!(rows.rows()[0].get(2).as_str(), Some("BS"));
+        assert_eq!(rows.row(0).get(1), &Value::Int(30));
+        assert_eq!(rows.row(0).get(2).as_str(), Some("BS"));
     }
 
     #[test]
@@ -778,7 +788,7 @@ mod tests {
         let rows = source_and_scan(&dir);
         let out = field_extractor("edu", ExtractorKind::Categorical, &rows).unwrap();
         let dc = out.as_data().unwrap();
-        let pairs = owned_pairs(dc.rows()[0].get(0)).unwrap();
+        let pairs = owned_pairs(dc.row(0).get(0)).unwrap();
         assert_eq!(pairs, vec![("edu=BS".to_string(), 1.0)]);
     }
 
@@ -787,7 +797,7 @@ mod tests {
         let dir = tmpdir("num");
         let rows = source_and_scan(&dir);
         let out = field_extractor("age", ExtractorKind::Numeric, &rows).unwrap();
-        let pairs = owned_pairs(out.as_data().unwrap().rows()[2].get(0)).unwrap();
+        let pairs = owned_pairs(out.as_data().unwrap().row(2).get(0)).unwrap();
         assert_eq!(pairs, vec![("age".to_string(), 50.0)]);
     }
 
@@ -807,7 +817,7 @@ mod tests {
         .unwrap();
         let out =
             field_extractor("age", ExtractorKind::Numeric, scanned.as_data().unwrap()).unwrap();
-        let pairs = owned_pairs(out.as_data().unwrap().rows()[0].get(0)).unwrap();
+        let pairs = owned_pairs(out.as_data().unwrap().row(0).get(0)).unwrap();
         assert!(pairs.is_empty());
     }
 
@@ -819,8 +829,8 @@ mod tests {
         let out = exec_bucketizer(2, ages.as_data().unwrap()).unwrap();
         let dc = out.as_data().unwrap();
         // ages: 30..50, width 10; 30 → b0, 50 → b1 (clamped).
-        let first = owned_pairs(dc.rows()[0].get(0)).unwrap();
-        let last = owned_pairs(dc.rows()[2].get(0)).unwrap();
+        let first = owned_pairs(dc.row(0).get(0)).unwrap();
+        let last = owned_pairs(dc.row(2).get(0)).unwrap();
         assert_eq!(first[0].0, "age[b=0]");
         assert_eq!(last[0].0, "age[b=1]");
     }
@@ -832,7 +842,7 @@ mod tests {
         let edu = field_extractor("edu", ExtractorKind::Categorical, &rows).unwrap();
         let age = field_extractor("age", ExtractorKind::Numeric, &rows).unwrap();
         let out = interaction(&[edu.as_data().unwrap(), age.as_data().unwrap()]).unwrap();
-        let pairs = owned_pairs(out.as_data().unwrap().rows()[0].get(0)).unwrap();
+        let pairs = owned_pairs(out.as_data().unwrap().row(0).get(0)).unwrap();
         assert_eq!(pairs, vec![("edu=BS×age".to_string(), 30.0)]);
     }
 
@@ -845,8 +855,8 @@ mod tests {
         let out = assemble(&rows, &[edu.as_data().unwrap()], target.as_data().unwrap()).unwrap();
         let dc = out.as_data().unwrap();
         assert_eq!(dc.len(), 5);
-        assert_eq!(dc.rows()[0].get(1), &Value::Float(1.0));
-        let pairs = owned_pairs(dc.rows()[0].get(2)).unwrap();
+        assert_eq!(dc.row(0).get(1), &Value::Float(1.0));
+        let pairs = owned_pairs(dc.row(0).get(2)).unwrap();
         assert_eq!(pairs.len(), 1);
     }
 

@@ -374,10 +374,18 @@ pub struct TrainedModel {
     pub feature_names: Vec<String>,
 }
 
+/// First bytes of an encoded [`TrainedModel`]: "HLXM" and the format
+/// version, 1. Bundles written before the checksum existed start with
+/// their feature count instead, which as a little-endian `u64` would
+/// exceed the decoder's plausibility bound, so the two never collide.
+const MODEL_MAGIC: [u8; 8] = *b"HLXM\x01\0\0\0";
+
 impl TrainedModel {
-    /// Serializes the bundle.
+    /// Serializes the bundle: a magic and version, the payload, and the
+    /// [Fx hash](helix_dataflow::fx) of everything before it, which
+    /// [`TrainedModel::decode`] verifies.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = MODEL_MAGIC.to_vec();
         buf.extend_from_slice(&(self.feature_names.len() as u64).to_le_bytes());
         for name in &self.feature_names {
             buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
@@ -386,12 +394,31 @@ impl TrainedModel {
         let model_bytes = self.model.encode();
         buf.extend_from_slice(&(model_bytes.len() as u64).to_le_bytes());
         buf.extend_from_slice(&model_bytes);
+        let checksum = helix_dataflow::fx::hash_bytes(&buf);
+        buf.extend_from_slice(&checksum.to_le_bytes());
         buf
     }
 
-    /// Deserializes a bundle written by [`TrainedModel::encode`].
+    /// Deserializes a bundle written by [`TrainedModel::encode`], checking
+    /// its checksum, or one written before bundles carried a checksum.
+    ///
+    /// # Errors
+    /// [`crate::HelixError::Store`] on a checksum mismatch or malformed
+    /// bytes.
     pub fn decode(bytes: &[u8]) -> Result<TrainedModel> {
         let err = |msg: &str| crate::HelixError::Store(format!("model decode: {msg}"));
+        let bytes = match bytes.strip_prefix(&MODEL_MAGIC) {
+            Some(_) if bytes.len() < MODEL_MAGIC.len() + 8 => return Err(err("truncated")),
+            Some(_) => {
+                let (sealed, checksum) = bytes.split_at(bytes.len() - 8);
+                let checksum = u64::from_le_bytes(checksum.try_into().expect("8 bytes"));
+                if helix_dataflow::fx::hash_bytes(sealed) != checksum {
+                    return Err(err("checksum mismatch"));
+                }
+                &sealed[MODEL_MAGIC.len()..]
+            }
+            None => bytes,
+        };
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
             if *pos + n > bytes.len() {
@@ -590,6 +617,41 @@ mod tests {
         let fs = back.as_model().unwrap().feature_space();
         assert_eq!(fs.lookup("edu=BS"), Some(0));
         assert!(fs.is_frozen());
+    }
+
+    fn bundle() -> TrainedModel {
+        let ds = helix_ml::Dataset::new(
+            vec![helix_ml::LabeledExample {
+                features: helix_ml::SparseVector::from_pairs(vec![(0, 1.0)]),
+                label: 1.0,
+            }],
+            1,
+        );
+        let model =
+            helix_ml::logreg::train(&ds, &helix_ml::logreg::LogRegConfig::default()).unwrap();
+        TrainedModel {
+            model: helix_ml::Model::LogReg(model),
+            feature_names: vec!["edu=BS".into()],
+        }
+    }
+
+    #[test]
+    fn a_flipped_model_byte_fails_its_checksum() {
+        let bytes = bundle().encode();
+        for at in [0, MODEL_MAGIC.len() + 3, bytes.len() / 2, bytes.len() - 1] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x04;
+            assert!(TrainedModel::decode(&flipped).is_err(), "byte {at}");
+        }
+        assert!(TrainedModel::decode(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn model_bundles_without_a_checksum_still_decode() {
+        let bundle = bundle();
+        let sealed = bundle.encode();
+        let legacy = &sealed[MODEL_MAGIC.len()..sealed.len() - 8];
+        assert_eq!(TrainedModel::decode(legacy).unwrap(), bundle);
     }
 
     #[test]

@@ -416,8 +416,8 @@ fn run_piece(
 ) -> Result<PieceOutput> {
     let started = Instant::now();
     let (output, loaded) = catch_node_panic(&node.name, || {
-        // A row-group read is never shared with the decoded cache, so
-        // the unwrap does not copy.
+        // A cached row group is shared with the cache; unwrapping it
+        // clones segment pointers, not rows.
         if let Some((output, _, _)) = piece.psig.and_then(|sig| store.get(sig).ok()) {
             return Ok((Arc::unwrap_or_clone(output), true));
         }

@@ -19,9 +19,30 @@
 //! group's byte range. When the materialization policy declines a node,
 //! the engine still keeps its missing chunks in a *chunk-only* file
 //! ([`IntermediateStore::put_chunks`]) that serves only its group keys and
-//! is invisible to whole-node lookups. A key may live in several files
-//! (an unchanged chunk appears in every version of the node); reads try
-//! each location in turn.
+//! is invisible to whole-node lookups.
+//!
+//! A data delta changes a node's signature but few of its chunks, so the
+//! next version of the node holds mostly groups an older file holds too.
+//! The new file copies those groups' bytes from the older file instead of
+//! encoding them, and is written whole — byte-identical to what a fresh
+//! store would write. The older file then shrinks to a *manifest*: the
+//! same header, with every group another file holds marked *external*
+//! (no bytes here), plus the bytes of the groups only it holds (the old
+//! tail chunk). A chunk-only file keeps only the groups no other file
+//! holds, and goes when none is left. So a node's history costs one whole
+//! file plus a small manifest per older version, and each chunk's bytes
+//! live in one file. The rewrite is atomic like any put; its log record
+//! is not fsync'd, because replay repairs a lost one from the file's size.
+//!
+//! A manifest serves its node's signature, never its external groups'
+//! keys, and a reopen rebuilds its keys the same way. Its whole output
+//! reads its own groups from its bytes and each external group through
+//! that group's key, wherever the key lives, and shares the pieces' rows
+//! ([`DataCollection::concat_all`]). While any external key has no
+//! location (evicted, or dropped with a corrupt file) the manifest reads
+//! as a missing entry — [`IntermediateStore::lookup`] says `None` — so the
+//! caller recomputes. A key may live in several files (a chunk-only file
+//! and a node file, say); reads try each location in turn.
 //!
 //! The budget ledger counts each file once. [`IntermediateStore::evict`]
 //! removes one key; a file is deleted along with its last key. A read
@@ -30,7 +51,8 @@
 //! serviceable), and the read reports a [`HelixError::Store`] naming the
 //! key, so the caller recomputes. Version-2 files — one whole output each,
 //! as earlier releases wrote both node outputs and per-psig chunk entries
-//! — are still read; they serve their file name as their one key.
+//! — are still read; they serve their file name as their one key, and so
+//! do version-3 files written before manifests existed.
 //!
 //! The store enforces the materialization optimizer's **storage budget**
 //! (paper §2.3: "with a maximum storage constraint") and reports measured
@@ -39,22 +61,28 @@
 //! # Decoded reads
 //!
 //! Reads hand out [`Arc<NodeOutput>`]. The store keeps recently decoded
-//! whole outputs in memory, so a repeated load of the same key is a
-//! refcount increment rather than a file read, checksum pass, decode and
-//! later free. Only whole-output reads of version-3 data files are
-//! admitted. Their checksums were verified by the decode that admits
-//! them, and that is the one verification the entry ever gets: a later
-//! change to the file is caught by the next *disk* read (after the entry
-//! leaves the cache, or after a reopen). Admission happens on a key's
-//! *second* verified decode, so outputs read once and never again stay
-//! out. The cache holds at most [`DECODED_CACHE_BYTES`] of
-//! [`NodeOutput::estimated_bytes`], evicts least recently used entries
-//! first, and never admits an entry larger than a quarter of that. An
-//! entry is served only while the location it was decoded from is still
-//! listed for its key, and it leaves together with that location: on
-//! [`IntermediateStore::evict`], when a corrupt file is dropped, when a
-//! file is overwritten, and on [`IntermediateStore::clear`]. A reopened
-//! store starts with an empty cache.
+//! outputs in memory, so a repeated read of the same key is a refcount
+//! increment rather than a file read, checksum pass, decode and later
+//! free. Verified reads are admitted: whole version-3 data files,
+//! manifests, and single row groups — the chunks a data delta reloads
+//! every round. (Models and version-2 files are not.) Their checksums were
+//! verified by the decode that admits them, and that is the one
+//! verification the entry ever gets: a later change to the file is
+//! caught by the next *disk* read (after the entry leaves the cache, or
+//! after a reopen). Collections share their rows ([`DataCollection`] is
+//! `Arc`-shared segments), so a hit, and a chunk's reuse inside a bigger
+//! output, copies no row. Admission happens on a key's *second* verified
+//! decode, so outputs read once and never again stay out. The cache holds
+//! at most [`DECODED_CACHE_BYTES`] of [`NodeOutput::estimated_bytes`],
+//! evicts least recently used entries first, and never admits an entry
+//! larger than a quarter of that. An entry is served only while the
+//! location it was decoded from is still listed for its key, and it leaves
+//! together with that location: on [`IntermediateStore::evict`], when a
+//! corrupt file is dropped, when a file is overwritten, and on
+//! [`IntermediateStore::clear`]. The one exception is a shrink, which
+//! moves the same bytes: an entry whose key another file still serves is
+//! filed under that location instead. A reopened store starts with an
+//! empty cache.
 //!
 //! # Sharding
 //!
@@ -119,8 +147,13 @@ pub const DEFAULT_STORE_SHARDS: usize = 16;
 
 /// Bytes of decoded outputs, counted in [`NodeOutput::estimated_bytes`],
 /// the store keeps in memory (see the module docs, "Decoded reads"). An
-/// output larger than a quarter of this is never kept. Sized for the
-/// serving loop's hot set: a few prediction outputs of about 0.8 MB each.
+/// output larger than a quarter of this is never kept. Sized for two hot
+/// sets: the serving loop's few prediction outputs of about 0.8 MB each,
+/// and the chunks a label-append loop reloads every round — 8.36 MB of
+/// row groups at the end of a 40-round, 10 k-row census session, just
+/// under this bound. Least-recently-used eviction over a cyclic scan
+/// larger than the bound hits nothing, so a longer session of that shape
+/// stops hitting.
 pub const DECODED_CACHE_BYTES: usize = 8 << 20;
 
 /// How many keys decoded once the decoded cache remembers while it waits
@@ -131,6 +164,11 @@ const DECODED_ONCE_KEYS: usize = 256;
 /// its [`NodeOutput`] tag, 1 or 2): codec v3 row groups that serve their
 /// keys only, never a whole node output.
 const TAG_CHUNKS: u8 = 3;
+
+/// First byte of a manifest: a node output whose external row groups
+/// (see [`helix_dataflow::codec`]) are read through their keys' locations
+/// in other files. Like a node output, it serves its own name.
+const TAG_MANIFEST: u8 = 4;
 
 /// How (and whether) the store and engine state survive a process crash.
 ///
@@ -348,14 +386,14 @@ impl WalWriter {
     }
 
     /// Appends one record (the trailing newline is added here) as a
-    /// single write, then flushes — and fsyncs when configured — before
-    /// returning.
-    fn append(&mut self, record: &str) -> std::io::Result<()> {
+    /// single write, then flushes — and fsyncs when configured and `sync`
+    /// holds — before returning.
+    fn append(&mut self, record: &str, sync: bool) -> std::io::Result<()> {
         let mut buf = Vec::with_capacity(record.len() + 1);
         buf.extend_from_slice(record.as_bytes());
         buf.push(b'\n');
         self.file.write_all(&buf)?;
-        if self.fsync {
+        if self.fsync && sync {
             self.file.sync_data()?;
         }
         self.bytes += buf.len() as u64;
@@ -378,7 +416,7 @@ struct Loc {
 }
 
 /// One file on disk.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct FileMeta {
     /// On-disk size — the file's whole share of the budget ledger.
     bytes: u64,
@@ -386,6 +424,10 @@ struct FileMeta {
     gen: u64,
     /// Keys still pointing here; the file is deleted when this hits 0.
     live: usize,
+    /// Keys of a manifest's external groups, in file order (empty for
+    /// every other file). They hold no share of this file: the whole
+    /// output reads as missing once any of them has no location.
+    refs: Arc<[u64]>,
 }
 
 /// One shard of the key and file maps.
@@ -409,8 +451,10 @@ struct Shard {
 struct Decoded {
     output: Arc<NodeOutput>,
     /// The location it was decoded from. A hit needs it still listed for
-    /// the key, and reports its bytes.
+    /// the key.
     loc: Loc,
+    /// Bytes the read that admitted it returned; a hit reports them.
+    bytes: u64,
     /// [`NodeOutput::estimated_bytes`] of the output.
     size: usize,
     /// Last use, the entry's key in [`DecodedCache::lru`].
@@ -443,7 +487,7 @@ impl DecodedCache {
         self.lru.insert(self.tick, key);
         entry.used = self.tick;
         self.hits += 1;
-        Some((Arc::clone(&entry.output), entry.loc.bytes))
+        Some((Arc::clone(&entry.output), entry.bytes))
     }
 
     /// Notes a verified decode of `key`: `true` when it is the second
@@ -462,7 +506,7 @@ impl DecodedCache {
 
     /// Admits `output`, then drops least recently used entries until the
     /// cache is back under its bound.
-    fn insert(&mut self, key: u64, loc: Loc, output: Arc<NodeOutput>, size: usize) {
+    fn insert(&mut self, key: u64, read: &StoreRead, loc: Loc, size: usize) {
         self.remove(key);
         self.tick += 1;
         self.lru.insert(self.tick, key);
@@ -470,8 +514,9 @@ impl DecodedCache {
         self.entries.insert(
             key,
             Decoded {
-                output,
+                output: Arc::clone(&read.output),
                 loc,
+                bytes: read.bytes,
                 size,
                 used: self.tick,
             },
@@ -486,24 +531,43 @@ impl DecodedCache {
         }
     }
 
-    fn remove(&mut self, key: u64) {
-        if let Some(entry) = self.entries.remove(&key) {
-            self.lru.remove(&entry.used);
-            self.bytes -= entry.size;
-        }
+    fn remove(&mut self, key: u64) -> Option<Decoded> {
+        let entry = self.entries.remove(&key)?;
+        self.lru.remove(&entry.used);
+        self.bytes -= entry.size;
+        Some(entry)
     }
 
-    /// Drops every entry decoded from incarnation `gen` of file `file`.
-    fn remove_file(&mut self, file: u64, gen: u64) {
+    /// Drops every entry decoded from incarnation `gen` of file `file`,
+    /// handing them back when `keep` is set.
+    fn remove_file(&mut self, file: u64, gen: u64, keep: bool) -> Vec<(u64, Decoded)> {
         let keys: Vec<u64> = self
             .entries
             .iter()
             .filter(|(_, e)| e.loc.file == file && e.loc.gen == gen)
             .map(|(&key, _)| key)
             .collect();
+        let mut removed = Vec::new();
         for key in keys {
-            self.remove(key);
+            if let Some(entry) = self.remove(key) {
+                if keep {
+                    removed.push((key, entry));
+                }
+            }
         }
+        removed
+    }
+
+    /// Puts back an entry [`remove_file`](Self::remove_file) handed out,
+    /// filed under a new location, unless the key was admitted again in
+    /// between. Its last use stays as it was.
+    fn reinsert(&mut self, key: u64, entry: Decoded) {
+        if self.entries.contains_key(&key) {
+            return;
+        }
+        self.lru.insert(entry.used, key);
+        self.bytes += entry.size;
+        self.entries.insert(key, entry);
     }
 
     fn clear(&mut self) {
@@ -512,6 +576,71 @@ impl DecodedCache {
         self.once.clear();
         self.bytes = 0;
     }
+}
+
+/// One stored row-group file, read whole (see
+/// [`IntermediateStore::put_grouped`]).
+struct StoredFile {
+    id: u64,
+    gen: u64,
+    tag: u8,
+    header: codec::Header,
+    bytes: Vec<u8>,
+}
+
+impl StoredFile {
+    /// Reads a file with a version-3 header; an error for any other.
+    fn read(path: &Path, id: u64, gen: u64) -> Result<StoredFile> {
+        let bytes = std::fs::read(path)?;
+        let tag = *bytes
+            .first()
+            .ok_or_else(|| HelixError::Store("empty store file".into()))?;
+        if tag == crate::ops::OUT_TAG_MODEL {
+            return Err(HelixError::Store("a model has no row groups".into()));
+        }
+        let header = codec::read_header(&bytes[1..])?;
+        Ok(StoredFile {
+            id,
+            gen,
+            tag,
+            header,
+            bytes,
+        })
+    }
+
+    /// The encoded bytes and checksum of the group keyed `key` holding
+    /// `rows` rows, if the file holds them.
+    fn find(&self, key: u64, rows: u64) -> Option<(&[u8], u64)> {
+        let k = self
+            .header
+            .groups
+            .iter()
+            .position(|g| g.key == key && g.rows == rows && !g.is_external())?;
+        Some((self.group(k)?, self.header.groups[k].checksum))
+    }
+
+    /// The encoded bytes of group `k`.
+    fn group(&self, k: usize) -> Option<&[u8]> {
+        let range = self
+            .header
+            .group_range(k, self.bytes.len() as u64 - 1)
+            .ok()?;
+        Some(&self.bytes[1 + range.start as usize..1 + range.end as usize])
+    }
+}
+
+/// Why [`IntermediateStore::write_file`] writes a file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WriteKind {
+    /// New content: the WAL record is fsync'd as configured, and decoded
+    /// entries of a file it replaces leave with it.
+    New,
+    /// The store rewrites one of its files to hold the same keys with
+    /// the same content, in fewer bytes. Its WAL record is not fsync'd —
+    /// replay repairs a lost one from the file's size on disk — and
+    /// decoded entries of the old incarnation stay where their keys are
+    /// still served.
+    Rewrite,
 }
 
 /// The shared state behind [`IntermediateStore`] handles.
@@ -695,7 +824,8 @@ fn read_file_header(file: &mut std::fs::File, len: u64) -> Result<(u8, Option<co
 
 /// The keys file `id` serves, with the group each reads and its bytes:
 /// the id itself for the whole output (unless the file is chunk-only),
-/// then every keyed row group.
+/// then every keyed row group whose bytes the file holds. A manifest's
+/// external groups are not its keys.
 fn file_keys(
     id: u64,
     len: u64,
@@ -707,10 +837,34 @@ fn file_keys(
         h.groups
             .iter()
             .enumerate()
-            .filter(|(_, g)| g.key != 0)
+            .filter(|(_, g)| g.key != 0 && !g.is_external())
             .map(|(k, g)| (g.key, Some(k as u32), g.len))
     });
     whole.into_iter().chain(groups).collect()
+}
+
+/// The keys of a manifest's external groups, in file order; empty for
+/// any other file.
+fn external_keys(tag: u8, header: Option<&codec::Header>) -> Arc<[u64]> {
+    match header {
+        Some(h) if tag == TAG_MANIFEST => h
+            .groups
+            .iter()
+            .filter(|g| g.is_external())
+            .map(|g| g.key)
+            .collect(),
+        _ => Arc::new([]),
+    }
+}
+
+/// The external keys of the manifest that whole-output location `loc`
+/// reads, from the shard holding its key — a whole output's key is its
+/// file's id, so the file's entry is in the same shard. `None` for a
+/// group location and for every other file.
+fn manifest_refs(shard: &Shard, loc: Loc) -> Option<Arc<[u64]>> {
+    let meta = shard.files.get(&loc.file)?;
+    (loc.group.is_none() && meta.gen == loc.gen && !meta.refs.is_empty())
+        .then(|| Arc::clone(&meta.refs))
 }
 
 /// Whether a failed read means the bytes on disk are bad (as opposed to
@@ -827,8 +981,11 @@ impl IntermediateStore {
             let header = std::fs::File::open(&path)
                 .map_err(HelixError::from)
                 .and_then(|mut file| read_file_header(&mut file, bytes));
-            let keys = match header {
-                Ok((tag, header)) => file_keys(id, bytes, tag, header.as_ref()),
+            let (keys, refs) = match header {
+                Ok((tag, header)) => (
+                    file_keys(id, bytes, tag, header.as_ref()),
+                    external_keys(tag, header.as_ref()),
+                ),
                 // An unreadable file still occupies its bytes and answers
                 // to its name; the first read finds it corrupt and drops
                 // it. A chunk-only file has no name to answer to.
@@ -846,7 +1003,7 @@ impl IntermediateStore {
                         let _ = std::fs::remove_file(&path);
                         continue;
                     }
-                    vec![(id, None, bytes)]
+                    (vec![(id, None, bytes)], Arc::from([]))
                 }
             };
             next_gen += 1;
@@ -856,6 +1013,7 @@ impl IntermediateStore {
                     bytes,
                     gen: next_gen,
                     live: keys.len(),
+                    refs,
                 },
             );
             used += bytes;
@@ -975,14 +1133,40 @@ impl IntermediateStore {
         }
     }
 
-    /// Size of what a read of `sig` returns, if stored.
+    /// Size of what a read of `sig` returns, if stored. A manifest whose
+    /// external groups have all got a location counts their bytes; one
+    /// missing any is not stored.
     pub fn lookup(&self, sig: Signature) -> Option<EntryMeta> {
-        self.slot(sig.0)
+        let (bytes, refs) = {
+            let shard = self.slot(sig.0).lock();
+            let loc = *shard.keys.get(&sig.0)?.first()?;
+            (loc.bytes, manifest_refs(&shard, loc))
+        };
+        let external = match refs {
+            Some(refs) => self.refs_bytes(&refs)?,
+            None => 0,
+        };
+        Some(EntryMeta {
+            bytes: bytes + external,
+        })
+    }
+
+    /// Bytes of the first location of every key in `refs`, summed; `None`
+    /// if any key has none.
+    fn refs_bytes(&self, refs: &[u64]) -> Option<u64> {
+        refs.iter().try_fold(0, |sum, &key| {
+            let shard = self.slot(key).lock();
+            Some(sum + shard.keys.get(&key)?.first()?.bytes)
+        })
+    }
+
+    /// Whether a file other than `file` holds the bytes of key `key`.
+    fn served_elsewhere(&self, key: u64, file: u64) -> bool {
+        self.slot(key)
             .lock()
             .keys
-            .get(&sig.0)
-            .and_then(|locs| locs.first())
-            .map(|loc| EntryMeta { bytes: loc.bytes })
+            .get(&key)
+            .is_some_and(|locs| locs.iter().any(|l| l.file != file))
     }
 
     fn slot(&self, id: u64) -> &Mutex<Shard> {
@@ -1064,7 +1248,9 @@ impl IntermediateStore {
     /// the file map and the files on disk are already consistent, and
     /// replay verification self-heals a lost record (the file is the
     /// ground truth), so a log write error must not fail the operation.
-    fn wal_append_locked(&self, idx: usize, shard: &mut Shard, record: &str) {
+    /// `sync: false` skips the fsync for a record whose loss replay
+    /// repairs from the disk alone (see [`WriteKind::Rewrite`]).
+    fn wal_append_locked(&self, idx: usize, shard: &mut Shard, record: &str, sync: bool) {
         let Durability::Wal {
             compact_after_bytes,
             ..
@@ -1074,7 +1260,7 @@ impl IntermediateStore {
         };
         match shard.wal.as_mut() {
             Some(wal) => {
-                if let Err(err) = wal.append(record) {
+                if let Err(err) = wal.append(record, sync) {
                     eprintln!(
                         "helix-store: WAL append failed on {}: {err} (entry is on disk; \
                          replay will adopt it)",
@@ -1126,13 +1312,20 @@ impl IntermediateStore {
         // Encoding is part of the materialization cost the optimizer
         // trades off, so it is inside the timed region.
         let bytes = output.encode();
-        self.write_file(sig.0, bytes, started)
+        self.write_file(sig.0, bytes, started, WriteKind::New)
     }
 
     /// [`put`](Self::put) for a chunk-aligned data output: one file
     /// whose row groups `groups` (which must cover the output's rows in
     /// order, with non-zero keys) are also served under their own keys.
     /// No groups is a plain `put`.
+    ///
+    /// A group another file already holds is copied from that file's
+    /// bytes rather than encoded again; the file is byte-identical to a
+    /// fresh encode either way. Every older file holding one of the groups
+    /// then shrinks: a node file becomes a *manifest* of its groups, and a
+    /// chunk-only file keeps only the groups no other file holds, or goes
+    /// (module docs, "Keys, files and row groups").
     ///
     /// # Errors
     /// As [`put`](Self::put); [`HelixError::Store`] if the groups do not
@@ -1155,9 +1348,103 @@ impl IntermediateStore {
                 data.len()
             )));
         }
+        // Other files already holding some of the groups: their encoded
+        // bytes are copied rather than encoded again (the encoding is a
+        // function of the rows, so the file is byte-identical to a fresh
+        // encode), and afterwards those files shrink.
+        let older: Vec<StoredFile> = self
+            .holders(sig.0, groups)
+            .into_iter()
+            .filter_map(|(file, gen)| StoredFile::read(&self.path_for(file), file, gen).ok())
+            .collect();
+        let encoded = |k: usize| {
+            let g = &groups[k];
+            older
+                .iter()
+                .find_map(|file| file.find(g.key, (g.end - g.start) as u64))
+        };
         let mut bytes = vec![crate::ops::OUT_TAG_DATA];
-        codec::encode_grouped_into(data, groups, &mut bytes);
-        self.write_file(sig.0, bytes, started)
+        codec::encode_spliced_into(data, groups, encoded, &mut bytes);
+        let (size, _) = self.write_file(sig.0, bytes, started, WriteKind::New)?;
+        for file in &older {
+            if let Err(err) = self.shrink(file) {
+                eprintln!(
+                    "helix-store: could not shrink {}: {err}",
+                    sig_file_name(file.id)
+                );
+            }
+        }
+        Ok((size, started.elapsed().as_secs_f64()))
+    }
+
+    /// The files other than `id` that hold the bytes of one of `groups`,
+    /// in the order their keys list them.
+    fn holders(&self, id: u64, groups: &[GroupSpec]) -> Vec<(u64, u64)> {
+        let mut files: Vec<(u64, u64)> = Vec::new();
+        for g in groups {
+            let shard = self.slot(g.key).lock();
+            for loc in shard.keys.get(&g.key).into_iter().flatten() {
+                if loc.file != id && loc.group.is_some() && !files.contains(&(loc.file, loc.gen)) {
+                    files.push((loc.file, loc.gen));
+                }
+            }
+        }
+        files
+    }
+
+    /// Rewrites `file` — a file whose groups a newer node file also holds
+    /// — without the bytes of the groups another file holds: a node file
+    /// becomes a manifest whose shared groups are external, and a
+    /// chunk-only file keeps only the groups no other file holds, or
+    /// goes. A group whose key was evicted goes too. A node file whose
+    /// whole key was evicted is left alone: a rewrite would serve it
+    /// again.
+    fn shrink(&self, file: &StoredFile) -> Result<()> {
+        let started = Instant::now();
+        let StoredFile {
+            id,
+            gen,
+            tag,
+            ref header,
+            ..
+        } = *file;
+        let listed = |key: u64, group: Option<u32>| {
+            self.slot(key).lock().keys.get(&key).is_some_and(|locs| {
+                locs.iter()
+                    .any(|l| l.file == id && l.gen == gen && l.group == group)
+            })
+        };
+        let chunk_only = tag == TAG_CHUNKS;
+        if !chunk_only && !listed(id, None) {
+            return Ok(());
+        }
+        let mut groups = Vec::with_capacity(header.groups.len());
+        let mut changed = false;
+        for (k, g) in header.groups.iter().enumerate() {
+            let own = !g.is_external()
+                && (g.key == 0
+                    || !self.served_elsewhere(g.key, id) && listed(g.key, Some(k as u32)));
+            changed |= !g.is_external() && !own;
+            if own {
+                let bytes = file.group(k).ok_or_else(|| {
+                    HelixError::Store(format!("group {k} of {} is cut short", sig_file_name(id)))
+                })?;
+                groups.push((*g, Some(bytes)));
+            } else if !chunk_only {
+                groups.push((*g, None));
+            }
+        }
+        if !changed {
+            return Ok(());
+        }
+        if chunk_only && groups.is_empty() {
+            self.drop_file(id, gen, true);
+            return Ok(());
+        }
+        let mut bytes = vec![if chunk_only { TAG_CHUNKS } else { TAG_MANIFEST }];
+        codec::assemble_into(&header.schema, &groups, &mut bytes);
+        self.write_file(id, bytes, started, WriteKind::Rewrite)?;
+        Ok(())
     }
 
     /// Writes a **chunk-only** file: the rows of `groups` (ranges of
@@ -1187,18 +1474,26 @@ impl IntermediateStore {
         }
         let mut bytes = vec![TAG_CHUNKS];
         codec::encode_grouped_into(data, groups, &mut bytes);
-        self.write_file(hasher.finish(), bytes, started)
+        self.write_file(hasher.finish(), bytes, started, WriteKind::New)
     }
 
     /// The body of every put: reserve, write a temp file, rename it to
-    /// `<id>.hlx`, commit the file (and log it), then publish its keys.
-    fn write_file(&self, id: u64, bytes: Vec<u8>, started: Instant) -> Result<(u64, f64)> {
+    /// `<id>.hlx`, commit the file (and log it), then publish its keys and
+    /// retire those of the incarnation it replaced.
+    fn write_file(
+        &self,
+        id: u64,
+        bytes: Vec<u8>,
+        started: Instant,
+        write: WriteKind,
+    ) -> Result<(u64, f64)> {
         let size = bytes.len() as u64;
         let header = match bytes.first() {
             Some(&tag) if tag != crate::ops::OUT_TAG_MODEL => codec::read_header(&bytes[1..]).ok(),
             _ => None,
         };
         let keys = file_keys(id, size, bytes[0], header.as_ref());
+        let refs = external_keys(bytes[0], header.as_ref());
         let idx = shard_index(id, self.inner.shards.len());
         {
             let mut shard = self.inner.shards[idx].lock();
@@ -1272,11 +1567,12 @@ impl IntermediateStore {
                 bytes: size,
                 gen,
                 live: keys.len(),
+                refs,
             };
             let previous = shard.files.insert(id, meta);
             // The reservation's bytes stay in the ledger as the file's; an
             // overwrite releases the replaced file's share now.
-            if let Some(old) = previous {
+            if let Some(old) = &previous {
                 self.inner.used_bytes.fetch_sub(old.bytes, Ordering::AcqRel);
             }
             let secs = started.elapsed().as_secs_f64();
@@ -1288,13 +1584,11 @@ impl IntermediateStore {
             #[cfg(not(test))]
             let skip_wal = false;
             if !skip_wal {
-                self.wal_append_locked(idx, &mut shard, &wal_record_put(id, size, secs));
+                let record = wal_record_put(id, size, secs);
+                self.wal_append_locked(idx, &mut shard, &record, write == WriteKind::New);
             }
             (previous, secs)
         };
-        if let Some(old) = previous {
-            self.purge_locations(id, old.gen);
-        }
         for (key, group, key_bytes) in keys {
             self.slot(key)
                 .lock()
@@ -1308,13 +1602,18 @@ impl IntermediateStore {
                     bytes: key_bytes,
                 });
         }
+        if let Some(old) = previous {
+            self.purge_locations(id, old.gen, write == WriteKind::Rewrite);
+        }
         Ok((size, secs))
     }
 
     /// Removes every key location that points at incarnation `gen` of
-    /// file `id` (an overwritten or corrupt file), dropping keys left with
-    /// no location.
-    fn purge_locations(&self, id: u64, gen: u64) {
+    /// file `id` (an overwritten, shrunk or corrupt file), dropping keys
+    /// left with no location. Decoded entries read from it leave too,
+    /// unless `relocate` is set — the store moved the same bytes — and
+    /// their key still has a location, which they are then filed under.
+    fn purge_locations(&self, id: u64, gen: u64, relocate: bool) {
         for slot in self.inner.shards.iter() {
             slot.lock().keys.retain(|_, locs| {
                 locs.retain(|l| l.file != id || l.gen != gen);
@@ -1323,22 +1622,33 @@ impl IntermediateStore {
         }
         // After the keys: an admission that re-checks a key's locations
         // from here on no longer finds this file.
-        self.inner.decoded.lock().remove_file(id, gen);
+        let keys = self.inner.decoded.lock().remove_file(id, gen, relocate);
+        for (key, entry) in keys {
+            let shard = self.slot(key).lock();
+            if let Some(&loc) = shard.keys.get(&key).and_then(|locs| locs.first()) {
+                self.inner
+                    .decoded
+                    .lock()
+                    .reinsert(key, Decoded { loc, ..entry });
+            }
+        }
     }
 
     /// Reads the output stored under `sig`: the whole file for a node
-    /// output, only the header and the group's bytes for a chunk. A
-    /// location whose bytes fail verification is dropped — its whole file
-    /// is deleted — and the next location is tried. A whole output held
-    /// by the decoded cache is answered from memory instead (module docs,
+    /// output, only the header and the group's bytes for a chunk, and for
+    /// a manifest its own groups plus a read of each external group's key.
+    /// A location whose bytes fail verification is dropped — its whole
+    /// file is deleted — and the next location is tried. An output held by
+    /// the decoded cache is answered from memory instead (module docs,
     /// "Decoded reads").
     ///
     /// Returns `(output, bytes_read, seconds)`; a cached answer reports the
-    /// bytes its disk read would have returned.
+    /// bytes its disk read returned.
     ///
     /// # Errors
-    /// [`HelixError::Store`] if the entry is missing, or corrupt (naming
-    /// the signature; the entry is then gone).
+    /// [`HelixError::Store`] if the entry is missing (a manifest with an
+    /// external group no file serves is missing), or corrupt (naming the
+    /// signature; the entry is then gone).
     pub fn get(&self, sig: Signature) -> Result<(Arc<NodeOutput>, u64, f64)> {
         let read = self.read(sig)?;
         Ok((read.output, read.bytes, read.secs))
@@ -1348,12 +1658,25 @@ impl IntermediateStore {
     /// decoded cache.
     pub(crate) fn read(&self, sig: Signature) -> Result<StoreRead> {
         let started = Instant::now();
-        let (locs, hit) = {
+        let missing = || HelixError::Store(format!("no entry for signature {}", sig.hex()));
+        // The cache is asked under the key's shard lock, so a hit and an
+        // `evict` of the key are ordered; a manifest's external keys live
+        // in other shards, so they are checked between two such locks.
+        let cached = |locs: &[Loc]| self.inner.decoded.lock().hit(sig.0, locs);
+        let (locs, refs, mut hit) = {
             let shard = self.slot(sig.0).lock();
             let locs = shard.keys.get(&sig.0).cloned().unwrap_or_default();
-            let hit = self.inner.decoded.lock().hit(sig.0, &locs);
-            (locs, hit)
+            let refs = locs.first().and_then(|&loc| manifest_refs(&shard, loc));
+            let hit = if refs.is_none() { cached(&locs) } else { None };
+            (locs, refs, hit)
         };
+        if let Some(refs) = refs {
+            if self.refs_bytes(&refs).is_none() {
+                return Err(missing());
+            }
+            let _shard = self.slot(sig.0).lock();
+            hit = cached(&locs);
+        }
         if let Some((output, bytes)) = hit {
             return Ok(StoreRead {
                 output,
@@ -1363,33 +1686,31 @@ impl IntermediateStore {
             });
         }
         if locs.is_empty() {
-            return Err(HelixError::Store(format!(
-                "no entry for signature {}",
-                sig.hex()
-            )));
+            return Err(missing());
         }
         let mut failure = None;
         for loc in locs {
             match self.read_loc(sig, loc) {
-                Ok((output, verified)) => {
-                    let output = Arc::new(output);
-                    if verified {
-                        self.offer(sig, loc, &output);
-                    }
-                    return Ok(StoreRead {
-                        output,
-                        bytes: loc.bytes,
+                Ok(Some((output, bytes, verified))) => {
+                    let read = StoreRead {
+                        output: Arc::new(output),
+                        bytes,
                         secs: started.elapsed().as_secs_f64(),
                         cached: false,
-                    });
+                    };
+                    if verified {
+                        self.offer(sig, loc, &read);
+                    }
+                    return Ok(read);
                 }
+                Ok(None) => failure = Some(missing()),
                 Err(err) if is_corruption(&err) => {
                     eprintln!(
                         "helix-store: entry {} in {} failed verification ({err}); dropping the file",
                         sig.hex(),
                         sig_file_name(loc.file)
                     );
-                    self.drop_file(loc.file, loc.gen);
+                    self.drop_file(loc.file, loc.gen, false);
                     failure = Some(HelixError::Store(format!(
                         "stored entry {} is corrupt and was evicted: {err}",
                         sig.hex()
@@ -1401,14 +1722,14 @@ impl IntermediateStore {
         Err(failure.expect("at least one location was tried"))
     }
 
-    /// Offers a verified whole-output decode of `sig` from `loc` to the
-    /// decoded cache, which admits the key's second one if it is small
-    /// enough and `loc` still serves the key.
-    fn offer(&self, sig: Signature, loc: Loc, output: &Arc<NodeOutput>) {
+    /// Offers a verified decode of `sig` from `loc` to the decoded cache,
+    /// which admits the key's second one if it is small enough and `loc`
+    /// still serves the key.
+    fn offer(&self, sig: Signature, loc: Loc, read: &StoreRead) {
         if !self.inner.decoded.lock().decoded_before(sig.0) {
             return;
         }
-        let size = output.estimated_bytes();
+        let size = read.output.estimated_bytes();
         if size > DECODED_CACHE_BYTES / 4 {
             return;
         }
@@ -1429,24 +1750,27 @@ impl IntermediateStore {
             .get(&sig.0)
             .is_some_and(|locs| locs.contains(&loc))
         {
-            self.inner
-                .decoded
-                .lock()
-                .insert(sig.0, loc, Arc::clone(output), size);
+            self.inner.decoded.lock().insert(sig.0, read, loc, size);
         }
     }
 
-    /// Decodes one location of key `sig`. The flag is set when the read
-    /// verified checksums over the whole output (a version-3 data file
-    /// read whole): the only reads the decoded cache admits.
-    fn read_loc(&self, sig: Signature, loc: Loc) -> Result<(NodeOutput, bool)> {
+    /// Decodes one location of key `sig`, with the bytes the read
+    /// returned. The flag is set when the read verified checksums over
+    /// everything it decoded (a version-3 data file, a manifest, or a row
+    /// group): the only reads the decoded cache admits. `None` when the
+    /// location is a manifest with an external group that no longer
+    /// reads.
+    fn read_loc(&self, sig: Signature, loc: Loc) -> Result<Option<(NodeOutput, u64, bool)>> {
         let mut file = std::fs::File::open(self.path_for(loc.file))?;
         let Some(group) = loc.group else {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
+            if bytes.first() == Some(&TAG_MANIFEST) {
+                return self.read_manifest(&bytes);
+            }
             let verified = bytes.first() == Some(&crate::ops::OUT_TAG_DATA)
                 && matches!(codec::header_len(&bytes[1..]), Ok(Some(_)));
-            return Ok((NodeOutput::decode(&bytes)?, verified));
+            return Ok(Some((NodeOutput::decode(&bytes)?, loc.bytes, verified)));
         };
         let len = file.metadata()?.len();
         let (_, header) = read_file_header(&mut file, len)?;
@@ -1464,14 +1788,52 @@ impl IntermediateStore {
         let mut bytes = vec![0u8; (range.end - range.start) as usize];
         file.read_exact(&mut bytes)?;
         let output = NodeOutput::Data(codec::decode_group(&header, group, &bytes)?);
-        Ok((output, false))
+        Ok(Some((output, loc.bytes, true)))
+    }
+
+    /// Assembles a manifest's output: its own groups decoded from `bytes`
+    /// (the whole file), each external group read through its key. The
+    /// pieces share their rows; `None` if an external key does not read.
+    fn read_manifest(&self, bytes: &[u8]) -> Result<Option<(NodeOutput, u64, bool)>> {
+        let header = codec::read_header(&bytes[1..])?;
+        let mut total = bytes.len() as u64;
+        let mut parts = Vec::with_capacity(header.groups.len());
+        for (k, group) in header.groups.iter().enumerate() {
+            if !group.is_external() {
+                let range = header.group_range(k, bytes.len() as u64 - 1)?;
+                let own = &bytes[1 + range.start as usize..1 + range.end as usize];
+                parts.push(codec::decode_group(&header, k, own)?);
+                continue;
+            }
+            let Ok(read) = self.read(Signature(group.key)) else {
+                return Ok(None);
+            };
+            let part = read.output.as_data()?;
+            if part.len() as u64 != group.rows || part.schema() != &header.schema {
+                return Err(HelixError::Store(format!(
+                    "external group {k} ({:016x}) does not match the manifest",
+                    group.key
+                )));
+            }
+            total += read.bytes;
+            parts.push(part.clone());
+        }
+        let data = DataCollection::concat_all(parts)?;
+        if data.len() as u64 != header.rows {
+            return Err(HelixError::Store(format!(
+                "manifest groups hold {} rows, header says {}",
+                data.len(),
+                header.rows
+            )));
+        }
+        Ok(Some((NodeOutput::Data(data), total, true)))
     }
 
     /// Deletes incarnation `gen` of file `id` and every key location in
     /// it (a corrupt file). If the removal itself fails the file keeps
     /// its ledger bytes — the ledger stays equal to the disk — but serves
     /// nothing.
-    fn drop_file(&self, id: u64, gen: u64) {
+    fn drop_file(&self, id: u64, gen: u64, relocate: bool) {
         let idx = shard_index(id, self.inner.shards.len());
         {
             let mut shard = self.inner.shards[idx].lock();
@@ -1485,7 +1847,7 @@ impl IntermediateStore {
                 }
             }
         }
-        self.purge_locations(id, gen);
+        self.purge_locations(id, gen, relocate);
     }
 
     /// Bookkeeping for a file that is gone from disk: drop it from the
@@ -1495,7 +1857,7 @@ impl IntermediateStore {
             self.inner
                 .used_bytes
                 .fetch_sub(meta.bytes, Ordering::AcqRel);
-            self.wal_append_locked(idx, shard, &wal_record_evict(id));
+            self.wal_append_locked(idx, shard, &wal_record_evict(id), true);
         }
     }
 
@@ -2324,7 +2686,7 @@ mod tests {
         let header = stored_header(&store, 7);
         for (k, g) in groups.iter().enumerate() {
             let (part, read, _) = store.get(Signature(g.key)).unwrap();
-            assert_eq!(part.as_data().unwrap().rows(), &data.rows()[g.start..g.end]);
+            assert_eq!(part.as_data().unwrap(), &data.slice(g.start, g.end));
             assert_eq!(
                 read, header.groups[k].len,
                 "a group read reports its own bytes"
@@ -2347,7 +2709,7 @@ mod tests {
         assert!(store.lookup(Signature(8)).is_none());
         assert!(store.get(Signature(8)).is_err());
         let (part, ..) = store.get(Signature(601)).unwrap();
-        assert_eq!(part.as_data().unwrap().rows(), &data.rows()[4..9]);
+        assert_eq!(part.as_data().unwrap(), &data.slice(4, 9));
         assert_eq!(
             store.used_bytes(),
             written,
@@ -2393,7 +2755,7 @@ mod tests {
         bytes[1 + range.start as usize + 9] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let (part, ..) = store.get(Signature(700)).unwrap();
-        assert_eq!(part.as_data().unwrap().rows(), &data.rows()[0..3]);
+        assert_eq!(part.as_data().unwrap(), &data.slice(0, 3));
         assert!(!path.exists(), "the corrupt file is gone");
         assert!(store.lookup(Signature(9)).is_none());
         assert!(store.lookup(Signature(701)).is_none());
@@ -2468,7 +2830,7 @@ mod tests {
         assert_eq!(whole, NodeOutput::Data(data.clone()));
         for g in node_groups.iter().chain(&loose) {
             let (part, ..) = store.get(Signature(g.key)).unwrap();
-            assert_eq!(part.as_data().unwrap().rows(), &data.rows()[g.start..g.end]);
+            assert_eq!(part.as_data().unwrap(), &data.slice(g.start, g.end));
         }
     }
 
@@ -2556,17 +2918,8 @@ mod tests {
     }
 
     #[test]
-    fn row_group_and_version_2_reads_are_never_admitted() {
-        let store = open_store(tmpdir("dc-groups"), 1 << 20);
-        let data = int_rows(0..10);
-        let groups = groups_at(&[0, 4, 10], 500);
-        store
-            .put_grouped(Signature(8), &NodeOutput::Data(data), &groups)
-            .unwrap();
-        assert!(!read_times(&store, 500, 3));
-        assert!(!read_times(&store, 501, 3));
-        assert_eq!(store.decoded_stats(), DecodedStats::default());
-
+    fn version_2_reads_are_never_admitted() {
+        let store = open_store(tmpdir("dc-v2"), 1 << 20);
         // A version-2 file carries no checksums to verify.
         let v2: &[u8] = &[
             1, 72, 76, 88, 68, 2, 0, 0, 0, 1, 1, 120, 1, 0, 3, 3, 0, 3, 2, 3, 4,
@@ -2575,6 +2928,116 @@ mod tests {
         let store = open_store(store.dir(), 1 << 20);
         assert!(!read_times(&store, 12, 3));
         assert_eq!(store.decoded_stats(), DecodedStats::default());
+    }
+
+    #[test]
+    fn a_row_group_is_served_without_decode_and_leaves_with_its_location() {
+        let store = open_store(tmpdir("dc-groups"), 1 << 20);
+        let data = int_rows(0..10);
+        let groups = groups_at(&[0, 4, 10], 500);
+        store
+            .put_grouped(Signature(8), &NodeOutput::Data(data.clone()), &groups)
+            .unwrap();
+        let first = store.read(Signature(501)).unwrap();
+        let second = store.read(Signature(501)).unwrap();
+        assert!(
+            !first.cached && !second.cached,
+            "admitted by its second decode"
+        );
+        let entry = store.decoded_stats();
+        assert_eq!((entry.entries, entry.hits), (1, 0));
+        let third = store.read(Signature(501)).unwrap();
+        assert!(third.cached, "no file read, no decode");
+        assert!(Arc::ptr_eq(&second.output, &third.output));
+        assert_eq!(third.bytes, second.bytes);
+        assert_eq!(third.output.as_data().unwrap(), &data.slice(4, 10));
+
+        // Evicting the key takes its location, and the entry with it.
+        assert!(store.evict(Signature(501)).unwrap());
+        assert_eq!(store.decoded_stats().entries, 0);
+        assert!(store.get(Signature(501)).is_err());
+    }
+
+    #[test]
+    fn a_superseded_node_file_becomes_a_manifest_over_the_newer_groups() {
+        let dir = tmpdir("manifest");
+        let store = open_wal_store(&dir, 1 << 20);
+        let old = int_rows(0..6);
+        let new = int_rows(0..9);
+        store
+            .put_grouped(
+                Signature(1),
+                &NodeOutput::Data(old.clone()),
+                &groups_at(&[0, 3, 6], 700),
+            )
+            .unwrap();
+        let whole_size = std::fs::metadata(store.path_for(1)).unwrap().len();
+        // Chunk 700 is read twice, so the cache holds it from file 1.
+        assert!(!read_times(&store, 700, 2));
+        // The next version shares chunks 700 and 701 and adds 702.
+        let new_groups = groups_at(&[0, 3, 6, 9], 700);
+        store
+            .put_grouped(Signature(2), &NodeOutput::Data(new.clone()), &new_groups)
+            .unwrap();
+
+        let manifest = std::fs::read(store.path_for(1)).unwrap();
+        assert_eq!(manifest[0], TAG_MANIFEST);
+        assert!((manifest.len() as u64) < whole_size);
+        let header = codec::read_header(&manifest[1..]).unwrap();
+        assert!(header.groups.iter().all(|g| g.is_external()));
+        // The newer file is what a fresh store would write.
+        let mut fresh = vec![crate::ops::OUT_TAG_DATA];
+        codec::encode_grouped_into(&new, &new_groups, &mut fresh);
+        assert_eq!(std::fs::read(store.path_for(2)).unwrap(), fresh);
+        assert_matches_disk(&store);
+
+        // Both outputs read whole; the manifest reports the bytes it read.
+        let (back, bytes, _) = store.get(Signature(1)).unwrap();
+        assert_eq!(back, NodeOutput::Data(old.clone()));
+        assert_eq!(Some(bytes), store.lookup(Signature(1)).map(|m| m.bytes));
+        assert_eq!(
+            store.get(Signature(2)).unwrap().0,
+            NodeOutput::Data(new.clone())
+        );
+        // The cached chunk moved with its bytes: no decode.
+        assert!(store.read(Signature(700)).unwrap().cached);
+
+        // Reopened, the manifest is credited with none of its groups.
+        drop(store);
+        let store = open_wal_store(&dir, 1 << 20);
+        assert_eq!(store.recovery().repaired_sizes, 0);
+        assert_eq!(store.len(), 5, "two node keys and three chunk keys");
+        assert_eq!(store.get(Signature(1)).unwrap().0, NodeOutput::Data(old));
+        assert_matches_disk(&store);
+
+        // A manifest whose group key is gone reads as missing; the node
+        // that holds the bytes still reads.
+        assert!(store.evict(Signature(700)).unwrap());
+        assert!(store.lookup(Signature(1)).is_none());
+        let err = store.get(Signature(1)).unwrap_err();
+        assert!(err.to_string().contains("no entry"), "{err}");
+        assert_eq!(store.get(Signature(2)).unwrap().0, NodeOutput::Data(new));
+    }
+
+    #[test]
+    fn a_chunk_only_file_goes_once_a_node_file_holds_all_its_groups() {
+        let store = open_store(tmpdir("chunks-adopted"), 1 << 20);
+        let data = int_rows(0..9);
+        let groups = groups_at(&[0, 3, 6, 9], 800);
+        // A declined node kept chunks 800 and 801; chunk 802 is new.
+        store.put_chunks(&data, &groups[..2]).unwrap();
+        store.put_chunks(&data, &groups[1..]).unwrap();
+        assert_eq!(hlx_files(&store), 2);
+        store
+            .put_grouped(Signature(3), &NodeOutput::Data(data.clone()), &groups)
+            .unwrap();
+        assert_eq!(hlx_files(&store), 1, "only the node file is left");
+        for (k, g) in groups.iter().enumerate() {
+            let (part, ..) = store.get(Signature(g.key)).unwrap();
+            assert_eq!(part.as_data().unwrap(), &data.slice(3 * k, 3 * k + 3));
+        }
+        assert_ledger_consistent(&store, &[Signature(3)]);
+        assert_matches_disk(&store);
     }
 
     #[test]

@@ -56,11 +56,19 @@
 //! group key is opaque here: the store files a group under the chunk's
 //! partition signature, and `0` means the group has no key of its own.
 //!
+//! A group of length 0 is *external* ([`assemble_into`]): the header gives
+//! its row count and key, and its bytes live elsewhere under that key — the
+//! store rewrites a node file whose groups a newer file also holds as such
+//! a *manifest*. A real group is never empty (it holds at least its
+//! values length and dictionary count), so the length tells the two apart.
+//! [`decode`] and [`decode_group`] reject an external group; its reader
+//! resolves the key.
+//!
 //! Version 2 (no header, one dictionary ahead of row-major values) is still
 //! decoded by [`decode`]; it is never written.
 
 use crate::fx::{hash_bytes, FxHashMap};
-use crate::{DataCollection, DataType, DataflowError, Field, Result, Row, Schema, Value};
+use crate::{DataCollection, DataType, DataflowError, Field, Result, Row, Rows, Schema, Value};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::Path;
@@ -115,6 +123,14 @@ pub struct GroupMeta {
     pub key: u64,
     /// Fx hash of the group's bytes.
     pub checksum: u64,
+}
+
+impl GroupMeta {
+    /// Whether the group is external: its rows are stored elsewhere under
+    /// its key, and this buffer holds none of its bytes.
+    pub fn is_external(&self) -> bool {
+        self.len == 0
+    }
 }
 
 /// A parsed, checksum-verified version-3 header.
@@ -186,45 +202,133 @@ pub fn encode_grouped(dc: &DataCollection, groups: &[GroupSpec]) -> Vec<u8> {
 /// # Panics
 /// If a group's range is reversed or runs past the collection.
 pub fn encode_grouped_into(dc: &DataCollection, groups: &[GroupSpec], buf: &mut Vec<u8>) {
-    let base = buf.len();
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    let len_at = buf.len();
-    buf.extend_from_slice(&[0; 4]);
-    write_varint(buf, dc.schema().len() as u64);
-    for field in dc.schema().fields() {
-        write_varint(buf, field.name.len() as u64);
-        buf.extend_from_slice(field.name.as_bytes());
-        buf.push(field.dtype.tag());
-    }
-    let total_rows: usize = groups.iter().map(|g| g.end - g.start).sum();
-    buf.extend_from_slice(&(total_rows as u64).to_le_bytes());
-    buf.extend_from_slice(&(groups.len() as u32).to_le_bytes());
-    let table_at = buf.len();
-    buf.resize(table_at + groups.len() * GROUP_ENTRY_BYTES + 8, 0);
-    let checksum_at = buf.len() - 8;
-    let header_len = u32::try_from(buf.len() - len_at - 4).expect("header under 4 GiB");
-    buf[len_at..len_at + 4].copy_from_slice(&header_len.to_le_bytes());
+    encode_spliced_into(dc, groups, |_| None, buf);
+}
 
-    let data_start = buf.len();
+/// [`encode_grouped_into`], except that group `k` is copied from
+/// `encoded(k)` — its bytes and checksum as an earlier encoding of the
+/// same rows wrote them — when that is `Some`. The encoding is a function
+/// of the rows alone, so the result is byte-identical to encoding them.
+///
+/// # Panics
+/// If a group's range is reversed or runs past the collection.
+pub fn encode_spliced_into<'a>(
+    dc: &DataCollection,
+    groups: &[GroupSpec],
+    encoded: impl Fn(usize) -> Option<(&'a [u8], u64)>,
+    buf: &mut Vec<u8>,
+) {
+    let total_rows = groups.iter().map(|g| g.end - g.start).sum::<usize>();
+    let mut writer = Writer::begin(dc.schema(), total_rows as u64, groups.len(), buf);
     let mut table = StringTable::default();
-    for (i, group) in groups.iter().enumerate() {
+    for (k, group) in groups.iter().enumerate() {
         let start = buf.len();
-        encode_group(&dc.rows()[group.start..group.end], &mut table, buf);
+        let rows = dc.rows_range(group.start, group.end);
+        let checksum = match encoded(k) {
+            Some((bytes, checksum)) => {
+                buf.extend_from_slice(bytes);
+                checksum
+            }
+            None => {
+                encode_group(rows, &mut table, buf);
+                hash_bytes(&buf[start..])
+            }
+        };
+        writer.group(buf, start, rows.len() as u64, group.key, checksum);
+    }
+    writer.finish(buf);
+}
+
+/// Writes a version-3 buffer from groups that are already encoded:
+/// `groups` as a verified header lists them, each with its bytes, or
+/// `None` to write it as an *external* group (see the module docs).
+/// A group that was external stays external.
+///
+/// # Panics
+/// If a group's bytes disagree with its length.
+pub fn assemble_into(schema: &Schema, groups: &[(GroupMeta, Option<&[u8]>)], buf: &mut Vec<u8>) {
+    let total_rows = groups.iter().map(|(g, _)| g.rows).sum();
+    let mut writer = Writer::begin(schema, total_rows, groups.len(), buf);
+    for (meta, bytes) in groups {
+        let start = buf.len();
+        let checksum = match bytes {
+            Some(bytes) if !meta.is_external() => {
+                assert_eq!(
+                    bytes.len() as u64,
+                    meta.len,
+                    "group bytes and length disagree"
+                );
+                buf.extend_from_slice(bytes);
+                meta.checksum
+            }
+            _ => 0,
+        };
+        writer.group(buf, start, meta.rows, meta.key, checksum);
+    }
+    writer.finish(buf);
+}
+
+/// Writes a version-3 buffer front to back: the prefix and a header with
+/// room for the group table, then each group's entry as its bytes are
+/// appended, then the header checksum.
+struct Writer {
+    base: usize,
+    table_at: usize,
+    checksum_at: usize,
+    data_start: usize,
+    next: usize,
+}
+
+impl Writer {
+    fn begin(schema: &Schema, total_rows: u64, groups: usize, buf: &mut Vec<u8>) -> Writer {
+        let base = buf.len();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        let len_at = buf.len();
+        buf.extend_from_slice(&[0; 4]);
+        write_varint(buf, schema.len() as u64);
+        for field in schema.fields() {
+            write_varint(buf, field.name.len() as u64);
+            buf.extend_from_slice(field.name.as_bytes());
+            buf.push(field.dtype.tag());
+        }
+        buf.extend_from_slice(&total_rows.to_le_bytes());
+        buf.extend_from_slice(&(groups as u32).to_le_bytes());
+        let table_at = buf.len();
+        buf.resize(table_at + groups * GROUP_ENTRY_BYTES + 8, 0);
+        let checksum_at = buf.len() - 8;
+        let header_len = u32::try_from(buf.len() - len_at - 4).expect("header under 4 GiB");
+        buf[len_at..len_at + 4].copy_from_slice(&header_len.to_le_bytes());
+        Writer {
+            base,
+            table_at,
+            checksum_at,
+            data_start: buf.len(),
+            next: 0,
+        }
+    }
+
+    /// Records the next group, whose bytes (none for an external group)
+    /// run from `start` to the end of `buf`.
+    fn group(&mut self, buf: &mut [u8], start: usize, rows: u64, key: u64, checksum: u64) {
         let entry = [
-            (group.end - group.start) as u64,
-            (start - data_start) as u64,
+            rows,
+            (start - self.data_start) as u64,
             (buf.len() - start) as u64,
-            group.key,
-            hash_bytes(&buf[start..]),
+            key,
+            checksum,
         ];
-        let at = table_at + i * GROUP_ENTRY_BYTES;
+        let at = self.table_at + self.next * GROUP_ENTRY_BYTES;
         for (k, field) in entry.iter().enumerate() {
             buf[at + 8 * k..at + 8 * k + 8].copy_from_slice(&field.to_le_bytes());
         }
+        self.next += 1;
     }
-    let header_checksum = hash_bytes(&buf[base..checksum_at]);
-    buf[checksum_at..checksum_at + 8].copy_from_slice(&header_checksum.to_le_bytes());
+
+    fn finish(self, buf: &mut [u8]) {
+        let header_checksum = hash_bytes(&buf[self.base..self.checksum_at]);
+        buf[self.checksum_at..self.checksum_at + 8].copy_from_slice(&header_checksum.to_le_bytes());
+    }
 }
 
 /// Interning dictionary for one group: strings are borrowed from the
@@ -247,7 +351,7 @@ impl<'a> StringTable<'a> {
 
 /// Writes one group: its values (interning strings on the way), then the
 /// dictionary those values index.
-fn encode_group<'a>(rows: &'a [Row], table: &mut StringTable<'a>, buf: &mut Vec<u8>) {
+fn encode_group<'a>(rows: Rows<'a>, table: &mut StringTable<'a>, buf: &mut Vec<u8>) {
     table.index.clear();
     table.entries.clear();
     let len_at = buf.len();
@@ -371,6 +475,11 @@ fn decode_group_rows(
     bytes: &[u8],
     out: &mut Vec<Row>,
 ) -> Result<()> {
+    if group.is_external() {
+        return Err(codec_err(format!(
+            "group {index} is external; its bytes are stored elsewhere"
+        )));
+    }
     if bytes.len() as u64 != group.len {
         return Err(codec_err(format!(
             "group {index} is {} bytes, header says {}",
@@ -927,7 +1036,7 @@ mod tests {
             let range = header.group_range(k, bytes.len() as u64).unwrap();
             let part =
                 decode_group(&header, k, &bytes[range.start as usize..range.end as usize]).unwrap();
-            assert_eq!(part.rows(), &dc.rows()[spec.start..spec.end]);
+            assert_eq!(part, dc.slice(spec.start, spec.end));
         }
     }
 
@@ -958,8 +1067,8 @@ mod tests {
         };
         assert!(decode_group(&header, 0, slice(0)).is_err());
         assert_eq!(
-            decode_group(&header, 1, slice(1)).unwrap().rows(),
-            &dc.rows()[1..]
+            decode_group(&header, 1, slice(1)).unwrap(),
+            dc.slice(1, dc.len())
         );
     }
 
@@ -1034,7 +1143,7 @@ mod tests {
         let dc = feats_sample();
         let decoded = decode(&encode(&dc)).unwrap();
         assert_eq!(decoded, dc);
-        let first_name = |r: usize| match decoded.rows()[r].get(0) {
+        let first_name = |r: usize| match decoded.row(r).get(0) {
             Value::Feats(pairs) => Arc::clone(&pairs[0].0),
             other => panic!("not a feature cell: {other:?}"),
         };
@@ -1213,7 +1322,58 @@ mod tests {
         }
     }
 
+    /// `dc` rebuilt as segments cut at the groups of `tiling`: even
+    /// pieces share `dc`'s rows, odd ones are copies of their own.
+    fn segmented(dc: &DataCollection, groups: &[GroupSpec]) -> DataCollection {
+        let pieces = groups.iter().enumerate().map(|(k, g)| {
+            let piece = dc.slice(g.start, g.end);
+            if k % 2 == 0 {
+                piece
+            } else {
+                DataCollection::from_rows_unchecked(
+                    Arc::clone(dc.schema()),
+                    piece.rows().iter().cloned().collect(),
+                )
+            }
+        });
+        let empty = DataCollection::empty(Arc::clone(dc.schema()));
+        DataCollection::concat_all(std::iter::once(empty).chain(pieces)).unwrap()
+    }
+
     proptest! {
+        /// A segmented collection is its flat form: equal, and its
+        /// slices, concatenations and encodings are byte-identical.
+        #[test]
+        fn segmented_collections_slice_concat_and_encode_like_flat_ones(
+            dc in arb_collection(),
+            cuts in proptest::collection::vec(0usize..32, 0..6),
+            a in 0usize..32,
+            b in 0usize..32,
+        ) {
+            let n = dc.len();
+            let flat = DataCollection::from_rows_unchecked(
+                Arc::clone(dc.schema()),
+                dc.rows().iter().cloned().collect(),
+            );
+            let groups = tiling(n, &cuts);
+            let seg = segmented(&flat, &groups);
+            prop_assert_eq!(&seg, &flat);
+            prop_assert_eq!(seg.len(), n);
+            prop_assert_eq!(encode(&seg), encode(&flat));
+            prop_assert_eq!(encode_grouped(&seg, &groups), encode_grouped(&flat, &groups));
+
+            let (lo, hi) = ((a % (n + 1)).min(b % (n + 1)), (a % (n + 1)).max(b % (n + 1)));
+            let flat_slice = DataCollection::from_rows_unchecked(
+                Arc::clone(dc.schema()),
+                flat.rows().iter().skip(lo).take(hi - lo).cloned().collect(),
+            );
+            prop_assert_eq!(encode(&seg.slice(lo, hi)), encode(&flat_slice));
+            prop_assert_eq!(seg.rows_range(lo, hi), flat_slice.rows());
+            prop_assert_eq!(seg.rows_range(lo, hi).iter().len(), hi - lo);
+            let rejoined = seg.slice(0, lo).concat(&seg.slice(lo, n)).unwrap();
+            prop_assert_eq!(encode(&rejoined), encode(&flat));
+        }
+
         #[test]
         fn round_trip_random_collections(dc in arb_collection()) {
             prop_assert_eq!(decode(&encode(&dc)).unwrap(), dc);
@@ -1240,7 +1400,7 @@ mod tests {
                     &bytes[range.start as usize..range.end as usize],
                 )
                 .unwrap();
-                prop_assert_eq!(part.rows(), &dc.rows()[spec.start..spec.end]);
+                prop_assert_eq!(part, dc.slice(spec.start, spec.end));
             }
         }
 

@@ -243,8 +243,8 @@ mod tests {
         let schema = Schema::of(&[("age", DataType::Int), ("name", DataType::Str)]);
         let dc = scan("age,name\n34,ann\n?,bob\n", &schema, true).unwrap();
         assert_eq!(dc.len(), 2);
-        assert_eq!(dc.rows()[0].get(0), &Value::Int(34));
-        assert_eq!(dc.rows()[1].get(0), &Value::Null);
+        assert_eq!(dc.row(0).get(0), &Value::Int(34));
+        assert_eq!(dc.row(1).get(0), &Value::Null);
     }
 
     #[test]

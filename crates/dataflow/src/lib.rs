@@ -28,7 +28,7 @@ pub mod schema;
 pub mod text;
 pub mod value;
 
-pub use collection::{DataCollection, Row};
+pub use collection::{DataCollection, Row, RowIter, Rows};
 pub use error::DataflowError;
 pub use schema::{DataType, Field, Schema};
 pub use value::Value;

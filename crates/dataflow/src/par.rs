@@ -6,7 +6,7 @@
 //! deterministic — a requirement for Helix's reuse correctness (a
 //! materialized result must equal its recomputation).
 
-use crate::{DataCollection, DataflowError, Result, Row, Schema};
+use crate::{DataCollection, DataflowError, Result, Row, Rows, Schema};
 use std::sync::Arc;
 
 /// Number of workers to use: the machine's available parallelism, capped so
@@ -38,7 +38,7 @@ where
         return Ok(DataCollection::from_rows_unchecked(schema, out));
     }
 
-    let chunked = run_chunked(rows, workers, |chunk| {
+    let chunked = run_chunked(input, workers, |chunk| {
         let mut out = Vec::with_capacity(chunk.len());
         for row in chunk {
             out.push(f(row)?);
@@ -72,7 +72,7 @@ where
         return Ok(DataCollection::from_rows_unchecked(schema, out));
     }
 
-    let chunked = run_chunked(rows, workers, |chunk| {
+    let chunked = run_chunked(input, workers, |chunk| {
         let mut out = Vec::new();
         for row in chunk {
             out.extend(f(row)?);
@@ -93,12 +93,15 @@ where
 /// converted into [`DataflowError::WorkerPanic`] and propagated like any
 /// other row error (the chunk-order-first failure wins, so the error a
 /// caller sees does not depend on thread scheduling).
-fn run_chunked<W>(rows: &[Row], workers: usize, work: W) -> Result<Vec<Vec<Row>>>
+fn run_chunked<W>(input: &DataCollection, workers: usize, work: W) -> Result<Vec<Vec<Row>>>
 where
-    W: Fn(&[Row]) -> Result<Vec<Row>> + Sync,
+    W: Fn(Rows<'_>) -> Result<Vec<Row>> + Sync,
 {
-    let chunk_size = rows.len().div_ceil(workers);
-    let chunks: Vec<&[Row]> = rows.chunks(chunk_size).collect();
+    let chunk_size = input.len().div_ceil(workers);
+    let chunks: Vec<Rows<'_>> = (0..input.len())
+        .step_by(chunk_size)
+        .map(|start| input.rows_range(start, (start + chunk_size).min(input.len())))
+        .collect();
     let mut results: Vec<Result<Vec<Row>>> = Vec::with_capacity(chunks.len());
 
     crossbeam::scope(|scope| {
@@ -106,7 +109,7 @@ where
             .iter()
             .map(|chunk| {
                 let work = &work;
-                scope.spawn(move |_| work(chunk))
+                scope.spawn(move |_| work(*chunk))
             })
             .collect();
         for handle in handles {
@@ -182,8 +185,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out.len(), 10_000);
-        assert_eq!(out.rows()[0].get(0).as_int(), Some(0));
-        assert_eq!(out.rows()[3].get(0).as_int(), Some(-1));
+        assert_eq!(out.row(0).get(0).as_int(), Some(0));
+        assert_eq!(out.row(3).get(0).as_int(), Some(-1));
     }
 
     #[test]
@@ -256,8 +259,8 @@ mod tests {
         let big = numbers(50_000);
         let schema = Schema::of(&[("n", DataType::Int)]);
         let small_out = par_map_rows(&small, Arc::clone(&schema), f).unwrap();
-        assert_eq!(small_out.rows()[9].get(0).as_int(), Some(10));
+        assert_eq!(small_out.row(9).get(0).as_int(), Some(10));
         let big_out = par_map_rows(&big, schema, f).unwrap();
-        assert_eq!(big_out.rows()[49_999].get(0).as_int(), Some(50_000));
+        assert_eq!(big_out.row(49_999).get(0).as_int(), Some(50_000));
     }
 }

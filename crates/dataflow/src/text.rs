@@ -66,8 +66,8 @@ mod tests {
     fn corpus_from_docs_assigns_ids() {
         let dc = corpus_from_docs(&["first doc", "second doc"]);
         assert_eq!(dc.len(), 2);
-        assert_eq!(dc.rows()[1].get(0), &Value::Int(1));
-        assert_eq!(dc.rows()[1].get(1).as_str(), Some("second doc"));
+        assert_eq!(dc.row(1).get(0), &Value::Int(1));
+        assert_eq!(dc.row(1).get(1).as_str(), Some("second doc"));
     }
 
     #[test]
@@ -92,7 +92,7 @@ mod tests {
         let dc = corpus_from_docs(&["two\nlines"]);
         write_corpus(&dc, &path).unwrap();
         let back = read_corpus(&path).unwrap();
-        assert_eq!(back.rows()[0].get(1).as_str(), Some("two lines"));
+        assert_eq!(back.row(0).get(1).as_str(), Some("two lines"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

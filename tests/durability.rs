@@ -873,6 +873,55 @@ fn flipped_byte_in_a_loaded_node_fails_one_run_then_recomputes() {
 /// outputs plus one file per data-chunk partition signature — opens,
 /// serves the whole outputs as loads, and serves its chunk files to the
 /// next data delta; both runs answer like a fresh engine.
+/// A flipped byte in a stored model fails the model's checksum: the run
+/// that loads it fails with a store error naming the model, the file is
+/// dropped, and the run after it retrains and answers like a
+/// from-scratch twin.
+#[test]
+fn flipped_byte_in_a_stored_model_is_dropped_and_recomputed() {
+    let dir = tmpdir("flip-model");
+    workflow(&dir).unwrap();
+    let store = dir.join("store");
+    let engine = durable_engine(&store);
+    let w = workflow(&dir).unwrap();
+    let plan = engine.compile_only(&w).unwrap();
+    let model = plan.signatures[node_index(&w, "predictions__model")];
+    let predictions = plan.signatures[node_index(&w, "predictions")];
+    let manager = SessionManager::new(Arc::clone(&engine));
+    let session = manager.create("alice", w).unwrap();
+    session.iterate().unwrap();
+    let path = store.join(format!("{}.hlx", model.hex()));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    // With its predictions gone, the next plan applies the stored model.
+    assert!(engine.store().evict(predictions).unwrap());
+    let err = session
+        .iterate()
+        .expect_err("the corrupt model must fail the run, not answer");
+    assert!(
+        matches!(&err, helix::core::HelixError::Store(msg) if msg.contains(&model.hex())),
+        "got {err}"
+    );
+    assert!(!path.exists(), "the corrupt model was dropped");
+    let recovered = session.iterate().unwrap();
+    let state = |name: &str| {
+        recovered
+            .nodes
+            .iter()
+            .find(|n| n.name == name)
+            .unwrap()
+            .state
+    };
+    assert_eq!(state("predictions__model"), helix::core::NodeState::Compute);
+
+    let control = SessionManager::new(durable_engine(&dir.join("control-store")));
+    let twin = control.create("bob", workflow(&dir).unwrap()).unwrap();
+    assert_eq!(recovered.metrics, twin.iterate().unwrap().metrics);
+}
+
 #[test]
 fn a_version_2_store_serves_whole_loads_and_chunk_hits() {
     let dir = tmpdir("v2-store");

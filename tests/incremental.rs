@@ -369,3 +369,214 @@ fn same_length_rewrite_with_restored_mtime_matches_a_fresh_engine() {
     assert_ne!(after.metrics, before.metrics, "the rewrite must matter");
     let _ = std::fs::remove_dir_all(&work);
 }
+
+/// First byte of a manifest file: a superseded node version whose row
+/// groups are read through their keys in newer files (`helix_core::store`).
+const MANIFEST_TAG: u8 = 4;
+
+/// The `.hlx` files under `dir` that are manifests, with their headers.
+fn manifests(dir: &Path) -> BTreeMap<String, helix::dataflow::codec::Header> {
+    stored_files(dir)
+        .into_iter()
+        .filter(|(_, bytes)| bytes.first() == Some(&MANIFEST_TAG))
+        .map(|(name, bytes)| {
+            let header = helix::dataflow::codec::read_header(&bytes[1..]).unwrap();
+            (name, header)
+        })
+        .collect()
+}
+
+/// The census workflow over `data` with the `edu × occ` interaction wired
+/// in: an edit that makes `income` reassemble from the stored `rows` and
+/// extractors.
+fn with_interaction(data: &Path) -> helix::core::Workflow {
+    census_workflow(&CensusParams {
+        include_interaction: true,
+        ..CensusParams::initial(data)
+    })
+    .unwrap()
+}
+
+/// A durable engine on fresh census data after three appended label
+/// batches, one iterate each. Returns the engine, the data directory and
+/// `train.csv` as it was after the first append.
+fn after_appends(work: &Path, tag: &str) -> (Arc<Engine>, PathBuf, String) {
+    let data = work.join(format!("{tag}-data"));
+    generate_census(
+        &data,
+        &CensusDataSpec {
+            train_rows: 200,
+            test_rows: 60,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let store = work.join(format!("{tag}-store"));
+    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+    let workflow = census_workflow(&CensusParams::initial(&data)).unwrap();
+    let mut session = Session::new(Arc::clone(&engine), tag, workflow);
+    session.iterate().unwrap();
+    let mut first = String::new();
+    for step in 0..3u64 {
+        session
+            .append_data("data", &census::labeled_rows(20, 40 + step))
+            .unwrap();
+        session.iterate().unwrap();
+        if step == 0 {
+            first = std::fs::read_to_string(data.join("train.csv")).unwrap();
+        }
+    }
+    (engine, data, first)
+}
+
+/// A fresh engine's answer to `workflow` over `train` (and `data`'s test
+/// split).
+fn from_scratch(work: &Path, tag: &str, data: &Path, train: &str) -> helix::core::IterationReport {
+    let fresh = work.join(format!("{tag}-fresh-data"));
+    std::fs::create_dir_all(&fresh).unwrap();
+    std::fs::write(fresh.join("train.csv"), train).unwrap();
+    std::fs::copy(data.join("test.csv"), fresh.join("test.csv")).unwrap();
+    let store = work.join(format!("{tag}-fresh-store"));
+    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+    Session::new(engine, "fresh", with_interaction(&fresh))
+        .iterate()
+        .unwrap()
+}
+
+/// The external keys of `node`'s stored file under `workflow`'s plan,
+/// which must be a manifest.
+fn external_keys(engine: &Engine, workflow: &helix::core::Workflow, node: &str) -> Vec<u64> {
+    let plan = engine.compile_only(workflow).unwrap();
+    let index = workflow
+        .nodes()
+        .iter()
+        .position(|n| n.name == node)
+        .unwrap();
+    let name = format!("{}.hlx", plan.signatures[index].hex());
+    let header = manifests(engine.store().dir())
+        .remove(&name)
+        .unwrap_or_else(|| panic!("`{node}` ({name}) is stored as a manifest"));
+    header
+        .groups
+        .iter()
+        .filter(|g| g.is_external())
+        .map(|g| g.key)
+        .collect()
+}
+
+fn state(report: &helix::core::IterationReport, node: &str) -> helix::core::NodeState {
+    report.nodes.iter().find(|n| n.name == node).unwrap().state
+}
+
+/// Manifests across a restart: after three appends every superseded
+/// version of a chunk-aligned node is a manifest over the newest file's
+/// row groups. Rolling the data back to the first append and rewiring the
+/// assembly loads those versions through their manifests; a reopened
+/// engine answers exactly like the never-restarted one and like a fresh
+/// engine on the rolled-back data.
+#[test]
+fn restarted_manifests_match_a_never_restarted_engine() {
+    std::env::set_var("HELIX_DATA_CHUNK_ROWS", CHUNK_ROWS);
+    let work = tmpdir("manifest-restart");
+    let run = |tag: &str, restart: bool| {
+        let (mut engine, data, first) = after_appends(&work, tag);
+        assert!(
+            !manifests(engine.store().dir()).is_empty(),
+            "superseded versions are manifests"
+        );
+        if restart {
+            let store = engine.store().dir().to_path_buf();
+            drop(engine);
+            engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+        }
+        std::fs::write(data.join("train.csv"), &first).unwrap();
+        let report = Session::new(engine, tag, with_interaction(&data))
+            .iterate()
+            .unwrap();
+        (report, data, first)
+    };
+    let (restarted, data, first) = run("restarted", true);
+    let (never, ..) = run("never", false);
+    assert_eq!(state(&restarted, "rows"), helix::core::NodeState::Load);
+    assert_eq!(restarted.metrics, never.metrics);
+    assert_eq!(plan_shape(&restarted), plan_shape(&never));
+    assert_eq!(
+        restarted.metrics,
+        from_scratch(&work, "restart", &data, &first).metrics
+    );
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// Evicting a row-group key that a manifest reads makes the manifest a
+/// missing entry: the next iterate recomputes the node instead of loading
+/// it, and answers like a fresh engine.
+#[test]
+fn evicting_a_key_a_manifest_references_recomputes_the_node() {
+    std::env::set_var("HELIX_DATA_CHUNK_ROWS", CHUNK_ROWS);
+    let work = tmpdir("manifest-evict");
+    let (engine, data, first) = after_appends(&work, "evict");
+    std::fs::write(data.join("train.csv"), &first).unwrap();
+    let workflow = with_interaction(&data);
+    let key = external_keys(&engine, &workflow, "rows")[0];
+    assert!(engine
+        .store()
+        .evict(helix::core::signature::Signature(key))
+        .unwrap());
+
+    let report = Session::new(engine, "evict", workflow).iterate().unwrap();
+    assert_eq!(state(&report, "rows"), helix::core::NodeState::Compute);
+    assert_eq!(
+        report.metrics,
+        from_scratch(&work, "evict", &data, &first).metrics
+    );
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// A flipped byte in a row group that a manifest reads is caught by the
+/// group's checksum on the next disk read (here after a reopen, which
+/// starts with an empty decoded cache): the load through the manifest
+/// fails that run with a store error, the corrupt file is dropped, and the
+/// next run recomputes and answers like a fresh engine.
+#[test]
+fn a_flipped_byte_in_a_group_a_manifest_reads_is_dropped_and_recomputed() {
+    std::env::set_var("HELIX_DATA_CHUNK_ROWS", CHUNK_ROWS);
+    let work = tmpdir("manifest-flip");
+    let (engine, data, first) = after_appends(&work, "flip");
+    std::fs::write(data.join("train.csv"), &first).unwrap();
+    let workflow = with_interaction(&data);
+    let key = external_keys(&engine, &workflow, "rows")[0];
+    // The file that holds the group's bytes: the newest `rows` version.
+    let (holder, mut bytes) = stored_files(engine.store().dir())
+        .into_iter()
+        .find(|(_, bytes)| {
+            helix::dataflow::codec::read_header(&bytes[1..])
+                .is_ok_and(|h| h.groups.iter().any(|g| g.key == key && !g.is_external()))
+        })
+        .expect("a file holds the group");
+    let header = helix::dataflow::codec::read_header(&bytes[1..]).unwrap();
+    let k = header.groups.iter().position(|g| g.key == key).unwrap();
+    let range = header.group_range(k, bytes.len() as u64 - 1).unwrap();
+    bytes[1 + range.start as usize + 9] ^= 0x01;
+    let store = engine.store().dir().to_path_buf();
+    let path = store.join(&holder);
+    std::fs::write(&path, &bytes).unwrap();
+    drop(engine);
+
+    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+    let mut session = Session::new(engine, "flip", workflow);
+    let err = session
+        .iterate()
+        .expect_err("a corrupt group must fail the load, not answer");
+    assert!(
+        matches!(err, helix::core::HelixError::Store(_)),
+        "got {err}"
+    );
+    assert!(!path.exists(), "the corrupt file was dropped");
+    let recovered = session.iterate().unwrap();
+    assert_eq!(state(&recovered, "rows"), helix::core::NodeState::Compute);
+    assert_eq!(
+        recovered.metrics,
+        from_scratch(&work, "flip", &data, &first).metrics
+    );
+    let _ = std::fs::remove_dir_all(&work);
+}
