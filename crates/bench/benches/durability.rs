@@ -187,7 +187,7 @@ fn bench_durability(c: &mut Criterion) {
             || {
                 next_base += 4;
                 store
-                    .put_grouped(Signature(next_base), &chunked, &groups(next_base + 1))
+                    .put_grouped(Signature(next_base), &chunked, &groups(next_base + 1), &[])
                     .unwrap();
                 Signature(next_base + 2)
             },
@@ -197,7 +197,7 @@ fn bench_durability(c: &mut Criterion) {
     });
     let base = u64::MAX - 8;
     store
-        .put_grouped(Signature(base), &chunked, &groups(base + 1))
+        .put_grouped(Signature(base), &chunked, &groups(base + 1), &[])
         .unwrap();
     let psig = Signature(base + 2);
     for _ in 0..2 {

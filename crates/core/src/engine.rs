@@ -13,14 +13,20 @@
 //! identity, and the store's atomic budget ledger keeps concurrent
 //! materializations from jointly overshooting the storage budget. The
 //! [`crate::session`] module builds the multi-user API on top of this.
+//!
+//! Each run holds its plan's `Load` signatures in an engine-level
+//! *in-flight set* from compile until it has loaded them (or ends). A
+//! displacement (see [`crate::materialize::Displacement`]) and the offline
+//! pass never evict a key in it, so a compiled plan never finds its loads
+//! gone.
 
 use crate::compiler::CompiledPlan;
 use crate::cost::CostModel;
-use crate::materialize::{MaterializationContext, MaterializationPolicyKind};
+use crate::materialize::{Displacement, MaterializationContext, MaterializationPolicyKind};
 use crate::memo::{MemoTable, Observation, OfflineOutcome};
 use crate::ops::{NodeOutput, OperatorKind};
 use crate::persist::{arr_field, f64_field, field, hex_u64, str_field, u64_hex};
-use crate::recompute::RecomputationPolicy;
+use crate::recompute::{NodeState, RecomputationPolicy};
 use crate::report::{IterationReport, NodeReport};
 use crate::scheduler;
 use crate::signature::{snapshot, ChangeKind, Signature};
@@ -329,6 +335,91 @@ impl RunContext {
         self.cost.observe_encode(estimated, actual);
         self.events.push(CostEvent::Encode { estimated, actual });
     }
+
+    /// Stores node `i`'s output under `sig`, displacing `displace` as far
+    /// as needed, and records the write. Returns whether it was stored: a
+    /// store refusal is a skip, not an error. It means either a budget
+    /// race between estimate and actual encoded size, or another
+    /// session's in-flight put of this same signature; the online policy
+    /// would skip with perfect information, and the concurrent twin's
+    /// materialization serves future loads just as well.
+    fn materialize(
+        &mut self,
+        store: &IntermediateStore,
+        i: usize,
+        sig: Signature,
+        output: &NodeOutput,
+        groups: &[GroupSpec],
+        displace: &[Signature],
+    ) -> Result<bool> {
+        match store.put_grouped(sig, output, groups, displace) {
+            Ok((bytes, secs)) => {
+                self.observe_io(bytes, secs);
+                self.observe_encode(self.node_reports[i].output_bytes, bytes);
+                self.materialize_secs += secs;
+                self.node_reports[i].materialized = true;
+                Ok(true)
+            }
+            Err(HelixError::Store(_)) => Ok(false),
+            Err(other) => Err(other),
+        }
+    }
+
+    /// This run's compute seconds and parents per executed signature: the
+    /// prices [`Displacement`] uses for signatures the memo never saw.
+    fn fresh_timings(&self) -> FxHashMap<u64, (f64, Vec<Signature>)> {
+        self.memo_events
+            .iter()
+            .filter(|(.., observation)| !observation.loaded)
+            .map(|(sig, _, parents, observation)| (sig.0, (observation.exec_secs, parents.clone())))
+            .collect()
+    }
+}
+
+/// Signatures held in the engine's in-flight set, each with the number of
+/// runs holding it.
+type InflightLoads = Mutex<FxHashMap<u64, usize>>;
+
+/// A run's planned `Load` signatures, held in the in-flight set until
+/// loaded or dropped (module docs).
+struct LoadGuard<'a> {
+    inflight: &'a InflightLoads,
+    sigs: Vec<u64>,
+}
+
+impl LoadGuard<'_> {
+    /// Whether every held key is still stored.
+    fn all_stored(&self, store: &IntermediateStore) -> bool {
+        self.sigs
+            .iter()
+            .all(|&sig| store.lookup(Signature(sig)).is_some())
+    }
+
+    /// Lets go of `sig` early, once this run has loaded it.
+    fn release(&mut self, sig: Signature) {
+        if let Some(at) = self.sigs.iter().position(|&s| s == sig.0) {
+            self.sigs.swap_remove(at);
+            unhold(&mut lock(self.inflight), sig.0);
+        }
+    }
+}
+
+impl Drop for LoadGuard<'_> {
+    fn drop(&mut self) {
+        let mut held = lock(self.inflight);
+        for &sig in &self.sigs {
+            unhold(&mut held, sig);
+        }
+    }
+}
+
+fn unhold(held: &mut FxHashMap<u64, usize>, sig: u64) {
+    if let Some(count) = held.get_mut(&sig) {
+        *count -= 1;
+        if *count == 0 {
+            held.remove(&sig);
+        }
+    }
 }
 
 use crate::lock;
@@ -373,6 +464,9 @@ pub struct Engine {
     last_offline_unix: AtomicU64,
     /// Lifetime count of chunk-only writes skipped after an I/O error.
     chunk_writes_skipped: AtomicU64,
+    /// Keys some running plan loads (module docs). Lock order: taken
+    /// before the memo and the store's locks, never after.
+    inflight_loads: InflightLoads,
 }
 
 impl Engine {
@@ -438,6 +532,7 @@ impl Engine {
             replans_triggered: AtomicU64::new(replans_triggered),
             last_offline_unix: AtomicU64::new(last_offline_unix),
             chunk_writes_skipped: AtomicU64::new(0),
+            inflight_loads: Mutex::new(FxHashMap::default()),
         })
     }
 
@@ -560,6 +655,58 @@ impl Engine {
         )
     }
 
+    /// Compiles `workflow` against `cost`, then applies the adaptive
+    /// re-plan: when per-signature observed history diverges from the
+    /// name-keyed estimates the plan was compiled with, the observed costs
+    /// go in and the recomputation optimizer runs again. Returns the plan
+    /// and the memo snapshot it was planned from, which the run's merge
+    /// callback reuses, so a concurrent run's recordings never shift this
+    /// run's decisions mid-flight. Every memo read in a run is keyed by a
+    /// plan signature, so the snapshot copies only those entries.
+    fn plan_run(
+        &self,
+        workflow: &Workflow,
+        lineage: &Lineage,
+        cost: &CostModel,
+    ) -> Result<(CompiledPlan, MemoTable)> {
+        let mut plan = self.compile_against(workflow, lineage, cost)?;
+        let memo_snapshot = lock(&self.memo).subset(&plan.signatures);
+        if crate::compiler::adapt_plan_with_memo(
+            workflow,
+            &mut plan,
+            &memo_snapshot,
+            self.config.recomputation,
+            self.config.replan_factor,
+        )? {
+            self.replans_triggered.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((plan, memo_snapshot))
+    }
+
+    /// Holds `plan`'s `Load` signatures in the in-flight set until the
+    /// guard drops.
+    fn hold_loads(&self, plan: &CompiledPlan) -> LoadGuard<'_> {
+        let sigs: Vec<u64> = plan
+            .states
+            .iter()
+            .zip(&plan.signatures)
+            .filter(|(state, _)| **state == NodeState::Load)
+            .map(|(_, sig)| sig.0)
+            .collect();
+        self.hold(sigs)
+    }
+
+    fn hold(&self, sigs: Vec<u64>) -> LoadGuard<'_> {
+        let mut held = lock(&self.inflight_loads);
+        for &sig in &sigs {
+            *held.entry(sig).or_insert(0) += 1;
+        }
+        LoadGuard {
+            inflight: &self.inflight_loads,
+            sigs,
+        }
+    }
+
     /// Runs one iteration against the engine's default lineage: compile →
     /// execute → materialize → record.
     ///
@@ -599,27 +746,17 @@ impl Engine {
         // compiled against it, and the merge callback below prices and
         // calibrates against it.
         let cost = self.cost_model();
-        let mut plan = self.compile_against(workflow, lineage, &cost)?;
-        // The adaptive re-plan: when per-signature observed history
-        // diverges from the name-keyed estimates the plan was compiled
-        // with, swap the observed costs in and re-run the recomputation
-        // optimizer. Snapshots of the memo and pin set are taken once
-        // here and reused by the merge callback below, so a concurrent
-        // run's recordings never shift this run's decisions mid-flight.
-        // Every memo read in this run is keyed by a plan signature, so
-        // the snapshot copies only those entries.
-        let memo_snapshot = lock(&self.memo).subset(&plan.signatures);
-        let pinned_snapshot: FxHashSet<u64> = lock(&self.pinned).clone();
-        if crate::compiler::adapt_plan_with_memo(
-            workflow,
-            &mut plan,
-            &memo_snapshot,
-            self.config.recomputation,
-            self.config.replan_factor,
-        )? {
-            self.replans_triggered.fetch_add(1, Ordering::Relaxed);
+        let (mut plan, mut memo_snapshot) = self.plan_run(workflow, lineage, &cost)?;
+        // Hold the plan's loads until this run has loaded them. A key that
+        // went between compile and the hold would fail its load, so plan
+        // once more.
+        let mut loads = self.hold_loads(&plan);
+        if !loads.all_stored(&self.store) {
+            drop(loads);
+            (plan, memo_snapshot) = self.plan_run(workflow, lineage, &cost)?;
+            loads = self.hold_loads(&plan);
         }
-        let plan = plan;
+        let pinned_snapshot: FxHashSet<u64> = lock(&self.pinned).clone();
         let optimizer_secs = opt_started.elapsed().as_secs_f64();
 
         let node_reports: Vec<NodeReport> = workflow
@@ -662,6 +799,8 @@ impl Engine {
         let store = &self.store;
         let config = &self.config;
         let chunk_writes_skipped = &self.chunk_writes_skipped;
+        let inflight_loads = &self.inflight_loads;
+        let shared_memo = &self.memo;
         // Partition sizing seeded from the memo: a node with observed
         // per-row cost gets a threshold derived from it; everything else
         // falls back to the configured knob. Purely a performance hint —
@@ -708,6 +847,8 @@ impl Engine {
                     .map(|p| plan.signatures[p.index()])
                     .collect();
                 if let Some(bytes) = executed.loaded_bytes {
+                    // Loaded: this run no longer needs the key held.
+                    loads.release(plan.signatures[i]);
                     // A load answered from the store's decoded cache read
                     // no file, so it says nothing about disk I/O: the
                     // model stays calibrated by disk reads only.
@@ -768,29 +909,45 @@ impl Engine {
                         .as_data()
                         .map(|data| row_groups(plan.chunks[i].as_ref(), data.len()))
                         .unwrap_or_default();
+                    let sig = plan.signatures[i];
                     let mut materialized = false;
-                    if config.materialization.decide(&decision)
-                        && store.lookup(plan.signatures[i]).is_none()
+                    if config.materialization.decide(&decision) && store.lookup(sig).is_none() {
+                        materialized = ctx.materialize(store, i, sig, output, &groups, &[])?;
+                    } else if config.materialization.displaces(&decision)
+                        && store.lookup(sig).is_none()
                     {
-                        match store.put_grouped(plan.signatures[i], output, &groups) {
-                            Ok((bytes, secs)) => {
-                                ctx.observe_io(bytes, secs);
-                                ctx.observe_encode(est_bytes, bytes);
-                                ctx.materialize_secs += secs;
-                                ctx.node_reports[i].materialized = true;
-                                materialized = true;
-                            }
-                            Err(HelixError::Store(_)) => {
-                                // Either a budget race between estimate
-                                // and actual encoded size, or another
-                                // session's in-flight put of this same
-                                // signature. Both mean "skip": the online
-                                // policy would with perfect information,
-                                // and the concurrent twin's materialization
-                                // serves future loads just as well.
-                            }
-                            Err(other) => return Err(other),
+                        // The rule wants it but it does not fit: trade
+                        // less dense residents for it. The in-flight set
+                        // stays locked until the put is done, so no run
+                        // starts to hold a key this put evicts.
+                        let inflight = lock(inflight_loads);
+                        let mut protected = pinned_snapshot.clone();
+                        protected.extend(inflight.keys().copied());
+                        protected.extend(
+                            plan.chunks
+                                .iter()
+                                .flatten()
+                                .flat_map(|c| c.psigs.iter().map(|p| p.0)),
+                        );
+                        let residents = store.residents();
+                        let fresh = ctx.fresh_timings();
+                        let victims = Displacement {
+                            candidate: sig,
+                            candidate_bytes: size,
+                            needed_bytes: size.saturating_sub(decision.remaining_budget_bytes),
+                            plan: &plan.signatures,
+                            protected: &protected,
+                            residents: &residents,
+                            memo: &lock(shared_memo),
+                            cost: &ctx.cost,
+                            fresh: &fresh,
                         }
+                        .victims();
+                        if !victims.is_empty() {
+                            materialized =
+                                ctx.materialize(store, i, sig, output, &groups, &victims)?;
+                        }
+                        drop(inflight);
                     }
 
                     // A node the policy did not store still keeps its
@@ -936,22 +1093,28 @@ impl Engine {
     /// — the chosen set's total cost never exceeds the online rule's on
     /// the same history), pins the chosen signatures so the online policy
     /// materializes them whenever they fit, evicts stored entries the
-    /// history says are not worth their bytes, and checkpoints the result
-    /// with the engine meta.
+    /// history says are not worth their bytes (except those an in-flight
+    /// run plans to load), and checkpoints the result with the engine
+    /// meta.
     pub fn optimize_offline(&self) -> Result<OfflineOutcome> {
         let memo = lock(&self.memo).clone();
         let cost = lock(&self.cost_model).clone();
         let outcome = crate::memo::solve_offline(&memo, &cost, self.config.storage_budget_bytes);
         let chosen: FxHashSet<u64> = outcome.chosen.iter().map(|s| s.0).collect();
         *lock(&self.pinned) = chosen.clone();
-        // Reclaim bytes from stored entries the pass rejected. Concurrent
-        // iterations tolerate this the same way they tolerate budget
-        // races: a missed load recomputes.
+        // Reclaim bytes from stored entries the pass rejected, except
+        // those a running plan loads: a planned load that finds its key
+        // gone fails the run, it does not recompute.
+        let inflight = lock(&self.inflight_loads);
         for (sig, _) in memo.entries() {
-            if !chosen.contains(&sig.0) && self.store.lookup(sig).is_some() {
+            if !chosen.contains(&sig.0)
+                && !inflight.contains_key(&sig.0)
+                && self.store.lookup(sig).is_some()
+            {
                 let _ = self.store.evict(sig);
             }
         }
+        drop(inflight);
         let now = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -1017,7 +1180,6 @@ fn ancestors_compute_estimate(
 mod tests {
     use super::*;
     use crate::ops::{EvalSpec, ExtractorKind, LearnerSpec, MetricKind};
-    use crate::recompute::NodeState;
     use helix_dataflow::DataType;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1636,5 +1798,48 @@ mod tests {
         assert!(outcome.chosen.is_empty());
         assert_eq!(outcome.candidates, 0);
         assert!(engine.optimizer_stats().last_offline_unix > 0);
+    }
+
+    #[test]
+    fn the_offline_pass_keeps_keys_an_inflight_run_loads() {
+        let dir = tmpdir("offline-inflight");
+        std::fs::create_dir_all(&dir).unwrap();
+        let engine = Engine::new(EngineConfig::helix(dir.join("store"))).unwrap();
+        let schema = helix_dataflow::Schema::of(&[("x", DataType::Int)]);
+        let rows = (0..256)
+            .map(|i| helix_dataflow::Row(vec![helix_dataflow::Value::Int(i)]))
+            .collect();
+        let output = NodeOutput::Data(helix_dataflow::DataCollection::new(schema, rows).unwrap());
+        // History says the key recomputes far faster than it loads, so
+        // the pass rejects it.
+        let sig = Signature(42);
+        engine.store().put(sig, &output).unwrap();
+        lock(&engine.memo).record(
+            sig,
+            "cheap",
+            &[],
+            Observation {
+                exec_secs: 1e-9,
+                output_bytes: 1 << 20,
+                loaded: false,
+                rows: 256,
+                run: 0,
+            },
+        );
+
+        let held = engine.hold(vec![sig.0]);
+        let outcome = engine.optimize_offline().unwrap();
+        assert!(!outcome.chosen.contains(&sig));
+        assert!(
+            engine.store().lookup(sig).is_some(),
+            "a key a running plan loads survives the pass"
+        );
+        drop(held);
+        assert!(lock(&engine.inflight_loads).is_empty());
+        engine.optimize_offline().unwrap();
+        assert!(
+            engine.store().lookup(sig).is_none(),
+            "released, the rejected key goes"
+        );
     }
 }

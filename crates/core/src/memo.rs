@@ -432,10 +432,6 @@ pub fn solve_offline(memo: &MemoTable, cost: &CostModel, budget_bytes: u64) -> O
         .iter()
         .map(|&sig| {
             let entry = memo.get(sig).expect("signature from iteration");
-            let compute_secs = memo
-                .observed_compute_secs(sig)
-                .or_else(|| cost.compute_estimate_secs(&entry.name))
-                .unwrap_or(FALLBACK_COMPUTE_SECS);
             let size_bytes = entry.observed_bytes().unwrap_or(0);
             let parents: Vec<usize> = entry
                 .parents
@@ -444,7 +440,7 @@ pub fn solve_offline(memo: &MemoTable, cost: &CostModel, budget_bytes: u64) -> O
                 .collect();
             Costed {
                 sig,
-                compute_secs,
+                compute_secs: history_compute_secs(memo, cost, sig, entry),
                 load_secs: cost.load_estimate_secs(size_bytes),
                 size_bytes,
                 ancestors_compute_secs: 0.0,
@@ -462,17 +458,11 @@ pub fn solve_offline(memo: &MemoTable, cost: &CostModel, budget_bytes: u64) -> O
     for (node, sink) in nodes.iter_mut().zip(&has_child) {
         node.is_sink = !sink;
     }
-    // Ancestor compute sums over the memo DAG. Signatures sort children
-    // after parents *only* by accident, so do a fixpoint-free memoized
-    // DFS instead: the DAG is small (it holds executed signatures).
-    let order = topo_order(&nodes);
-    for &i in &order {
-        let sum: f64 = nodes[i]
-            .parents
-            .iter()
-            .map(|&p| nodes[p].compute_secs + nodes[p].ancestors_compute_secs)
-            .sum();
-        nodes[i].ancestors_compute_secs = sum;
+    let compute: Vec<f64> = nodes.iter().map(|n| n.compute_secs).collect();
+    let parents: Vec<&[usize]> = nodes.iter().map(|n| n.parents.as_slice()).collect();
+    let ancestors = ancestor_sums(&compute, &parents);
+    for (node, sum) in nodes.iter_mut().zip(ancestors) {
+        node.ancestors_compute_secs = sum;
     }
 
     // Eligible candidates: a known size that fits the budget at all.
@@ -555,22 +545,94 @@ pub fn solve_offline(memo: &MemoTable, cost: &CostModel, budget_bytes: u64) -> O
     }
 }
 
-/// Topological order of the memo DAG (parents before children). Cycles
-/// cannot occur — signatures hash the ancestry — but a defensive visit
-/// guard keeps a corrupt memo from hanging the pass.
-fn topo_order(nodes: &[Costed]) -> Vec<usize> {
-    let mut order = Vec::with_capacity(nodes.len());
-    let mut state = vec![0u8; nodes.len()]; // 0 unvisited, 1 open, 2 done
+/// A signature's compute seconds as history prices it: the decayed
+/// observed mean, else the cost model's name estimate, else
+/// [`FALLBACK_COMPUTE_SECS`] (a signature only ever loaded).
+fn history_compute_secs(
+    memo: &MemoTable,
+    cost: &CostModel,
+    sig: Signature,
+    entry: &MemoEntry,
+) -> f64 {
+    memo.observed_compute_secs(sig)
+        .or_else(|| cost.compute_estimate_secs(&entry.name))
+        .unwrap_or(FALLBACK_COMPUTE_SECS)
+}
+
+/// The ancestor term `Σ_{j ∈ A(i)} c_j` of every node of a DAG given as
+/// per-node compute seconds and parent indices: each node sums its
+/// parents' compute plus their own ancestor terms, so an ancestor
+/// reached along two paths counts twice. [`solve_offline`] ranks by it,
+/// and [`chain_secs`] prices displacement with it.
+fn ancestor_sums(compute: &[f64], parents: &[&[usize]]) -> Vec<f64> {
+    let mut sums = vec![0.0; compute.len()];
+    for i in topo_order(parents) {
+        sums[i] = parents[i].iter().map(|&p| compute[p] + sums[p]).sum();
+    }
+    sums
+}
+
+/// Recompute-chain seconds `c_i + Σ_{j ∈ A(i)} c_j` of each of `sigs`:
+/// what recomputing it through its ancestors would cost. Priced from
+/// history over the memo's own parent edges, with the ancestor sum
+/// [`solve_offline`] ranks by (an ancestor on two paths counts twice); a
+/// signature the memo has never seen is priced from `fresh`, a run's own
+/// compute seconds and parents, and one neither knows costs nothing.
+pub fn chain_secs(
+    memo: &MemoTable,
+    cost: &CostModel,
+    fresh: &FxHashMap<u64, (f64, Vec<Signature>)>,
+    sigs: &[Signature],
+) -> Vec<f64> {
+    let mut index: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut compute = Vec::new();
+    let mut edges: Vec<&[Signature]> = Vec::new();
+    let mut stack = sigs.to_vec();
+    while let Some(sig) = stack.pop() {
+        if index.contains_key(&sig.0) {
+            continue;
+        }
+        index.insert(sig.0, compute.len());
+        let (secs, parents): (f64, &[Signature]) = match (memo.get(sig), fresh.get(&sig.0)) {
+            (Some(entry), _) => (history_compute_secs(memo, cost, sig, entry), &entry.parents),
+            (None, Some((secs, parents))) => (*secs, parents),
+            (None, None) => (0.0, &[]),
+        };
+        compute.push(secs);
+        edges.push(parents);
+        stack.extend_from_slice(parents);
+    }
+    let parents: Vec<Vec<usize>> = edges
+        .iter()
+        .map(|ps| ps.iter().map(|p| index[&p.0]).collect())
+        .collect();
+    let parents: Vec<&[usize]> = parents.iter().map(Vec::as_slice).collect();
+    let ancestors = ancestor_sums(&compute, &parents);
+    sigs.iter()
+        .map(|sig| {
+            let i = index[&sig.0];
+            compute[i] + ancestors[i]
+        })
+        .collect()
+}
+
+/// Topological order of a DAG given as parent indices (parents before
+/// children). Cycles cannot occur in the memo — signatures hash the
+/// ancestry — but a defensive visit guard keeps a corrupt memo from
+/// hanging the pass.
+fn topo_order(parents: &[&[usize]]) -> Vec<usize> {
+    let mut order = Vec::with_capacity(parents.len());
+    let mut state = vec![0u8; parents.len()]; // 0 unvisited, 1 open, 2 done
     let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..nodes.len() {
+    for root in 0..parents.len() {
         if state[root] != 0 {
             continue;
         }
         stack.push((root, 0));
         state[root] = 1;
         while let Some(&mut (i, ref mut next)) = stack.last_mut() {
-            if *next < nodes[i].parents.len() {
-                let p = nodes[i].parents[*next];
+            if *next < parents[i].len() {
+                let p = parents[i][*next];
                 *next += 1;
                 if state[p] == 0 {
                     state[p] = 1;
@@ -755,6 +817,15 @@ mod tests {
             "the chain tail is the obvious pin: {:?}",
             outcome.chosen
         );
+    }
+
+    #[test]
+    fn chain_secs_sums_ancestors_and_prices_unseen_signatures_fresh() {
+        let memo = chain_memo();
+        let fresh = [(99, (2.0, vec![Signature(12)]))].into_iter().collect();
+        let sigs = [Signature(12), Signature(99), Signature(7)];
+        let chains = chain_secs(&memo, &CostModel::new(), &fresh, &sigs);
+        assert_eq!(chains, vec![3.0, 5.0, 0.0]);
     }
 
     #[test]

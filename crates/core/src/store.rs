@@ -56,7 +56,11 @@
 //!
 //! The store enforces the materialization optimizer's **storage budget**
 //! (paper §2.3: "with a maximum storage constraint") and reports measured
-//! I/O durations to the cost model.
+//! I/O durations to the cost model. A put that does not fit refuses,
+//! unless the caller names residents to displace
+//! ([`IntermediateStore::put_grouped`]): the store then evicts them in
+//! order, only until the encoded output fits, and counts what went
+//! ([`IntermediateStore::displaced_stats`]).
 //!
 //! # Decoded reads
 //!
@@ -122,6 +126,7 @@
 //! after a reopen (it never held bytes of its own). See
 //! docs/ARCHITECTURE.md § Durability.
 
+use crate::materialize::Resident;
 use crate::ops::NodeOutput;
 use crate::signature::Signature;
 use crate::{HelixError, Result};
@@ -349,6 +354,16 @@ pub struct DecodedStats {
     pub bytes: u64,
     /// Reads answered from memory since the store was opened.
     pub hits: u64,
+}
+
+/// What puts displaced to make room (see
+/// [`IntermediateStore::put_grouped`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DisplacedStats {
+    /// Keys evicted since the store was opened.
+    pub entries: u64,
+    /// Bytes their eviction freed.
+    pub bytes: u64,
 }
 
 /// One answered read (see [`IntermediateStore::get`]).
@@ -663,6 +678,9 @@ struct StoreInner {
     recovery: RecoveryInfo,
     /// Decoded outputs kept in memory (module docs, "Decoded reads").
     decoded: Mutex<DecodedCache>,
+    /// Keys and bytes displaced by puts since open.
+    displaced_entries: AtomicU64,
+    displaced_bytes: AtomicU64,
     /// Per-instance failpoints for crash-consistency regression tests:
     /// simulate a kill between the file rename and the WAL append
     /// (`put`), or between file removal and log compaction (`clear`), or
@@ -867,6 +885,18 @@ fn manifest_refs(shard: &Shard, loc: Loc) -> Option<Arc<[u64]>> {
         .then(|| Arc::clone(&meta.refs))
 }
 
+/// The bytes of the file key `key` is the only key of, when `key` is a
+/// whole output with one location — a whole output's key is its file's
+/// id, so the file's entry is in the key's shard.
+fn sole_file_bytes(shard: &Shard, key: u64) -> Option<u64> {
+    let [loc] = shard.keys.get(&key)?.as_slice() else {
+        return None;
+    };
+    let meta = shard.files.get(&loc.file)?;
+    (loc.group.is_none() && loc.file == key && meta.gen == loc.gen && meta.live == 1)
+        .then_some(meta.bytes)
+}
+
 /// Whether a failed read means the bytes on disk are bad (as opposed to
 /// the file having gone away, or a transient I/O error).
 fn is_corruption(err: &HelixError) -> bool {
@@ -1045,6 +1075,8 @@ impl IntermediateStore {
                 next_gen: AtomicU64::new(next_gen + 1),
                 recovery,
                 decoded: Mutex::new(DecodedCache::default()),
+                displaced_entries: AtomicU64::new(0),
+                displaced_bytes: AtomicU64::new(0),
                 #[cfg(test)]
                 fail_skip_wal_append: std::sync::atomic::AtomicBool::new(false),
                 #[cfg(test)]
@@ -1131,6 +1163,38 @@ impl IntermediateStore {
             bytes: cache.bytes as u64,
             hits: cache.hits,
         }
+    }
+
+    /// What puts have displaced since the store was opened.
+    pub fn displaced_stats(&self) -> DisplacedStats {
+        DisplacedStats {
+            entries: self.inner.displaced_entries.load(Ordering::Relaxed),
+            bytes: self.inner.displaced_bytes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Every stored whole output whose eviction would delete its file,
+    /// with that file's bytes: the outputs a put may displace. A file that
+    /// also serves row-group keys is not listed (evicting its node key
+    /// frees nothing), and neither is a chunk-only file.
+    pub fn residents(&self) -> Vec<Resident> {
+        let mut residents = Vec::new();
+        for slot in self.inner.shards.iter() {
+            let shard = slot.lock();
+            residents.extend(shard.keys.keys().filter_map(|&key| {
+                Some(Resident {
+                    sig: Signature(key),
+                    bytes: sole_file_bytes(&shard, key)?,
+                })
+            }));
+        }
+        residents
+    }
+
+    /// The bytes evicting `sig` frees, if it is a resident (see
+    /// [`residents`](Self::residents)).
+    fn resident_bytes(&self, sig: Signature) -> Option<u64> {
+        sole_file_bytes(&self.slot(sig.0).lock(), sig.0)
     }
 
     /// Size of what a read of `sig` returns, if stored. A manifest whose
@@ -1308,17 +1372,20 @@ impl IntermediateStore {
     /// # Errors
     /// [`HelixError::Store`] if the entry would exceed the budget.
     pub fn put(&self, sig: Signature, output: &NodeOutput) -> Result<(u64, f64)> {
-        let started = Instant::now();
-        // Encoding is part of the materialization cost the optimizer
-        // trades off, so it is inside the timed region.
-        let bytes = output.encode();
-        self.write_file(sig.0, bytes, started, WriteKind::New)
+        self.put_grouped(sig, output, &[], &[])
     }
 
     /// [`put`](Self::put) for a chunk-aligned data output: one file
     /// whose row groups `groups` (which must cover the output's rows in
     /// order, with non-zero keys) are also served under their own keys.
     /// No groups is a plain `put`.
+    ///
+    /// When the encoded output does not fit, the keys of `displace` are
+    /// evicted in order, each only while it still does not fit, and the
+    /// output is written in the room they leave. Only
+    /// [`residents`](Self::residents) count: if even all of them together
+    /// cannot make room, none goes and the put refuses. An empty list
+    /// refuses at once.
     ///
     /// A group another file already holds is copied from that file's
     /// bytes rather than encoded again; the file is byte-identical to a
@@ -1335,11 +1402,15 @@ impl IntermediateStore {
         sig: Signature,
         output: &NodeOutput,
         groups: &[GroupSpec],
+        displace: &[Signature],
     ) -> Result<(u64, f64)> {
-        if groups.is_empty() {
-            return self.put(sig, output);
-        }
         let started = Instant::now();
+        if groups.is_empty() {
+            // Encoding is part of the materialization cost the optimizer
+            // trades off, so it is inside the timed region.
+            let bytes = output.encode();
+            return self.write_file(sig.0, bytes, started, WriteKind::New, displace);
+        }
         let data = output.as_data()?;
         if !groups_tile(groups, data.len()) {
             return Err(HelixError::Store(format!(
@@ -1365,7 +1436,7 @@ impl IntermediateStore {
         };
         let mut bytes = vec![crate::ops::OUT_TAG_DATA];
         codec::encode_spliced_into(data, groups, encoded, &mut bytes);
-        let (size, _) = self.write_file(sig.0, bytes, started, WriteKind::New)?;
+        let (size, _) = self.write_file(sig.0, bytes, started, WriteKind::New, displace)?;
         for file in &older {
             if let Err(err) = self.shrink(file) {
                 eprintln!(
@@ -1443,7 +1514,7 @@ impl IntermediateStore {
         }
         let mut bytes = vec![if chunk_only { TAG_CHUNKS } else { TAG_MANIFEST }];
         codec::assemble_into(&header.schema, &groups, &mut bytes);
-        self.write_file(id, bytes, started, WriteKind::Rewrite)?;
+        self.write_file(id, bytes, started, WriteKind::Rewrite, &[])?;
         Ok(())
     }
 
@@ -1474,18 +1545,20 @@ impl IntermediateStore {
         }
         let mut bytes = vec![TAG_CHUNKS];
         codec::encode_grouped_into(data, groups, &mut bytes);
-        self.write_file(hasher.finish(), bytes, started, WriteKind::New)
+        self.write_file(hasher.finish(), bytes, started, WriteKind::New, &[])
     }
 
-    /// The body of every put: reserve, write a temp file, rename it to
-    /// `<id>.hlx`, commit the file (and log it), then publish its keys and
-    /// retire those of the incarnation it replaced.
+    /// The body of every put: reserve (displacing `displace` as far as
+    /// needed, see [`put_grouped`](Self::put_grouped)), write a temp file,
+    /// rename it to `<id>.hlx`, commit the file (and log it), then publish
+    /// its keys and retire those of the incarnation it replaced.
     fn write_file(
         &self,
         id: u64,
         bytes: Vec<u8>,
         started: Instant,
         write: WriteKind,
+        displace: &[Signature],
     ) -> Result<(u64, f64)> {
         let size = bytes.len() as u64;
         let header = match bytes.first() {
@@ -1495,7 +1568,16 @@ impl IntermediateStore {
         let keys = file_keys(id, size, bytes[0], header.as_ref());
         let refs = external_keys(bytes[0], header.as_ref());
         let idx = shard_index(id, self.inner.shards.len());
-        {
+        let over_budget = || {
+            HelixError::Store(format!(
+                "materializing {size} bytes would exceed the {}-byte budget ({} used)",
+                self.inner.budget_bytes,
+                self.used_bytes()
+            ))
+        };
+        let mut victims = displace.iter().copied().filter(|v| v.0 != id);
+        let mut room_checked = false;
+        loop {
             let mut shard = self.inner.shards[idx].lock();
             if shard.reserved.contains_key(&id) {
                 // Two in-flight puts of one file would race the rename.
@@ -1519,14 +1601,28 @@ impl IntermediateStore {
                         (used.saturating_sub(existing) + size <= self.inner.budget_bytes)
                             .then_some(used + size)
                     });
-            if reserve.is_err() {
-                return Err(HelixError::Store(format!(
-                    "materializing {size} bytes would exceed the {}-byte budget ({} used)",
-                    self.inner.budget_bytes,
-                    self.used_bytes()
-                )));
+            if reserve.is_ok() {
+                shard.reserved.insert(id, size);
+                break;
             }
-            shard.reserved.insert(id, size);
+            drop(shard);
+            // None of the victims goes unless together they make room.
+            if !room_checked {
+                room_checked = true;
+                let freeable: u64 = victims.clone().filter_map(|v| self.resident_bytes(v)).sum();
+                if self.remaining_bytes() + existing + freeable < size {
+                    return Err(over_budget());
+                }
+            }
+            let victim = victims.next().ok_or_else(over_budget)?;
+            if let Some(freed) = self.resident_bytes(victim) {
+                if let Ok(true) = self.evict(victim) {
+                    self.inner.displaced_entries.fetch_add(1, Ordering::Relaxed);
+                    self.inner
+                        .displaced_bytes
+                        .fetch_add(freed, Ordering::Relaxed);
+                }
+            }
         }
         // Unique temp name: a racing put of another file must not write
         // through this one's half-finished temp file.
@@ -2029,6 +2125,68 @@ mod tests {
         let (back, read, _) = store.get(Signature(7)).unwrap();
         assert_eq!(read, written);
         assert_eq!(back, out);
+    }
+
+    #[test]
+    fn a_put_displaces_residents_only_until_it_fits() {
+        let small = sample_output(100);
+        let size = small.encode().len() as u64;
+        let store = open_store(tmpdir("displace"), 3 * size + size / 2);
+        for sig in 1..=3 {
+            store.put(Signature(sig), &small).unwrap();
+        }
+        let all = [Signature(1), Signature(2), Signature(3)];
+        assert!(store.put(Signature(4), &small).is_err(), "no list: refuse");
+        store.put_grouped(Signature(4), &small, &[], &all).unwrap();
+        assert!(
+            store.lookup(Signature(1)).is_none(),
+            "the first victim went"
+        );
+        assert!(store.lookup(Signature(2)).is_some() && store.lookup(Signature(3)).is_some());
+        assert_eq!(
+            store.displaced_stats(),
+            DisplacedStats {
+                entries: 1,
+                bytes: size
+            }
+        );
+        let mut residents = store.residents();
+        residents.sort_by_key(|r| r.sig.0);
+        assert_eq!(
+            residents,
+            (2..=4)
+                .map(|sig| Resident {
+                    sig: Signature(sig),
+                    bytes: size
+                })
+                .collect::<Vec<_>>()
+        );
+
+        // Victims that cannot make room together: none goes.
+        let big = sample_output(1_000);
+        assert!(big.encode().len() as u64 > size + size / 2);
+        assert!(store
+            .put_grouped(Signature(5), &big, &[], &[Signature(2), Signature(9)])
+            .is_err());
+        assert!(store.lookup(Signature(2)).is_some());
+        assert_eq!(store.displaced_stats().entries, 1);
+        assert_matches_disk(&store);
+    }
+
+    #[test]
+    fn a_file_serving_row_groups_is_no_resident() {
+        let store = open_store(tmpdir("residents"), 1 << 20);
+        let data = int_rows(0..9);
+        store
+            .put_grouped(
+                Signature(8),
+                &NodeOutput::Data(data.clone()),
+                &groups_at(&[0, 3, 6, 9], 800),
+                &[],
+            )
+            .unwrap();
+        store.put_chunks(&data, &groups_at(&[0, 9], 900)).unwrap();
+        assert!(store.residents().is_empty());
     }
 
     #[test]
@@ -2675,7 +2833,9 @@ mod tests {
         let data = int_rows(0..10);
         let groups = groups_at(&[0, 3, 7, 10], 500);
         let output = NodeOutput::Data(data.clone());
-        let (written, _) = store.put_grouped(Signature(7), &output, &groups).unwrap();
+        let (written, _) = store
+            .put_grouped(Signature(7), &output, &groups, &[])
+            .unwrap();
         assert_eq!(hlx_files(&store), 1, "one file for the node and its chunks");
         assert_eq!(store.len(), 4, "the whole key plus three group keys");
         assert_eq!(store.used_bytes(), written);
@@ -2702,7 +2862,7 @@ mod tests {
         let data = int_rows(0..9);
         let groups = groups_at(&[0, 4, 9], 600);
         let (written, _) = store
-            .put_grouped(Signature(8), &NodeOutput::Data(data.clone()), &groups)
+            .put_grouped(Signature(8), &NodeOutput::Data(data.clone()), &groups, &[])
             .unwrap();
 
         assert!(store.evict(Signature(8)).unwrap());
@@ -2738,6 +2898,7 @@ mod tests {
                 Signature(9),
                 &NodeOutput::Data(data.clone()),
                 &groups_at(&[0, 3, 6], 700),
+                &[],
             )
             .unwrap();
         store
@@ -2778,6 +2939,7 @@ mod tests {
                 Signature(10),
                 &NodeOutput::Data(data),
                 &groups_at(&[0, 4, 8], 800),
+                &[],
             )
             .unwrap();
         let path = store.path_for(10);
@@ -2808,7 +2970,12 @@ mod tests {
                 .open()
                 .unwrap();
             store
-                .put_grouped(Signature(11), &NodeOutput::Data(data.clone()), &node_groups)
+                .put_grouped(
+                    Signature(11),
+                    &NodeOutput::Data(data.clone()),
+                    &node_groups,
+                    &[],
+                )
                 .unwrap();
             // A chunk-only file whose log record never lands.
             store
@@ -2857,7 +3024,7 @@ mod tests {
         for bounds in [&[0, 3][..], &[1, 6], &[0, 4, 3, 6]] {
             let groups = groups_at(bounds, 1);
             assert!(matches!(
-                store.put_grouped(Signature(13), &output, &groups),
+                store.put_grouped(Signature(13), &output, &groups, &[]),
                 Err(HelixError::Store(_))
             ));
         }
@@ -2936,7 +3103,7 @@ mod tests {
         let data = int_rows(0..10);
         let groups = groups_at(&[0, 4, 10], 500);
         store
-            .put_grouped(Signature(8), &NodeOutput::Data(data.clone()), &groups)
+            .put_grouped(Signature(8), &NodeOutput::Data(data.clone()), &groups, &[])
             .unwrap();
         let first = store.read(Signature(501)).unwrap();
         let second = store.read(Signature(501)).unwrap();
@@ -2969,6 +3136,7 @@ mod tests {
                 Signature(1),
                 &NodeOutput::Data(old.clone()),
                 &groups_at(&[0, 3, 6], 700),
+                &[],
             )
             .unwrap();
         let whole_size = std::fs::metadata(store.path_for(1)).unwrap().len();
@@ -2977,7 +3145,12 @@ mod tests {
         // The next version shares chunks 700 and 701 and adds 702.
         let new_groups = groups_at(&[0, 3, 6, 9], 700);
         store
-            .put_grouped(Signature(2), &NodeOutput::Data(new.clone()), &new_groups)
+            .put_grouped(
+                Signature(2),
+                &NodeOutput::Data(new.clone()),
+                &new_groups,
+                &[],
+            )
             .unwrap();
 
         let manifest = std::fs::read(store.path_for(1)).unwrap();
@@ -3029,7 +3202,7 @@ mod tests {
         store.put_chunks(&data, &groups[1..]).unwrap();
         assert_eq!(hlx_files(&store), 2);
         store
-            .put_grouped(Signature(3), &NodeOutput::Data(data.clone()), &groups)
+            .put_grouped(Signature(3), &NodeOutput::Data(data.clone()), &groups, &[])
             .unwrap();
         assert_eq!(hlx_files(&store), 1, "only the node file is left");
         for (k, g) in groups.iter().enumerate() {
@@ -3103,6 +3276,7 @@ mod tests {
                 Signature(9),
                 &NodeOutput::Data(data.clone()),
                 &groups_at(&[0, 3, 6], 700),
+                &[],
             )
             .unwrap();
         // Chunk 700 and key 9 each also live in a chunk-only file.

@@ -482,6 +482,7 @@ impl Api {
         let recovery = engine.recovery();
         let optimizer = engine.optimizer_stats();
         let decoded = engine.store().decoded_stats();
+        let displaced = engine.store().displaced_stats();
         ok(Json::obj([
             ("v", Json::Num(3.0)),
             ("connections", Json::Num(snap.connections as f64)),
@@ -520,6 +521,8 @@ impl Api {
             ("decoded_entries", Json::Num(decoded.entries as f64)),
             ("decoded_bytes", Json::Num(decoded.bytes as f64)),
             ("decoded_hits", Json::Num(decoded.hits as f64)),
+            ("displaced_entries", Json::Num(displaced.entries as f64)),
+            ("displaced_bytes", Json::Num(displaced.bytes as f64)),
         ]))
     }
 
@@ -639,6 +642,45 @@ mod tests {
             Some(output.estimated_bytes() as u64)
         );
         assert_eq!(field("decoded_hits"), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_report_displaced_residents() {
+        use helix_core::signature::Signature;
+        use helix_core::{EngineConfig, NodeOutput};
+        use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
+
+        let dir =
+            std::env::temp_dir().join(format!("helix-routes-displaced-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = Schema::of(&[("x", DataType::Int)]);
+        let rows = (0..64).map(|i| Row(vec![Value::Int(i)])).collect();
+        let output = NodeOutput::Data(DataCollection::new(schema, rows).unwrap());
+        let size = output.encode().len() as u64;
+        // Room for one output: the second put must displace the first.
+        let config = EngineConfig::helix(&dir).with_budget(size + size / 2);
+        let manager = Arc::new(SessionManager::with_config(config).unwrap());
+        let store = manager.engine().store().clone();
+        store.put(Signature(1), &output).unwrap();
+        assert!(store.put(Signature(2), &output).is_err());
+        store
+            .put_grouped(Signature(2), &output, &[], &[Signature(1)])
+            .unwrap();
+
+        let api = Api::new(manager, WorkflowRegistry::new());
+        let response = api.handle(&Request {
+            method: "GET".into(),
+            path: "/stats".into(),
+            query: Vec::new(),
+            body: String::new(),
+            close: false,
+        });
+        let stats = Json::parse(&response.body).unwrap();
+        let field = |key: &str| stats.get(key).and_then(Json::as_u64);
+        assert_eq!(field("v"), Some(3));
+        assert_eq!(field("displaced_entries"), Some(1));
+        assert_eq!(field("displaced_bytes"), Some(size));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
