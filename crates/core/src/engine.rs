@@ -315,6 +315,8 @@ struct RunContext {
     node_reports: Vec<NodeReport>,
     materialize_secs: f64,
     metrics: Vec<(String, f64)>,
+    /// Writes skipped after an I/O error (see [`Engine::writes_skipped`]).
+    writes_skipped: u64,
 }
 
 impl RunContext {
@@ -342,7 +344,10 @@ impl RunContext {
     /// race between estimate and actual encoded size, or another
     /// session's in-flight put of this same signature; the online policy
     /// would skip with perfect information, and the concurrent twin's
-    /// materialization serves future loads just as well.
+    /// materialization serves future loads just as well. A failed write
+    /// (a full disk, an I/O error) is warned about and counted, and
+    /// skipped too: materialization is an optimization, so the output is
+    /// recomputed when next needed, and the run goes on.
     fn materialize(
         &mut self,
         store: &IntermediateStore,
@@ -351,18 +356,29 @@ impl RunContext {
         output: &NodeOutput,
         groups: &[GroupSpec],
         displace: &[Signature],
-    ) -> Result<bool> {
+    ) -> bool {
         match store.put_grouped(sig, output, groups, displace) {
             Ok((bytes, secs)) => {
                 self.observe_io(bytes, secs);
                 self.observe_encode(self.node_reports[i].output_bytes, bytes);
                 self.materialize_secs += secs;
                 self.node_reports[i].materialized = true;
-                Ok(true)
+                true
             }
-            Err(HelixError::Store(_)) => Ok(false),
-            Err(other) => Err(other),
+            Err(HelixError::Store(_)) => false,
+            Err(err) => {
+                self.skip_write(i, &err);
+                false
+            }
         }
+    }
+
+    /// Warns about and counts a write of node `i`'s output that failed
+    /// with `err`.
+    fn skip_write(&mut self, i: usize, err: &HelixError) {
+        let node = &self.node_reports[i].name;
+        eprintln!("helix-engine: skipped the write of `{node}`: {err}");
+        self.writes_skipped += 1;
     }
 
     /// This run's compute seconds and parents per executed signature: the
@@ -462,8 +478,8 @@ pub struct Engine {
     replans_triggered: AtomicU64,
     /// Unix timestamp of the last offline pass (0 = never ran).
     last_offline_unix: AtomicU64,
-    /// Lifetime count of chunk-only writes skipped after an I/O error.
-    chunk_writes_skipped: AtomicU64,
+    /// Lifetime count of store writes skipped after an I/O error.
+    writes_skipped: AtomicU64,
     /// Keys some running plan loads (module docs). Lock order: taken
     /// before the memo and the store's locks, never after.
     inflight_loads: InflightLoads,
@@ -495,8 +511,8 @@ impl Engine {
         let mut replans_triggered = 0u64;
         let mut last_offline_unix = 0u64;
         if config.durability.is_durable() {
-            crate::persist::sweep_tmp(&crate::persist::meta_dir(&config.store_dir));
-            crate::persist::sweep_tmp(&crate::persist::sessions_dir(&config.store_dir));
+            crate::store::sweep_tmp(&crate::persist::meta_dir(&config.store_dir));
+            crate::store::sweep_tmp(&crate::persist::sessions_dir(&config.store_dir));
             let path = crate::persist::engine_meta_path(&config.store_dir);
             match crate::persist::load_engine_meta(&path) {
                 Ok(Some(meta)) => {
@@ -531,16 +547,17 @@ impl Engine {
             pinned: Mutex::new(pinned),
             replans_triggered: AtomicU64::new(replans_triggered),
             last_offline_unix: AtomicU64::new(last_offline_unix),
-            chunk_writes_skipped: AtomicU64::new(0),
+            writes_skipped: AtomicU64::new(0),
             inflight_loads: Mutex::new(FxHashMap::default()),
         })
     }
 
-    /// How many best-effort chunk-only writes this engine skipped because
-    /// the write failed (a full disk, an I/O error); those chunks are
-    /// recomputed on the next data delta instead of loaded.
-    pub fn chunk_writes_skipped(&self) -> u64 {
-        self.chunk_writes_skipped.load(Ordering::Relaxed)
+    /// How many store writes — node outputs and best-effort chunk-only
+    /// files alike — this engine skipped because the write failed (a full
+    /// disk, an I/O error). The run went on; those outputs and chunks are
+    /// recomputed when next needed instead of loaded.
+    pub fn writes_skipped(&self) -> u64 {
+        self.writes_skipped.load(Ordering::Relaxed)
     }
 
     /// What this engine recovered when it opened: store WAL counters plus
@@ -786,6 +803,7 @@ impl Engine {
             node_reports,
             materialize_secs: 0.0,
             metrics: Vec::new(),
+            writes_skipped: 0,
         };
 
         // Raw node execution happens inside the scheduler (possibly on
@@ -798,7 +816,6 @@ impl Engine {
         // touched after execution completes.
         let store = &self.store;
         let config = &self.config;
-        let chunk_writes_skipped = &self.chunk_writes_skipped;
         let inflight_loads = &self.inflight_loads;
         let shared_memo = &self.memo;
         // Partition sizing seeded from the memo: a node with observed
@@ -912,7 +929,7 @@ impl Engine {
                     let sig = plan.signatures[i];
                     let mut materialized = false;
                     if config.materialization.decide(&decision) && store.lookup(sig).is_none() {
-                        materialized = ctx.materialize(store, i, sig, output, &groups, &[])?;
+                        materialized = ctx.materialize(store, i, sig, output, &groups, &[]);
                     } else if config.materialization.displaces(&decision)
                         && store.lookup(sig).is_none()
                     {
@@ -945,7 +962,7 @@ impl Engine {
                         .victims();
                         if !victims.is_empty() {
                             materialized =
-                                ctx.materialize(store, i, sig, output, &groups, &victims)?;
+                                ctx.materialize(store, i, sig, output, &groups, &victims);
                         }
                         drop(inflight);
                     }
@@ -976,13 +993,7 @@ impl Engine {
                             match store.put_chunks(output.as_data()?, &missing) {
                                 Ok((_, secs)) => ctx.materialize_secs += secs,
                                 Err(HelixError::Store(_)) => {}
-                                Err(err) => {
-                                    eprintln!(
-                                        "helix-engine: skipped the chunk write of `{}`: {err}",
-                                        node.name
-                                    );
-                                    chunk_writes_skipped.fetch_add(1, Ordering::Relaxed);
-                                }
+                                Err(err) => ctx.skip_write(i, &err),
                             }
                         }
                     }
@@ -1026,6 +1037,8 @@ impl Engine {
                 memo.record(sig, &name, &parents, observation);
             }
         }
+        self.writes_skipped
+            .fetch_add(ctx.writes_skipped, Ordering::Relaxed);
         result?;
 
         let change_summary = options.summary.unwrap_or_else(|| {
@@ -1276,19 +1289,38 @@ mod tests {
         let w = census_workflow(&dir, 0.1);
         let engine =
             Engine::new(EngineConfig::helix(dir.join("store")).with_budget(150 * 1024)).unwrap();
-        engine.store().fail_chunk_writes();
+        engine.store().fail_writes();
         let report = engine
             .run(&w)
             .expect("a failed best-effort chunk write must not fail the run");
-        assert!(
-            engine.chunk_writes_skipped() > 0,
-            "skipped writes are counted"
-        );
+        assert!(engine.writes_skipped() > 0, "skipped writes are counted");
         assert_eq!(report.metric("accuracy"), Some(1.0));
         assert!(report
             .nodes
             .iter()
             .all(|n| n.name != "rows" || !n.materialized));
+    }
+
+    #[test]
+    fn a_failed_node_write_is_skipped_and_counted() {
+        // A roomy budget: the policy wants nodes stored whole, and every
+        // write hits a full disk. Materialization is an optimization, so
+        // the run still succeeds and reports what a healthy engine does.
+        let dir = tmpdir("node-write-fails");
+        std::fs::create_dir_all(&dir).unwrap();
+        let w = census_workflow(&dir, 0.1);
+        let config = |store: &str| EngineConfig::helix(dir.join(store)).with_budget(1 << 30);
+        let healthy = Engine::new(config("healthy")).unwrap().run(&w).unwrap();
+        assert!(healthy.nodes.iter().any(|n| n.materialized));
+        let engine = Engine::new(config("store")).unwrap();
+        engine.store().fail_writes();
+        let report = engine
+            .run(&w)
+            .expect("a failed node write must not fail the run");
+        assert!(engine.writes_skipped() > 0, "skipped writes are counted");
+        assert!(report.nodes.iter().all(|n| !n.materialized));
+        assert_eq!(report.metrics, healthy.metrics);
+        assert_eq!(engine.store().used_bytes(), 0);
     }
 
     #[test]

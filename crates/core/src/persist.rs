@@ -18,11 +18,10 @@ use crate::engine::Lineage;
 use crate::memo::MemoTable;
 use crate::session::WorkflowEdit;
 use crate::signature::Signature;
+use crate::store::TempFile;
 use crate::version::{VersionStore, WorkflowVersion};
 use helix_json::Json;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format version stamped into every persisted document. v2 writes each
 /// version in its wire shape (DAG under `dag`, metrics as an object); the
@@ -71,45 +70,16 @@ pub(crate) fn encode_name(name: &str) -> String {
     out
 }
 
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Writes `text` to `path` atomically: unique temp file in the same
-/// directory, flush + fsync, then rename over the target. A crash at any
+/// Writes `text` to `path` atomically and durably: a fsync'd temp file
+/// renamed over the target ([`crate::store::TempFile`]). A crash at any
 /// point leaves either the previous file or the new one, plus at worst a
-/// stray `*.tmp` that [`sweep_tmp`] removes on the next open.
+/// stray `*.tmp` that [`crate::store::sweep_tmp`] removes on the next
+/// open.
 pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let token = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let file_name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "state".to_string());
-    let tmp = dir.join(format!("{file_name}.{}-{token}.tmp", std::process::id()));
-    let result = (|| {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(text.as_bytes())?;
-        file.sync_data()?;
-        drop(file);
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
     }
-    result
-}
-
-/// Removes stray `*.tmp` files left by a crash mid-[`write_atomic`].
-pub(crate) fn sweep_tmp(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "tmp") {
-            let _ = std::fs::remove_file(&path);
-        }
-    }
+    TempFile::write(path, text.as_bytes(), true)?.commit(path)
 }
 
 // ---------------------------------------------------------------------------
@@ -132,6 +102,11 @@ pub(crate) fn str_arr(items: &[String]) -> Json {
 
 pub(crate) fn sig_arr(sigs: &[Signature]) -> Json {
     Json::Arr(sigs.iter().map(|s| Json::str(u64_hex(s.0))).collect())
+}
+
+/// A JSON array of `items`, each encoded by `encode`.
+fn json_arr<T>(items: &[T], encode: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(items.iter().map(encode).collect())
 }
 
 pub(crate) fn field<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, String> {
@@ -240,13 +215,7 @@ pub(crate) fn save_engine_meta(
         ("cost", cost.to_json()),
         (
             "versions",
-            Json::Arr(
-                versions
-                    .all()
-                    .iter()
-                    .map(WorkflowVersion::to_json)
-                    .collect(),
-            ),
+            json_arr(versions.all(), WorkflowVersion::to_json),
         ),
         ("memo", memo.to_json()),
         ("pinned", sig_arr(&pinned)),
@@ -277,21 +246,14 @@ pub(crate) fn load_engine_meta(path: &Path) -> Result<Option<EngineMeta>, String
         Some(_) => sig_list(&doc, "pinned")?,
         None => Vec::new(),
     };
-    let replans_triggered = doc
-        .get("replans_triggered")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0) as u64;
-    let last_offline_unix = doc
-        .get("last_offline_unix")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0) as u64;
+    let count = |key| doc.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64;
     Ok(Some(EngineMeta {
         cost: CostModel::from_json(field(&doc, "cost")?)?,
         versions: version_list(&doc)?,
         memo,
         pinned,
-        replans_triggered,
-        last_offline_unix,
+        replans_triggered: count("replans_triggered"),
+        last_offline_unix: count("last_offline_unix"),
     }))
 }
 
@@ -330,43 +292,21 @@ pub(crate) fn save_session_record(path: &Path, record: &SessionRecord) -> Result
         ("name", Json::str(&record.name)),
         (
             "template",
-            record
-                .template
-                .as_deref()
-                .map(Json::str)
-                .unwrap_or(Json::Null),
+            record.template.as_deref().map_or(Json::Null, Json::str),
         ),
         ("workflow_replaced", Json::Bool(record.workflow_replaced)),
         ("lineage", record.lineage.to_json()),
         (
             "applied_edits",
-            Json::Arr(
-                record
-                    .applied_edits
-                    .iter()
-                    .map(WorkflowEdit::to_json)
-                    .collect(),
-            ),
+            json_arr(&record.applied_edits, WorkflowEdit::to_json),
         ),
         (
             "pending_edits",
-            Json::Arr(
-                record
-                    .pending_edits
-                    .iter()
-                    .map(WorkflowEdit::to_json)
-                    .collect(),
-            ),
+            json_arr(&record.pending_edits, WorkflowEdit::to_json),
         ),
         (
             "versions",
-            Json::Arr(
-                record
-                    .versions
-                    .iter()
-                    .map(WorkflowVersion::to_json)
-                    .collect(),
-            ),
+            json_arr(&record.versions, WorkflowVersion::to_json),
         ),
     ]);
     write_atomic(path, &doc.to_string()).map_err(|e| format!("write {}: {e}", path.display()))
@@ -393,6 +333,7 @@ mod tests {
     use super::*;
     use crate::memo::Observation;
     use crate::ops::Stage;
+    use crate::store::sweep_tmp;
     use crate::version::{DagSnapshot, NodeSnapshot};
     use std::sync::Arc;
 

@@ -6,6 +6,23 @@
 //! old file simply stops matching (it stays on disk and becomes reusable
 //! again if the user reverts — the paper's version-rollback story).
 //!
+//! # Modules
+//!
+//! This module is the public API: [`IntermediateStore`] and its options,
+//! and the put, read, evict and open paths that tie the parts together.
+//! Each concern lives in one submodule:
+//! - `format`: the files — the one grouped-file type a node file, a
+//!   chunk-only file and a manifest share (its keys, external refs,
+//!   group byte ranges and shrunk bytes, all from one parse of its head),
+//!   and the temp-file writer every store, WAL and durable-tier document
+//!   write goes through;
+//! - `index`: the key → location index (`Shard`, `Loc`, `FileMeta`,
+//!   `shard_index`), indexing a directory at open, and the budget ledger
+//!   with its reservations and displacement;
+//! - `cache`: the decoded-read cache ("Decoded reads" below);
+//! - `wal`: the write-ahead log — its writer, records, replay and
+//!   compaction ("Durability" below).
+//!
 //! # Keys, files and row groups
 //!
 //! A *key* is what callers look up: a node signature, or the partition
@@ -112,39 +129,44 @@
 //! (and optionally fsync'd) for every file written and every file
 //! deleted, and the log is compacted into a snapshot (a log holding
 //! exactly one `put` record per live file) whenever it outgrows
-//! `compact_after_bytes`. Opening a durable store replays the log,
-//! **verifies every record against the files actually on disk** (missing
-//! file → entry dropped; size mismatch → repaired to the file's actual
-//! size; untracked `.hlx` file → adopted), truncates torn or corrupt tail
-//! records with a warning — the store never refuses to start — and
-//! finally writes a fresh snapshot. Because replay rebuilds the budget
-//! ledger from the deduplicated, disk-verified file map, a crash at *any*
-//! point between a file write/rename and the matching log append can
-//! never double-count budget. Every open — durable or volatile — then
-//! rebuilds the keys from the files' headers: the file is the ground
-//! truth, so an evicted key whose file still serves other keys returns
-//! after a reopen (it never held bytes of its own). See
+//! `compact_after_bytes`. Every open — durable or volatile — indexes the
+//! `.hlx` files actually in the directory: the files are the ground
+//! truth, and the budget ledger is their bytes, so a crash at *any* point
+//! between a file write/rename and the matching log append can never
+//! double-count budget. Opening a durable store replays the log against
+//! those files and counts in [`RecoveryInfo`] where they disagree
+//! (missing file → entry dropped; size mismatch → repaired to the file's
+//! actual size; untracked `.hlx` file → adopted), truncates torn or
+//! corrupt tail records with a warning — the store never refuses to
+//! start — and finally writes a fresh snapshot. The keys come from the
+//! files' headers, so an evicted key whose file still serves other keys
+//! returns after a reopen (it never held bytes of its own). See
 //! docs/ARCHITECTURE.md § Durability.
+
+mod cache;
+mod format;
+mod index;
+mod wal;
+
+pub(crate) use format::{sweep_tmp, TempFile};
 
 use crate::materialize::Resident;
 use crate::ops::NodeOutput;
 use crate::signature::Signature;
 use crate::{HelixError, Result};
+use cache::DecodedCache;
+use format::{read_head, sig_file_name, StoreFile};
 use helix_dataflow::codec::{self, GroupSpec};
 use helix_dataflow::fx::{FxHashMap, FxHasher};
 use helix_dataflow::DataCollection;
-use helix_json::Json;
+use index::{shard_index, FileMeta, Loc, Shard};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
 use std::hash::Hasher;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Process-wide counter for unique temp-file names (see [`IntermediateStore::put`]).
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Default number of shards ([`StoreOptions::shards`] and
 /// [`crate::EngineConfig::with_store_shards`] override it).
@@ -160,20 +182,6 @@ pub const DEFAULT_STORE_SHARDS: usize = 16;
 /// larger than the bound hits nothing, so a longer session of that shape
 /// stops hitting.
 pub const DECODED_CACHE_BYTES: usize = 8 << 20;
-
-/// How many keys decoded once the decoded cache remembers while it waits
-/// for their second decode.
-const DECODED_ONCE_KEYS: usize = 256;
-
-/// First byte of a chunk-only file (a node output's own first byte is
-/// its [`NodeOutput`] tag, 1 or 2): codec v3 row groups that serve their
-/// keys only, never a whole node output.
-const TAG_CHUNKS: u8 = 3;
-
-/// First byte of a manifest: a node output whose external row groups
-/// (see [`helix_dataflow::codec`]) are read through their keys' locations
-/// in other files. Like a node output, it serves its own name.
-const TAG_MANIFEST: u8 = 4;
 
 /// How (and whether) the store and engine state survive a process crash.
 ///
@@ -376,274 +384,6 @@ pub(crate) struct StoreRead {
     pub(crate) cached: bool,
 }
 
-/// Append handle for one shard's write-ahead log.
-#[derive(Debug)]
-struct WalWriter {
-    file: std::fs::File,
-    path: PathBuf,
-    bytes: u64,
-    fsync: bool,
-}
-
-impl WalWriter {
-    fn open_append(path: PathBuf, fsync: bool) -> std::io::Result<WalWriter> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let bytes = file.metadata()?.len();
-        Ok(WalWriter {
-            file,
-            path,
-            bytes,
-            fsync,
-        })
-    }
-
-    /// Appends one record (the trailing newline is added here) as a
-    /// single write, then flushes — and fsyncs when configured and `sync`
-    /// holds — before returning.
-    fn append(&mut self, record: &str, sync: bool) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(record.len() + 1);
-        buf.extend_from_slice(record.as_bytes());
-        buf.push(b'\n');
-        self.file.write_all(&buf)?;
-        if self.fsync && sync {
-            self.file.sync_data()?;
-        }
-        self.bytes += buf.len() as u64;
-        Ok(())
-    }
-}
-
-/// Where one key's bytes live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Loc {
-    /// Id of the file (named `<id>.hlx`).
-    file: u64,
-    /// The file's incarnation this location belongs to (an overwrite of
-    /// the same id starts a new one).
-    gen: u64,
-    /// Row group within the file; `None` for the whole output.
-    group: Option<u32>,
-    /// Bytes a read of this location returns.
-    bytes: u64,
-}
-
-/// One file on disk.
-#[derive(Debug, Clone)]
-struct FileMeta {
-    /// On-disk size — the file's whole share of the budget ledger.
-    bytes: u64,
-    /// Incarnation, matched against [`Loc::gen`].
-    gen: u64,
-    /// Keys still pointing here; the file is deleted when this hits 0.
-    live: usize,
-    /// Keys of a manifest's external groups, in file order (empty for
-    /// every other file). They hold no share of this file: the whole
-    /// output reads as missing once any of them has no location.
-    refs: Arc<[u64]>,
-}
-
-/// One shard of the key and file maps.
-#[derive(Debug, Default)]
-struct Shard {
-    /// Keys hashing to this shard → their locations, oldest first.
-    keys: FxHashMap<u64, Vec<Loc>>,
-    /// Files whose id hashes to this shard (visible to readers through
-    /// their keys only once fully written and renamed).
-    files: FxHashMap<u64, FileMeta>,
-    /// Budget reserved by in-flight `put` calls, keyed by file id.
-    /// Invisible to readers and to `evict` — a reservation becomes a
-    /// file only once it is fully written and renamed.
-    reserved: FxHashMap<u64, u64>,
-    /// This shard's WAL append handle (durable stores only).
-    wal: Option<WalWriter>,
-}
-
-/// One admitted output.
-#[derive(Debug)]
-struct Decoded {
-    output: Arc<NodeOutput>,
-    /// The location it was decoded from. A hit needs it still listed for
-    /// the key.
-    loc: Loc,
-    /// Bytes the read that admitted it returned; a hit reports them.
-    bytes: u64,
-    /// [`NodeOutput::estimated_bytes`] of the output.
-    size: usize,
-    /// Last use, the entry's key in [`DecodedCache::lru`].
-    used: u64,
-}
-
-/// The decoded-read cache (module docs, "Decoded reads"). Lock order: a
-/// shard lock may be held while taking this one, never the reverse.
-#[derive(Debug, Default)]
-struct DecodedCache {
-    entries: FxHashMap<u64, Decoded>,
-    /// Keys by last use, oldest first.
-    lru: BTreeMap<u64, u64>,
-    /// Keys decoded once and not admitted, oldest first.
-    once: VecDeque<u64>,
-    bytes: usize,
-    tick: u64,
-    hits: u64,
-}
-
-impl DecodedCache {
-    /// The output held for `key`, if it was decoded from one of `locs`.
-    fn hit(&mut self, key: u64, locs: &[Loc]) -> Option<(Arc<NodeOutput>, u64)> {
-        let entry = self
-            .entries
-            .get_mut(&key)
-            .filter(|e| locs.contains(&e.loc))?;
-        self.tick += 1;
-        self.lru.remove(&entry.used);
-        self.lru.insert(self.tick, key);
-        entry.used = self.tick;
-        self.hits += 1;
-        Some((Arc::clone(&entry.output), entry.bytes))
-    }
-
-    /// Notes a verified decode of `key`: `true` when it is the second
-    /// since the key was last remembered.
-    fn decoded_before(&mut self, key: u64) -> bool {
-        if let Some(at) = self.once.iter().position(|&k| k == key) {
-            self.once.remove(at);
-            return true;
-        }
-        if self.once.len() == DECODED_ONCE_KEYS {
-            self.once.pop_front();
-        }
-        self.once.push_back(key);
-        false
-    }
-
-    /// Admits `output`, then drops least recently used entries until the
-    /// cache is back under its bound.
-    fn insert(&mut self, key: u64, read: &StoreRead, loc: Loc, size: usize) {
-        self.remove(key);
-        self.tick += 1;
-        self.lru.insert(self.tick, key);
-        self.bytes += size;
-        self.entries.insert(
-            key,
-            Decoded {
-                output: Arc::clone(&read.output),
-                loc,
-                bytes: read.bytes,
-                size,
-                used: self.tick,
-            },
-        );
-        while self.bytes > DECODED_CACHE_BYTES {
-            let Some((_, oldest)) = self.lru.pop_first() else {
-                break;
-            };
-            if let Some(entry) = self.entries.remove(&oldest) {
-                self.bytes -= entry.size;
-            }
-        }
-    }
-
-    fn remove(&mut self, key: u64) -> Option<Decoded> {
-        let entry = self.entries.remove(&key)?;
-        self.lru.remove(&entry.used);
-        self.bytes -= entry.size;
-        Some(entry)
-    }
-
-    /// Drops every entry decoded from incarnation `gen` of file `file`,
-    /// handing them back when `keep` is set.
-    fn remove_file(&mut self, file: u64, gen: u64, keep: bool) -> Vec<(u64, Decoded)> {
-        let keys: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.loc.file == file && e.loc.gen == gen)
-            .map(|(&key, _)| key)
-            .collect();
-        let mut removed = Vec::new();
-        for key in keys {
-            if let Some(entry) = self.remove(key) {
-                if keep {
-                    removed.push((key, entry));
-                }
-            }
-        }
-        removed
-    }
-
-    /// Puts back an entry [`remove_file`](Self::remove_file) handed out,
-    /// filed under a new location, unless the key was admitted again in
-    /// between. Its last use stays as it was.
-    fn reinsert(&mut self, key: u64, entry: Decoded) {
-        if self.entries.contains_key(&key) {
-            return;
-        }
-        self.lru.insert(entry.used, key);
-        self.bytes += entry.size;
-        self.entries.insert(key, entry);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.lru.clear();
-        self.once.clear();
-        self.bytes = 0;
-    }
-}
-
-/// One stored row-group file, read whole (see
-/// [`IntermediateStore::put_grouped`]).
-struct StoredFile {
-    id: u64,
-    gen: u64,
-    tag: u8,
-    header: codec::Header,
-    bytes: Vec<u8>,
-}
-
-impl StoredFile {
-    /// Reads a file with a version-3 header; an error for any other.
-    fn read(path: &Path, id: u64, gen: u64) -> Result<StoredFile> {
-        let bytes = std::fs::read(path)?;
-        let tag = *bytes
-            .first()
-            .ok_or_else(|| HelixError::Store("empty store file".into()))?;
-        if tag == crate::ops::OUT_TAG_MODEL {
-            return Err(HelixError::Store("a model has no row groups".into()));
-        }
-        let header = codec::read_header(&bytes[1..])?;
-        Ok(StoredFile {
-            id,
-            gen,
-            tag,
-            header,
-            bytes,
-        })
-    }
-
-    /// The encoded bytes and checksum of the group keyed `key` holding
-    /// `rows` rows, if the file holds them.
-    fn find(&self, key: u64, rows: u64) -> Option<(&[u8], u64)> {
-        let k = self
-            .header
-            .groups
-            .iter()
-            .position(|g| g.key == key && g.rows == rows && !g.is_external())?;
-        Some((self.group(k)?, self.header.groups[k].checksum))
-    }
-
-    /// The encoded bytes of group `k`.
-    fn group(&self, k: usize) -> Option<&[u8]> {
-        let range = self
-            .header
-            .group_range(k, self.bytes.len() as u64 - 1)
-            .ok()?;
-        Some(&self.bytes[1 + range.start as usize..1 + range.end as usize])
-    }
-}
-
 /// Why [`IntermediateStore::write_file`] writes a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WriteKind {
@@ -659,7 +399,7 @@ enum WriteKind {
 }
 
 /// The shared state behind [`IntermediateStore`] handles.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StoreInner {
     dir: PathBuf,
     budget_bytes: u64,
@@ -682,15 +422,15 @@ struct StoreInner {
     displaced_entries: AtomicU64,
     displaced_bytes: AtomicU64,
     /// Per-instance failpoints for crash-consistency regression tests:
-    /// simulate a kill between the file rename and the WAL append
-    /// (`put`), or between file removal and log compaction (`clear`), or
-    /// a full disk under a chunk-only write (`put_chunks`).
+    /// simulate a kill between a file's rename or removal and its WAL
+    /// append (every append is lost), or between file removal and log
+    /// compaction (`clear`), or a full disk under every data-file write.
     #[cfg(test)]
     fail_skip_wal_append: std::sync::atomic::AtomicBool,
     #[cfg(test)]
     fail_skip_clear_compaction: std::sync::atomic::AtomicBool,
     #[cfg(test)]
-    fail_chunk_write: std::sync::atomic::AtomicBool,
+    fail_writes: std::sync::atomic::AtomicBool,
     /// When set, a read about to admit its output waits on this barrier
     /// twice, so a test can run another operation in between.
     #[cfg(test)]
@@ -706,195 +446,6 @@ struct StoreInner {
 #[derive(Debug, Clone)]
 pub struct IntermediateStore {
     inner: Arc<StoreInner>,
-}
-
-fn unix_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-fn sig_file_name(sig: u64) -> String {
-    format!("{sig:016x}.hlx")
-}
-
-fn wal_record_put(sig: u64, bytes: u64, secs: f64) -> String {
-    Json::obj([
-        ("v", Json::Num(1.0)),
-        ("op", Json::str("put")),
-        ("sig", Json::str(format!("{sig:016x}"))),
-        ("bytes", Json::Num(bytes as f64)),
-        ("secs", Json::Num(secs)),
-        ("file", Json::str(sig_file_name(sig))),
-    ])
-    .to_string()
-}
-
-fn wal_record_evict(sig: u64) -> String {
-    Json::obj([
-        ("v", Json::Num(1.0)),
-        ("op", Json::str("evict")),
-        ("sig", Json::str(format!("{sig:016x}"))),
-    ])
-    .to_string()
-}
-
-/// Removes leftover `*.tmp` files (half-written entry or snapshot temp
-/// files from a crashed process) from `dir`.
-fn sweep_tmp_files(dir: &Path) -> Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("tmp") {
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-    Ok(())
-}
-
-/// Replays one WAL file into `map` (last record per file wins),
-/// applying the truncate-and-warn policy to torn or corrupt records.
-fn replay_wal_file(
-    path: &Path,
-    map: &mut FxHashMap<u64, u64>,
-    recovery: &mut RecoveryInfo,
-) -> Result<()> {
-    let data = std::fs::read(path)?;
-    recovery.wal_bytes_replayed += data.len() as u64;
-    let mut offset = 0usize;
-    while offset < data.len() {
-        let (line, next) = match data[offset..].iter().position(|&b| b == b'\n') {
-            Some(p) => (&data[offset..offset + p], offset + p + 1),
-            None => (&data[offset..], data.len()),
-        };
-        offset = next;
-        if line.is_empty() {
-            continue;
-        }
-        let record = std::str::from_utf8(line)
-            .ok()
-            .and_then(|text| Json::parse(text).ok());
-        let Some(record) = record else {
-            recovery.torn_records += 1;
-            eprintln!(
-                "helix-store: dropping torn/corrupt WAL record in {} (truncate-and-warn)",
-                path.display()
-            );
-            continue;
-        };
-        let sig = record
-            .get("sig")
-            .and_then(Json::as_str)
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok());
-        match (record.get("op").and_then(Json::as_str), sig) {
-            (Some("put"), Some(sig)) => {
-                let Some(bytes) = record.get("bytes").and_then(Json::as_u64) else {
-                    recovery.torn_records += 1;
-                    eprintln!(
-                        "helix-store: put record without byte count in {}",
-                        path.display()
-                    );
-                    continue;
-                };
-                map.insert(sig, bytes);
-            }
-            (Some("evict"), Some(sig)) => {
-                map.remove(&sig);
-            }
-            _ => {
-                recovery.torn_records += 1;
-                eprintln!(
-                    "helix-store: skipping unrecognized WAL record in {}",
-                    path.display()
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Reads a file's first byte and, for a codec v3 data file, its header
-/// — nothing else. `None` for a model or a version-2 file, which have no
-/// row groups.
-fn read_file_header(file: &mut std::fs::File, len: u64) -> Result<(u8, Option<codec::Header>)> {
-    let mut prefix = [0u8; 1 + codec::PREFIX_BYTES];
-    let have = (len as usize).min(prefix.len());
-    file.read_exact(&mut prefix[..have])?;
-    let Some((&tag, rest)) = prefix[..have].split_first() else {
-        return Err(HelixError::Store("empty store file".into()));
-    };
-    if tag == crate::ops::OUT_TAG_MODEL {
-        return Ok((tag, None));
-    }
-    let Some(header_len) = codec::header_len(rest)? else {
-        return Ok((tag, None));
-    };
-    if header_len as u64 > len - 1 {
-        return Err(HelixError::Store(format!(
-            "header of {header_len} bytes in a {len}-byte file"
-        )));
-    }
-    let mut header = vec![0u8; header_len];
-    header[..rest.len()].copy_from_slice(rest);
-    file.read_exact(&mut header[rest.len()..])?;
-    Ok((tag, Some(codec::read_header(&header)?)))
-}
-
-/// The keys file `id` serves, with the group each reads and its bytes:
-/// the id itself for the whole output (unless the file is chunk-only),
-/// then every keyed row group whose bytes the file holds. A manifest's
-/// external groups are not its keys.
-fn file_keys(
-    id: u64,
-    len: u64,
-    tag: u8,
-    header: Option<&codec::Header>,
-) -> Vec<(u64, Option<u32>, u64)> {
-    let whole = (tag != TAG_CHUNKS).then_some((id, None, len));
-    let groups = header.into_iter().flat_map(|h| {
-        h.groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.key != 0 && !g.is_external())
-            .map(|(k, g)| (g.key, Some(k as u32), g.len))
-    });
-    whole.into_iter().chain(groups).collect()
-}
-
-/// The keys of a manifest's external groups, in file order; empty for
-/// any other file.
-fn external_keys(tag: u8, header: Option<&codec::Header>) -> Arc<[u64]> {
-    match header {
-        Some(h) if tag == TAG_MANIFEST => h
-            .groups
-            .iter()
-            .filter(|g| g.is_external())
-            .map(|g| g.key)
-            .collect(),
-        _ => Arc::new([]),
-    }
-}
-
-/// The external keys of the manifest that whole-output location `loc`
-/// reads, from the shard holding its key — a whole output's key is its
-/// file's id, so the file's entry is in the same shard. `None` for a
-/// group location and for every other file.
-fn manifest_refs(shard: &Shard, loc: Loc) -> Option<Arc<[u64]>> {
-    let meta = shard.files.get(&loc.file)?;
-    (loc.group.is_none() && meta.gen == loc.gen && !meta.refs.is_empty())
-        .then(|| Arc::clone(&meta.refs))
-}
-
-/// The bytes of the file key `key` is the only key of, when `key` is a
-/// whole output with one location — a whole output's key is its file's
-/// id, so the file's entry is in the key's shard.
-fn sole_file_bytes(shard: &Shard, key: u64) -> Option<u64> {
-    let [loc] = shard.keys.get(&key)?.as_slice() else {
-        return None;
-    };
-    let meta = shard.files.get(&loc.file)?;
-    (loc.group.is_none() && loc.file == key && meta.gen == loc.gen && meta.live == 1)
-        .then_some(meta.bytes)
 }
 
 /// Whether a failed read means the bytes on disk are bad (as opposed to
@@ -928,163 +479,48 @@ impl IntermediateStore {
     /// then rebuilds the keys from the file headers. It never refuses to
     /// start over a recoverable directory.
     pub fn open_with(options: StoreOptions) -> Result<Self> {
-        let StoreOptions {
-            dir,
-            budget_bytes,
-            shards,
-            durability,
-        } = options;
+        let dir = options.dir;
         std::fs::create_dir_all(&dir)?;
-        sweep_tmp_files(&dir)?;
-        let shard_count = shards.max(1);
+        sweep_tmp(&dir);
+        // The files are the index: every `<id>.hlx` in the directory.
+        let mut files = FxHashMap::default();
+        for entry in std::fs::read_dir(&dir)? {
+            let entry = entry?;
+            let path = entry.path();
+            let hlx = path.extension().is_some_and(|e| e == "hlx");
+            let stem = path.file_stem().and_then(|s| s.to_str()).filter(|_| hlx);
+            if let Some(id) = stem.and_then(|s| u64::from_str_radix(s, 16).ok()) {
+                files.insert(id, entry.metadata()?.len());
+            }
+        }
         let mut recovery = RecoveryInfo::default();
-        let mut map: FxHashMap<u64, u64> = FxHashMap::default();
-        let wal_dir = match durability {
+        let wal_dir = match options.durability {
             Durability::Volatile => None,
             Durability::Wal { .. } => {
                 let wal_dir = dir.join("wal");
                 std::fs::create_dir_all(&wal_dir)?;
-                sweep_tmp_files(&wal_dir)?;
-                let mut wal_files: Vec<PathBuf> = std::fs::read_dir(&wal_dir)?
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("wal"))
-                    .collect();
-                wal_files.sort();
-                for file in &wal_files {
-                    replay_wal_file(file, &mut map, &mut recovery)?;
-                }
-                // Verify every replayed record against the disk: the
-                // files are the ground truth, the log is the index.
-                let replayed: Vec<(u64, u64)> = map.drain().collect();
-                for (sig, logged_bytes) in replayed {
-                    match std::fs::metadata(dir.join(sig_file_name(sig))) {
-                        Ok(md) => {
-                            if md.len() != logged_bytes {
-                                recovery.repaired_sizes += 1;
-                                eprintln!(
-                                    "helix-store: WAL size for {sig:016x} was {logged_bytes}, \
-                                     file is {} bytes; using the file",
-                                    md.len()
-                                );
-                            }
-                            map.insert(sig, md.len());
-                        }
-                        Err(_) => {
-                            recovery.dropped_entries += 1;
-                            eprintln!("helix-store: dropping WAL entry {sig:016x}: file missing");
-                        }
-                    }
-                }
+                sweep_tmp(&wal_dir);
+                wal::replay(&wal_dir, &files, &mut recovery)?;
                 Some(wal_dir)
             }
         };
-        // Scan the directory: the volatile store's entire index, and the
-        // durable store's adoption pass for files the log missed.
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("hlx") {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Ok(sig) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
-            if map.contains_key(&sig) {
-                continue;
-            }
-            map.insert(sig, entry.metadata()?.len());
-            if wal_dir.is_some() {
-                recovery.adopted_files += 1;
-            }
-        }
-        let mut shard_maps: Vec<Shard> = (0..shard_count).map(|_| Shard::default()).collect();
-        let mut used = 0u64;
-        let mut next_gen = 0u64;
-        let mut files: Vec<(u64, u64)> = map.into_iter().collect();
-        // A key held by several files lists them in a reproducible order.
-        files.sort_unstable();
-        for (id, bytes) in files {
-            let path = dir.join(sig_file_name(id));
-            let header = std::fs::File::open(&path)
-                .map_err(HelixError::from)
-                .and_then(|mut file| read_file_header(&mut file, bytes));
-            let (keys, refs) = match header {
-                Ok((tag, header)) => (
-                    file_keys(id, bytes, tag, header.as_ref()),
-                    external_keys(tag, header.as_ref()),
-                ),
-                // An unreadable file still occupies its bytes and answers
-                // to its name; the first read finds it corrupt and drops
-                // it. A chunk-only file has no name to answer to.
-                Err(err) => {
-                    let mut first = [0u8; 1];
-                    let chunk_only = std::fs::File::open(&path)
-                        .and_then(|mut f| f.read_exact(&mut first))
-                        .is_ok()
-                        && first[0] == TAG_CHUNKS;
-                    if chunk_only {
-                        eprintln!("helix-store: dropping unreadable chunk file {id:016x}: {err}");
-                        if wal_dir.is_some() {
-                            recovery.dropped_entries += 1;
-                        }
-                        let _ = std::fs::remove_file(&path);
-                        continue;
-                    }
-                    (vec![(id, None, bytes)], Arc::from([]))
-                }
-            };
-            next_gen += 1;
-            shard_maps[shard_index(id, shard_count)].files.insert(
-                id,
-                FileMeta {
-                    bytes,
-                    gen: next_gen,
-                    live: keys.len(),
-                    refs,
-                },
-            );
-            used += bytes;
-            for (key, group, key_bytes) in keys {
-                shard_maps[shard_index(key, shard_count)]
-                    .keys
-                    .entry(key)
-                    .or_default()
-                    .push(Loc {
-                        file: id,
-                        gen: next_gen,
-                        group,
-                        bytes: key_bytes,
-                    });
-            }
-        }
-        if wal_dir.is_some() {
-            recovery.recovered_entries = shard_maps.iter().map(|s| s.keys.len()).sum();
+        let durable = wal_dir.is_some();
+        let (shard_maps, used, last_gen) =
+            index::index_files(&dir, files, options.shards.max(1), durable, &mut recovery);
+        if durable {
+            recovery.recovered_entries = shard_maps.iter().map(|s| s.lock().keys.len()).sum();
         }
         let store = IntermediateStore {
             inner: Arc::new(StoreInner {
                 dir,
-                budget_bytes,
+                budget_bytes: options.budget_bytes,
                 used_bytes: AtomicU64::new(used),
-                shards: shard_maps.into_iter().map(Mutex::new).collect(),
-                durability,
+                shards: shard_maps,
+                durability: options.durability,
                 wal_dir,
-                last_snapshot_unix: AtomicU64::new(0),
-                next_gen: AtomicU64::new(next_gen + 1),
+                next_gen: AtomicU64::new(last_gen + 1),
                 recovery,
-                decoded: Mutex::new(DecodedCache::default()),
-                displaced_entries: AtomicU64::new(0),
-                displaced_bytes: AtomicU64::new(0),
-                #[cfg(test)]
-                fail_skip_wal_append: std::sync::atomic::AtomicBool::new(false),
-                #[cfg(test)]
-                fail_skip_clear_compaction: std::sync::atomic::AtomicBool::new(false),
-                #[cfg(test)]
-                fail_chunk_write: std::sync::atomic::AtomicBool::new(false),
-                #[cfg(test)]
-                pause_before_admit: Mutex::new(None),
+                ..StoreInner::default()
             }),
         };
         // A durable open ends with a fresh snapshot: stale log files from
@@ -1184,17 +620,11 @@ impl IntermediateStore {
             residents.extend(shard.keys.keys().filter_map(|&key| {
                 Some(Resident {
                     sig: Signature(key),
-                    bytes: sole_file_bytes(&shard, key)?,
+                    bytes: shard.sole_file_bytes(key)?,
                 })
             }));
         }
         residents
-    }
-
-    /// The bytes evicting `sig` frees, if it is a resident (see
-    /// [`residents`](Self::residents)).
-    fn resident_bytes(&self, sig: Signature) -> Option<u64> {
-        sole_file_bytes(&self.slot(sig.0).lock(), sig.0)
     }
 
     /// Size of what a read of `sig` returns, if stored. A manifest whose
@@ -1204,7 +634,7 @@ impl IntermediateStore {
         let (bytes, refs) = {
             let shard = self.slot(sig.0).lock();
             let loc = *shard.keys.get(&sig.0)?.first()?;
-            (loc.bytes, manifest_refs(&shard, loc))
+            (loc.bytes, shard.manifest_refs(loc))
         };
         let external = match refs {
             Some(refs) => self.refs_bytes(&refs)?,
@@ -1233,116 +663,8 @@ impl IntermediateStore {
             .is_some_and(|locs| locs.iter().any(|l| l.file != file))
     }
 
-    fn slot(&self, id: u64) -> &Mutex<Shard> {
-        &self.inner.shards[shard_index(id, self.inner.shards.len())]
-    }
-
     fn path_for(&self, id: u64) -> PathBuf {
         self.inner.dir.join(sig_file_name(id))
-    }
-
-    /// Rewrites shard `idx`'s WAL as a snapshot — exactly one `put`
-    /// record per live file — via temp file + rename, then reopens the
-    /// append handle. Must be called with the shard's lock held.
-    fn compact_shard_locked(&self, idx: usize, shard: &mut Shard) -> Result<()> {
-        let Some(wal_dir) = &self.inner.wal_dir else {
-            return Ok(());
-        };
-        let fsync = matches!(self.inner.durability, Durability::Wal { fsync: true, .. });
-        let path = wal_dir.join(format!("shard-{idx}.wal"));
-        let token = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = wal_dir.join(format!("shard-{idx}.wal.{token}.tmp"));
-        let mut text = String::new();
-        for (&id, meta) in &shard.files {
-            text.push_str(&wal_record_put(id, meta.bytes, 0.0));
-            text.push('\n');
-        }
-        let written = (|| -> Result<()> {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.flush()?;
-            if fsync {
-                file.sync_data()?;
-            }
-            Ok(())
-        })();
-        if let Err(err) = written.and_then(|()| Ok(std::fs::rename(&tmp, &path)?)) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(err);
-        }
-        shard.wal = Some(WalWriter::open_append(path, fsync)?);
-        self.inner
-            .last_snapshot_unix
-            .store(unix_now(), Ordering::Release);
-        Ok(())
-    }
-
-    /// Compacts every shard's WAL into a snapshot now and removes log
-    /// files left over from older shard layouts. A no-op `Ok(())` for
-    /// volatile stores. (`POST /admin/snapshot` lands here.)
-    pub fn snapshot_now(&self) -> Result<()> {
-        let Some(wal_dir) = &self.inner.wal_dir else {
-            return Ok(());
-        };
-        for (idx, slot) in self.inner.shards.iter().enumerate() {
-            let mut shard = slot.lock();
-            self.compact_shard_locked(idx, &mut shard)?;
-        }
-        // Stale files (e.g. `shard-7.wal` after reopening with 4 shards)
-        // are only removed after every live shard has a fresh snapshot:
-        // a crash in between leaves extra logs whose records deduplicate
-        // harmlessly on the next replay.
-        let live: Vec<String> = (0..self.inner.shards.len())
-            .map(|i| format!("shard-{i}.wal"))
-            .collect();
-        for entry in std::fs::read_dir(wal_dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("wal") {
-                continue;
-            }
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if !live.iter().any(|l| l == name) {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends a WAL record for the shard, warning instead of failing:
-    /// the file map and the files on disk are already consistent, and
-    /// replay verification self-heals a lost record (the file is the
-    /// ground truth), so a log write error must not fail the operation.
-    /// `sync: false` skips the fsync for a record whose loss replay
-    /// repairs from the disk alone (see [`WriteKind::Rewrite`]).
-    fn wal_append_locked(&self, idx: usize, shard: &mut Shard, record: &str, sync: bool) {
-        let Durability::Wal {
-            compact_after_bytes,
-            ..
-        } = self.inner.durability
-        else {
-            return;
-        };
-        match shard.wal.as_mut() {
-            Some(wal) => {
-                if let Err(err) = wal.append(record, sync) {
-                    eprintln!(
-                        "helix-store: WAL append failed on {}: {err} (entry is on disk; \
-                         replay will adopt it)",
-                        wal.path.display()
-                    );
-                }
-            }
-            None => eprintln!("helix-store: WAL writer missing for shard {idx}"),
-        }
-        if shard
-            .wal
-            .as_ref()
-            .is_some_and(|w| w.bytes > compact_after_bytes)
-        {
-            if let Err(err) = self.compact_shard_locked(idx, shard) {
-                eprintln!("helix-store: WAL compaction failed for shard {idx}: {err}");
-            }
-        }
     }
 
     /// Writes an output under `sig`, enforcing the budget.
@@ -1419,103 +741,7 @@ impl IntermediateStore {
                 data.len()
             )));
         }
-        // Other files already holding some of the groups: their encoded
-        // bytes are copied rather than encoded again (the encoding is a
-        // function of the rows, so the file is byte-identical to a fresh
-        // encode), and afterwards those files shrink.
-        let older: Vec<StoredFile> = self
-            .holders(sig.0, groups)
-            .into_iter()
-            .filter_map(|(file, gen)| StoredFile::read(&self.path_for(file), file, gen).ok())
-            .collect();
-        let encoded = |k: usize| {
-            let g = &groups[k];
-            older
-                .iter()
-                .find_map(|file| file.find(g.key, (g.end - g.start) as u64))
-        };
-        let mut bytes = vec![crate::ops::OUT_TAG_DATA];
-        codec::encode_spliced_into(data, groups, encoded, &mut bytes);
-        let (size, _) = self.write_file(sig.0, bytes, started, WriteKind::New, displace)?;
-        for file in &older {
-            if let Err(err) = self.shrink(file) {
-                eprintln!(
-                    "helix-store: could not shrink {}: {err}",
-                    sig_file_name(file.id)
-                );
-            }
-        }
-        Ok((size, started.elapsed().as_secs_f64()))
-    }
-
-    /// The files other than `id` that hold the bytes of one of `groups`,
-    /// in the order their keys list them.
-    fn holders(&self, id: u64, groups: &[GroupSpec]) -> Vec<(u64, u64)> {
-        let mut files: Vec<(u64, u64)> = Vec::new();
-        for g in groups {
-            let shard = self.slot(g.key).lock();
-            for loc in shard.keys.get(&g.key).into_iter().flatten() {
-                if loc.file != id && loc.group.is_some() && !files.contains(&(loc.file, loc.gen)) {
-                    files.push((loc.file, loc.gen));
-                }
-            }
-        }
-        files
-    }
-
-    /// Rewrites `file` — a file whose groups a newer node file also holds
-    /// — without the bytes of the groups another file holds: a node file
-    /// becomes a manifest whose shared groups are external, and a
-    /// chunk-only file keeps only the groups no other file holds, or
-    /// goes. A group whose key was evicted goes too. A node file whose
-    /// whole key was evicted is left alone: a rewrite would serve it
-    /// again.
-    fn shrink(&self, file: &StoredFile) -> Result<()> {
-        let started = Instant::now();
-        let StoredFile {
-            id,
-            gen,
-            tag,
-            ref header,
-            ..
-        } = *file;
-        let listed = |key: u64, group: Option<u32>| {
-            self.slot(key).lock().keys.get(&key).is_some_and(|locs| {
-                locs.iter()
-                    .any(|l| l.file == id && l.gen == gen && l.group == group)
-            })
-        };
-        let chunk_only = tag == TAG_CHUNKS;
-        if !chunk_only && !listed(id, None) {
-            return Ok(());
-        }
-        let mut groups = Vec::with_capacity(header.groups.len());
-        let mut changed = false;
-        for (k, g) in header.groups.iter().enumerate() {
-            let own = !g.is_external()
-                && (g.key == 0
-                    || !self.served_elsewhere(g.key, id) && listed(g.key, Some(k as u32)));
-            changed |= !g.is_external() && !own;
-            if own {
-                let bytes = file.group(k).ok_or_else(|| {
-                    HelixError::Store(format!("group {k} of {} is cut short", sig_file_name(id)))
-                })?;
-                groups.push((*g, Some(bytes)));
-            } else if !chunk_only {
-                groups.push((*g, None));
-            }
-        }
-        if !changed {
-            return Ok(());
-        }
-        if chunk_only && groups.is_empty() {
-            self.drop_file(id, gen, true);
-            return Ok(());
-        }
-        let mut bytes = vec![if chunk_only { TAG_CHUNKS } else { TAG_MANIFEST }];
-        codec::assemble_into(&header.schema, &groups, &mut bytes);
-        self.write_file(id, bytes, started, WriteKind::Rewrite, &[])?;
-        Ok(())
+        self.put_groups(sig.0, true, data, groups, displace, started)
     }
 
     /// Writes a **chunk-only** file: the rows of `groups` (ranges of
@@ -1543,9 +769,101 @@ impl IntermediateStore {
         for g in groups {
             hasher.write_u64(g.key);
         }
-        let mut bytes = vec![TAG_CHUNKS];
-        codec::encode_grouped_into(data, groups, &mut bytes);
-        self.write_file(hasher.finish(), bytes, started, WriteKind::New, &[])
+        self.put_groups(hasher.finish(), false, data, groups, &[], started)
+    }
+
+    /// Writes the rows of `groups` of `data` as grouped file `id`: a node
+    /// file when `node` holds, else a chunk-only file. A node file copies
+    /// each group another file already holds from that file's bytes
+    /// rather than encoding it again (the encoding is a function of the
+    /// rows, so the file is byte-identical to a fresh encode), and then
+    /// those files shrink. A chunk-only file takes no group over from
+    /// another file.
+    fn put_groups(
+        &self,
+        id: u64,
+        node: bool,
+        data: &DataCollection,
+        groups: &[GroupSpec],
+        displace: &[Signature],
+        started: Instant,
+    ) -> Result<(u64, f64)> {
+        let holders = if node {
+            self.holders(id, groups)
+        } else {
+            Vec::new()
+        };
+        let older: Vec<(u64, u64, StoreFile, Vec<u8>)> = holders
+            .into_iter()
+            .filter_map(|(file, gen)| {
+                let bytes = std::fs::read(self.path_for(file)).ok()?;
+                Some((file, gen, StoreFile::parse(&bytes).ok()?, bytes))
+            })
+            .collect();
+        let encoded = |k: usize| {
+            let g = &groups[k];
+            older.iter().find_map(|(.., file, bytes)| {
+                file.own_group(bytes, g.key, (g.end - g.start) as u64)
+            })
+        };
+        let mut bytes = vec![format::tag(node, false)];
+        codec::encode_spliced_into(data, groups, encoded, &mut bytes);
+        let (size, _) = self.write_file(id, bytes, started, WriteKind::New, displace)?;
+        for (file, gen, parsed, bytes) in &older {
+            if let Err(err) = self.shrink(*file, *gen, parsed, bytes) {
+                eprintln!(
+                    "helix-store: could not shrink {}: {err}",
+                    sig_file_name(*file)
+                );
+            }
+        }
+        Ok((size, started.elapsed().as_secs_f64()))
+    }
+
+    /// The files other than `id` that hold the bytes of one of `groups`,
+    /// in the order their keys list them.
+    fn holders(&self, id: u64, groups: &[GroupSpec]) -> Vec<(u64, u64)> {
+        let mut files: Vec<(u64, u64)> = Vec::new();
+        for g in groups {
+            let shard = self.slot(g.key).lock();
+            for loc in shard.keys.get(&g.key).into_iter().flatten() {
+                if loc.file != id && loc.group.is_some() && !files.contains(&(loc.file, loc.gen)) {
+                    files.push((loc.file, loc.gen));
+                }
+            }
+        }
+        files
+    }
+
+    /// Rewrites incarnation `gen` of file `id` — a file whose groups a
+    /// newer node file also holds; `bytes` is all of it — without the
+    /// bytes of the groups another file holds: a node file becomes a
+    /// manifest whose shared groups are external, and a chunk-only file
+    /// keeps only the groups no other file holds, or goes. A group whose
+    /// key was evicted goes too. A node file whose whole key was evicted
+    /// is left alone: a rewrite would serve it again.
+    fn shrink(&self, id: u64, gen: u64, file: &StoreFile, bytes: &[u8]) -> Result<()> {
+        let started = Instant::now();
+        let listed = |key: u64, group: Option<u32>| {
+            self.slot(key).lock().keys.get(&key).is_some_and(|locs| {
+                locs.iter()
+                    .any(|l| l.file == id && l.gen == gen && l.group == group)
+            })
+        };
+        if file.node && !listed(id, None) {
+            return Ok(());
+        }
+        let rewrite = file.shrunk(bytes, |k, g| {
+            g.key == 0 || !self.served_elsewhere(g.key, id) && listed(g.key, Some(k as u32))
+        })?;
+        match rewrite {
+            Some(bytes) if bytes.is_empty() => self.drop_file(id, gen, true),
+            Some(bytes) => {
+                self.write_file(id, bytes, started, WriteKind::Rewrite, &[])?;
+            }
+            None => {}
+        }
+        Ok(())
     }
 
     /// The body of every put: reserve (displacing `displace` as far as
@@ -1561,88 +879,14 @@ impl IntermediateStore {
         displace: &[Signature],
     ) -> Result<(u64, f64)> {
         let size = bytes.len() as u64;
-        let header = match bytes.first() {
-            Some(&tag) if tag != crate::ops::OUT_TAG_MODEL => codec::read_header(&bytes[1..]).ok(),
-            _ => None,
-        };
-        let keys = file_keys(id, size, bytes[0], header.as_ref());
-        let refs = external_keys(bytes[0], header.as_ref());
+        let file = StoreFile::parse(&bytes)?;
+        let keys = file.keys(id, size);
         let idx = shard_index(id, self.inner.shards.len());
-        let over_budget = || {
-            HelixError::Store(format!(
-                "materializing {size} bytes would exceed the {}-byte budget ({} used)",
-                self.inner.budget_bytes,
-                self.used_bytes()
-            ))
-        };
-        let mut victims = displace.iter().copied().filter(|v| v.0 != id);
-        let mut room_checked = false;
-        loop {
-            let mut shard = self.inner.shards[idx].lock();
-            if shard.reserved.contains_key(&id) {
-                // Two in-flight puts of one file would race the rename.
-                // One run's plan-order merge never does this, but two
-                // concurrent sessions materializing the same workflow
-                // can: both pass the engine's lookup-before-put check,
-                // and the loser lands here. The engine treats the error
-                // as "someone else is materializing it" and moves on.
-                return Err(HelixError::Store(format!(
-                    "concurrent put already in flight for signature {id:016x}"
-                )));
-            }
-            // The shard lock pins `existing` (deleting this file needs the
-            // same lock), so the CAS admits exactly the puts a single-lock
-            // store would have.
-            let existing = shard.files.get(&id).map(|m| m.bytes).unwrap_or(0);
-            let reserve =
-                self.inner
-                    .used_bytes
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |used| {
-                        (used.saturating_sub(existing) + size <= self.inner.budget_bytes)
-                            .then_some(used + size)
-                    });
-            if reserve.is_ok() {
-                shard.reserved.insert(id, size);
-                break;
-            }
-            drop(shard);
-            // None of the victims goes unless together they make room.
-            if !room_checked {
-                room_checked = true;
-                let freeable: u64 = victims.clone().filter_map(|v| self.resident_bytes(v)).sum();
-                if self.remaining_bytes() + existing + freeable < size {
-                    return Err(over_budget());
-                }
-            }
-            let victim = victims.next().ok_or_else(over_budget)?;
-            if let Some(freed) = self.resident_bytes(victim) {
-                if let Ok(true) = self.evict(victim) {
-                    self.inner.displaced_entries.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .displaced_bytes
-                        .fetch_add(freed, Ordering::Relaxed);
-                }
-            }
-        }
-        // Unique temp name: a racing put of another file must not write
-        // through this one's half-finished temp file.
-        let token = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.inner.dir.join(format!("{id:016x}.{token}.tmp"));
-        let written = (|| -> Result<()> {
-            #[cfg(test)]
-            if bytes[0] == TAG_CHUNKS
-                && self
-                    .inner
-                    .fail_chunk_write
-                    .load(std::sync::atomic::Ordering::Relaxed)
-            {
-                return Err(std::io::Error::other("injected: no space left on device").into());
-            }
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.flush()?;
-            Ok(())
-        })();
+        self.reserve(idx, id, size, displace)?;
+        let path = self.path_for(id);
+        let written = self
+            .injected_write_failure()
+            .and_then(|()| TempFile::write(&path, &bytes, false));
         let gen = self.inner.next_gen.fetch_add(1, Ordering::Relaxed);
         let (previous, secs) = {
             let mut shard = self.inner.shards[idx].lock();
@@ -1650,20 +894,17 @@ impl IntermediateStore {
             // The rename happens under the shard lock (a cheap metadata
             // op) so deleting a replaced file can never delete the fresh
             // one: deletion holds the same lock across its remove_file.
-            let published = written.and_then(|()| Ok(std::fs::rename(&tmp, self.path_for(id))?));
-            if let Err(err) = published {
+            if let Err(err) = written.and_then(|tmp| tmp.commit(&path)) {
                 // Release only this call's reservation; nothing else was
                 // touched, so concurrent get/evict state is unaffected.
                 self.inner.used_bytes.fetch_sub(size, Ordering::AcqRel);
-                drop(shard);
-                let _ = std::fs::remove_file(&tmp);
-                return Err(err);
+                return Err(err.into());
             }
             let meta = FileMeta {
                 bytes: size,
                 gen,
                 live: keys.len(),
-                refs,
+                refs: file.refs(),
             };
             let previous = shard.files.insert(id, meta);
             // The reservation's bytes stay in the ledger as the file's; an
@@ -1672,62 +913,24 @@ impl IntermediateStore {
                 self.inner.used_bytes.fetch_sub(old.bytes, Ordering::AcqRel);
             }
             let secs = started.elapsed().as_secs_f64();
-            #[cfg(test)]
-            let skip_wal = self
-                .inner
-                .fail_skip_wal_append
-                .load(std::sync::atomic::Ordering::Relaxed);
-            #[cfg(not(test))]
-            let skip_wal = false;
-            if !skip_wal {
-                let record = wal_record_put(id, size, secs);
-                self.wal_append_locked(idx, &mut shard, &record, write == WriteKind::New);
-            }
+            let record = wal::wal_record_put(id, size, secs);
+            self.wal_append_locked(idx, &mut shard, &record, write == WriteKind::New);
             (previous, secs)
         };
-        for (key, group, key_bytes) in keys {
-            self.slot(key)
-                .lock()
-                .keys
-                .entry(key)
-                .or_default()
-                .push(Loc {
-                    file: id,
-                    gen,
-                    group,
-                    bytes: key_bytes,
-                });
-        }
+        index::publish(&self.inner.shards, id, gen, keys);
         if let Some(old) = previous {
             self.purge_locations(id, old.gen, write == WriteKind::Rewrite);
         }
         Ok((size, secs))
     }
 
-    /// Removes every key location that points at incarnation `gen` of
-    /// file `id` (an overwritten, shrunk or corrupt file), dropping keys
-    /// left with no location. Decoded entries read from it leave too,
-    /// unless `relocate` is set — the store moved the same bytes — and
-    /// their key still has a location, which they are then filed under.
-    fn purge_locations(&self, id: u64, gen: u64, relocate: bool) {
-        for slot in self.inner.shards.iter() {
-            slot.lock().keys.retain(|_, locs| {
-                locs.retain(|l| l.file != id || l.gen != gen);
-                !locs.is_empty()
-            });
+    /// Fails as a full disk would once a test has set `fail_writes`.
+    fn injected_write_failure(&self) -> std::io::Result<()> {
+        #[cfg(test)]
+        if self.inner.fail_writes.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("injected: no space left on device"));
         }
-        // After the keys: an admission that re-checks a key's locations
-        // from here on no longer finds this file.
-        let keys = self.inner.decoded.lock().remove_file(id, gen, relocate);
-        for (key, entry) in keys {
-            let shard = self.slot(key).lock();
-            if let Some(&loc) = shard.keys.get(&key).and_then(|locs| locs.first()) {
-                self.inner
-                    .decoded
-                    .lock()
-                    .reinsert(key, Decoded { loc, ..entry });
-            }
-        }
+        Ok(())
     }
 
     /// Reads the output stored under `sig`: the whole file for a node
@@ -1762,7 +965,7 @@ impl IntermediateStore {
         let (locs, refs, mut hit) = {
             let shard = self.slot(sig.0).lock();
             let locs = shard.keys.get(&sig.0).cloned().unwrap_or_default();
-            let refs = locs.first().and_then(|&loc| manifest_refs(&shard, loc));
+            let refs = locs.first().and_then(|&loc| shard.manifest_refs(loc));
             let hit = if refs.is_none() { cached(&locs) } else { None };
             (locs, refs, hit)
         };
@@ -1780,9 +983,6 @@ impl IntermediateStore {
                 secs: started.elapsed().as_secs_f64(),
                 cached: true,
             });
-        }
-        if locs.is_empty() {
-            return Err(missing());
         }
         let mut failure = None;
         for loc in locs {
@@ -1815,39 +1015,7 @@ impl IntermediateStore {
                 Err(err) => failure = Some(err),
             }
         }
-        Err(failure.expect("at least one location was tried"))
-    }
-
-    /// Offers a verified decode of `sig` from `loc` to the decoded cache,
-    /// which admits the key's second one if it is small enough and `loc`
-    /// still serves the key.
-    fn offer(&self, sig: Signature, loc: Loc, read: &StoreRead) {
-        if !self.inner.decoded.lock().decoded_before(sig.0) {
-            return;
-        }
-        let size = read.output.estimated_bytes();
-        if size > DECODED_CACHE_BYTES / 4 {
-            return;
-        }
-        #[cfg(test)]
-        {
-            let pause = self.inner.pause_before_admit.lock().clone();
-            if let Some(pause) = pause {
-                pause.wait();
-                pause.wait();
-            }
-        }
-        // Re-checked under the key's shard lock: an `evict` or a dropped
-        // file that won the race took the location away, and the key must
-        // not come back through the cache.
-        let shard = self.slot(sig.0).lock();
-        if shard
-            .keys
-            .get(&sig.0)
-            .is_some_and(|locs| locs.contains(&loc))
-        {
-            self.inner.decoded.lock().insert(sig.0, read, loc, size);
-        }
+        Err(failure.unwrap_or_else(missing))
     }
 
     /// Decodes one location of key `sig`, with the bytes the read
@@ -1861,44 +1029,57 @@ impl IntermediateStore {
         let Some(group) = loc.group else {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
-            if bytes.first() == Some(&TAG_MANIFEST) {
-                return self.read_manifest(&bytes);
-            }
-            let verified = bytes.first() == Some(&crate::ops::OUT_TAG_DATA)
-                && matches!(codec::header_len(&bytes[1..]), Ok(Some(_)));
-            return Ok(Some((NodeOutput::decode(&bytes)?, loc.bytes, verified)));
+            let parsed = StoreFile::parse(&bytes)?;
+            return match &parsed.header {
+                Some(header) if header.groups.iter().any(|g| g.is_external()) => {
+                    self.read_manifest(&parsed, header, &bytes)
+                }
+                header => Ok(Some((
+                    NodeOutput::decode(&bytes)?,
+                    loc.bytes,
+                    header.is_some(),
+                ))),
+            };
         };
         let len = file.metadata()?.len();
-        let (_, header) = read_file_header(&mut file, len)?;
-        let header = header.ok_or_else(|| HelixError::Store("file has no row groups".into()))?;
+        let mut head = Vec::new();
+        read_head(&mut file, len, &mut head)?;
+        let parsed = StoreFile::parse(&head)?;
         let group = group as usize;
-        if header.groups.get(group).map(|g| g.key) != Some(sig.0) {
+        let keyed = parsed
+            .header
+            .as_ref()
+            .filter(|h| h.groups.get(group).map(|g| g.key) == Some(sig.0));
+        let Some(header) = keyed else {
             return Err(HelixError::Store(format!(
                 "group {group} of {} is not keyed {}",
                 sig_file_name(loc.file),
                 sig.hex()
             )));
-        }
-        let range = header.group_range(group, len - 1)?;
-        file.seek(SeekFrom::Start(1 + range.start))?;
+        };
+        let range = parsed.range(group, len)?;
+        file.seek(SeekFrom::Start(range.start))?;
         let mut bytes = vec![0u8; (range.end - range.start) as usize];
         file.read_exact(&mut bytes)?;
-        let output = NodeOutput::Data(codec::decode_group(&header, group, &bytes)?);
+        let output = NodeOutput::Data(codec::decode_group(header, group, &bytes)?);
         Ok(Some((output, loc.bytes, true)))
     }
 
     /// Assembles a manifest's output: its own groups decoded from `bytes`
-    /// (the whole file), each external group read through its key. The
-    /// pieces share their rows; `None` if an external key does not read.
-    fn read_manifest(&self, bytes: &[u8]) -> Result<Option<(NodeOutput, u64, bool)>> {
-        let header = codec::read_header(&bytes[1..])?;
+    /// (the whole file `file`, whose header is `header`), each external
+    /// group read through its key. The pieces share their rows; `None` if
+    /// an external key does not read.
+    fn read_manifest(
+        &self,
+        file: &StoreFile,
+        header: &codec::Header,
+        bytes: &[u8],
+    ) -> Result<Option<(NodeOutput, u64, bool)>> {
         let mut total = bytes.len() as u64;
         let mut parts = Vec::with_capacity(header.groups.len());
         for (k, group) in header.groups.iter().enumerate() {
             if !group.is_external() {
-                let range = header.group_range(k, bytes.len() as u64 - 1)?;
-                let own = &bytes[1 + range.start as usize..1 + range.end as usize];
-                parts.push(codec::decode_group(&header, k, own)?);
+                parts.push(codec::decode_group(header, k, file.group(bytes, k)?)?);
                 continue;
             }
             let Ok(read) = self.read(Signature(group.key)) else {
@@ -1930,31 +1111,10 @@ impl IntermediateStore {
     /// its ledger bytes — the ledger stays equal to the disk — but serves
     /// nothing.
     fn drop_file(&self, id: u64, gen: u64, relocate: bool) {
-        let idx = shard_index(id, self.inner.shards.len());
-        {
-            let mut shard = self.inner.shards[idx].lock();
-            if shard.files.get(&id).is_some_and(|m| m.gen == gen) {
-                match std::fs::remove_file(self.path_for(id)) {
-                    Ok(()) => self.forget_file_locked(idx, &mut shard, id),
-                    Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-                        self.forget_file_locked(idx, &mut shard, id)
-                    }
-                    Err(err) => eprintln!("helix-store: could not delete {id:016x}: {err}"),
-                }
-            }
+        if let Err(err) = self.release(id, gen, true) {
+            eprintln!("helix-store: could not delete {id:016x}: {err}");
         }
         self.purge_locations(id, gen, relocate);
-    }
-
-    /// Bookkeeping for a file that is gone from disk: drop it from the
-    /// map and the ledger, and log the removal.
-    fn forget_file_locked(&self, idx: usize, shard: &mut Shard, id: u64) {
-        if let Some(meta) = shard.files.remove(&id) {
-            self.inner
-                .used_bytes
-                .fetch_sub(meta.bytes, Ordering::AcqRel);
-            self.wal_append_locked(idx, shard, &wal_record_evict(id), true);
-        }
     }
 
     /// Removes the key `sig` (every location of it) if present; each file
@@ -1982,35 +1142,14 @@ impl IntermediateStore {
             return Ok(false);
         };
         for (k, &loc) in locs.iter().enumerate() {
-            if let Err(err) = self.release(loc) {
+            if let Err(err) = self.release(loc.file, loc.gen, false) {
                 let mut shard = self.slot(sig.0).lock();
                 let restored = shard.keys.entry(sig.0).or_default();
                 restored.splice(0..0, locs[k..].iter().copied());
-                return Err(err);
+                return Err(err.into());
             }
         }
         Ok(true)
-    }
-
-    /// Drops one key location's hold on its file, deleting the file with
-    /// its last hold. A location of a replaced incarnation holds nothing.
-    fn release(&self, loc: Loc) -> Result<()> {
-        let idx = shard_index(loc.file, self.inner.shards.len());
-        let mut shard = self.inner.shards[idx].lock();
-        let Some(meta) = shard.files.get_mut(&loc.file).filter(|m| m.gen == loc.gen) else {
-            return Ok(());
-        };
-        if meta.live > 1 {
-            meta.live -= 1;
-            return Ok(());
-        }
-        match std::fs::remove_file(self.path_for(loc.file)) {
-            Ok(()) => {}
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-            Err(err) => return Err(err.into()),
-        }
-        self.forget_file_locked(idx, &mut shard, loc.file);
-        Ok(())
     }
 
     /// Every key currently stored, in no particular order (the retention
@@ -2049,7 +1188,7 @@ impl IntermediateStore {
             if self
                 .inner
                 .fail_skip_clear_compaction
-                .load(std::sync::atomic::Ordering::Relaxed)
+                .load(Ordering::Relaxed)
             {
                 continue;
             }
@@ -2067,29 +1206,18 @@ impl IntermediateStore {
 
 #[cfg(test)]
 impl IntermediateStore {
-    /// Makes every later chunk-only write fail as a full disk would.
-    pub(crate) fn fail_chunk_writes(&self) {
-        self.inner
-            .fail_chunk_write
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+    /// Makes every later data-file write fail as a full disk would.
+    pub(crate) fn fail_writes(&self) {
+        self.inner.fail_writes.store(true, Ordering::Relaxed);
     }
-}
-
-/// Maps a signature to a shard index. Signatures are already Merkle
-/// hashes, but the multiply-shift spreads any residual structure (e.g.
-/// test signatures 1, 2, 3, …) across shards.
-fn shard_index(sig: u64, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mixed = sig.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((mixed >> 32) as usize) % shards
 }
 
 #[cfg(test)]
 mod tests {
+    use super::format::TAG_MANIFEST;
     use super::*;
     use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
+    use std::io::Write;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("helix-store-{tag}-{}", std::process::id()));
@@ -3354,5 +2482,213 @@ mod tests {
         assert_eq!(store.decoded_stats(), DecodedStats::default());
         assert!(store.get(Signature(5)).is_err());
         assert!(store.lookup(Signature(5)).is_none());
+    }
+
+    /// A collection of `(x, s)` rows, one per value; `s` repeats, so the
+    /// encoding carries a string dictionary.
+    fn golden_rows(values: impl IntoIterator<Item = i64>) -> DataCollection {
+        let schema = Schema::of(&[("x", DataType::Int), ("s", DataType::Str)]);
+        let rows = values
+            .into_iter()
+            .map(|i| Row(vec![Value::Int(i), Value::Str(format!("v{}", i % 3))]))
+            .collect();
+        DataCollection::new(schema, rows).unwrap()
+    }
+
+    /// Name and Fx hash of every file under `dir` with extension `ext`,
+    /// by name.
+    fn file_hashes(dir: &Path, ext: &str) -> Vec<(String, u64)> {
+        let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().and_then(|x| x.to_str()) == Some(ext))
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                let bytes = std::fs::read(&p).unwrap();
+                (name, helix_dataflow::fx::hash_bytes(&bytes))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Every file a fixed script of puts leaves after each step, as
+    /// `(step, name, Fx hash of the bytes)`: a whole node, a model, a
+    /// grouped node, a second version that shrinks it to a manifest, a
+    /// chunk-only file, a put that shrinks that file and one that
+    /// empties it, then the WAL snapshot a durable reopen writes. The
+    /// expected list was captured from the single-file store this module
+    /// replaced, so every file kind is written byte for byte as before.
+    #[test]
+    fn store_files_are_byte_identical_to_the_parent() {
+        let dir = tmpdir("golden");
+        let store = StoreOptions::new(&dir).shards(4).open().unwrap();
+        let ds = helix_ml::Dataset::new(
+            vec![helix_ml::LabeledExample {
+                features: helix_ml::SparseVector::from_pairs(vec![(0, 1.0)]),
+                label: 1.0,
+            }],
+            1,
+        );
+        let model =
+            helix_ml::logreg::train(&ds, &helix_ml::logreg::LogRegConfig::default()).unwrap();
+        let model = NodeOutput::Model(crate::ops::TrainedModel {
+            model: helix_ml::Model::LogReg(model),
+            feature_names: vec!["edu=BS".into()],
+        });
+        let grouped = |sig: u64, data: DataCollection, bounds: &[usize], keys: &[u64]| {
+            let groups: Vec<GroupSpec> = groups_at(bounds, 0)
+                .into_iter()
+                .zip(keys)
+                .map(|(g, &key)| GroupSpec { key, ..g })
+                .collect();
+            store
+                .put_grouped(Signature(sig), &NodeOutput::Data(data), &groups, &[])
+                .unwrap();
+        };
+        let mut seen = Vec::new();
+        let mut step = |n: usize| {
+            for (name, hash) in file_hashes(&dir, "hlx") {
+                seen.push((n, name, hash));
+            }
+        };
+        store
+            .put(Signature(0x11), &NodeOutput::Data(golden_rows(0..20)))
+            .unwrap();
+        step(1);
+        store.put(Signature(0x12), &model).unwrap();
+        step(2);
+        grouped(
+            0x13,
+            golden_rows(0..9),
+            &[0, 3, 6, 9],
+            &[0x700, 0x701, 0x702],
+        );
+        step(3);
+        grouped(
+            0x14,
+            golden_rows((0..6).chain(50..53)),
+            &[0, 3, 6, 9],
+            &[0x700, 0x701, 0x710],
+        );
+        step(4);
+        let loose = golden_rows(20..29);
+        store
+            .put_chunks(&loose, &groups_at(&[0, 3, 6, 9], 0x720))
+            .unwrap();
+        step(5);
+        grouped(0x15, golden_rows(20..26), &[0, 3, 6], &[0x720, 0x721]);
+        step(6);
+        grouped(0x16, golden_rows(26..29), &[0, 3], &[0x722]);
+        step(7);
+        drop(store);
+        let store = StoreOptions::new(&dir)
+            .shards(2)
+            .durability(Durability::wal())
+            .open()
+            .unwrap();
+        for (name, hash) in file_hashes(&dir.join("wal"), "wal") {
+            seen.push((8, name, hash));
+        }
+        assert_eq!(store.len(), 13);
+        let expected: &[(usize, &str, u64)] = &[
+            (1, "0000000000000011.hlx", 0x4fbb198356849574),
+            (2, "0000000000000011.hlx", 0x4fbb198356849574),
+            (2, "0000000000000012.hlx", 0xfafb91cc1a659dcf),
+            (3, "0000000000000011.hlx", 0x4fbb198356849574),
+            (3, "0000000000000012.hlx", 0xfafb91cc1a659dcf),
+            (3, "0000000000000013.hlx", 0xfeeb8f681f053c73),
+            (4, "0000000000000011.hlx", 0x4fbb198356849574),
+            (4, "0000000000000012.hlx", 0xfafb91cc1a659dcf),
+            (4, "0000000000000013.hlx", 0xc3d0fa4ba24598a2),
+            (4, "0000000000000014.hlx", 0xb348c9babcf9801d),
+            (5, "0000000000000011.hlx", 0x4fbb198356849574),
+            (5, "0000000000000012.hlx", 0xfafb91cc1a659dcf),
+            (5, "0000000000000013.hlx", 0xc3d0fa4ba24598a2),
+            (5, "0000000000000014.hlx", 0xb348c9babcf9801d),
+            (5, "90c2d9adadc89118.hlx", 0xbce3b660eddbb7a5),
+            (6, "0000000000000011.hlx", 0x4fbb198356849574),
+            (6, "0000000000000012.hlx", 0xfafb91cc1a659dcf),
+            (6, "0000000000000013.hlx", 0xc3d0fa4ba24598a2),
+            (6, "0000000000000014.hlx", 0xb348c9babcf9801d),
+            (6, "0000000000000015.hlx", 0xe3748febcb19754c),
+            (6, "90c2d9adadc89118.hlx", 0x8bf058cb5269986f),
+            (7, "0000000000000011.hlx", 0x4fbb198356849574),
+            (7, "0000000000000012.hlx", 0xfafb91cc1a659dcf),
+            (7, "0000000000000013.hlx", 0xc3d0fa4ba24598a2),
+            (7, "0000000000000014.hlx", 0xb348c9babcf9801d),
+            (7, "0000000000000015.hlx", 0xe3748febcb19754c),
+            (7, "0000000000000016.hlx", 0xe739457b190aaaf),
+            (8, "shard-0.wal", 0x797f6de914c05a4),
+            (8, "shard-1.wal", 0xaf45dbac78ee1fad),
+        ];
+        let seen: Vec<(usize, &str, u64)> = seen
+            .iter()
+            .map(|(n, name, h)| (*n, name.as_str(), *h))
+            .collect();
+        assert_eq!(seen, expected, "{seen:#x?}");
+    }
+
+    /// A durable store's index needs no log: the directory scan is the
+    /// index, and replay only counts how the log disagrees with it. So a
+    /// copy reopened without its `wal/` serves exactly what the store
+    /// reopened with it serves — keys, sizes, ledger and files.
+    #[test]
+    fn a_durable_reopen_without_its_log_serves_what_a_reopen_with_it_serves() {
+        let dir = tmpdir("with-log");
+        {
+            let store = open_wal_store(&dir, 1 << 20);
+            store.put(Signature(1), &sample_output(30)).unwrap();
+            let node = |sig: u64, data: DataCollection, keys: [u64; 3]| {
+                let groups: Vec<GroupSpec> = groups_at(&[0, 3, 6, 9], 0)
+                    .into_iter()
+                    .zip(keys)
+                    .map(|(g, key)| GroupSpec { key, ..g })
+                    .collect();
+                let output = NodeOutput::Data(data);
+                store
+                    .put_grouped(Signature(sig), &output, &groups, &[])
+                    .unwrap();
+            };
+            node(2, golden_rows(0..9), [0x700, 0x701, 0x702]);
+            // Shares two groups with node 2, which becomes a manifest.
+            node(3, golden_rows((0..6).chain(50..53)), [0x700, 0x701, 0x710]);
+            let loose = golden_rows(20..26);
+            store
+                .put_chunks(&loose, &groups_at(&[0, 3, 6], 0x720))
+                .unwrap();
+            assert!(store.evict(Signature(0x701)).unwrap());
+            let manifest = std::fs::read(store.path_for(2)).unwrap();
+            assert_eq!(manifest[0], TAG_MANIFEST);
+        }
+        let copy = tmpdir("without-log");
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_file() {
+                std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+            }
+        }
+        assert!(dir.join("wal").is_dir() && !copy.join("wal").exists());
+        let with = open_wal_store(&dir, 1 << 20);
+        let without = open_wal_store(&copy, 1 << 20);
+        assert_eq!(with.recovery().adopted_files, 0);
+        assert_eq!(without.recovery().adopted_files, 4, "every file is adopted");
+
+        let keys = |store: &IntermediateStore| {
+            let mut sigs: Vec<u64> = store.signatures().into_iter().map(|s| s.0).collect();
+            sigs.sort_unstable();
+            sigs
+        };
+        assert_eq!(keys(&with), keys(&without));
+        for sig in keys(&with) {
+            assert_eq!(
+                with.lookup(Signature(sig)),
+                without.lookup(Signature(sig)),
+                "{sig:x}"
+            );
+        }
+        assert_eq!(with.used_bytes(), without.used_bytes());
+        assert_eq!(file_hashes(&dir, "hlx"), file_hashes(&copy, "hlx"));
     }
 }
