@@ -45,6 +45,61 @@ const LATENCY_EMA_ALPHA: f64 = 0.2;
 /// one scheduler hiccup can push.
 const MAX_LATENCY_SAMPLE_SEC: f64 = 0.01;
 
+/// One cost-model observation, as a run buffers it and the engine meta
+/// log records it; [`CostModel::observe`] applies it.
+#[derive(Debug)]
+pub(crate) enum CostEvent {
+    /// [`CostModel::observe_compute`].
+    Compute { name: String, secs: f64 },
+    /// [`CostModel::observe_io`].
+    Io { bytes: u64, secs: f64 },
+    /// [`CostModel::observe_encode`].
+    Encode { estimated: u64, actual: u64 },
+}
+
+impl CostEvent {
+    /// The logged event: `["compute", name, secs]`, `["io", bytes, secs]`
+    /// or `["encode", estimated, actual]`.
+    pub(crate) fn to_json(&self) -> Json {
+        Json::Arr(match self {
+            CostEvent::Compute { name, secs } => {
+                vec![Json::str("compute"), Json::str(name), Json::Num(*secs)]
+            }
+            CostEvent::Io { bytes, secs } => {
+                vec![Json::str("io"), Json::Num(*bytes as f64), Json::Num(*secs)]
+            }
+            CostEvent::Encode { estimated, actual } => vec![
+                Json::str("encode"),
+                Json::Num(*estimated as f64),
+                Json::Num(*actual as f64),
+            ],
+        })
+    }
+
+    /// Inverse of [`CostEvent::to_json`].
+    pub(crate) fn from_json(json: &Json) -> Result<CostEvent, String> {
+        let bad = || format!("bad cost event {json}");
+        let items = json.as_array().ok_or_else(bad)?;
+        let num = |i: usize| items.get(i).and_then(Json::as_f64).ok_or_else(bad);
+        let int = |i: usize| items.get(i).and_then(Json::as_u64).ok_or_else(bad);
+        match items.first().and_then(Json::as_str) {
+            Some("compute") => Ok(CostEvent::Compute {
+                name: items.get(1).and_then(Json::as_str).ok_or_else(bad)?.into(),
+                secs: num(2)?,
+            }),
+            Some("io") => Ok(CostEvent::Io {
+                bytes: int(1)?,
+                secs: num(2)?,
+            }),
+            Some("encode") => Ok(CostEvent::Encode {
+                estimated: int(1)?,
+                actual: int(2)?,
+            }),
+            _ => Err(bad()),
+        }
+    }
+}
+
 /// Mutable cost statistics carried across iterations.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -132,6 +187,15 @@ impl CostModel {
         let ratio = actual_bytes as f64 / estimated_bytes as f64;
         if ratio.is_finite() && ratio > 0.0 {
             self.encode_ratio = EMA_ALPHA * ratio + (1.0 - EMA_ALPHA) * self.encode_ratio;
+        }
+    }
+
+    /// Applies one buffered or logged observation.
+    pub(crate) fn observe(&mut self, event: &CostEvent) {
+        match event {
+            CostEvent::Compute { name, secs } => self.observe_compute(name, *secs),
+            CostEvent::Io { bytes, secs } => self.observe_io(*bytes, *secs),
+            CostEvent::Encode { estimated, actual } => self.observe_encode(*estimated, *actual),
         }
     }
 

@@ -21,18 +21,21 @@
 //! gone.
 
 use crate::compiler::CompiledPlan;
-use crate::cost::CostModel;
+use crate::cost::{CostEvent, CostModel};
 use crate::materialize::{Displacement, MaterializationContext, MaterializationPolicyKind};
-use crate::memo::{MemoTable, Observation, OfflineOutcome};
+use crate::memo::{MemoTable, Observation, OfflineOutcome, Recording};
 use crate::ops::{NodeOutput, OperatorKind};
-use crate::persist::{arr_field, f64_field, field, hex_u64, str_field, u64_hex};
+use crate::persist::{
+    arr_field, f64_field, field, hex_u64, str_arr, str_field, string_list, u64_hex, Doc,
+    EngineMeta, Journal,
+};
 use crate::recompute::{NodeState, RecomputationPolicy};
 use crate::report::{IterationReport, NodeReport};
 use crate::scheduler;
 use crate::signature::{snapshot, ChangeKind, Signature};
 use crate::slicing::NodeChunks;
 use crate::store::{Durability, IntermediateStore, RecoveryInfo, StoreOptions};
-use crate::version::VersionStore;
+use crate::version::{VersionStore, WorkflowVersion};
 use crate::workflow::Workflow;
 use crate::{HelixError, Result};
 use helix_dataflow::codec::GroupSpec;
@@ -256,12 +259,53 @@ impl Lineage {
             iteration: f64_field(json, "iteration")? as usize,
         })
     }
+
+    /// This lineage as a change to `base`, for the session log:
+    /// [`Lineage::to_json`] of its iteration and of the nodes whose
+    /// signatures `base` lacks or holds differently, plus the nodes of
+    /// `base` it no longer has (`gone`). A no-op iterate changes none.
+    pub(crate) fn delta_json(&self, base: &Lineage) -> Json {
+        let old = base.previous.as_ref();
+        let new = self.previous.clone().unwrap_or_default();
+        let gone: Vec<String> = old
+            .into_iter()
+            .flat_map(|o| o.keys())
+            .filter(|node| !new.contains_key(*node))
+            .cloned()
+            .collect();
+        let changed = Lineage {
+            previous: Some(
+                new.into_iter()
+                    .filter(|(node, v)| old.and_then(|o| o.get(node)) != Some(v))
+                    .collect(),
+            ),
+            iteration: self.iteration,
+        };
+        let mut json = changed.to_json();
+        if let Json::Obj(pairs) = &mut json {
+            pairs.push(("gone".to_string(), str_arr(&gone)));
+        }
+        json
+    }
+
+    /// Applies a [`Lineage::delta_json`] change.
+    pub(crate) fn apply_delta(&mut self, json: &Json) -> std::result::Result<(), String> {
+        let delta = Lineage::from_json(json)?;
+        let gone = string_list(json, "gone")?;
+        let previous = self.previous.get_or_insert_with(FxHashMap::default);
+        for node in &gone {
+            previous.remove(node);
+        }
+        previous.extend(delta.previous.unwrap_or_default());
+        self.iteration = delta.iteration;
+        Ok(())
+    }
 }
 
 /// What [`Engine::new`] recovered from a durable store directory: the
 /// store-level WAL replay outcome plus the engine-level state reloaded
-/// from the meta file. All zeros for volatile engines and fresh
-/// directories.
+/// from the meta snapshot and its log. All zeros for volatile engines and
+/// fresh directories.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineRecovery {
     /// The store's WAL replay and verification counters.
@@ -277,6 +321,10 @@ pub struct EngineRecovery {
     /// engine warned and started with fresh cost/version state (the
     /// store's entries still recovered independently).
     pub meta_corrupted: bool,
+    /// Meta-log records not replayed: replay stops, with a warning, at
+    /// the first record that does not parse (a torn tail), and drops it
+    /// and every record after it.
+    pub meta_records_dropped: usize,
 }
 
 /// Per-run options for [`Engine::run_in`].
@@ -291,15 +339,6 @@ pub struct RunOptions {
     pub summary: Option<String>,
 }
 
-/// A cost-model observation buffered during a run and replayed into the
-/// shared model once the run completes.
-#[derive(Debug)]
-enum CostEvent {
-    Compute { name: String, secs: f64 },
-    Io { bytes: u64, secs: f64 },
-    Encode { estimated: u64, actual: u64 },
-}
-
 /// Everything one run mutates, private to that run. The cost model is a
 /// snapshot of the shared model taken at run start: within the run it
 /// evolves exactly as the historical `&mut self` engine's did (so
@@ -307,11 +346,12 @@ enum CostEvent {
 /// replayed into the shared model under its lock afterwards.
 struct RunContext {
     cost: CostModel,
+    /// Cost-model observations buffered during the run and replayed into
+    /// the shared model afterwards.
     events: Vec<CostEvent>,
     /// Memo recordings buffered during the run and merged into the
-    /// shared memo afterwards: `(signature, name, parent signatures,
-    /// observation)` per executed node.
-    memo_events: Vec<(Signature, String, Vec<Signature>, Observation)>,
+    /// shared memo afterwards, one per executed node.
+    memo_events: Vec<Recording>,
     node_reports: Vec<NodeReport>,
     materialize_secs: f64,
     metrics: Vec<(String, f64)>,
@@ -464,9 +504,12 @@ pub struct Engine {
     default_run_gate: Mutex<()>,
     /// What this engine recovered at open (all zeros when volatile).
     recovery: EngineRecovery,
-    /// Serializes engine-meta snapshot writes so concurrent runs never
-    /// interleave two atomic replacements out of order.
-    persist_gate: Mutex<()>,
+    /// The engine meta journal (durable engines only). Its lock is the
+    /// merge gate: a run merges its cost and memo events and records its
+    /// version under it, then appends the run's record, so log order is
+    /// merge order however many sessions run. Lock order: taken before
+    /// the cost model, memo, version and pin locks, never after.
+    meta: Option<Mutex<Journal>>,
     /// The optimizer memo: per-signature runtime history consulted by
     /// the adaptive re-plan, materialization biasing, partition sizing,
     /// and the offline Optimal pass. Persisted with the engine meta.
@@ -490,10 +533,12 @@ impl Engine {
     ///
     /// Under a durable [`EngineConfig::durability`] tier this is the
     /// recovery path: the store replays its WAL, and the engine reloads
-    /// its cost-model observations and global version history from
-    /// `<store_dir>/meta/engine.json`. A corrupt meta file is warned
-    /// about and ignored (fresh cost/version state) — open never refuses
-    /// to start; see [`Engine::recovery`] for what was reloaded.
+    /// its cost model, memo and global version history from the snapshot
+    /// `<store_dir>/meta/engine.json`, then replays `meta/engine.log` on
+    /// top. A corrupt snapshot is warned about and ignored (fresh state
+    /// plus what the log still holds), a torn log tail is dropped with a
+    /// warning — open never refuses to start; see [`Engine::recovery`]
+    /// for what was reloaded.
     pub fn new(config: EngineConfig) -> Result<Engine> {
         let store = StoreOptions::new(&config.store_dir)
             .budget_bytes(config.storage_budget_bytes)
@@ -504,49 +549,41 @@ impl Engine {
             store: store.recovery(),
             ..EngineRecovery::default()
         };
-        let mut cost_model = CostModel::new();
-        let mut versions = VersionStore::new();
-        let mut memo = MemoTable::new();
-        let mut pinned = FxHashSet::default();
-        let mut replans_triggered = 0u64;
-        let mut last_offline_unix = 0u64;
+        let mut meta = EngineMeta::default();
+        let mut journal = None;
         if config.durability.is_durable() {
             crate::store::sweep_tmp(&crate::persist::meta_dir(&config.store_dir));
             crate::store::sweep_tmp(&crate::persist::sessions_dir(&config.store_dir));
             let path = crate::persist::engine_meta_path(&config.store_dir);
             match crate::persist::load_engine_meta(&path) {
-                Ok(Some(meta)) => {
-                    recovery.recovered_cost_observations = meta.cost.observed_nodes();
-                    recovery.recovered_versions = meta.versions.len();
-                    recovery.recovered_memo_entries = meta.memo.len();
-                    cost_model = meta.cost;
-                    versions = VersionStore::from_versions(meta.versions);
-                    memo = meta.memo;
-                    pinned = meta.pinned.iter().map(|s| s.0).collect();
-                    replans_triggered = meta.replans_triggered;
-                    last_offline_unix = meta.last_offline_unix;
-                }
-                Ok(None) => {}
+                Ok(loaded) => meta = loaded.unwrap_or_default(),
                 Err(err) => {
                     eprintln!("helix: warning: ignoring corrupt engine meta: {err}");
                     recovery.meta_corrupted = true;
                 }
             }
+            let (opened, dropped) =
+                Journal::recover(&path, meta.seq, &mut meta, recovery.meta_corrupted)?;
+            recovery.meta_records_dropped = dropped;
+            journal = Some(Mutex::new(opened));
+            recovery.recovered_cost_observations = meta.cost.observed_nodes();
+            recovery.recovered_versions = meta.versions.len();
+            recovery.recovered_memo_entries = meta.memo.len();
         }
         Ok(Engine {
             config,
             store,
             pool: std::sync::Arc::new(crate::pool::WorkerPool::new()),
-            cost_model: Mutex::new(cost_model),
-            versions: Mutex::new(versions),
+            cost_model: Mutex::new(meta.cost),
+            versions: Mutex::new(VersionStore::from_versions(meta.versions)),
             default_lineage: Mutex::new(Lineage::new()),
             default_run_gate: Mutex::new(()),
             recovery,
-            persist_gate: Mutex::new(()),
-            memo: Mutex::new(memo),
-            pinned: Mutex::new(pinned),
-            replans_triggered: AtomicU64::new(replans_triggered),
-            last_offline_unix: AtomicU64::new(last_offline_unix),
+            meta: journal,
+            memo: Mutex::new(meta.memo),
+            pinned: Mutex::new(meta.pinned.iter().map(|s| s.0).collect()),
+            replans_triggered: AtomicU64::new(meta.replans_triggered),
+            last_offline_unix: AtomicU64::new(meta.last_offline_unix),
             writes_skipped: AtomicU64::new(0),
             inflight_loads: Mutex::new(FxHashMap::default()),
         })
@@ -567,41 +604,54 @@ impl Engine {
     }
 
     /// Forces a durability checkpoint now: compacts every store WAL shard
-    /// into a snapshot and atomically rewrites the engine meta file. A
-    /// no-op for volatile engines. (Runs also checkpoint the meta file
-    /// automatically after every recorded iteration; this entry point
-    /// exists for the server's `POST /admin/snapshot` and orderly
-    /// shutdowns.)
+    /// into a snapshot and the engine meta log into `meta/engine.json`. A
+    /// no-op for volatile engines. (Runs append to the meta log after
+    /// every merge and compact it when it outgrows its snapshot; this
+    /// entry point exists for the server's `POST /admin/snapshot` and
+    /// orderly shutdowns.)
     pub fn snapshot_now(&self) -> Result<()> {
         self.store.snapshot_now()?;
-        self.persist_meta();
+        if let Some(journal) = &self.meta {
+            let mut journal = lock(journal);
+            journal.compact(self.meta_state().to_json())?;
+        }
         Ok(())
     }
 
-    /// Atomically rewrites `<store_dir>/meta/engine.json` with the
-    /// current cost model and version history. Failures warn rather than
-    /// error: persistence must never fail a run that already committed
-    /// its results (the next successful checkpoint heals the file).
-    fn persist_meta(&self) {
-        if !self.config.durability.is_durable() {
-            return;
+    /// The durable engine state, cloned out for a snapshot.
+    fn meta_state(&self) -> EngineMeta {
+        EngineMeta {
+            cost: lock(&self.cost_model).clone(),
+            versions: lock(&self.versions).all().to_vec(),
+            memo: lock(&self.memo).clone(),
+            pinned: lock(&self.pinned).iter().map(|&s| Signature(s)).collect(),
+            replans_triggered: self.replans_triggered.load(Ordering::Relaxed),
+            last_offline_unix: self.last_offline_unix.load(Ordering::Relaxed),
+            seq: 0,
         }
-        let _gate = lock(&self.persist_gate);
-        let cost = lock(&self.cost_model).clone();
-        let versions = lock(&self.versions).clone();
-        let memo = lock(&self.memo).clone();
-        let pinned: Vec<Signature> = lock(&self.pinned).iter().map(|&s| Signature(s)).collect();
-        let path = crate::persist::engine_meta_path(&self.config.store_dir);
-        if let Err(err) = crate::persist::save_engine_meta(
-            &path,
-            &cost,
-            &versions,
-            &memo,
-            &pinned,
-            self.replans_triggered.load(Ordering::Relaxed),
-            self.last_offline_unix.load(Ordering::Relaxed),
-        ) {
-            eprintln!("helix: warning: failed to persist engine meta: {err}");
+    }
+
+    /// Appends `record` with the engine's counters to the meta log, under
+    /// the merge gate `journal`, and compacts when the log has outgrown
+    /// its snapshot — or when the append failed, so the snapshot carries
+    /// the state instead. Failures warn rather than error: persistence
+    /// must never fail a run that already committed its results.
+    fn log_meta(&self, journal: &mut Journal, record: Vec<(&'static str, Json)>) {
+        let counters = [
+            ("replans", self.replans_triggered.load(Ordering::Relaxed)),
+            ("offline", self.last_offline_unix.load(Ordering::Relaxed)),
+        ];
+        let record = record
+            .into_iter()
+            .chain(counters.map(|(key, n)| (key, Json::Num(n as f64))));
+        let compact = journal.append(Json::obj(record)).unwrap_or_else(|err| {
+            eprintln!("helix: warning: failed to log engine meta: {err}");
+            true
+        });
+        if compact {
+            if let Err(err) = journal.compact(self.meta_state().to_json()) {
+                eprintln!("helix: warning: failed to persist engine meta: {err}");
+            }
         }
     }
 
@@ -1007,6 +1057,14 @@ impl Engine {
             },
         );
 
+        // Under the merge gate (durable engines only), the run's record
+        // is encoded before the merges below drain its events.
+        let mut journal = self.meta.as_ref().map(lock);
+        let logged = journal.is_some().then(|| {
+            let cost: Vec<Json> = ctx.events.iter().map(CostEvent::to_json).collect();
+            let memo = ctx.memo_events.iter().map(crate::memo::recording_to_json);
+            (Json::Arr(cost), Json::Arr(memo.collect()))
+        });
         // Replay buffered cost observations into the shared model even on
         // failure: the plan-order merge commits side effects (including
         // materializations) for every node preceding the failure, and the
@@ -1015,13 +1073,7 @@ impl Engine {
         {
             let mut shared = lock(&self.cost_model);
             for event in ctx.events.drain(..) {
-                match event {
-                    CostEvent::Compute { name, secs } => shared.observe_compute(&name, secs),
-                    CostEvent::Io { bytes, secs } => shared.observe_io(bytes, secs),
-                    CostEvent::Encode { estimated, actual } => {
-                        shared.observe_encode(estimated, actual)
-                    }
-                }
+                shared.observe(&event);
             }
         }
         // Memo recordings merge on the same terms as cost events: every
@@ -1039,38 +1091,51 @@ impl Engine {
         }
         self.writes_skipped
             .fetch_add(ctx.writes_skipped, Ordering::Relaxed);
-        result?;
-
-        let change_summary = options.summary.unwrap_or_else(|| {
-            plan.change
-                .as_ref()
-                .map(|c| c.summary(workflow))
-                .unwrap_or_else(|| "initial version".to_string())
-        });
-        let report = IterationReport {
-            iteration: lineage.iteration,
-            workflow_name: workflow.name().to_string(),
-            session: options.session,
-            change_summary,
-            total_secs: total_started.elapsed().as_secs_f64(),
-            optimizer_secs,
-            materialize_secs: ctx.materialize_secs,
-            nodes: ctx.node_reports,
-            metrics: ctx.metrics,
-            snapshot: std::sync::Arc::new(crate::version::DagSnapshot::capture(workflow)),
-        };
 
         // Version history and lineage advance only on success; the cost
         // observations were already merged above. Replaying events
         // (instead of writing back the snapshot wholesale) keeps
         // concurrent runs from erasing each other's calibration.
-        lock(&self.versions).record(&report);
+        let recorded = result.map(|_| {
+            let change_summary = options.summary.unwrap_or_else(|| {
+                plan.change
+                    .as_ref()
+                    .map(|c| c.summary(workflow))
+                    .unwrap_or_else(|| "initial version".to_string())
+            });
+            let report = IterationReport {
+                iteration: lineage.iteration,
+                workflow_name: workflow.name().to_string(),
+                session: options.session,
+                change_summary,
+                total_secs: total_started.elapsed().as_secs_f64(),
+                optimizer_secs,
+                materialize_secs: ctx.materialize_secs,
+                nodes: ctx.node_reports,
+                metrics: ctx.metrics,
+                snapshot: std::sync::Arc::new(crate::version::DagSnapshot::capture(workflow)),
+            };
+            let mut versions = lock(&self.versions);
+            let id = versions.record(&report);
+            let version = logged.as_ref().and_then(|_| versions.get(id));
+            (report, version.map(WorkflowVersion::to_json))
+        });
+        // The run's delta goes to the meta log (store entries already hit
+        // the WAL inside `put`). Best-effort by design — see `log_meta`.
+        if let (Some(journal), Some((cost, memo))) = (journal.as_deref_mut(), logged) {
+            let version = recorded.as_ref().ok().and_then(|(_, v)| v.clone());
+            let record = vec![
+                ("op", Json::str("run")),
+                ("cost", cost),
+                ("memo", memo),
+                ("version", version.unwrap_or(Json::Null)),
+            ];
+            self.log_meta(journal, record);
+        }
+        drop(journal);
+        let (report, _) = recorded?;
         lineage.previous = Some(snapshot(workflow, &plan.signatures));
         lineage.iteration += 1;
-        // Checkpoint the engine-level durable state after the iteration
-        // is fully recorded (store entries already hit the WAL inside
-        // `put`). Best-effort by design — see `persist_meta`.
-        self.persist_meta();
         Ok(report)
     }
 
@@ -1133,7 +1198,14 @@ impl Engine {
             .map(|d| d.as_secs())
             .unwrap_or(0);
         self.last_offline_unix.store(now, Ordering::Relaxed);
-        self.persist_meta();
+        if let Some(journal) = &self.meta {
+            let pinned: Vec<Signature> = chosen.iter().map(|&s| Signature(s)).collect();
+            let record = vec![
+                ("op", Json::str("pins")),
+                ("pinned", crate::persist::sig_arr(&pinned)),
+            ];
+            self.log_meta(&mut lock(journal), record);
+        }
         Ok(outcome)
     }
 }

@@ -38,6 +38,7 @@ pub mod data;
 pub mod engine;
 pub mod error;
 pub mod exec;
+pub(crate) mod log;
 pub mod materialize;
 pub mod memo;
 pub mod ops;

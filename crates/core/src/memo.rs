@@ -29,7 +29,7 @@
 use crate::cost::{secs_to_us, CostModel};
 use crate::materialize::{offline_optimal, OfflineCandidate};
 use crate::persist::{
-    arr_field, bool_field, f64_field, hex_u64, sig_arr, sig_list, str_field, u64_hex,
+    arr_field, bool_field, f64_field, field, hex_u64, sig_arr, sig_list, str_field, u64_hex,
 };
 use crate::signature::Signature;
 use helix_dataflow::fx::{FxHashMap, FxHashSet};
@@ -88,6 +88,56 @@ pub struct Observation {
     /// Logical run counter at record time (see [`MemoTable::begin_run`]);
     /// the age signal behind observation decay.
     pub run: u64,
+}
+
+impl Observation {
+    /// The persisted observation.
+    pub(crate) fn to_json(self) -> Json {
+        Json::obj([
+            ("secs", Json::Num(self.exec_secs)),
+            ("bytes", Json::Num(self.output_bytes as f64)),
+            ("loaded", Json::Bool(self.loaded)),
+            ("rows", Json::Num(self.rows as f64)),
+            ("run", Json::Num(self.run as f64)),
+        ])
+    }
+
+    /// Inverse of [`Observation::to_json`].
+    pub(crate) fn from_json(json: &Json) -> Result<Observation, String> {
+        Ok(Observation {
+            exec_secs: f64_field(json, "secs")?,
+            output_bytes: f64_field(json, "bytes")? as u64,
+            loaded: bool_field(json, "loaded")?,
+            rows: f64_field(json, "rows")? as u64,
+            // Absent in memos persisted before decay existed: treat as
+            // run 0, i.e. maximally stale.
+            run: json.get("run").and_then(Json::as_u64).unwrap_or(0),
+        })
+    }
+}
+
+/// One execution as a run buffers it for [`MemoTable::record`]:
+/// signature, node name, parent signatures and the observation.
+pub(crate) type Recording = (Signature, String, Vec<Signature>, Observation);
+
+/// The engine meta log's form of a [`Recording`].
+pub(crate) fn recording_to_json((sig, name, parents, observation): &Recording) -> Json {
+    Json::obj([
+        ("sig", Json::str(u64_hex(sig.0))),
+        ("name", Json::str(name)),
+        ("parents", sig_arr(parents)),
+        ("obs", observation.to_json()),
+    ])
+}
+
+/// Inverse of [`recording_to_json`].
+pub(crate) fn recording_from_json(json: &Json) -> Result<Recording, String> {
+    Ok((
+        Signature(hex_u64(&str_field(json, "sig")?)?),
+        str_field(json, "name")?,
+        sig_list(json, "parents")?,
+        Observation::from_json(field(json, "obs")?)?,
+    ))
 }
 
 /// Logical runs after which a memo observation counts as stale (see
@@ -305,15 +355,6 @@ impl MemoTable {
     pub(crate) fn to_json(&self) -> Json {
         let mut entries: Vec<(Signature, &MemoEntry)> = self.entries().collect();
         entries.sort_by_key(|(sig, _)| sig.0);
-        let observation = |obs: &Observation| {
-            Json::obj([
-                ("secs", Json::Num(obs.exec_secs)),
-                ("bytes", Json::Num(obs.output_bytes as f64)),
-                ("loaded", Json::Bool(obs.loaded)),
-                ("rows", Json::Num(obs.rows as f64)),
-                ("run", Json::Num(obs.run as f64)),
-            ])
-        };
         let entry = |(sig, entry): (Signature, &MemoEntry)| {
             Json::obj([
                 ("sig", Json::str(u64_hex(sig.0))),
@@ -323,7 +364,7 @@ impl MemoTable {
                 ("runs", Json::Num(entry.runs as f64)),
                 (
                     "obs",
-                    Json::Arr(entry.observations.iter().map(observation).collect()),
+                    Json::Arr(entry.observations.iter().map(|o| o.to_json()).collect()),
                 ),
             ])
         };
@@ -342,23 +383,12 @@ impl MemoTable {
 
     /// Inverse of [`MemoTable::to_json`].
     pub(crate) fn from_json(json: &Json) -> Result<MemoTable, String> {
-        let observation = |json: &Json| {
-            Ok(Observation {
-                exec_secs: f64_field(json, "secs")?,
-                output_bytes: f64_field(json, "bytes")? as u64,
-                loaded: bool_field(json, "loaded")?,
-                rows: f64_field(json, "rows")? as u64,
-                // Absent in memos persisted before decay existed: treat as
-                // run 0, i.e. maximally stale.
-                run: json.get("run").and_then(Json::as_u64).unwrap_or(0),
-            })
-        };
         let mut entries = FxHashMap::default();
         for entry in arr_field(json, "entries")? {
             let sig = hex_u64(&str_field(entry, "sig")?)?;
             let observations = arr_field(entry, "obs")?
                 .iter()
-                .map(observation)
+                .map(Observation::from_json)
                 .collect::<Result<_, String>>()?;
             entries.insert(
                 sig,

@@ -1,25 +1,28 @@
-//! Durable-tier documents: the layout of the engine meta file (cost
-//! model, global version history, optimizer memo) and of the per-session
-//! records, plus the atomic-replace file writer every snapshot goes
-//! through. Each persisted type encodes itself beside its definition
-//! (`to_json` / `from_json`); this module only arranges those encodings
-//! into documents and provides the field readers they share.
+//! Durable-tier documents: the layout of the engine meta (cost model,
+//! global version history, optimizer memo) and of the per-session
+//! records, the [`Journal`] each is kept in, and the atomic-replace file
+//! writer every snapshot goes through. Each persisted type encodes itself
+//! beside its definition (`to_json` / `from_json`); this module only
+//! arranges those encodings into documents and records and provides the
+//! field readers they share.
 //!
 //! The store's per-entry WAL lives in [`crate::store`]; this module covers
 //! everything *above* the store: what a restarted engine needs to resume
-//! every session's lineage. All files are single JSON documents written
-//! via temp-file + rename ([`write_atomic`]), so readers only ever observe
-//! a complete old or a complete new state — never a torn one. Parse
-//! errors surface as `String`s; recovery callers warn and start fresh
-//! rather than refuse to open (see `docs/ARCHITECTURE.md`, "Durability").
+//! every session's lineage. A document is a snapshot, written whole via
+//! temp-file + rename ([`write_atomic`]) so readers only ever observe a
+//! complete old or new one, plus a log of the records appended since, so
+//! a run, an edit or an iterate costs its delta. Parse errors surface as
+//! `String`s; recovery callers warn and go on rather than refuse to open
+//! (see `docs/ARCHITECTURE.md`, "Durability").
 
-use crate::cost::CostModel;
+use crate::cost::{CostEvent, CostModel};
 use crate::engine::Lineage;
+use crate::log::Log;
 use crate::memo::MemoTable;
 use crate::session::WorkflowEdit;
 use crate::signature::Signature;
 use crate::store::TempFile;
-use crate::version::{VersionStore, WorkflowVersion};
+use crate::version::WorkflowVersion;
 use helix_json::Json;
 use std::path::{Path, PathBuf};
 
@@ -29,7 +32,7 @@ use std::path::{Path, PathBuf};
 const FORMAT_V: f64 = 2.0;
 
 // ---------------------------------------------------------------------------
-// Paths and atomic writes
+// Paths, atomic writes and journals
 // ---------------------------------------------------------------------------
 
 /// Directory holding engine- and session-level metadata, beside the
@@ -56,6 +59,11 @@ pub(crate) fn session_path(store_dir: &Path, name: &str) -> PathBuf {
     sessions_dir(store_dir).join(format!("{}.json", encode_name(name)))
 }
 
+/// The log kept beside the snapshot at `snapshot` (`<name>.log`).
+pub(crate) fn log_path(snapshot: &Path) -> PathBuf {
+    snapshot.with_extension("log")
+}
+
 /// Injective percent-encoding over `[A-Za-z0-9_-]`: every other byte
 /// becomes `%XX`, so distinct names never collide and no encoded name
 /// contains a path separator.
@@ -80,6 +88,134 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
     }
     TempFile::write(path, text.as_bytes(), true)?.commit(path)
+}
+
+/// A document kept as a snapshot, written whole by [`Journal::compact`],
+/// plus a [`Log`] of the records appended since ([`log_path`]). Every
+/// record carries the next sequence number, and a snapshot the last one it
+/// folds in, so replay skips what a crash between a compaction's rename
+/// and its log reset left behind. Records and snapshots are fsync'd
+/// before their call returns.
+#[derive(Debug)]
+pub(crate) struct Journal {
+    snapshot: PathBuf,
+    snapshot_bytes: u64,
+    log: Log,
+    seq: u64,
+}
+
+impl Journal {
+    /// Opens the journal of `snapshot` for appending after sequence
+    /// number `seq`.
+    pub(crate) fn open(snapshot: &Path, seq: u64) -> std::io::Result<Journal> {
+        if let Some(dir) = snapshot.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        Ok(Journal {
+            snapshot: snapshot.to_path_buf(),
+            snapshot_bytes: std::fs::metadata(snapshot).map_or(0, |m| m.len()),
+            log: Log::open(&log_path(snapshot), true)?,
+            seq,
+        })
+    }
+
+    /// Recovers the journal of `snapshot`, whose contents through sequence
+    /// number `seq` are `state`: the log's newer records are applied on
+    /// top, in order, up to the first that does not parse or apply (a
+    /// torn tail, or corruption nothing after can be trusted to follow),
+    /// which is dropped with everything after it and one warning. A log
+    /// that held anything, or a `stale` snapshot, is then folded into a
+    /// fresh snapshot, so appends start clean. Returns the journal, open
+    /// for appending, and the records dropped.
+    pub(crate) fn recover<T: Doc>(
+        snapshot: &Path,
+        seq: u64,
+        state: &mut T,
+        stale: bool,
+    ) -> std::io::Result<(Journal, usize)> {
+        let path = log_path(snapshot);
+        let (records, log_bytes) = Log::replay(&path)?;
+        let mut journal = Journal::open(snapshot, seq)?;
+        let mut dropped = 0;
+        for (i, record) in records.iter().enumerate() {
+            let applied = record.as_ref().ok_or("not JSON".into()).and_then(|r| {
+                let record_seq = field(r, "seq")?.as_u64().ok_or("bad `seq`")?;
+                if record_seq > journal.seq {
+                    state.apply(r)?;
+                    journal.seq = record_seq;
+                }
+                Ok::<_, String>(())
+            });
+            if let Err(err) = applied {
+                dropped = records.len() - i;
+                eprintln!(
+                    "helix: warning: dropping {dropped} record(s) of {} from a bad one on ({err})",
+                    path.display()
+                );
+                break;
+            }
+        }
+        if log_bytes > 0 || stale {
+            journal.compact(state.to_json())?;
+        }
+        Ok((journal, dropped))
+    }
+
+    /// Appends `record`, stamped with the next sequence number. Returns
+    /// whether the log has outgrown its snapshot: time to compact.
+    pub(crate) fn append(&mut self, record: Json) -> std::io::Result<bool> {
+        self.seq += 1;
+        self.log
+            .append(&stamped(record, self.seq).to_string(), true)?;
+        Ok(self.log.bytes() > self.snapshot_bytes)
+    }
+
+    /// Writes `doc`, the state through the last record, as the snapshot
+    /// and empties the log.
+    pub(crate) fn compact(&mut self, doc: Json) -> std::io::Result<()> {
+        let text = stamped(doc, self.seq).to_string();
+        write_atomic(&self.snapshot, &text)?;
+        self.snapshot_bytes = text.len() as u64;
+        self.log.clear()
+    }
+}
+
+/// A document a [`Journal`] keeps: its snapshot form, and how one log
+/// record changes it.
+pub(crate) trait Doc {
+    /// The snapshot document.
+    fn to_json(&self) -> Json;
+    /// Applies one log record. Decodes the whole record before changing
+    /// anything.
+    fn apply(&mut self, record: &Json) -> Result<(), String>;
+}
+
+/// `json` (an object) with `seq` as its first field.
+fn stamped(json: Json, seq: u64) -> Json {
+    let Json::Obj(mut pairs) = json else {
+        return json;
+    };
+    pairs.insert(0, ("seq".to_string(), Json::Num(seq as f64)));
+    Json::Obj(pairs)
+}
+
+/// Reads the snapshot document at `path`: `Ok(None)` when it does not
+/// exist, `Err` when it does but cannot be read or parsed.
+fn read_doc(path: &Path) -> Result<Option<Json>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("read {}: {e}", path.display())),
+    };
+    Json::parse(&text)
+        .map(Some)
+        .map_err(|e| format!("parse {}: {e}", path.display()))
+}
+
+/// A document's unsigned count, 0 when absent (fields added after the
+/// format was first written).
+fn count(json: &Json, key: &str) -> u64 {
+    json.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -164,31 +300,27 @@ pub(crate) fn sig_list(obj: &Json, key: &str) -> Result<Vec<Signature>, String> 
         .collect()
 }
 
-fn version_list(obj: &Json) -> Result<Vec<WorkflowVersion>, String> {
-    arr_field(obj, "versions")?
-        .iter()
-        .map(WorkflowVersion::from_json)
-        .collect()
-}
+/// A decoder of one persisted item.
+type Decode<T> = fn(&Json) -> Result<T, String>;
 
-fn edit_list(obj: &Json, key: &str) -> Result<Vec<WorkflowEdit>, String> {
-    arr_field(obj, key)?
-        .iter()
-        .map(WorkflowEdit::from_json)
-        .collect()
+/// The array field `key`, each item decoded by `decode`.
+fn decoded<T>(obj: &Json, key: &str, decode: Decode<T>) -> Result<Vec<T>, String> {
+    arr_field(obj, key)?.iter().map(decode).collect()
 }
 
 // ---------------------------------------------------------------------------
 // Engine meta (cost model + global history)
 // ---------------------------------------------------------------------------
 
-/// Engine-wide durable state loaded back on open.
+/// Engine-wide durable state: what the meta snapshot holds and its log
+/// records change.
+#[derive(Debug, Default)]
 pub(crate) struct EngineMeta {
-    /// Recovered cost model.
+    /// The cost model.
     pub cost: CostModel,
-    /// Recovered global version history.
+    /// The global version history.
     pub versions: Vec<WorkflowVersion>,
-    /// Recovered optimizer memo (empty for pre-memo meta files).
+    /// The optimizer memo (empty for pre-memo meta files).
     pub memo: MemoTable,
     /// Signatures pinned by the last offline Optimal pass.
     pub pinned: Vec<Signature>,
@@ -196,64 +328,84 @@ pub(crate) struct EngineMeta {
     pub replans_triggered: u64,
     /// Unix timestamp of the last offline pass (0 = never ran).
     pub last_offline_unix: u64,
+    /// The last log sequence number the snapshot folds in.
+    pub seq: u64,
 }
 
-/// Serializes and atomically replaces the engine meta file.
-pub(crate) fn save_engine_meta(
-    path: &Path,
-    cost: &CostModel,
-    versions: &VersionStore,
-    memo: &MemoTable,
-    pinned: &[Signature],
-    replans_triggered: u64,
-    last_offline_unix: u64,
-) -> Result<(), String> {
-    let mut pinned: Vec<Signature> = pinned.to_vec();
-    pinned.sort_unstable_by_key(|s| s.0);
-    let doc = Json::obj([
-        ("v", Json::Num(FORMAT_V)),
-        ("cost", cost.to_json()),
-        (
-            "versions",
-            json_arr(versions.all(), WorkflowVersion::to_json),
-        ),
-        ("memo", memo.to_json()),
-        ("pinned", sig_arr(&pinned)),
-        ("replans_triggered", Json::Num(replans_triggered as f64)),
-        ("last_offline_unix", Json::Num(last_offline_unix as f64)),
-    ]);
-    write_atomic(path, &doc.to_string()).map_err(|e| format!("write {}: {e}", path.display()))
+impl Doc for EngineMeta {
+    /// The snapshot document (pinned signatures sorted, for stable files).
+    fn to_json(&self) -> Json {
+        let mut pinned = self.pinned.clone();
+        pinned.sort_unstable_by_key(|s| s.0);
+        let versions = json_arr(&self.versions, WorkflowVersion::to_json);
+        let count = |n: u64| Json::Num(n as f64);
+        Json::obj([
+            ("v", Json::Num(FORMAT_V)),
+            ("cost", self.cost.to_json()),
+            ("versions", versions),
+            ("memo", self.memo.to_json()),
+            ("pinned", sig_arr(&pinned)),
+            ("replans_triggered", count(self.replans_triggered)),
+            ("last_offline_unix", count(self.last_offline_unix)),
+        ])
+    }
+
+    /// Applies one meta-log record: a run's cost events, memo recordings
+    /// and version (`null` for a failed run), or an offline pass's pins;
+    /// both carry the counters.
+    fn apply(&mut self, record: &Json) -> Result<(), String> {
+        let replans = field(record, "replans")?.as_u64().ok_or("bad `replans`")?;
+        let offline = field(record, "offline")?.as_u64().ok_or("bad `offline`")?;
+        match str_field(record, "op")?.as_str() {
+            "run" => {
+                let events = decoded(record, "cost", CostEvent::from_json)?;
+                let recordings = decoded(record, "memo", crate::memo::recording_from_json)?;
+                let version = match field(record, "version")? {
+                    Json::Null => None,
+                    json => Some(WorkflowVersion::from_json(json)?),
+                };
+                for event in &events {
+                    self.cost.observe(event);
+                }
+                self.memo.begin_run();
+                for (sig, name, parents, observation) in recordings {
+                    self.memo.record(sig, &name, &parents, observation);
+                }
+                self.versions.extend(version);
+            }
+            "pins" => self.pinned = sig_list(record, "pinned")?,
+            op => return Err(format!("unknown meta record `{op}`")),
+        }
+        self.replans_triggered = replans;
+        self.last_offline_unix = offline;
+        Ok(())
+    }
 }
 
-/// Loads the engine meta file. `Ok(None)` when the file does not exist
+/// Loads the engine meta snapshot. `Ok(None)` when the file does not exist
 /// (fresh directory); `Err` when it exists but cannot be parsed — the
 /// caller warns and starts fresh (torn/corrupt policy: never refuse to
-/// open).
+/// open). The caller replays the log on top ([`Journal::recover`]).
 pub(crate) fn load_engine_meta(path: &Path) -> Result<Option<EngineMeta>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("read {}: {e}", path.display())),
+    let Some(doc) = read_doc(path)? else {
+        return Ok(None);
     };
-    let doc = Json::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
     // Optimizer fields default when absent: meta files written before the
     // memo existed must keep loading (forward rolls never refuse).
-    let memo = match doc.get("memo") {
-        Some(json) => MemoTable::from_json(json)?,
-        None => MemoTable::new(),
-    };
-    let pinned = match doc.get("pinned") {
-        Some(_) => sig_list(&doc, "pinned")?,
-        None => Vec::new(),
-    };
-    let count = |key| doc.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64;
+    let memo = doc
+        .get("memo")
+        .map_or(Ok(MemoTable::new()), MemoTable::from_json)?;
+    let pinned = doc
+        .get("pinned")
+        .map_or(Ok(Vec::new()), |_| sig_list(&doc, "pinned"))?;
     Ok(Some(EngineMeta {
         cost: CostModel::from_json(field(&doc, "cost")?)?,
-        versions: version_list(&doc)?,
+        versions: decoded(&doc, "versions", WorkflowVersion::from_json)?,
         memo,
         pinned,
-        replans_triggered: count("replans_triggered"),
-        last_offline_unix: count("last_offline_unix"),
+        replans_triggered: count(&doc, "replans_triggered"),
+        last_offline_unix: count(&doc, "last_offline_unix"),
+        seq: count(&doc, "seq"),
     }))
 }
 
@@ -285,47 +437,60 @@ pub(crate) struct SessionRecord {
     pub versions: Vec<WorkflowVersion>,
 }
 
-/// Serializes and atomically replaces one session record.
-pub(crate) fn save_session_record(path: &Path, record: &SessionRecord) -> Result<(), String> {
-    let doc = Json::obj([
-        ("v", Json::Num(FORMAT_V)),
-        ("name", Json::str(&record.name)),
-        (
-            "template",
-            record.template.as_deref().map_or(Json::Null, Json::str),
-        ),
-        ("workflow_replaced", Json::Bool(record.workflow_replaced)),
-        ("lineage", record.lineage.to_json()),
-        (
-            "applied_edits",
-            json_arr(&record.applied_edits, WorkflowEdit::to_json),
-        ),
-        (
-            "pending_edits",
-            json_arr(&record.pending_edits, WorkflowEdit::to_json),
-        ),
-        (
-            "versions",
-            json_arr(&record.versions, WorkflowVersion::to_json),
-        ),
-    ]);
-    write_atomic(path, &doc.to_string()).map_err(|e| format!("write {}: {e}", path.display()))
+impl Doc for SessionRecord {
+    fn to_json(&self) -> Json {
+        let template = self.template.as_deref().map_or(Json::Null, Json::str);
+        let edits = |edits: &[WorkflowEdit]| json_arr(edits, WorkflowEdit::to_json);
+        let versions = json_arr(&self.versions, WorkflowVersion::to_json);
+        Json::obj([
+            ("v", Json::Num(FORMAT_V)),
+            ("name", Json::str(&self.name)),
+            ("template", template),
+            ("workflow_replaced", Json::Bool(self.workflow_replaced)),
+            ("lineage", self.lineage.to_json()),
+            ("applied_edits", edits(&self.applied_edits)),
+            ("pending_edits", edits(&self.pending_edits)),
+            ("versions", versions),
+        ])
+    }
+
+    /// Applies one session-log record: an edit becomes pending; an
+    /// iterate records its version and lineage change, and the pending
+    /// edits become applied.
+    fn apply(&mut self, record: &Json) -> Result<(), String> {
+        match str_field(record, "op")?.as_str() {
+            "edit" => {
+                let edit = WorkflowEdit::from_json(field(record, "edit")?)?;
+                self.pending_edits.push(edit);
+            }
+            "iterate" => {
+                let version = WorkflowVersion::from_json(field(record, "version")?)?;
+                let mut lineage = self.lineage.clone();
+                lineage.apply_delta(field(record, "lineage")?)?;
+                self.lineage = lineage;
+                self.versions.push(version);
+                self.applied_edits.append(&mut self.pending_edits);
+            }
+            op => return Err(format!("unknown session record `{op}`")),
+        }
+        Ok(())
+    }
 }
 
-/// Parses one session record file.
-pub(crate) fn load_session_record(path: &Path) -> Result<SessionRecord, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let doc = Json::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-    Ok(SessionRecord {
+/// Parses one session snapshot, returning it with the last log sequence
+/// number it folds in.
+pub(crate) fn load_session_record(path: &Path) -> Result<(SessionRecord, u64), String> {
+    let doc = read_doc(path)?.ok_or_else(|| format!("{} is gone", path.display()))?;
+    let record = SessionRecord {
         name: str_field(&doc, "name")?,
         template: opt_str_field(&doc, "template")?,
         workflow_replaced: bool_field(&doc, "workflow_replaced")?,
         lineage: Lineage::from_json(field(&doc, "lineage")?)?,
-        applied_edits: edit_list(&doc, "applied_edits")?,
-        pending_edits: edit_list(&doc, "pending_edits")?,
-        versions: version_list(&doc)?,
-    })
+        applied_edits: decoded(&doc, "applied_edits", WorkflowEdit::from_json)?,
+        pending_edits: decoded(&doc, "pending_edits", WorkflowEdit::from_json)?,
+        versions: decoded(&doc, "versions", WorkflowVersion::from_json)?,
+    };
+    Ok((record, count(&doc, "seq")))
 }
 
 #[cfg(test)]
@@ -334,8 +499,16 @@ mod tests {
     use crate::memo::Observation;
     use crate::ops::Stage;
     use crate::store::sweep_tmp;
-    use crate::version::{DagSnapshot, NodeSnapshot};
+    use crate::version::{DagSnapshot, NodeSnapshot, VersionStore};
     use std::sync::Arc;
+
+    fn save_session_record(path: &Path, record: &SessionRecord) {
+        write_atomic(path, &record.to_json().to_string()).unwrap();
+    }
+
+    fn load_session(path: &Path) -> SessionRecord {
+        load_session_record(path).unwrap().0
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("helix-persist-{tag}-{}", std::process::id()));
@@ -496,7 +669,7 @@ mod tests {
             "edits",
             Json::Arr(edits.iter().map(WorkflowEdit::to_json).collect()),
         )]);
-        let back = edit_list(&json, "edits").unwrap();
+        let back = decoded(&json, "edits", WorkflowEdit::from_json).unwrap();
         assert_eq!(back, edits);
     }
 
@@ -519,8 +692,8 @@ mod tests {
             pending_edits: vec![],
             versions: vec![sample_version(0, Some("alice/../etc"))],
         };
-        save_session_record(&path, &record).unwrap();
-        let back = load_session_record(&path).unwrap();
+        save_session_record(&path, &record);
+        let back = load_session(&path);
         assert_eq!(back.name, record.name);
         assert_eq!(back.template.as_deref(), Some("census"));
         assert_eq!(back.lineage.iteration(), 2);
@@ -536,7 +709,6 @@ mod tests {
 
         let mut cost = CostModel::new();
         cost.observe_compute("rows", 0.5);
-        let versions = VersionStore::from_versions(vec![sample_version(0, None)]);
         let mut memo = MemoTable::new();
         memo.record(
             Signature(7),
@@ -562,8 +734,16 @@ mod tests {
                 run: 0,
             },
         );
-        let pinned = [Signature(7), Signature(3)];
-        save_engine_meta(&path, &cost, &versions, &memo, &pinned, 5, 1234).unwrap();
+        let saved = EngineMeta {
+            cost,
+            versions: vec![sample_version(0, None)],
+            memo: memo.clone(),
+            pinned: vec![Signature(7), Signature(3)],
+            replans_triggered: 5,
+            last_offline_unix: 1234,
+            seq: 0,
+        };
+        write_atomic(&path, &saved.to_json().to_string()).unwrap();
         let meta = load_engine_meta(&path).unwrap().unwrap();
         assert_eq!(meta.cost.compute_estimate_secs("rows"), Some(0.5));
         assert_eq!(meta.versions.len(), 1);
@@ -598,17 +778,11 @@ mod tests {
         };
 
         let path = engine_meta_path(&dir);
-        let versions = VersionStore::from_versions(vec![version.clone()]);
-        save_engine_meta(
-            &path,
-            &CostModel::new(),
-            &versions,
-            &MemoTable::new(),
-            &[],
-            0,
-            0,
-        )
-        .unwrap();
+        let saved = EngineMeta {
+            versions: vec![version.clone()],
+            ..EngineMeta::default()
+        };
+        write_atomic(&path, &saved.to_json().to_string()).unwrap();
         check(&load_engine_meta(&path).unwrap().unwrap().versions);
 
         let path = session_path(&dir, "alice");
@@ -621,8 +795,8 @@ mod tests {
             pending_edits: vec![],
             versions: vec![version],
         };
-        save_session_record(&path, &record).unwrap();
-        check(&load_session_record(&path).unwrap().versions);
+        save_session_record(&path, &record);
+        check(&load_session(&path).versions);
     }
 
     /// An engine meta file and a session record exactly as the v1 format
@@ -720,7 +894,7 @@ mod tests {
         let path = session_path(&dir, "alice");
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, V1_SESSION_RECORD).unwrap();
-        let record = load_session_record(&path).unwrap();
+        let record = load_session(&path);
         assert_eq!(record.name, "alice");
         assert_eq!(record.template.as_deref(), Some("census"));
         assert!(record.workflow_replaced);
@@ -770,11 +944,11 @@ mod tests {
         );
 
         // Re-saving writes v2, which reads back to the same state.
-        save_session_record(&path, &record).unwrap();
+        save_session_record(&path, &record);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(r#"{"v":2,"#) && text.contains(r#""dag":"#));
         assert_eq!(
-            encoded(&load_session_record(&path).unwrap().versions),
+            encoded(&load_session(&path).versions),
             encoded(&record.versions)
         );
     }

@@ -67,7 +67,7 @@
 
 use crate::engine::{Engine, Lineage, RunOptions};
 use crate::ops::{LearnerSpec, ModelType, OperatorKind};
-use crate::persist::{str_arr, str_field, string_list};
+use crate::persist::{str_arr, str_field, string_list, Doc, Journal, SessionRecord};
 use crate::report::IterationReport;
 use crate::signature::Signature;
 use crate::version::VersionStore;
@@ -326,10 +326,10 @@ pub struct Session {
     /// Set once the live workflow can no longer be rebuilt from
     /// `template` + recorded edits (wholesale [`Session::replace_workflow`]).
     replay_broken: bool,
-    /// Whether mutations write a durable session record (enabled by
+    /// The durable session record, snapshot plus log (opened by
     /// [`SessionManager`] under a durable engine; standalone sessions
     /// stay in-memory).
-    persist_enabled: bool,
+    journal: Option<Journal>,
 }
 
 impl Session {
@@ -347,7 +347,7 @@ impl Session {
             template: None,
             applied_edits: Vec::new(),
             replay_broken: false,
-            persist_enabled: false,
+            journal: None,
         }
     }
 
@@ -409,22 +409,28 @@ impl Session {
 
     // -- durability ----------------------------------------------------------
 
-    /// Turns on durable session records for this session (no-op writes
-    /// unless the engine's store is durable too).
-    pub(crate) fn enable_persistence(&mut self) {
-        self.persist_enabled = true;
+    /// Opens this session's durable record for appending after log
+    /// sequence number `seq`.
+    fn open_journal(&mut self, seq: u64) {
+        let path = crate::persist::session_path(&self.engine.config().store_dir, &self.name);
+        match Journal::open(&path, seq) {
+            Ok(journal) => self.journal = Some(journal),
+            Err(err) => eprintln!(
+                "helix: warning: cannot open the record of session `{}`: {err}",
+                self.name
+            ),
+        }
     }
 
-    /// Writes this session's durable record atomically, if persistence is
-    /// enabled. Best-effort by design: a failed write warns and leaves
-    /// the previous record in place (the next successful write heals it);
-    /// it never fails the edit or iteration that triggered it.
-    pub(crate) fn persist(&self) {
-        let config = self.engine.config();
-        if !self.persist_enabled || !config.durability.is_durable() {
+    /// Writes this session's whole record as its snapshot and empties its
+    /// log, if it has a durable record. Best-effort by design: a failed
+    /// write warns and leaves the previous snapshot and log in place; it
+    /// never fails the edit or iteration that triggered it.
+    pub(crate) fn persist(&mut self) {
+        let Some(journal) = self.journal.as_mut() else {
             return;
-        }
-        let record = crate::persist::SessionRecord {
+        };
+        let record = SessionRecord {
             name: self.name.clone(),
             template: self.template.clone(),
             workflow_replaced: self.replay_broken,
@@ -433,13 +439,43 @@ impl Session {
             pending_edits: self.edits.clone(),
             versions: self.versions.all().to_vec(),
         };
-        let path = crate::persist::session_path(&config.store_dir, &self.name);
-        if let Err(err) = crate::persist::save_session_record(&path, &record) {
+        if let Err(err) = journal.compact(record.to_json()) {
             eprintln!(
                 "helix: warning: failed to persist session `{}`: {err}",
                 self.name
             );
         }
+    }
+
+    /// Appends `record` to this session's log, if it has one, and
+    /// compacts when the log has outgrown its snapshot (or the append
+    /// failed, so the snapshot carries the change instead).
+    fn log(&mut self, record: impl FnOnce(&Session) -> Json) {
+        if self.journal.is_none() {
+            return;
+        }
+        let record = record(self);
+        let Some(journal) = self.journal.as_mut() else {
+            return;
+        };
+        let compact = journal.append(record).unwrap_or_else(|err| {
+            eprintln!(
+                "helix: warning: failed to log session `{}`: {err}",
+                self.name
+            );
+            true
+        });
+        if compact {
+            self.persist();
+        }
+    }
+
+    /// Logs the edit just recorded as pending.
+    fn log_edit(&mut self) {
+        self.log(|s| {
+            let edit = s.edits.last().map_or(Json::Null, WorkflowEdit::to_json);
+            Json::obj([("op", Json::str("edit")), ("edit", edit)])
+        });
     }
 
     /// Replays one persisted edit against the live workflow without
@@ -490,7 +526,7 @@ impl Session {
             learner: learner.to_string(),
             param: param.to_string(),
         });
-        self.persist();
+        self.log_edit();
         Ok(())
     }
 
@@ -503,7 +539,7 @@ impl Session {
             node: node.to_string(),
             tag,
         });
-        self.persist();
+        self.log_edit();
         Ok(())
     }
 
@@ -520,7 +556,7 @@ impl Session {
             node: node.to_string(),
             parents: parents.iter().map(|p| p.to_string()).collect(),
         });
-        self.persist();
+        self.log_edit();
         Ok(())
     }
 
@@ -531,7 +567,7 @@ impl Session {
         self.edits.push(WorkflowEdit::AddOutput {
             node: node.to_string(),
         });
-        self.persist();
+        self.log_edit();
         Ok(())
     }
 
@@ -561,7 +597,7 @@ impl Session {
             source: source.to_string(),
             rows: appended,
         });
-        self.persist();
+        self.log_edit();
         Ok(appended)
     }
 
@@ -648,7 +684,7 @@ impl Session {
         self.edits.push(WorkflowEdit::Freeform {
             description: description.into(),
         });
-        self.persist();
+        self.log_edit();
         Ok(value)
     }
 
@@ -712,13 +748,22 @@ impl Session {
             session: Some(self.name.clone()),
             summary,
         };
+        let base = self.journal.is_some().then(|| self.lineage.clone());
         let report = self
             .engine
             .run_in(&self.workflow, &mut self.lineage, options)?;
         self.versions.record(&report);
         self.applied_edits.append(&mut self.edits);
         self.workflow_replaced = false;
-        self.persist();
+        self.log(|s| {
+            let version = s.versions.all().last().map_or(Json::Null, |v| v.to_json());
+            let lineage = s.lineage.delta_json(&base.unwrap_or_default());
+            Json::obj([
+                ("op", Json::str("iterate")),
+                ("version", version),
+                ("lineage", lineage),
+            ])
+        });
         Ok(report)
     }
 }
@@ -882,6 +927,8 @@ pub struct SessionManager {
     /// How many sessions [`SessionManager::recover`] rebuilt from durable
     /// records (surfaced by the server's `/stats`).
     recovered: std::sync::atomic::AtomicUsize,
+    /// Session-log records [`SessionManager::recover`] dropped.
+    records_dropped: std::sync::atomic::AtomicUsize,
 }
 
 impl fmt::Debug for SessionManager {
@@ -902,6 +949,7 @@ impl SessionManager {
             sessions: Mutex::new(BTreeMap::new()),
             retention: Mutex::new(None),
             recovered: std::sync::atomic::AtomicUsize::new(0),
+            records_dropped: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 
@@ -945,7 +993,7 @@ impl SessionManager {
             session.template = Some(template.to_string());
         }
         if self.engine.config().durability.is_durable() {
-            session.enable_persistence();
+            session.open_journal(0);
             session.persist();
         }
         let handle = SessionHandle::from_session(session);
@@ -977,8 +1025,15 @@ impl SessionManager {
             if path.extension() != Some(std::ffi::OsStr::new("json")) {
                 continue;
             }
-            let record = match crate::persist::load_session_record(&path) {
-                Ok(record) => record,
+            let recovered = crate::persist::load_session_record(&path).and_then(|(mut r, seq)| {
+                let (journal, dropped) =
+                    Journal::recover(&path, seq, &mut r, false).map_err(|e| e.to_string())?;
+                self.records_dropped
+                    .fetch_add(dropped, std::sync::atomic::Ordering::Relaxed);
+                Ok((r, journal))
+            });
+            let (record, journal) = match recovered {
+                Ok(recovered) => recovered,
                 Err(err) => {
                     eprintln!("helix: warning: skipping corrupt session record: {err}");
                     continue;
@@ -1033,7 +1088,7 @@ impl SessionManager {
             }
             session.lineage = record.lineage;
             session.versions = VersionStore::from_versions(record.versions);
-            session.enable_persistence();
+            session.journal = Some(journal);
             lock(&self.sessions).insert(record.name.clone(), SessionHandle::from_session(session));
             count += 1;
         }
@@ -1047,7 +1102,16 @@ impl SessionManager {
         self.recovered.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Rewrites every registered session's durable record (the
+    /// How many session-log records [`SessionManager::recover`] dropped:
+    /// replay stops, with a warning, at the first record of a session's
+    /// log that does not parse (a torn tail), and drops it and every
+    /// record after it.
+    pub fn session_records_dropped(&self) -> usize {
+        self.records_dropped
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Compacts every registered session's log into its snapshot (the
     /// session-level half of a `POST /admin/snapshot` checkpoint; no-op
     /// under a volatile engine).
     pub fn persist_all(&self) {
@@ -1057,11 +1121,14 @@ impl SessionManager {
         }
     }
 
-    /// Removes a departed session's durable record, if any.
+    /// Removes a departed session's durable record, snapshot and log, if
+    /// any.
     fn delete_record(&self, name: &str) {
         let config = self.engine.config();
         if config.durability.is_durable() {
-            let _ = std::fs::remove_file(crate::persist::session_path(&config.store_dir, name));
+            let path = crate::persist::session_path(&config.store_dir, name);
+            let _ = std::fs::remove_file(crate::persist::log_path(&path));
+            let _ = std::fs::remove_file(path);
         }
     }
 
@@ -1598,6 +1665,115 @@ mod tests {
             manager.recover(|template| (template == "census").then(|| workflow(&dir, 0.1)));
         assert_eq!(recovered, 1, "removed + unknown-template skipped");
         assert_eq!(manager.names(), vec!["keep"]);
+    }
+
+    /// Two sessions iterating concurrently on one durable engine merge
+    /// their runs in some order; the meta log must replay them in that
+    /// order, so a reopened engine holds exactly the live cost model,
+    /// memo and history.
+    #[test]
+    fn concurrent_sessions_replay_in_merge_order() {
+        let dir = tmpdir("merge-order");
+        let manager = SessionManager::new(durable_engine(&dir));
+        let sessions = ["alice", "bob"].map(|name| {
+            manager
+                .create_with_template(name, workflow(&dir, 0.1), Some("census"))
+                .unwrap()
+        });
+        // Each round starts both iterates together, so their merges race.
+        let round = std::sync::Barrier::new(sessions.len());
+        std::thread::scope(|scope| {
+            for (t, session) in sessions.iter().enumerate() {
+                let round = &round;
+                scope.spawn(move || {
+                    for i in 0..10 {
+                        let reg = 0.05 * (1 + t * 10 + i) as f64;
+                        session
+                            .set_learner_param("predictions", LearnerParam::RegParam(reg))
+                            .unwrap();
+                        round.wait();
+                        session.iterate().unwrap();
+                    }
+                });
+            }
+        });
+        let state = |engine: &Engine| {
+            let versions: Vec<String> = engine
+                .versions()
+                .all()
+                .iter()
+                .map(|v| v.to_json().to_string())
+                .collect();
+            (
+                engine.cost_model().to_json().to_string(),
+                engine.memo().to_json().to_string(),
+                versions,
+            )
+        };
+        let live = state(manager.engine());
+        assert_eq!(live.2.len(), 20);
+        drop(sessions);
+        drop(manager);
+        assert!(state(&durable_engine(&dir)) == live, "replay diverged");
+    }
+
+    /// `tests/fixtures/v2_meta` is a meta directory as the whole-document
+    /// writer left it, with no logs: a durable session `a` built from
+    /// template `census` (this module's `workflow(dir, 0.1)` with the CSV
+    /// paths relative), iterated three times — after `reg_param=0.9`,
+    /// then after `epochs=6` plus `income` as an output — with
+    /// `reg_param=0.5` left pending. It recovers whole, and the next
+    /// iterate appends to the logs and leaves both snapshots as they were.
+    #[test]
+    fn parent_written_v2_documents_still_load() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/v2_meta");
+        let dir = tmpdir("v2-meta");
+        let meta = dir.join("store").join("meta");
+        let files = ["engine.json", "sessions/a.json"];
+        std::fs::create_dir_all(meta.join("sessions")).unwrap();
+        for file in files {
+            std::fs::copy(fixture.join(file), meta.join(file)).unwrap();
+        }
+        let read = |file: &str| std::fs::read(meta.join(file)).unwrap();
+        let before = files.map(read);
+        let [engine_doc, session_doc] = before
+            .clone()
+            .map(|bytes| Json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap());
+
+        let manager = SessionManager::new(durable_engine(&dir));
+        assert_eq!(
+            manager.recover(|t| (t == "census").then(|| workflow(&dir, 0.1))),
+            1
+        );
+        let encoded = |versions: &VersionStore| {
+            Json::Arr(versions.all().iter().map(|v| v.to_json()).collect())
+        };
+        let engine = manager.engine();
+        assert_eq!(
+            Some(&encoded(&engine.versions())),
+            engine_doc.get("versions")
+        );
+        assert_eq!(Some(&engine.memo().to_json()), engine_doc.get("memo"));
+        let a = manager.get("a").unwrap();
+        assert_eq!(Some(&encoded(&a.versions())), session_doc.get("versions"));
+        a.with(|s| {
+            assert_eq!(Some(&s.lineage.to_json()), session_doc.get("lineage"));
+            let pending = s.pending_edits().iter().map(WorkflowEdit::to_json);
+            assert_eq!(
+                Some(&Json::Arr(pending.collect())),
+                session_doc.get("pending_edits")
+            );
+        });
+
+        let report = a.iterate().unwrap();
+        assert_eq!(report.change_summary, "set predictions reg_param=0.5");
+        for log in ["engine.log", "sessions/a.log"] {
+            assert!(read(log).ends_with(b"}\n"), "the iterate appended to {log}");
+        }
+        assert!(
+            files.map(read) == before,
+            "the snapshots are untouched until a log outgrows them"
+        );
     }
 
     #[test]

@@ -233,7 +233,10 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// A file written beside its target under a unique `*.tmp` name, to be
 /// renamed over the target by [`TempFile::commit`]. Dropped uncommitted,
 /// it is removed.
-pub(crate) struct TempFile(PathBuf);
+pub(crate) struct TempFile {
+    path: PathBuf,
+    sync: bool,
+}
 
 impl TempFile {
     /// Writes `bytes` to a fresh temp file beside `target`, fsync'd when
@@ -242,8 +245,11 @@ impl TempFile {
         let token = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
         let mut name = target.file_name().unwrap_or_default().to_os_string();
         name.push(format!(".{}-{token}.tmp", std::process::id()));
-        let tmp = TempFile(target.with_file_name(name));
-        let mut file = std::fs::File::create(&tmp.0)?;
+        let tmp = TempFile {
+            path: target.with_file_name(name),
+            sync,
+        };
+        let mut file = std::fs::File::create(&tmp.path)?;
         file.write_all(bytes)?;
         if sync {
             file.sync_data()?;
@@ -251,19 +257,25 @@ impl TempFile {
         Ok(tmp)
     }
 
-    /// Renames the file over `target`, which readers then see whole.
+    /// Renames the file over `target`, which readers then see whole. A
+    /// synced file's rename is synced too: POSIX makes a rename durable
+    /// only once its directory is fsync'd, so until then a crash can
+    /// bring the old file back.
     pub(crate) fn commit(mut self, target: &Path) -> std::io::Result<()> {
-        std::fs::rename(&self.0, target)?;
+        std::fs::rename(&self.path, target)?;
         // Renamed: nothing is left for `drop` to remove.
-        self.0 = PathBuf::new();
+        self.path = PathBuf::new();
+        if self.sync {
+            crate::log::sync_parent(target)?;
+        }
         Ok(())
     }
 }
 
 impl Drop for TempFile {
     fn drop(&mut self) {
-        if !self.0.as_os_str().is_empty() {
-            let _ = std::fs::remove_file(&self.0);
+        if !self.path.as_os_str().is_empty() {
+            let _ = std::fs::remove_file(&self.path);
         }
     }
 }

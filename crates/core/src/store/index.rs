@@ -3,7 +3,7 @@
 //! puts hold (module docs of [`crate::store`], "Sharding").
 
 use super::format::{read_head, sig_file_name, FileKey, StoreFile};
-use super::wal::{wal_record_evict, WalWriter};
+use super::wal::wal_record_evict;
 use super::{IntermediateStore, RecoveryInfo};
 use crate::signature::Signature;
 use crate::{HelixError, Result};
@@ -55,7 +55,7 @@ pub(super) struct Shard {
     /// file only once it is fully written and renamed.
     pub(super) reserved: FxHashMap<u64, u64>,
     /// This shard's WAL append handle (durable stores only).
-    pub(super) wal: Option<WalWriter>,
+    pub(super) wal: Option<crate::log::Log>,
 }
 
 impl Shard {

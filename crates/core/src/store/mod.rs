@@ -561,7 +561,7 @@ impl IntermediateStore {
         self.inner
             .shards
             .iter()
-            .map(|s| s.lock().wal.as_ref().map_or(0, |w| w.bytes))
+            .map(|s| s.lock().wal.as_ref().map_or(0, |w| w.bytes()))
             .sum()
     }
 

@@ -1,55 +1,17 @@
-//! The per-shard write-ahead log of a durable store: the append handle,
-//! the records, replay with its verification against the disk, and
-//! compaction into snapshots (module docs of [`crate::store`],
-//! "Durability").
+//! The per-shard write-ahead log of a durable store: its records, replay
+//! with its verification against the disk, and compaction into snapshots
+//! (module docs of [`crate::store`], "Durability"). The file itself is a
+//! [`Log`].
 
 use super::format::{sig_file_name, TempFile};
 use super::index::Shard;
 use super::{Durability, IntermediateStore, RecoveryInfo};
+use crate::log::Log;
 use crate::Result;
 use helix_dataflow::fx::FxHashMap;
 use helix_json::Json;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-
-/// Append handle for one shard's write-ahead log.
-#[derive(Debug)]
-pub(super) struct WalWriter {
-    file: std::fs::File,
-    path: PathBuf,
-    pub(super) bytes: u64,
-    fsync: bool,
-}
-
-impl WalWriter {
-    fn open_append(path: PathBuf, fsync: bool) -> std::io::Result<WalWriter> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let bytes = file.metadata()?.len();
-        Ok(WalWriter {
-            file,
-            path,
-            bytes,
-            fsync,
-        })
-    }
-
-    /// Appends one record (the trailing newline is added here) as a
-    /// single write, then flushes — and fsyncs when configured and `sync`
-    /// holds — before returning.
-    fn append(&mut self, record: &str, sync: bool) -> std::io::Result<()> {
-        let line = format!("{record}\n");
-        self.file.write_all(line.as_bytes())?;
-        if self.fsync && sync {
-            self.file.sync_data()?;
-        }
-        self.bytes += line.len() as u64;
-        Ok(())
-    }
-}
 
 fn unix_now() -> u64 {
     std::time::SystemTime::now()
@@ -98,12 +60,9 @@ pub(super) fn replay(
     wal_files.sort();
     let mut logged = FxHashMap::default();
     for path in &wal_files {
-        let data = std::fs::read(path)?;
-        recovery.wal_bytes_replayed += data.len() as u64;
-        for line in data.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
-            let record = std::str::from_utf8(line)
-                .ok()
-                .and_then(|text| Json::parse(text).ok());
+        let (records, bytes) = Log::replay(path)?;
+        recovery.wal_bytes_replayed += bytes;
+        for record in records {
             let field = |key| record.as_ref().and_then(|r| r.get(key));
             let sig = field("sig")
                 .and_then(Json::as_str)
@@ -163,7 +122,7 @@ impl IntermediateStore {
             text.push('\n');
         }
         TempFile::write(&path, text.as_bytes(), fsync)?.commit(&path)?;
-        shard.wal = Some(WalWriter::open_append(path, fsync)?);
+        shard.wal = Some(Log::open(&path, fsync)?);
         self.inner
             .last_snapshot_unix
             .store(unix_now(), Ordering::Release);
@@ -228,12 +187,11 @@ impl IntermediateStore {
         };
         if let Err(err) = wal.append(record, sync) {
             eprintln!(
-                "helix-store: WAL append failed on {}: {err} (entry is on disk; \
-                 replay will adopt it)",
-                wal.path.display()
+                "helix-store: WAL append failed for shard {idx}: {err} (entry is on \
+                 disk; replay will adopt it)"
             );
         }
-        if wal.bytes > compact_after_bytes {
+        if wal.bytes() > compact_after_bytes {
             if let Err(err) = self.compact_shard_locked(idx, shard) {
                 eprintln!("helix-store: WAL compaction failed for shard {idx}: {err}");
             }

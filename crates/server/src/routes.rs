@@ -464,8 +464,9 @@ impl Api {
 
     /// `GET /stats` (schema `"v": 3`): serving counters, the live
     /// session count, the durability counters — sessions and store
-    /// entries recovered at startup, current WAL size, and the unix time
-    /// of the last snapshot compaction (all zero on a volatile engine) —
+    /// entries recovered at startup, meta and session log records
+    /// recovery dropped, current WAL size, and the unix time of the last
+    /// snapshot compaction (all zero on a volatile engine) —
     /// the optimizer counters: memo size, observations recorded,
     /// adaptive re-plans triggered, and the unix time of the last
     /// offline optimization pass — and the store's decoded-read cache:
@@ -498,6 +499,14 @@ impl Api {
             (
                 "recovered_entries",
                 Json::Num(recovery.store.recovered_entries as f64),
+            ),
+            (
+                "meta_records_dropped",
+                Json::Num(recovery.meta_records_dropped as f64),
+            ),
+            (
+                "session_records_dropped",
+                Json::Num(self.manager.session_records_dropped() as f64),
             ),
             ("wal_bytes", Json::Num(engine.store().wal_bytes() as f64)),
             (
@@ -546,9 +555,9 @@ impl Api {
     }
 
     /// `POST /admin/snapshot`: forces a durability checkpoint — compacts
-    /// every store shard's WAL into its snapshot, rewrites the engine
-    /// meta, and re-persists every live session record. 400 on a
-    /// volatile engine, where there is nothing to checkpoint.
+    /// every store shard's WAL, the engine meta log and every live
+    /// session's log into their snapshots. 400 on a volatile engine,
+    /// where there is nothing to checkpoint.
     fn admin_snapshot(&self) -> Response {
         let engine = self.manager.engine();
         if !engine.store().durability().is_durable() {
@@ -681,6 +690,49 @@ mod tests {
         assert_eq!(field("v"), Some(3));
         assert_eq!(field("displaced_entries"), Some(1));
         assert_eq!(field("displaced_bytes"), Some(size));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_report_dropped_log_records() {
+        use helix_core::{Durability, EngineConfig, Workflow};
+        use std::io::Write;
+
+        let dir = std::env::temp_dir().join(format!("helix-routes-dropped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || EngineConfig::helix(&dir).with_durability(Durability::wal_nosync());
+        {
+            let manager = SessionManager::with_config(config()).unwrap();
+            // The first record compacts into a fresh snapshot; the second
+            // stays in the log.
+            manager.engine().optimize_offline().unwrap();
+            manager.engine().optimize_offline().unwrap();
+            let a = manager
+                .create_with_template("a", Workflow::new("w"), Some("t"))
+                .unwrap();
+            a.edit("note", |_| Ok(())).unwrap();
+        }
+        // A torn append at the end of each log.
+        for log in ["engine.log", "sessions/a.log"] {
+            let path = dir.join("meta").join(log);
+            let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+            file.write_all(br#"{"seq":99,"op":"#).unwrap();
+        }
+
+        let manager = Arc::new(SessionManager::with_config(config()).unwrap());
+        assert_eq!(manager.recover(|_| Some(Workflow::new("w"))), 1);
+        let api = Api::new(manager, WorkflowRegistry::new());
+        let response = api.handle(&Request {
+            method: "GET".into(),
+            path: "/stats".into(),
+            query: Vec::new(),
+            body: String::new(),
+            close: false,
+        });
+        let stats = Json::parse(&response.body).unwrap();
+        let field = |key: &str| stats.get(key).and_then(Json::as_u64);
+        assert_eq!(field("meta_records_dropped"), Some(1));
+        assert_eq!(field("session_records_dropped"), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

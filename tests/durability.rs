@@ -14,16 +14,19 @@
 //!   every acknowledged iteration survived and the ledger matches disk.
 //! * **WAL-tail fuzz** — the last WAL record is truncated at every byte
 //!   boundary; every prefix must open cleanly (torn tail = truncate and
-//!   warn, never refuse to start).
+//!   warn, never refuse to start). The engine meta log and a session's
+//!   log get the same fuzz, and a count-based soak checks that a durable
+//!   no-op iterate appends constant bytes.
 //! * **Flipped payload bytes** — a stored row group or node output with
 //!   one bit changed is caught by its checksum: a run recomputes it or
 //!   fails with a store error, and never answers wrong.
 
 use helix::core::ops::ExtractorKind;
 use helix::core::session::LearnerParam;
+use helix::core::version::WorkflowVersion;
 use helix::core::{
     Durability, Engine, EngineConfig, IterationReport, MaterializationPolicyKind,
-    RecomputationPolicy, SessionManager, Workflow,
+    RecomputationPolicy, SessionManager, Workflow, WorkflowEdit,
 };
 use helix::dataflow::DataType;
 use std::path::{Path, PathBuf};
@@ -735,6 +738,135 @@ fn torn_wal_tail_opens_cleanly_at_every_truncation_point() {
     }
 }
 
+/// Where the last record of a JSON-lines log starts: after the
+/// second-to-last newline.
+fn last_record_start(log: &[u8]) -> usize {
+    let body = &log[..log.len() - 1]; // drop the trailing newline
+    body.iter()
+        .rposition(|&b| b == b'\n')
+        .map(|p| p + 1)
+        .unwrap_or(0)
+}
+
+/// Meta- and session-log tail fuzz: the last record of `engine.log`, and
+/// then of a session's log, is truncated at every byte, as a torn append
+/// would leave it. Every prefix opens and recovers; the recovered
+/// histories hold exactly the records whose JSON is complete (a torn one
+/// is dropped and counted); and the next iterate answers like a
+/// never-restarted twin's.
+#[test]
+fn torn_meta_and_session_log_tails_open_cleanly_at_every_truncation_point() {
+    let dir = tmpdir("log-fuzz");
+    workflow(&dir).unwrap();
+    let config = |store: &Path| {
+        let mut config = EngineConfig::helix(store);
+        config.materialization = MaterializationPolicyKind::All;
+        config.recomputation = RecomputationPolicy::LoadAllAvailable;
+        config.durability = Durability::wal_nosync();
+        config.store_shards = 1;
+        config
+    };
+    let rebuild = |template: &str| (template == "census-mini").then(|| workflow(&dir).unwrap());
+    let open = |store: &Path| {
+        let manager = SessionManager::new(Arc::new(Engine::new(config(store)).unwrap()));
+        assert_eq!(manager.recover(rebuild), 1, "alice must come back");
+        manager
+    };
+    // Engine history, alice's history and her pending edits.
+    type History = (Vec<String>, Vec<String>, Vec<WorkflowEdit>);
+    let history = |manager: &SessionManager| -> History {
+        let encode = |v: &WorkflowVersion| v.to_json().to_string();
+        let alice = manager.get("alice").unwrap();
+        (
+            manager
+                .engine()
+                .versions()
+                .all()
+                .iter()
+                .map(encode)
+                .collect(),
+            alice.versions().all().iter().map(encode).collect(),
+            alice.with(|s| s.pending_edits().to_vec()),
+        )
+    };
+    let next_iterate = |manager: &SessionManager| {
+        let alice = manager.get("alice").unwrap();
+        alice
+            .set_learner_param("predictions", LearnerParam::RegParam(0.9))
+            .unwrap();
+        alice.iterate().unwrap().metrics
+    };
+
+    // Knob turn + iterate until both logs hold records: a log that has
+    // just outgrown its snapshot is compacted empty.
+    let live_store = dir.join("live");
+    let live = SessionManager::new(Arc::new(Engine::new(config(&live_store)).unwrap()));
+    let alice = live
+        .create_with_template("alice", workflow(&dir).unwrap(), Some("census-mini"))
+        .unwrap();
+    let meta = live_store.join("meta");
+    let logs = ["engine.log", "sessions/alice.log"];
+    let mut last_edit = None;
+    for round in 1.. {
+        assert!(round < 20, "the two logs never both held records");
+        let edit = LearnerParam::Epochs(round);
+        alice.set_learner_param("predictions", edit).unwrap();
+        last_edit = alice.with(|s| s.pending_edits().last().cloned());
+        alice.iterate().unwrap();
+        if logs
+            .iter()
+            .all(|log| std::fs::metadata(meta.join(log)).unwrap().len() > 0)
+        {
+            break;
+        }
+    }
+    let pristine = dir.join("pristine-meta");
+    copy_dir(&meta, &pristine);
+    let full = history(&live);
+    let twin = next_iterate(&live);
+
+    for (phase, log) in logs.iter().enumerate() {
+        let bytes = std::fs::read(pristine.join(log)).unwrap();
+        let start = last_record_start(&bytes);
+        let mut iterated = Vec::new();
+        for cut in start..=bytes.len() {
+            let store = dir.join(format!("cut-{phase}-{cut}"));
+            copy_dir(&pristine, &store.join("meta"));
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(store.join("meta").join(log))
+                .unwrap();
+            file.set_len(cut as u64).unwrap();
+            drop(file);
+
+            let manager = open(&store);
+            // The record counts once its closing brace is on disk.
+            let complete = cut + 1 >= bytes.len();
+            let mut want = full.clone();
+            if !complete && phase == 0 {
+                want.0.pop();
+            } else if !complete {
+                want.1.pop();
+                want.2.extend(last_edit.clone());
+            }
+            assert!(history(&manager) == want, "cut at byte {cut} of {log}");
+            let dropped = if phase == 0 {
+                manager.engine().recovery().meta_records_dropped
+            } else {
+                manager.session_records_dropped()
+            };
+            let torn = cut > start && !complete;
+            assert_eq!(dropped, usize::from(torn), "cut at byte {cut} of {log}");
+            if !iterated.contains(&complete) {
+                iterated.push(complete);
+                assert_eq!(next_iterate(&manager), twin, "cut at byte {cut} of {log}");
+            }
+            drop(manager);
+            std::fs::remove_dir_all(&store).unwrap();
+        }
+    }
+}
+
 /// Index of the node called `name`.
 fn node_index(w: &Workflow, name: &str) -> usize {
     w.nodes().iter().position(|n| n.name == name).unwrap()
@@ -994,4 +1126,68 @@ fn corrupt_wal_interior_truncates_and_adopts_disk_files() {
     // store back to full strength even though the log lost records.
     assert!(!store.is_empty());
     assert_eq!(store.used_bytes(), disk_hlx_bytes(&store_dir));
+}
+
+/// Count-based soak of the durable tier's logs: 500 no-op iterates of one
+/// durable session. Each iterate appends the same bytes to the engine
+/// meta log and the session log (within ±5 % of the first, floats print
+/// at varying lengths), and each snapshot is rewritten only as its log
+/// outgrows it — at most ⌈log₂ 500⌉ + 1 times. Reads file sizes only, no
+/// timings. `#[ignore]`d: CI's durable-tier job runs it in release mode.
+#[test]
+#[ignore]
+fn durable_noop_log_stays_flat() {
+    const ITERATES: usize = 500;
+    let dir = tmpdir("soak");
+    let store = dir.join("store");
+    let manager = SessionManager::new(durable_engine(&store));
+    let session = manager
+        .create_with_template("alice", workflow(&dir).unwrap(), Some("census-mini"))
+        .unwrap();
+    session.iterate().unwrap();
+
+    // The engine meta and the session record: (snapshot, log) each.
+    let meta = store.join("meta");
+    let docs = [meta.join("engine"), meta.join("sessions").join("alice")];
+    let size =
+        |doc: &Path, ext: &str| std::fs::metadata(doc.with_extension(ext)).map_or(0, |m| m.len());
+    let mut logs = docs.clone().map(|doc| size(&doc, "log"));
+    let mut snapshots = docs.clone().map(|doc| size(&doc, "json"));
+    let mut rewrites = [0usize; 2];
+    let mut appended = Vec::new();
+    for _ in 0..ITERATES {
+        session.iterate().unwrap();
+        let mut bytes = 0;
+        let mut compacted = false;
+        for (i, doc) in docs.iter().enumerate() {
+            let (log, snapshot) = (size(doc, "log"), size(doc, "json"));
+            if snapshot != snapshots[i] {
+                rewrites[i] += 1;
+                compacted = true;
+            }
+            bytes += log.saturating_sub(logs[i]);
+            (logs[i], snapshots[i]) = (log, snapshot);
+        }
+        if !compacted {
+            appended.push(bytes);
+        }
+    }
+
+    assert!(appended.len() > ITERATES / 2);
+    let first = appended[0] as f64;
+    for (i, &bytes) in appended.iter().enumerate() {
+        assert!(
+            (bytes as f64 - first).abs() <= 0.05 * first,
+            "iterate {i} appended {bytes} bytes, the first {first}"
+        );
+    }
+    let bound = (ITERATES as f64).log2().ceil() as usize + 1;
+    for (doc, n) in docs.iter().zip(rewrites) {
+        assert!(
+            n <= bound,
+            "{} was rewritten {n} times (bound {bound})",
+            doc.display()
+        );
+    }
+    eprintln!("appended {first} bytes per iterate; rewrites {rewrites:?}");
 }
