@@ -44,9 +44,11 @@ pub struct CompiledPlan {
     /// Diff against the previous iteration, when one exists.
     pub change: Option<ChangeReport>,
     /// Per-partition signatures over the row-aligned region downstream of
-    /// chunkable data sources (`None` for nodes outside it) — the keys the
-    /// scheduler uses to serve unchanged partitions from the store after a
-    /// data delta. See [`crate::slicing::chunk_plan`].
+    /// chunkable data sources and its assembly boundary (`None` for nodes
+    /// outside it) — the keys, salted below a Bucketizer by its bin edges
+    /// at execution, that the scheduler uses to serve unchanged
+    /// partitions from the store after a data delta. See
+    /// [`crate::slicing::chunk_plan`].
     pub chunks: Vec<Option<NodeChunks>>,
 }
 

@@ -33,7 +33,6 @@ use crate::recompute::{NodeState, RecomputationPolicy};
 use crate::report::{IterationReport, NodeReport};
 use crate::scheduler;
 use crate::signature::{snapshot, ChangeKind, Signature};
-use crate::slicing::NodeChunks;
 use crate::store::{Durability, IntermediateStore, RecoveryInfo, StoreOptions};
 use crate::version::{VersionStore, WorkflowVersion};
 use crate::workflow::Workflow;
@@ -357,6 +356,9 @@ struct RunContext {
     metrics: Vec<(String, f64)>,
     /// Writes skipped after an I/O error (see [`Engine::writes_skipped`]).
     writes_skipped: u64,
+    /// The row-group keys of every node computed so far: the chunks this
+    /// run probed and wrote, which a displacement leaves alone.
+    chunk_keys: FxHashSet<u64>,
 }
 
 impl RunContext {
@@ -854,6 +856,7 @@ impl Engine {
             materialize_secs: 0.0,
             metrics: Vec::new(),
             writes_skipped: 0,
+            chunk_keys: FxHashSet::default(),
         };
 
         // Raw node execution happens inside the scheduler (possibly on
@@ -968,18 +971,16 @@ impl Engine {
                             .unwrap_or(1.0),
                         pinned: pinned_snapshot.contains(&plan.signatures[i].0),
                     };
-                    // A chunk-aligned output is written as one row group
-                    // per data chunk, keyed by the chunk's partition
-                    // signature, so the next data delta can serve
-                    // unchanged partitions out of this same file.
-                    let groups = output
-                        .as_data()
-                        .map(|data| row_groups(plan.chunks[i].as_ref(), data.len()))
-                        .unwrap_or_default();
+                    // A chunked output is written as one row group per
+                    // data chunk, under the key its pieces were probed
+                    // with, so the next data delta can serve unchanged
+                    // partitions out of this same file.
+                    let groups = &executed.groups;
+                    ctx.chunk_keys.extend(groups.iter().map(|g| g.key));
                     let sig = plan.signatures[i];
                     let mut materialized = false;
                     if config.materialization.decide(&decision) && store.lookup(sig).is_none() {
-                        materialized = ctx.materialize(store, i, sig, output, &groups, &[]);
+                        materialized = ctx.materialize(store, i, sig, output, groups, &[]);
                     } else if config.materialization.displaces(&decision)
                         && store.lookup(sig).is_none()
                     {
@@ -990,12 +991,7 @@ impl Engine {
                         let inflight = lock(inflight_loads);
                         let mut protected = pinned_snapshot.clone();
                         protected.extend(inflight.keys().copied());
-                        protected.extend(
-                            plan.chunks
-                                .iter()
-                                .flatten()
-                                .flat_map(|c| c.psigs.iter().map(|p| p.0)),
-                        );
+                        protected.extend(ctx.chunk_keys.iter().copied());
                         let residents = store.residents();
                         let fresh = ctx.fresh_timings();
                         let victims = Displacement {
@@ -1011,8 +1007,7 @@ impl Engine {
                         }
                         .victims();
                         if !victims.is_empty() {
-                            materialized =
-                                ctx.materialize(store, i, sig, output, &groups, &victims);
+                            materialized = ctx.materialize(store, i, sig, output, groups, &victims);
                         }
                         drop(inflight);
                     }
@@ -1036,8 +1031,9 @@ impl Engine {
                         )
                     {
                         let missing: Vec<GroupSpec> = groups
-                            .into_iter()
+                            .iter()
                             .filter(|g| store.lookup(Signature(g.key)).is_none())
+                            .copied()
                             .collect();
                         if !missing.is_empty() {
                             match store.put_chunks(output.as_data()?, &missing) {
@@ -1225,26 +1221,6 @@ pub struct OptimizerStats {
     pub last_offline_unix: u64,
 }
 
-/// One row group per data chunk of a chunk-aligned output, keyed by the
-/// chunk's partition signature. Empty unless the chunk ranges cover
-/// exactly the output's `rows` (the data file can grow between compile
-/// and execute).
-fn row_groups(chunks: Option<&NodeChunks>, rows: usize) -> Vec<GroupSpec> {
-    match chunks {
-        Some(c) if c.ranges.last().is_some_and(|&(_, end)| end == rows) => c
-            .ranges
-            .iter()
-            .zip(&c.psigs)
-            .map(|(&(start, end), psig)| GroupSpec {
-                start,
-                end,
-                key: psig.0,
-            })
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
 /// Sum of compute-cost estimates over all ancestors of `id` — the
 /// `Σ_{j ∈ A(i)} c_j` term of the materialization heuristic. A free
 /// function (rather than a method) so the engine's merge callback can use
@@ -1348,6 +1324,62 @@ mod tests {
         assert_eq!(report.metric("accuracy"), Some(1.0), "separable data");
         assert_eq!(engine.versions().len(), 1);
         assert_eq!(report.change_summary, "initial version");
+    }
+
+    #[test]
+    fn an_unlabelled_chunk_is_an_empty_group_that_round_trips() {
+        let dir = tmpdir("empty-group");
+        std::fs::create_dir_all(&dir).unwrap();
+        let train = dir.join("train.csv");
+        // The first data chunk holds no label at all.
+        let chunk_rows = crate::config_env::data_chunk_rows();
+        let mut text = "3,?\n".repeat(chunk_rows);
+        text.push_str(&"4,1\n5,0\n".repeat(20));
+        std::fs::write(&train, text).unwrap();
+        let mut w = Workflow::new("unlabelled");
+        let data = w.csv_source("data", &train, None::<&str>).unwrap();
+        let rows = w
+            .csv_scanner("rows", &data, &[("x", DataType::Int), ("y", DataType::Int)])
+            .unwrap();
+        let x = w
+            .field_extractor("x", &rows, "x", ExtractorKind::Numeric)
+            .unwrap();
+        let y = w
+            .field_extractor("y", &rows, "y", ExtractorKind::Numeric)
+            .unwrap();
+        let income = w.assemble("income", &rows, &[&x], &y).unwrap();
+        w.output(&income);
+        let engine_at = |store: &str| {
+            let mut config = EngineConfig::helix(dir.join(store));
+            config.materialization = MaterializationPolicyKind::All;
+            Engine::new(config).unwrap()
+        };
+        let engine = engine_at("store");
+        engine.run(&w).unwrap();
+
+        // `income` is stored as row groups over its output rows: none for
+        // the unlabelled chunk, 40 for the other.
+        let at = w.by_name("income").unwrap().index();
+        let sig = engine.compile_only(&w).unwrap().signatures[at];
+        let bytes = std::fs::read(engine.store().dir().join(format!("{}.hlx", sig.hex()))).unwrap();
+        let header = helix_dataflow::codec::read_header(&bytes[1..]).unwrap();
+        let rows_per_group: Vec<u64> = header.groups.iter().map(|g| g.rows).collect();
+        assert_eq!(rows_per_group, vec![0, 40]);
+        let (empty, ..) = engine.store().get(Signature(header.groups[0].key)).unwrap();
+        let empty = empty.as_data().unwrap();
+        assert_eq!(empty.len(), 0);
+        assert_eq!(empty.schema(), &crate::exec::assembled_schema());
+
+        // An append reloads the empty group and answers like a fresh run.
+        crate::data::append_lines(&train, &["6,1".into()]).unwrap();
+        let report = engine.run(&w).unwrap();
+        let income_report = report.nodes.iter().find(|n| n.name == "income").unwrap();
+        assert_eq!(income_report.chunks_loaded, 1, "the empty group is served");
+        let sig = engine.compile_only(&w).unwrap().signatures[at];
+        let fresh = engine_at("fresh-store");
+        fresh.run(&w).unwrap();
+        assert_eq!(engine.fetch(sig).unwrap(), *fresh.fetch(sig).unwrap());
+        assert_eq!(engine.fetch(sig).unwrap().as_data().unwrap().len(), 41);
     }
 
     #[test]

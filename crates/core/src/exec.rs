@@ -11,10 +11,11 @@ use crate::ops::{
     TrainedModel,
 };
 use crate::{HelixError, Result, SPLIT_COL, SPLIT_TEST, SPLIT_TRAIN};
-use helix_dataflow::fx::FxHashSet;
+use helix_dataflow::fx::{FxHashSet, FxHasher};
 use helix_dataflow::{csv, DataCollection, DataType, Row, Schema, Value};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+use std::hash::Hasher;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -118,29 +119,30 @@ impl Names {
 /// Executes `kind` over parent outputs (in wiring order).
 ///
 /// For partitionable operators this is exactly
-/// [`execute_slice`]`(kind, name, inputs, 0, n)` — one code path, so a
+/// [`execute_slice`]`(kind, name, inputs, None, 0, n)` — one code path, so a
 /// partitioned run concatenating slice outputs is byte-identical to a
 /// whole-node run by construction.
 pub fn execute(kind: &OperatorKind, name: &str, inputs: &[&NodeOutput]) -> Result<NodeOutput> {
     let end = partitionable_rows(kind, inputs).unwrap_or(0);
-    execute_slice(kind, name, inputs, 0, end)
+    execute_slice(kind, name, inputs, None, 0, end)
 }
 
 /// Rows over which `kind` may be split into row-range partitions, or
 /// `None` if the operator must run whole.
 ///
-/// Partitionable operators are strictly row-wise over their sliceable
-/// input: Scan, FieldExtractor, Interaction, AssembleFeatures (all
-/// row-aligned across inputs), Apply (row-wise over the data input), and
-/// [`OperatorKind::RowUdf`]. Global operators — sources, Bucketizer
-/// (two-pass min/max), Train/Evaluate (aggregates), classic UDFs — return
-/// `None`. Also `None` when the sliceable input is missing or not data;
-/// [`execute_slice`] then reports the shape error itself.
+/// Partitionable operators are row-wise over their sliceable input:
+/// Scan, FieldExtractor, Interaction, AssembleFeatures (all row-aligned
+/// across inputs), Bucketizer (row-wise once its [`BinEdges`] are known),
+/// Apply (row-wise over the data input), and [`OperatorKind::RowUdf`].
+/// Global operators — sources, Train/Evaluate (aggregates), classic UDFs
+/// — return `None`. Also `None` when the sliceable input is missing or
+/// not data; [`execute_slice`] then reports the shape error itself.
 pub fn partitionable_rows(kind: &OperatorKind, inputs: &[&NodeOutput]) -> Option<usize> {
     let rows_of = |i: usize| Some(inputs.get(i)?.as_data().ok()?.len());
     match kind {
         OperatorKind::CsvScan { .. }
         | OperatorKind::FieldExtractor { .. }
+        | OperatorKind::Bucketizer { .. }
         | OperatorKind::Interaction
         | OperatorKind::AssembleFeatures
         | OperatorKind::RowUdf(_) => rows_of(0),
@@ -149,8 +151,76 @@ pub fn partitionable_rows(kind: &OperatorKind, inputs: &[&NodeOutput]) -> Option
     }
 }
 
+/// A Bucketizer's bin edges: the smallest and largest feature value over
+/// its *whole* input (`min` is `+∞` when the input holds no value). Every
+/// row range of the operator buckets against the same edges, which is
+/// what makes its slices concatenate to the whole-node output.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BinEdges {
+    /// Smallest feature value.
+    pub min: f64,
+    /// Largest feature value.
+    pub max: f64,
+}
+
+impl BinEdges {
+    /// A non-zero salt identifying the edges bit for bit. Partition keys
+    /// below a Bucketizer fold it in, so an edge that moves changes every
+    /// key and an edge that stays keeps them.
+    pub fn salt(&self) -> u64 {
+        let mut hasher = FxHasher::default();
+        hasher.write(b"bin-edges");
+        hasher.write_u64(self.min.to_bits());
+        hasher.write_u64(self.max.to_bits());
+        hasher.finish().max(1)
+    }
+}
+
+/// The whole-input state `kind` reads before it can run any row range: a
+/// Bucketizer's [`BinEdges`], `None` for every other operator (their row
+/// ranges read only their own rows).
+///
+/// # Errors
+/// The error a whole-node run of the Bucketizer would report first.
+pub fn bin_edges(
+    kind: &OperatorKind,
+    name: &str,
+    inputs: &[&NodeOutput],
+) -> Result<Option<BinEdges>> {
+    match kind {
+        OperatorKind::Bucketizer { bins } => Ok(Some(edges_of(*bins, data(inputs, 0, name)?)?)),
+        _ => Ok(None),
+    }
+}
+
+/// How many output rows the input rows `[start, end)` of `kind` turn
+/// into: the range's length for a 1:1 operator, and for
+/// AssembleFeatures the rows that carry a label (it drops the rest).
+///
+/// # Errors
+/// A label cell that is not a feature list.
+pub fn output_rows(
+    kind: &OperatorKind,
+    inputs: &[&NodeOutput],
+    start: usize,
+    end: usize,
+) -> Result<usize> {
+    if !matches!(kind, OperatorKind::AssembleFeatures) {
+        return Ok(end - start);
+    }
+    let label = data(inputs, inputs.len().saturating_sub(1), "AssembleFeatures")?;
+    let mut labelled = 0;
+    for row in label.rows_range(start, end) {
+        labelled += usize::from(!feature_pairs(row.get(0))?.is_empty());
+    }
+    Ok(labelled)
+}
+
 /// Executes `kind` over the row range `[start, end)` of its sliceable
 /// input (see [`partitionable_rows`]); other inputs are passed whole.
+/// `edges` is the operator's whole-input state when the caller already
+/// computed it with [`bin_edges`], so the pieces of one node share one
+/// pass over the input; `None` computes it here.
 ///
 /// Non-partitionable operators ignore the range and run whole. Input
 /// validation (arity, alignment, schemas) always checks the *full*
@@ -160,6 +230,7 @@ pub fn execute_slice(
     kind: &OperatorKind,
     name: &str,
     inputs: &[&NodeOutput],
+    edges: Option<BinEdges>,
     start: usize,
     end: usize,
 ) -> Result<NodeOutput> {
@@ -178,7 +249,9 @@ pub fn execute_slice(
         OperatorKind::FieldExtractor { field, kind } => {
             exec_field_extractor(field, *kind, data(inputs, 0, name)?, start, end)
         }
-        OperatorKind::Bucketizer { bins } => exec_bucketizer(*bins, data(inputs, 0, name)?),
+        OperatorKind::Bucketizer { bins } => {
+            exec_bucketizer_range(*bins, data(inputs, 0, name)?, edges, start, end)
+        }
         OperatorKind::Interaction => {
             let mut collections = Vec::with_capacity(inputs.len());
             for i in 0..inputs.len() {
@@ -400,37 +473,49 @@ fn exec_field_extractor(
     )))
 }
 
-fn exec_bucketizer(bins: usize, input: &DataCollection) -> Result<NodeOutput> {
+/// The [`BinEdges`] of a Bucketizer over `input`: one pass over every
+/// feature value, which also checks every cell.
+fn edges_of(bins: usize, input: &DataCollection) -> Result<BinEdges> {
+    if bins == 0 {
+        return Err(HelixError::Exec("bucketizer needs ≥ 1 bin, got 0".into()));
+    }
     let feats_idx = input.column_index("feats")?;
-    // First pass: range of the (single) numeric feature.
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
+    let mut edges = BinEdges {
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
     for row in input.rows() {
         for &(_, v) in feature_pairs(row.get(feats_idx))?.iter() {
-            min = min.min(v);
-            max = max.max(v);
+            edges.min = edges.min.min(v);
+            edges.max = edges.max.max(v);
         }
     }
-    if !min.is_finite() {
-        // No values at all: emit empty fragments.
-        let rows = input
-            .rows()
-            .iter()
-            .map(|_| Row(vec![Value::Feats(Vec::new())]))
-            .collect();
-        return Ok(NodeOutput::Data(DataCollection::from_rows_unchecked(
-            feats_schema(),
-            rows,
-        )));
-    }
+    Ok(edges)
+}
+
+/// Buckets rows `[start, end)` of `input` into `bins` equal-width bins
+/// between the edges of the whole input (`edges`, or computed here).
+fn exec_bucketizer_range(
+    bins: usize,
+    input: &DataCollection,
+    edges: Option<BinEdges>,
+    start: usize,
+    end: usize,
+) -> Result<NodeOutput> {
+    let BinEdges { min, max } = match edges {
+        Some(edges) => edges,
+        None => edges_of(bins, input)?,
+    };
+    let feats_idx = input.column_index("feats")?;
+    // Without any value (`min` is +∞) every row is an empty fragment.
     let width = if max > min {
         (max - min) / bins as f64
     } else {
         1.0
     };
     let mut names = Names::default();
-    let mut rows = Vec::with_capacity(input.len());
-    for row in input.rows() {
+    let mut rows = Vec::with_capacity(end - start);
+    for row in input.rows_range(start, end) {
         let pairs = feature_pairs(row.get(feats_idx))?;
         let mut out_pairs = Vec::with_capacity(pairs.len());
         for (name, v) in pairs.iter() {
@@ -716,6 +801,10 @@ mod tests {
         exec_field_extractor(field, kind, input, 0, input.len())
     }
 
+    fn exec_bucketizer(bins: usize, input: &DataCollection) -> Result<NodeOutput> {
+        exec_bucketizer_range(bins, input, None, 0, input.len())
+    }
+
     fn interaction(inputs: &[&DataCollection]) -> Result<NodeOutput> {
         exec_interaction(inputs, 0, inputs[0].len())
     }
@@ -833,6 +922,31 @@ mod tests {
         let last = owned_pairs(dc.row(2).get(0)).unwrap();
         assert_eq!(first[0].0, "age[b=0]");
         assert_eq!(last[0].0, "age[b=1]");
+    }
+
+    #[test]
+    fn zero_bins_fail_typed_instead_of_underflowing() {
+        let dir = tmpdir("bucket-zero");
+        let rows = source_and_scan(&dir);
+        let ages = field_extractor("age", ExtractorKind::Numeric, &rows).unwrap();
+        let kind = OperatorKind::Bucketizer { bins: 0 };
+        let err = execute(&kind, "ageBucket", &[&ages]).unwrap_err();
+        assert!(matches!(err, HelixError::Exec(_)), "got {err}");
+        assert!(bin_edges(&kind, "ageBucket", &[&ages]).is_err());
+    }
+
+    #[test]
+    fn bucketizer_slices_share_the_whole_input_edges() {
+        let dir = tmpdir("bucket-slices");
+        let rows = source_and_scan(&dir);
+        let ages = field_extractor("age", ExtractorKind::Numeric, &rows).unwrap();
+        let kind = OperatorKind::Bucketizer { bins: 2 };
+        let whole = execute(&kind, "ageBucket", &[&ages]).unwrap();
+        let edges = bin_edges(&kind, "ageBucket", &[&ages]).unwrap();
+        let parts = (0..5)
+            .map(|k| execute_slice(&kind, "ageBucket", &[&ages], edges, k, k + 1).unwrap())
+            .collect();
+        assert_eq!(concat_slices(parts).unwrap(), whole);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! with some stored chunks loads the hits and splits the misses. Because
 //! slice execution is row-wise and partition signatures are
 //! content-derived, every piece list concatenates to the byte-identical
-//! whole-node output.
+//! whole-node output. The one input outside a piece's rows, a
+//! Bucketizer's bin edges, is computed once per node before its pieces
+//! (`plan_node`); every piece shares it, and its salt goes into the chunk
+//! keys of the Bucketizer and of every chunked node below it.
 //!
 //! # Two drivers
 //!
@@ -76,6 +79,7 @@
 //! failing row, the error a whole-node run reports.
 
 use crate::compiler::CompiledPlan;
+use crate::exec::BinEdges;
 use crate::ops::{NodeOutput, OperatorKind};
 use crate::pool::{Job, WorkerPool};
 use crate::recompute::NodeState;
@@ -84,8 +88,11 @@ use crate::slicing::NodeChunks;
 use crate::store::IntermediateStore;
 use crate::workflow::{Node, NodeId, Workflow};
 use crate::{HelixError, Result};
+use helix_dataflow::codec::GroupSpec;
+use helix_dataflow::fx::FxHasher;
 use helix_dataflow::par::panic_message;
 use std::collections::VecDeque;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -190,6 +197,14 @@ pub struct ExecutedNode {
     /// (data-chunk partitions, see [`crate::slicing::chunk_plan`]); `0`
     /// for whole-node loads and chunk-free computes.
     pub chunks_loaded: usize,
+    /// The row groups of a computed chunked output: one per data chunk,
+    /// over the chunk's *output* rows, under the key this execution gave
+    /// the chunk (its partition signature, salted below a Bucketizer).
+    /// These are the keys the node's pieces were probed under, and the
+    /// ones the engine writes. Empty for loads, for chunk-free nodes, and
+    /// when a chunk key cannot be derived (a Bucketizer above the node was
+    /// loaded whole, so its edges are unknown).
+    pub groups: Vec<GroupSpec>,
 }
 
 /// Everything [`execute_plan`] hands back to the engine.
@@ -204,6 +219,10 @@ pub struct ExecutionResult {
 struct RawResult {
     output: Arc<NodeOutput>,
     executed: ExecutedNode,
+    /// The salt this node's chunk keys carry, which its chunked children
+    /// fold into theirs: `0` with no Bucketizer above, `None` when
+    /// unknown (see [`NodePlan`]).
+    salt: Option<u64>,
 }
 
 /// Executes a compiled plan, invoking `merge` once per non-pruned node in
@@ -320,14 +339,7 @@ fn plan_pieces(
     let sliceable = rows.is_some();
     let total = rows.unwrap_or(0);
     let mut pieces = Vec::new();
-    // Chunk ranges that do not cover a sliceable input exactly (the data
-    // file grew between compile and execute) would silently drop rows;
-    // such a node computes from its actual input instead.
-    let chunks = chunks.filter(|c| {
-        c.ranges
-            .last()
-            .is_some_and(|&(_, end)| !sliceable || end == total)
-    });
+    let chunks = chunks.filter(|c| covers(c, rows));
     let hits: Vec<bool> = chunks.map_or_else(Vec::new, |c| {
         c.psigs.iter().map(|&sig| stored(sig)).collect()
     });
@@ -358,6 +370,129 @@ fn plan_pieces(
         push_compute_pieces(&mut pieces, from, total, split_rows);
     }
     PiecePlan { pieces, sliceable }
+}
+
+/// Whether chunk ranges cover a sliceable input of `rows` rows exactly.
+/// Ranges that do not (the data file grew between compile and execute)
+/// would silently drop rows; such a node computes from its actual input
+/// instead. An unsliceable operator reads no input range, so any ranges
+/// do.
+fn covers(chunks: &NodeChunks, rows: Option<usize>) -> bool {
+    chunks
+        .ranges
+        .last()
+        .is_some_and(|&(_, end)| rows.is_none_or(|total| end == total))
+}
+
+/// A compute node's execution, planned once when it becomes ready: its
+/// pieces, and the whole-input state and chunk keys every piece shares.
+struct NodePlan {
+    pieces: PiecePlan,
+    /// A Bucketizer's bin edges, computed once over the whole input
+    /// ([`crate::exec::bin_edges`]); `None` otherwise, or when computing
+    /// them failed (every piece then fails with that same error).
+    edges: Option<BinEdges>,
+    /// The node's chunk ranges under this execution's keys: the
+    /// partition signatures of [`crate::slicing::chunk_plan`] with the
+    /// node's salt folded in. `None` for a chunk-free node, and when the
+    /// salt is unknown.
+    chunks: Option<NodeChunks>,
+    /// This node's salt (see [`RawResult::salt`]).
+    salt: Option<u64>,
+}
+
+/// Plans compute node `node` over its `parents`' outputs. Its salt folds
+/// its chunked parents' salts (`parent_salts`, in wiring order) and, for
+/// a Bucketizer, the salt of its own bin edges; with none of either it is
+/// `0`, and the node's keys are its compile-time partition signatures
+/// unchanged. An unknown parent salt leaves the node without chunk keys:
+/// it computes whole and writes no row groups.
+fn plan_node(
+    node: &Node,
+    parents: &[&NodeOutput],
+    parent_salts: &[Option<u64>],
+    chunks: Option<&NodeChunks>,
+    stored: impl Fn(Signature) -> bool,
+    split_rows: Option<usize>,
+) -> NodePlan {
+    let edges = crate::exec::bin_edges(&node.kind, &node.name, parents)
+        .ok()
+        .flatten();
+    let salt = chunks.map_or(Some(0), |_| {
+        let mut hasher = FxHasher::default();
+        let mut any = false;
+        for salt in parent_salts {
+            let salt = (*salt)?;
+            any |= salt != 0;
+            hasher.write_u64(salt);
+        }
+        if matches!(node.kind, OperatorKind::Bucketizer { .. }) {
+            hasher.write_u64(edges?.salt());
+            any = true;
+        }
+        Some(if any { hasher.finish().max(1) } else { 0 })
+    });
+    let rows = crate::exec::partitionable_rows(&node.kind, parents);
+    let chunks = chunks
+        .zip(salt)
+        .filter(|(c, _)| covers(c, rows))
+        .map(|(c, salt)| NodeChunks {
+            ranges: c.ranges.clone(),
+            psigs: c.psigs.iter().map(|&psig| salted(psig, salt)).collect(),
+        });
+    let pieces = plan_pieces(&node.kind, parents, chunks.as_ref(), stored, split_rows);
+    NodePlan {
+        pieces,
+        edges,
+        chunks,
+        salt,
+    }
+}
+
+/// A partition signature under `salt`: itself for `0`.
+fn salted(psig: Signature, salt: u64) -> Signature {
+    if salt == 0 {
+        return psig;
+    }
+    let mut hasher = FxHasher::default();
+    hasher.write_u64(psig.0);
+    hasher.write_u64(salt);
+    Signature(hasher.finish())
+}
+
+impl NodePlan {
+    /// Completes a computed node's raw result: the salt its children
+    /// read, and the row groups the engine writes — one per chunk, over
+    /// the output rows that chunk's input rows became. No groups when the
+    /// chunks do not tile the output.
+    fn finish(
+        &self,
+        kind: &OperatorKind,
+        parents: &[&NodeOutput],
+        mut raw: RawResult,
+    ) -> RawResult {
+        raw.salt = self.salt;
+        let (Some(chunks), Ok(data)) = (&self.chunks, raw.output.as_data()) else {
+            return raw;
+        };
+        let mut groups = Vec::with_capacity(chunks.ranges.len());
+        let mut at = 0;
+        for (&(start, end), key) in chunks.ranges.iter().zip(&chunks.psigs) {
+            let Ok(rows) = crate::exec::output_rows(kind, parents, start, end) else {
+                return raw;
+            };
+            groups.push(GroupSpec {
+                start: at,
+                end: at + rows,
+                key: key.0,
+            });
+            at += rows;
+        }
+        if at == data.len() {
+            raw.executed.groups = groups;
+        }
+        raw
+    }
 }
 
 /// Appends compute pieces covering `[start, end)`: one piece, or — when
@@ -413,6 +548,7 @@ fn run_piece(
     parents: &[&NodeOutput],
     store: &IntermediateStore,
     piece: Piece,
+    edges: Option<BinEdges>,
 ) -> Result<PieceOutput> {
     let started = Instant::now();
     let (output, loaded) = catch_node_panic(&node.name, || {
@@ -421,8 +557,9 @@ fn run_piece(
         if let Some((output, _, _)) = piece.psig.and_then(|sig| store.get(sig).ok()) {
             return Ok((Arc::unwrap_or_clone(output), true));
         }
+        let (kind, name) = (&node.kind, &node.name);
         let output =
-            crate::exec::execute_slice(&node.kind, &node.name, parents, piece.start, piece.end)?;
+            crate::exec::execute_slice(kind, name, parents, edges, piece.start, piece.end)?;
         Ok((output, false))
     })?;
     Ok(PieceOutput {
@@ -446,7 +583,9 @@ fn assemble(
             loaded_bytes: None,
             cached: false,
             chunks_loaded,
+            groups: Vec::new(),
         },
+        salt: Some(0),
     };
     let mut outputs = Vec::new();
     let mut secs = 0.0;
@@ -475,7 +614,14 @@ fn assemble(
 }
 
 /// Executes a `Load` node: reads its whole output back from the store.
-fn load_node(store: &IntermediateStore, node: &Node, sig: Signature) -> Result<RawResult> {
+/// `salted` says whether a Bucketizer sits above it in the chunk region:
+/// the read brings no bin edges, so its salt is then unknown.
+fn load_node(
+    store: &IntermediateStore,
+    node: &Node,
+    sig: Signature,
+    salted: bool,
+) -> Result<RawResult> {
     let read = catch_node_panic(&node.name, || store.read(sig))?;
     Ok(RawResult {
         output: read.output,
@@ -484,7 +630,9 @@ fn load_node(store: &IntermediateStore, node: &Node, sig: Signature) -> Result<R
             loaded_bytes: Some(read.bytes),
             cached: read.cached,
             chunks_loaded: 0,
+            groups: Vec::new(),
         },
+        salt: (!salted).then_some(0),
     })
 }
 
@@ -514,6 +662,20 @@ fn node_chunks(plan: &CompiledPlan, i: usize) -> Option<&NodeChunks> {
     plan.chunks.get(i).and_then(|c| c.as_ref())
 }
 
+/// Per node, whether a Bucketizer sits at or above it inside the chunk
+/// region: the nodes whose chunk keys carry a salt that only an
+/// execution of that Bucketizer can tell.
+fn salted_nodes(workflow: &Workflow, plan: &CompiledPlan) -> Vec<bool> {
+    let mut salted = vec![false; workflow.len()];
+    for &id in &plan.order {
+        let node = workflow.node(id);
+        salted[id.index()] = node_chunks(plan, id.index()).is_some()
+            && (matches!(node.kind, OperatorKind::Bucketizer { .. })
+                || node.parents.iter().any(|p| salted[p.index()]));
+    }
+    salted
+}
+
 // ---------------------------------------------------------------------------
 // Sequential driver (the reference)
 // ---------------------------------------------------------------------------
@@ -531,25 +693,32 @@ where
     M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
 {
     let n = workflow.len();
+    let salted = salted_nodes(workflow, plan);
     let mut outputs: Vec<Option<Arc<NodeOutput>>> = (0..n).map(|_| None).collect();
+    let mut salts: Vec<Option<u64>> = vec![Some(0); n];
     for &id in &plan.order {
         let i = id.index();
         let node = workflow.node(id);
         let raw = match plan.states[i] {
             NodeState::Prune => continue,
-            NodeState::Load => load_node(store, node, plan.signatures[i])?,
+            NodeState::Load => load_node(store, node, plan.signatures[i], salted[i])?,
             NodeState::Compute => {
                 let parents = parent_outputs(workflow, id, |p| outputs[p.index()].as_deref())?;
+                let parent_salts: Vec<_> = node.parents.iter().map(|p| salts[p.index()]).collect();
                 let stored = |sig| store.lookup(sig).is_some();
-                let planned = plan_pieces(&node.kind, &parents, node_chunks(plan, i), stored, None);
+                let chunks = node_chunks(plan, i);
+                let planned = plan_node(node, &parents, &parent_salts, chunks, stored, None);
                 let outcomes = planned
                     .pieces
+                    .pieces
                     .iter()
-                    .map(|&piece| run_piece(node, &parents, store, piece));
-                assemble(planned.sliceable, outcomes)?
+                    .map(|&piece| run_piece(node, &parents, store, piece, planned.edges));
+                let raw = assemble(planned.pieces.sliceable, outcomes)?;
+                planned.finish(&node.kind, &parents, raw)
             }
         };
         merge(id, &raw.executed, &raw.output)?;
+        salts[i] = raw.salt;
         outputs[i] = Some(raw.output);
     }
     Ok(ExecutionResult { outputs })
@@ -604,7 +773,7 @@ impl Task {
 /// `Task::Node` runs, completed by whichever worker finishes the last
 /// piece.
 struct PieceState {
-    plan: PiecePlan,
+    plan: NodePlan,
     /// Per-piece outcome, `take`n by the assembling worker.
     outs: Vec<Mutex<Option<Result<PieceOutput>>>>,
     /// Pieces still running; the decrement-to-zero worker assembles.
@@ -624,6 +793,8 @@ struct ReadyExecutor {
     partition_rows: usize,
     /// Per-node threshold overrides ([`ExecOpts::node_partition_rows`]).
     node_partition_rows: Option<Arc<Vec<usize>>>,
+    /// Nodes whose salt a whole-node load cannot tell (`salted_nodes`).
+    salted: Vec<bool>,
     /// Plan position by node index (`usize::MAX` for pruned nodes).
     pos: Vec<usize>,
     /// Downstream critical-path estimate per node (µs) — the injector's
@@ -705,6 +876,7 @@ impl ReadyExecutor {
             store: store.clone(),
             partition_rows,
             node_partition_rows,
+            salted: salted_nodes(workflow, plan),
             pos,
             prio,
             children,
@@ -837,20 +1009,28 @@ impl ReadyExecutor {
         let id = NodeId(i as u32);
         let node = self.workflow.node(id);
         if self.plan.states[i] == NodeState::Load {
-            let loaded = load_node(&self.store, node, self.plan.signatures[i]);
+            let loaded = load_node(&self.store, node, self.plan.signatures[i], self.salted[i]);
             return self.complete(me, i, loaded);
         }
         let plan = match self.parent_outputs(id) {
-            Ok(parents) => plan_pieces(
-                &node.kind,
-                &parents,
-                node_chunks(&self.plan, i),
-                |sig| self.store.lookup(sig).is_some(),
-                Some(self.threshold_for(i)),
-            ),
+            Ok(parents) => {
+                let parent_salts: Vec<_> = node
+                    .parents
+                    .iter()
+                    .map(|p| self.results[p.index()].get().and_then(|raw| raw.salt))
+                    .collect();
+                plan_node(
+                    node,
+                    &parents,
+                    &parent_salts,
+                    node_chunks(&self.plan, i),
+                    |sig| self.store.lookup(sig).is_some(),
+                    Some(self.threshold_for(i)),
+                )
+            }
             Err(err) => return self.complete(me, i, Err(err)),
         };
-        let count = plan.pieces.len();
+        let count = plan.pieces.pieces.len();
         let state = PieceState {
             plan,
             outs: (0..count).map(|_| Mutex::new(None)).collect(),
@@ -880,12 +1060,15 @@ impl ReadyExecutor {
             .get()
             .expect("pieces are enqueued only after the piece state is set");
         let id = NodeId(i as u32);
+        let node = self.workflow.node(id);
+        let planned = &state.plan;
         let outcome = self.parent_outputs(id).and_then(|parents| {
             run_piece(
-                self.workflow.node(id),
+                node,
                 &parents,
                 &self.store,
-                state.plan.pieces[piece],
+                planned.pieces.pieces[piece],
+                planned.edges,
             )
         });
         *lock(&state.outs[piece]) = Some(outcome);
@@ -897,11 +1080,13 @@ impl ReadyExecutor {
                 debug_assert!(false, "piece finished without recording an outcome");
                 Err(HelixError::Exec(format!(
                     "node `{}`: piece outcome missing (scheduler bug)",
-                    self.workflow.node(id).name
+                    node.name
                 )))
             })
         });
-        self.complete(me, i, assemble(state.plan.sliceable, outcomes))
+        let raw = assemble(planned.pieces.sliceable, outcomes)
+            .and_then(|raw| Ok(planned.finish(&node.kind, &self.parent_outputs(id)?, raw)));
+        self.complete(me, i, raw)
     }
 
     /// Completes node `i` with its raw result or its error — recording
@@ -2083,7 +2268,7 @@ mod tests {
         let outcomes = planned
             .pieces
             .iter()
-            .map(|&p| run_piece(node, &[&input], &store, p));
+            .map(|&p| run_piece(node, &[&input], &store, p, None));
         let raw = assemble(planned.sliceable, outcomes).unwrap();
         assert_eq!(raw.output, NodeOutput::Data(int_rows(&doubled)));
         assert_eq!(raw.executed.chunks_loaded, 1, "only chunk 0 was served");
@@ -2117,7 +2302,9 @@ mod tests {
             ]
         );
         let run = |pieces: &[Piece]| {
-            let outcomes = pieces.iter().map(|&p| run_piece(node, &[], &store, p));
+            let outcomes = pieces
+                .iter()
+                .map(|&p| run_piece(node, &[], &store, p, None));
             assemble(false, outcomes).unwrap()
         };
         let raw = run(&full.pieces);

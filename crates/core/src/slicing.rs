@@ -78,33 +78,51 @@ pub struct NodeChunks {
 }
 
 /// Whether an operator maps input rows to output rows 1:1, so its output
-/// can be partitioned by the *source's* chunk ranges. `AssembleFeatures`
-/// is slice-pure but drops label-less rows, which breaks the row
-/// alignment; everything from it onward is partitioned only by the
-/// scheduler's dynamic ranges, never by data chunks.
+/// can be partitioned by the *source's* chunk ranges. A Bucketizer is
+/// row-wise once its bin edges are known; the edges depend on every row,
+/// so its partition keys get an execution-time salt (see [`chunk_plan`]).
 fn row_aligned(kind: &OperatorKind) -> bool {
     matches!(
         kind,
         OperatorKind::CsvScan { .. }
             | OperatorKind::FieldExtractor { .. }
+            | OperatorKind::Bucketizer { .. }
             | OperatorKind::Interaction
     )
 }
 
+/// Whether an operator's partitions follow its parents' chunks: the
+/// row-aligned operators, and `AssembleFeatures`. Assembly is row-wise
+/// but drops label-less rows, so its chunks are *input* ranges whose
+/// output rows are the labelled rows among them; its output no longer
+/// lines up with the source, and nothing downstream of it inherits
+/// chunks.
+fn chunked(kind: &OperatorKind) -> bool {
+    row_aligned(kind) || matches!(kind, OperatorKind::AssembleFeatures)
+}
+
 /// Computes per-node **partition signatures**: the per-partition analogue
 /// of the Merkle node signature, over the region of the DAG where output
-/// rows stay aligned with source rows.
+/// rows stay aligned with source rows, plus its `AssembleFeatures`
+/// boundary.
 ///
 /// A chunkable source's partitions are its data chunks
 /// ([`crate::data::SourceManifest`], keyed by node index in `manifests`);
-/// a downstream node inherits the structure iff its operator is 1:1
-/// row-aligned and *every* parent carries the same ranges. Each partition
-/// signature hashes the operator's identity with the parents' partition
-/// signatures — for a source, with the chunk's content hash — so it is
-/// independent of file paths and of everything outside its own row range.
-/// After a data delta, partitions over unchanged chunks keep their store
-/// keys and are served from the store while only new-chunk partitions
-/// recompute.
+/// a downstream node inherits the structure iff its operator is chunked
+/// (1:1 row-aligned, or an assembly), *every* parent carries the same
+/// ranges, and no parent is an assembly. Each partition signature hashes
+/// the operator's identity with the parents' partition signatures — for
+/// a source, with the chunk's content hash — so it is independent of file
+/// paths and of everything outside its own row range. After a data
+/// delta, partitions over unchanged chunks keep their store keys and are
+/// served from the store while only new-chunk partitions recompute.
+///
+/// One input is not in a chunk's rows: a Bucketizer's bin edges span the
+/// whole input. These signatures are therefore the compile-time half of a
+/// key. When the scheduler plans a node below a Bucketizer it folds the
+/// edges' salt ([`crate::exec::BinEdges::salt`]) into them, so an append
+/// that moves an edge misses every chunk below it. A node with no
+/// Bucketizer above it keeps these signatures as its keys.
 pub fn chunk_plan(
     workflow: &Workflow,
     manifests: &FxHashMap<usize, SourceManifest>,
@@ -133,11 +151,15 @@ pub fn chunk_plan(
                 }
                 Some(NodeChunks { ranges, psigs })
             }
-        } else if row_aligned(&node.kind) && !node.parents.is_empty() {
+        } else if chunked(&node.kind) && !node.parents.is_empty() {
             let parents: Option<Vec<&NodeChunks>> = node
                 .parents
                 .iter()
-                .map(|p| chunks[p.index()].as_ref())
+                .map(|p| {
+                    let parent = workflow.node(*p);
+                    let assembled = matches!(parent.kind, OperatorKind::AssembleFeatures);
+                    chunks[p.index()].as_ref().filter(|_| !assembled)
+                })
                 .collect();
             parents
                 .filter(|ps| ps.iter().all(|p| p.ranges == ps[0].ranges))
@@ -246,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_structure_stops_at_assemble() {
+    fn chunk_structure_reaches_assemble_and_stops_below_it() {
         let dir = std::env::temp_dir().join(format!("helix-slice-chunks-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -268,8 +290,12 @@ mod tests {
         let y = w
             .field_extractor("y", &rows, "y", ExtractorKind::Numeric)
             .unwrap();
-        let income = w.assemble("income", &rows, &[&x], &y).unwrap();
-        w.output(&income);
+        let x_bucket = w.bucketizer("xBucket", &x, 3).unwrap();
+        let income = w.assemble("income", &rows, &[&x, &x_bucket], &y).unwrap();
+        let preds = w
+            .learner("predictions", &income, LearnerSpec::default())
+            .unwrap();
+        w.output(&preds);
 
         let manifests = crate::data::workflow_manifests(&w, 4);
         let plan = chunk_plan(&w, &manifests).unwrap();
@@ -280,7 +306,13 @@ mod tests {
         assert_eq!(rows_chunks.ranges, src_chunks.ranges);
         assert_ne!(rows_chunks.psigs, src_chunks.psigs);
         assert!(at("x").is_some());
-        assert!(at("income").is_none(), "assemble drops rows; not aligned");
+        assert_eq!(at("xBucket").unwrap().ranges, src_chunks.ranges);
+        let income = at("income").expect("assemble carries input-ranged chunks");
+        assert_eq!(income.ranges, src_chunks.ranges);
+        assert!(
+            at("predictions__model").is_none() && at("predictions").is_none(),
+            "assembled rows no longer line up with the source"
+        );
 
         // Appending preserves the psigs of covered chunks.
         crate::data::append_lines(&train, &["10,1".into(), "11,1".into()]).unwrap();

@@ -3,7 +3,7 @@
 //! [`crate::store`], "Decoded reads").
 
 use super::index::Loc;
-use super::{IntermediateStore, StoreRead, DECODED_CACHE_BYTES};
+use super::{IntermediateStore, StoreRead, DECODED_CACHE_BYTES, DECODED_ENTRY_BYTES};
 use crate::ops::NodeOutput;
 use crate::signature::Signature;
 use helix_dataflow::fx::FxHashMap;
@@ -151,7 +151,7 @@ impl IntermediateStore {
             return;
         }
         let size = read.output.estimated_bytes();
-        if size > DECODED_CACHE_BYTES / 4 {
+        if size > DECODED_ENTRY_BYTES {
             return;
         }
         #[cfg(test)]

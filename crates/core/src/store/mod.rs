@@ -96,7 +96,7 @@
 //! decode, so outputs read once and never again stay out. The cache holds
 //! at most [`DECODED_CACHE_BYTES`] of [`NodeOutput::estimated_bytes`],
 //! evicts least recently used entries first, and never admits an entry
-//! larger than a quarter of that. An entry is served only while the
+//! larger than [`DECODED_ENTRY_BYTES`]. An entry is served only while the
 //! location it was decoded from is still listed for its key, and it leaves
 //! together with that location: on [`IntermediateStore::evict`], when a
 //! corrupt file is dropped, when a file is overwritten, and on
@@ -173,15 +173,21 @@ use std::time::Instant;
 pub const DEFAULT_STORE_SHARDS: usize = 16;
 
 /// Bytes of decoded outputs, counted in [`NodeOutput::estimated_bytes`],
-/// the store keeps in memory (see the module docs, "Decoded reads"). An
-/// output larger than a quarter of this is never kept. Sized for two hot
-/// sets: the serving loop's few prediction outputs of about 0.8 MB each,
-/// and the chunks a label-append loop reloads every round — 8.36 MB of
-/// row groups at the end of a 40-round, 10 k-row census session, just
-/// under this bound. Least-recently-used eviction over a cyclic scan
-/// larger than the bound hits nothing, so a longer session of that shape
-/// stops hitting.
-pub const DECODED_CACHE_BYTES: usize = 8 << 20;
+/// the store keeps in memory (see the module docs, "Decoded reads").
+/// Sized for two hot sets: the serving loop's few prediction outputs of
+/// about 0.8 MB each, and the chunks a label-append loop reloads every
+/// round. In a 10 k-row census session those are the row groups of
+/// `rows`, the extractors, the Bucketizers and `income`: 13.4 MB after
+/// 40 rounds, under this bound. Least-recently-used eviction over a
+/// cyclic scan larger than the bound hits nothing, so a longer session
+/// of that shape stops hitting.
+pub const DECODED_CACHE_BYTES: usize = 16 << 20;
+
+/// The largest output, in [`NodeOutput::estimated_bytes`], the decoded
+/// cache keeps. A data chunk's row group is far smaller; a whole 10 k-row
+/// `rows` or `income` output is larger, and is read from disk each time
+/// rather than held beside its own row groups.
+pub const DECODED_ENTRY_BYTES: usize = 2 << 20;
 
 /// How (and whether) the store and engine state survive a process crash.
 ///
@@ -2343,26 +2349,44 @@ mod tests {
 
     #[test]
     fn lru_eviction_keeps_the_cache_under_its_bound() {
-        // Five entries of 3/16 of the bound fit; the sixth evicts.
+        // As many of the largest admitted entries as the bound holds fit;
+        // the next ones evict.
         let store = open_store(tmpdir("dc-lru"), 1 << 30);
-        let out = output_of_size(DECODED_CACHE_BYTES * 3 / 16);
+        let out = output_of_size(DECODED_ENTRY_BYTES);
         let size = out.estimated_bytes() as u64;
-        for sig in 1..=7 {
+        let fit = (DECODED_CACHE_BYTES as u64 / size) as usize;
+        let sigs = fit as u64 + 2;
+        for sig in 1..=sigs {
             store.put(Signature(sig), &out).unwrap();
             read_times(&store, sig, 2);
             assert!(store.decoded_stats().bytes <= DECODED_CACHE_BYTES as u64);
         }
-        assert_eq!(store.decoded_stats().entries, 5);
-        assert_eq!(store.decoded_stats().bytes, 5 * size);
+        assert_eq!(store.decoded_stats().entries, fit);
+        assert_eq!(store.decoded_stats().bytes, fit as u64 * size);
         assert!(read_times(&store, 3, 1), "recent entries stay");
-        // 3 is now the most recent: admitting 8 evicts 4, the oldest.
-        store.put(Signature(8), &out).unwrap();
-        read_times(&store, 8, 2);
-        assert_eq!(store.decoded_stats().entries, 5);
+        // 3 is now the most recent: admitting one more evicts 4, the
+        // oldest.
+        store.put(Signature(sigs + 1), &out).unwrap();
+        read_times(&store, sigs + 1, 2);
+        assert_eq!(store.decoded_stats().entries, fit);
         assert!(read_times(&store, 3, 1));
         assert!(!read_times(&store, 4, 1), "the least recently used left");
         assert!(!read_times(&store, 1, 1));
-        assert_eq!(store.len(), 8, "eviction from memory keeps the files");
+        assert_eq!(
+            store.len(),
+            sigs as usize + 1,
+            "eviction from memory keeps the files"
+        );
+    }
+
+    #[test]
+    fn an_entry_over_the_entry_bound_is_never_admitted() {
+        let store = open_store(tmpdir("dc-entry"), 1 << 30);
+        let out = output_of_size(DECODED_ENTRY_BYTES + 64);
+        assert!(out.estimated_bytes() > DECODED_ENTRY_BYTES);
+        store.put(Signature(3), &out).unwrap();
+        assert!(!read_times(&store, 3, 4));
+        assert_eq!(store.decoded_stats(), DecodedStats::default());
     }
 
     #[test]

@@ -131,6 +131,7 @@ impl Workflow {
                 "duplicate node name `{name}`"
             )));
         }
+        check_operator(&kind)?;
         let parent_ids: Vec<NodeId> = parents.iter().map(|r| r.0).collect();
         for pid in &parent_ids {
             if pid.index() >= self.nodes.len() {
@@ -228,9 +229,6 @@ impl Workflow {
 
     /// `ageBucket refers_to Bucketizer(age, bins=10)`.
     pub fn bucketizer(&mut self, name: &str, input: &NodeRef, bins: usize) -> Result<NodeRef> {
-        if bins == 0 {
-            return Err(HelixError::Workflow("bucketizer needs ≥ 1 bin".into()));
-        }
         self.add(name, OperatorKind::Bucketizer { bins }, &[input])
     }
 
@@ -321,6 +319,7 @@ impl Workflow {
         let id = self
             .by_name(name)
             .ok_or_else(|| HelixError::Workflow(format!("no node named `{name}`")))?;
+        check_operator(&kind)?;
         self.nodes[id.index()].kind = kind;
         Ok(())
     }
@@ -454,6 +453,18 @@ impl Workflow {
         }
         out.sort();
         out
+    }
+}
+
+/// Checks the parameters of an operator, whichever entry point sets it
+/// ([`Workflow::add`] and its DSL sugar, or
+/// [`Workflow::replace_operator`]).
+fn check_operator(kind: &OperatorKind) -> Result<()> {
+    match kind {
+        OperatorKind::Bucketizer { bins: 0 } => {
+            Err(HelixError::Workflow("bucketizer needs ≥ 1 bin".into()))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -593,6 +604,18 @@ mod tests {
         assert!(w
             .replace_operator("zzz", OperatorKind::Interaction)
             .is_err());
+    }
+
+    #[test]
+    fn zero_bins_are_refused_by_every_entry_point() {
+        let (mut w, _a, _b, c) = linear_workflow();
+        let zero = OperatorKind::Bucketizer { bins: 0 };
+        assert!(w.add("bk0", zero.clone(), &[&c]).is_err());
+        w.bucketizer("bk", &c, 4).unwrap();
+        let err = w.replace_operator("bk", zero).unwrap_err();
+        assert!(err.to_string().contains("≥ 1 bin"), "got {err}");
+        let kept = &w.node(w.by_name("bk").unwrap()).kind;
+        assert!(matches!(kept, OperatorKind::Bucketizer { bins: 4 }));
     }
 
     #[test]

@@ -52,6 +52,8 @@ pub struct ActiveLearningRound {
     /// Data-chunk partitions the retrain served from the store instead
     /// of recomputing — the incremental-data reuse signal.
     pub chunks_reused: usize,
+    /// The same, per node, for the nodes that served any.
+    pub chunks_by_node: Vec<(String, usize)>,
     /// Whole nodes the retrain loaded from the store.
     pub loaded: usize,
 }
@@ -81,6 +83,12 @@ pub fn run_active_learning(
             appended,
             accuracy: report.metric("accuracy"),
             chunks_reused: report.chunks_reused(),
+            chunks_by_node: report
+                .nodes
+                .iter()
+                .filter(|n| n.chunks_loaded > 0)
+                .map(|n| (n.name.clone(), n.chunks_loaded))
+                .collect(),
             loaded: report.loaded(),
         });
     }

@@ -5,9 +5,12 @@
 //! did not touch.
 //!
 //! Each retrain prints the partition-reuse count (`chunks_reused`) the
-//! incremental-data subsystem extracted: only the chunk the append landed
-//! in recomputes; the rest of the pipeline's row space is served from the
-//! intermediate store.
+//! incremental-data subsystem extracted, and the chunks two nodes served
+//! from the store: `ageBucket` (a Bucketizer, whose bin edges span every
+//! row) and `income` (the feature assembly). Only the chunk the append
+//! landed in recomputes, as long as the appended rows leave the bin edges
+//! where they were; the rest of the pipeline's row space is served from
+//! the intermediate store.
 //!
 //! ```text
 //! cargo run --release --example active_learning
@@ -54,6 +57,17 @@ fn main() {
             "round {}: {} candidates (widest margin {:.3}), appended {} labels, \
              accuracy {:?}, {} partitions reused, {} nodes loaded",
             r.round, r.candidates, r.max_margin, r.appended, r.accuracy, r.chunks_reused, r.loaded
+        );
+        let served = |node: &str| {
+            r.chunks_by_node
+                .iter()
+                .find(|(name, _)| name == node)
+                .map_or(0, |&(_, chunks)| chunks)
+        };
+        println!(
+            "         chunks served: ageBucket {}, income {}",
+            served("ageBucket"),
+            served("income")
         );
     }
 

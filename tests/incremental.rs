@@ -580,3 +580,149 @@ fn a_flipped_byte_in_a_group_a_manifest_reads_is_dropped_and_recomputed() {
     );
     let _ = std::fs::remove_dir_all(&work);
 }
+
+/// `chunks_loaded` of node `name` in `report`.
+fn chunks_loaded(report: &helix::core::IterationReport, name: &str) -> usize {
+    report
+        .nodes
+        .iter()
+        .find(|n| n.name == name)
+        .unwrap()
+        .chunks_loaded
+}
+
+/// The Bucketizers and the assembly below them: chunked nodes whose keys
+/// carry the bin edges of the whole input.
+const EDGE_NODES: [&str; 4] = ["ageBucket", "hoursBucket", "clBucket", "income"];
+
+/// Bin edges span every row, so an append reuses the chunks below a
+/// Bucketizer exactly while the edges stay put. The twin appends twice:
+/// copies of base rows (inside every edge), then a row whose age, hours
+/// and capital loss all lie past the top edges. The first reuses every
+/// unchanged chunk of the Bucketizers and of `income`; the second misses
+/// them all. Both answer like a from-scratch engine: metrics, plan shape
+/// and every stored file.
+#[test]
+fn bucketizer_chunks_follow_the_bin_edges() {
+    std::env::set_var("HELIX_DATA_CHUNK_ROWS", CHUNK_ROWS);
+    for parallelism in [1, 2] {
+        for (durability, dur_tag) in [
+            (Durability::Volatile, "vol"),
+            (Durability::wal_nosync(), "wal"),
+        ] {
+            let work = tmpdir(&format!("edges-p{parallelism}-{dur_tag}"));
+            let data = work.join("inc-data");
+            generate_census(
+                &data,
+                &CensusDataSpec {
+                    train_rows: 200,
+                    test_rows: 60,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let store = work.join("inc-store");
+            let engine = Arc::new(Engine::new(config(&store, parallelism, durability)).unwrap());
+            let workflow = census_workflow(&CensusParams::initial(&data)).unwrap();
+            let mut inc = Session::new(engine, "incremental", workflow);
+            inc.iterate().unwrap();
+
+            let base = std::fs::read_to_string(data.join("train.csv")).unwrap();
+            let inside: Vec<String> = base.lines().take(3).map(str::to_string).collect();
+            // age, education, occupation, marital status, race, sex,
+            // capital loss, hours per week, target.
+            let past = "120,Masters,Sales,Divorced,White,Male,9999,99,1".to_string();
+            for (step, (lines, reuse)) in [(inside, true), (vec![past], false)]
+                .into_iter()
+                .enumerate()
+            {
+                inc.append_data("data", &lines).unwrap();
+                let report = inc.iterate().unwrap();
+                for name in EDGE_NODES {
+                    let loaded = chunks_loaded(&report, name);
+                    assert_eq!(
+                        loaded > 0,
+                        reuse,
+                        "step {step} [p{parallelism} {dur_tag}]: `{name}` loaded {loaded} chunks"
+                    );
+                }
+
+                let fresh_data = work.join(format!("fresh-data-{step}"));
+                std::fs::create_dir_all(&fresh_data).unwrap();
+                for split in ["train.csv", "test.csv"] {
+                    std::fs::copy(data.join(split), fresh_data.join(split)).unwrap();
+                }
+                let fresh_store = work.join(format!("fresh-store-{step}"));
+                let fresh_engine =
+                    Arc::new(Engine::new(config(&fresh_store, parallelism, durability)).unwrap());
+                let fresh_workflow = census_workflow(&CensusParams::initial(&fresh_data)).unwrap();
+                let fresh = Session::new(fresh_engine, "from-scratch", fresh_workflow)
+                    .iterate()
+                    .unwrap();
+                assert_eq!(report.metrics, fresh.metrics, "step {step}: metrics");
+                assert_eq!(plan_shape(&report), plan_shape(&fresh), "step {step}");
+                let inc_files = stored_files(&store);
+                let fresh_files = stored_files(&fresh_store);
+                assert!(!fresh_files.is_empty(), "fresh twin stored nothing");
+                for (name, bytes) in &fresh_files {
+                    assert!(
+                        inc_files.get(name) == Some(bytes),
+                        "step {step}: fresh entry {name} missing from or different in the \
+                         incremental store"
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&work);
+        }
+    }
+}
+
+/// A Bucketizer loaded whole brings no bin edges, so the chunked nodes
+/// below it cannot tell their keys: they compute without chunk keys
+/// rather than under keys that ignore the edges. Here `income` without
+/// the interaction computes twice over a loaded `ageBucket`, once before
+/// and once after an append that moves the top edges. Keys without the
+/// edges would serve the second run chunks bucketed against the old
+/// edges; instead it answers like a fresh engine.
+#[test]
+fn chunks_below_a_loaded_bucketizer_are_never_served() {
+    std::env::set_var("HELIX_DATA_CHUNK_ROWS", CHUNK_ROWS);
+    let work = tmpdir("loaded-bucketizer");
+    let data = work.join("data");
+    generate_census(
+        &data,
+        &CensusDataSpec {
+            train_rows: 200,
+            test_rows: 60,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let engine =
+        Arc::new(Engine::new(config(&work.join("store"), 0, Durability::Volatile)).unwrap());
+    let plain = census_workflow(&CensusParams::initial(&data)).unwrap();
+    let income_over_loaded_buckets = |session: &mut Session| {
+        session.replace_workflow(plain.clone());
+        let report = session.iterate().unwrap();
+        assert_eq!(state(&report, "ageBucket"), helix::core::NodeState::Load);
+        assert_eq!(state(&report, "income"), helix::core::NodeState::Compute);
+        assert_eq!(chunks_loaded(&report, "income"), 0);
+        session.replace_workflow(with_interaction(&data));
+        report
+    };
+    let mut session = Session::new(engine, "analyst", with_interaction(&data));
+    session.iterate().unwrap();
+    income_over_loaded_buckets(&mut session);
+    let past = "120,Masters,Sales,Divorced,White,Male,9999,99,1".to_string();
+    session.append_data("data", &[past]).unwrap();
+    session.iterate().unwrap();
+    let report = income_over_loaded_buckets(&mut session);
+
+    let fresh_engine =
+        Arc::new(Engine::new(config(&work.join("fresh"), 0, Durability::Volatile)).unwrap());
+    let fresh = Session::new(fresh_engine, "fresh", plain)
+        .iterate()
+        .unwrap();
+    assert_eq!(report.metrics, fresh.metrics);
+    let _ = std::fs::remove_dir_all(&work);
+}
