@@ -1,7 +1,7 @@
 //! Scheduler speedup and executor comparison on the census and NLP
 //! (IE + news) workloads.
 //!
-//! Four groups:
+//! Three groups:
 //!
 //! * `scheduler_first_iteration` — full-engine first iterations at 1
 //!   thread vs N threads. The first iteration computes every node, so it
@@ -19,11 +19,6 @@
 //!   sequential reference loop (`seq`) on the *same* compiled
 //!   first-iteration plan, isolating raw executor performance from
 //!   compilation and materialization.
-//! * `scheduler_warm` — the edit→rerun case: a persistent session flips
-//!   the learner's regularization each sample, so only the learner tail
-//!   recomputes against a warm store and a warm worker pool. This is the
-//!   paper's human-in-the-loop latency, as opposed to the cold first
-//!   iterations above.
 //!
 //! Run with `cargo bench -p helix-bench --bench scheduler`. Set
 //! `HELIX_BENCH_FAST=1` for the reduced CI configuration and
@@ -36,12 +31,11 @@ use helix_core::cost::CostModel;
 use helix_core::recompute::RecomputationPolicy;
 use helix_core::scheduler::execute_plan;
 use helix_core::store::StoreOptions;
-use helix_core::{Engine, EngineConfig, LearnerParam, Session, Workflow};
+use helix_core::{Engine, EngineConfig, Workflow};
 use helix_workloads::census::{census_workflow, generate_census, CensusDataSpec, CensusParams};
 use helix_workloads::ie::{ie_workflow, IeParams};
 use helix_workloads::news::{generate_news, news_workflow, NewsDataSpec, NewsParams};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Reduced sizes for the CI regression job (`HELIX_BENCH_FAST=1`): the
 /// comparison stays two-sided but each sample is a few hundred ms.
@@ -212,39 +206,6 @@ fn bench_scheduler(c: &mut Criterion) {
                 b.iter(|| execute_plan(workflow, &plan, &store, t, |_, _, _| Ok(())).unwrap())
             });
         }
-    }
-    group.finish();
-
-    // Warm edit→rerun iterations: one persistent session per row; each
-    // sample flips the learner's regularization and reruns, so the
-    // change tracker reuses everything upstream of the learner and the
-    // run measures the human-in-the-loop latency the engine optimizes.
-    let census = &workloads
-        .iter()
-        .find(|(tag, _)| *tag == "census")
-        .expect("census workload present")
-        .1;
-    let mut group = c.benchmark_group("scheduler_warm");
-    group.sample_size(samples);
-    for (label, t) in [("1thr", 1usize), ("Nthr", threads)] {
-        let dir = bench_dir(&format!("warm-{t}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let engine = Arc::new(
-            Engine::new(EngineConfig::helix(dir.join("store")).with_parallelism(t)).unwrap(),
-        );
-        let mut session = Session::new(engine, "warm-bench", census.clone());
-        session.iterate().unwrap(); // cold run outside the measurement
-        let mut flip = false;
-        group.bench_with_input(BenchmarkId::new("census_edit_rerun", label), &t, |b, _| {
-            b.iter(|| {
-                flip = !flip;
-                let reg = if flip { 0.01 } else { 0.1 };
-                session
-                    .set_learner_param("predictions", LearnerParam::RegParam(reg))
-                    .unwrap();
-                session.iterate().unwrap().total_secs
-            })
-        });
     }
     group.finish();
 }

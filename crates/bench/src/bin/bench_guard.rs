@@ -33,41 +33,18 @@ use helix_server::json::Json;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Parses the criterion shim's JSON output with the real JSON parser
-/// shared with the HTTP front end (`helix_server::json`). Accepts the
-/// full `{"benchmarks": [...]}` document, and — for resilience against
-/// hand-assembled fixtures — falls back to parsing individual benchmark
-/// objects line by line. Returns `id → min_ns`.
+/// Parses the criterion shim's one `{"benchmarks": [...]}` document (the
+/// format of every committed baseline) with the JSON parser shared with
+/// the HTTP front end (`helix_server::json`). Returns `id → min_ns`.
 fn parse_results(text: &str) -> Result<BTreeMap<String, u128>, String> {
+    let doc = Json::parse(text).map_err(|e| format!("not a JSON document: {e}"))?;
+    let entries = doc
+        .get("benchmarks")
+        .and_then(Json::as_array)
+        .ok_or("no `benchmarks` array")?;
     let mut out = BTreeMap::new();
-    match Json::parse(text) {
-        Ok(doc) => {
-            let entries = doc
-                .get("benchmarks")
-                .and_then(Json::as_array)
-                .map(<[Json]>::to_vec)
-                // A bare benchmark object (or array of them) also counts.
-                .unwrap_or_else(|| match doc {
-                    Json::Arr(items) => items,
-                    other => vec![other],
-                });
-            for entry in &entries {
-                insert_entry(entry, &mut out)?;
-            }
-        }
-        Err(_) => {
-            // Not one document: treat each line holding a benchmark
-            // object (possibly comma-terminated) as its own entry.
-            for line in text.lines() {
-                let line = line.trim().trim_end_matches(',');
-                if !line.starts_with('{') {
-                    continue;
-                }
-                if let Ok(entry) = Json::parse(line) {
-                    insert_entry(&entry, &mut out)?;
-                }
-            }
-        }
+    for entry in entries {
+        insert_entry(entry, &mut out)?;
     }
     if out.is_empty() {
         return Err("no benchmark entries found".into());
@@ -205,6 +182,56 @@ fn write_baseline(current_path: &str, baseline_path: &str) -> Result<String, Str
     Ok(summary)
 }
 
+/// The gate CI runs: every baseline row must be in `current` and within
+/// `threshold` of its baseline time, and every `A<=B` in `compares` must
+/// have `A` within `threshold` of `B` in the same run. Prints a verdict per
+/// baseline row and a line per passing ordering; returns the failures
+/// (empty = pass).
+fn gate(
+    current: &BTreeMap<String, u128>,
+    baseline: Option<&BTreeMap<String, u128>>,
+    threshold: f64,
+    compares: &[(String, String)],
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (id, &base_ns) in baseline.into_iter().flatten() {
+        let Some(&cur_ns) = current.get(id) else {
+            failures.push(format!(
+                "`{id}` is in the baseline but missing from the run — \
+                 renamed benchmarks need a refreshed baseline"
+            ));
+            continue;
+        };
+        let ratio = cur_ns as f64 / base_ns.max(1) as f64;
+        let verdict = if ratio > threshold {
+            failures.push(format!(
+                "`{id}` regressed: {cur_ns} ns vs baseline {base_ns} ns \
+                 ({ratio:.2}x > {threshold:.2}x allowed)"
+            ));
+            "REGRESSED"
+        } else {
+            "ok"
+        };
+        println!("{verdict:>9}  {id}: {cur_ns} ns (baseline {base_ns} ns, {ratio:.2}x)");
+    }
+    for (a, b) in compares {
+        let (Some(&a_ns), Some(&b_ns)) = (current.get(a), current.get(b)) else {
+            failures.push(format!(
+                "--compare `{a}<={b}`: one of the ids is missing from the run"
+            ));
+            continue;
+        };
+        if a_ns as f64 > b_ns as f64 * threshold {
+            failures.push(format!(
+                "`{a}` ({a_ns} ns) exceeds `{b}` ({b_ns} ns) by more than {threshold:.2}x"
+            ));
+        } else {
+            println!("       ok  {a} ({a_ns} ns) <= {b} ({b_ns} ns) within {threshold:.2}x");
+        }
+    }
+    failures
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -233,62 +260,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut failures = Vec::new();
-
-    if let Some(baseline_path) = &args.baseline {
-        match load(baseline_path) {
-            Ok(baseline) => {
-                for (id, &base_ns) in &baseline {
-                    match current.get(id) {
-                        None => failures.push(format!(
-                            "`{id}` is in the baseline but missing from {} — \
-                             renamed benchmarks need a refreshed baseline",
-                            args.current
-                        )),
-                        Some(&cur_ns) => {
-                            let ratio = cur_ns as f64 / base_ns.max(1) as f64;
-                            let verdict = if ratio > args.threshold {
-                                failures.push(format!(
-                                    "`{id}` regressed: {cur_ns} ns vs baseline {base_ns} ns \
-                                     ({ratio:.2}x > {:.2}x allowed)",
-                                    args.threshold
-                                ));
-                                "REGRESSED"
-                            } else {
-                                "ok"
-                            };
-                            println!("{verdict:>9}  {id}: {cur_ns} ns (baseline {base_ns} ns, {ratio:.2}x)");
-                        }
-                    }
-                }
-            }
-            Err(err) => failures.push(err),
+    let baseline = match args.baseline.as_deref().map(load).transpose() {
+        Ok(baseline) => baseline,
+        Err(err) => {
+            eprintln!("bench_guard: {err}");
+            return ExitCode::FAILURE;
         }
-    }
-
-    for (a, b) in &args.compares {
-        match (current.get(a), current.get(b)) {
-            (Some(&a_ns), Some(&b_ns)) => {
-                let limit = b_ns as f64 * args.threshold;
-                if a_ns as f64 > limit {
-                    failures.push(format!(
-                        "`{a}` ({a_ns} ns) exceeds `{b}` ({b_ns} ns) by more than {:.2}x",
-                        args.threshold
-                    ));
-                } else {
-                    println!(
-                        "       ok  {a} ({a_ns} ns) <= {b} ({b_ns} ns) within {:.2}x",
-                        args.threshold
-                    );
-                }
-            }
-            _ => failures.push(format!(
-                "--compare `{a}<={b}`: one of the ids is missing from {}",
-                args.current
-            )),
-        }
-    }
-
+    };
+    let failures = gate(&current, baseline.as_ref(), args.threshold, &args.compares);
     if failures.is_empty() {
         println!("bench_guard: all checks passed");
         ExitCode::SUCCESS
@@ -367,9 +346,75 @@ mod tests {
 
     #[test]
     fn unescapes_ids() {
-        let text =
-            r#"  {"id": "odd\"name\\x", "min_ns": 7, "median_ns": 8, "mean_ns": 9, "samples": 1}"#;
+        let text = r#"{"benchmarks": [
+  {"id": "odd\"name\\x", "min_ns": 7, "median_ns": 8, "mean_ns": 9, "samples": 1}
+]}"#;
         let map = parse_results(text).unwrap();
         assert_eq!(map[r#"odd"name\x"#], 7);
+    }
+
+    fn compare(a: &str, b: &str) -> Vec<(String, String)> {
+        vec![(a.to_string(), b.to_string())]
+    }
+
+    #[test]
+    fn gate_fails_a_baseline_row_missing_from_the_run() {
+        let current = parse_results(SAMPLE).unwrap();
+        let mut baseline = current.clone();
+        baseline.insert("gone/bench".into(), 10);
+        let failures = gate(&current, Some(&baseline), 1.25, &[]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("`gone/bench` is in the baseline but missing"));
+        assert!(gate(&current, Some(&current), 1.25, &[]).is_empty());
+    }
+
+    #[test]
+    fn gate_fails_a_row_regressed_past_its_baseline() {
+        // ready ran 100 ns against a 75 ns baseline: 1.33x.
+        let current = parse_results(SAMPLE).unwrap();
+        let mut baseline = current.clone();
+        baseline.insert("scheduler_executor/news/ready".into(), 75);
+        let failures = gate(&current, Some(&baseline), 1.25, &[]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("`scheduler_executor/news/ready` regressed"));
+        assert!(gate(&current, Some(&baseline), 1.5, &[]).is_empty());
+    }
+
+    #[test]
+    fn gate_fails_a_compare_naming_an_id_the_run_lacks() {
+        // What a CI step still naming a deleted row hits, on either side.
+        let current = parse_results(SAMPLE).unwrap();
+        let ready = "scheduler_executor/news/ready";
+        for stale in [compare(ready, "gone/bench"), compare("gone/bench", ready)] {
+            let failures = gate(&current, None, 1.25, &stale);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains("missing from the run"));
+        }
+    }
+
+    #[test]
+    fn gate_fails_an_ordering_inverted_beyond_the_threshold() {
+        // wave (150 ns) is 1.5x ready (100 ns): past 1.25, not past 2.0.
+        let current = parse_results(SAMPLE).unwrap();
+        let inverted = compare(
+            "scheduler_executor/news/wave",
+            "scheduler_executor/news/ready",
+        );
+        let failures = gate(&current, None, 1.25, &inverted);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("by more than 1.25x"));
+        assert!(gate(&current, None, 2.0, &inverted).is_empty());
+    }
+
+    #[test]
+    fn gate_passes_an_ordering_inside_the_threshold() {
+        let current = parse_results(SAMPLE).unwrap();
+        let ordered = compare(
+            "scheduler_executor/news/ready",
+            "scheduler_executor/news/wave",
+        );
+        assert!(gate(&current, None, 1.0, &ordered).is_empty());
+        // At a cache gate's 0.5, 100 ns would have to be <= 75 ns.
+        assert_eq!(gate(&current, None, 0.5, &ordered).len(), 1);
     }
 }

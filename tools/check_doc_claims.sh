@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Checks that every `[bench: <workload>/<metric>]` tag in README.md and
 # docs/*.md names a workload that BENCHMARK.json declares and a metric
-# that benchmark/README.md lists, so a measured claim always points at
-# something the benchmark can reproduce. CI runs this in the docs job;
-# run it locally as `bash tools/check_doc_claims.sh`.
+# that benchmark/README.md lists, and that every
+# `[criterion: <group>/<row>]` tag names a group some
+# crates/bench/benches/*.rs opens with a `benchmark_group("<group>")`
+# literal, so a measured claim always points at something a benchmark can
+# reproduce. CI runs this in the docs job; run it locally as
+# `bash tools/check_doc_claims.sh`.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -42,6 +45,11 @@ metrics=$(grep -o '`[^`]*`' benchmark/README.md | tr -d '`' | while IFS= read -r
   expand "$span"
 done)
 
+# Criterion groups: every `benchmark_group("…")` literal in the benches.
+groups=$(grep -oh 'benchmark_group("[^"]*")' crates/bench/benches/*.rs |
+  sed 's/^benchmark_group("//; s/")$//')
+criterion=0
+
 for file in README.md docs/*.md; do
   [ -f "$file" ] || continue
   while IFS= read -r tag; do
@@ -60,6 +68,17 @@ for file in README.md docs/*.md; do
       status=1
     fi
   done < <(grep -o '\[bench: [^]]*\]' "$file")
+  while IFS= read -r tag; do
+    [ -n "$tag" ] || continue
+    criterion=$((criterion + 1))
+    id=${tag#\[criterion: }
+    id=${id%\]}
+    group=${id%%/*}
+    if [ "$group" = "$id" ] || ! grep -qxF -- "$group" <<< "$groups"; then
+      echo "UNKNOWN GROUP     $file: $tag" >&2
+      status=1
+    fi
+  done < <(grep -o '\[criterion: [^]]*\]' "$file")
 done
 
 if [ "$checked" -eq 0 ]; then
@@ -67,6 +86,6 @@ if [ "$checked" -eq 0 ]; then
   exit 1
 fi
 if [ "$status" -eq 0 ]; then
-  echo "check_doc_claims: all $checked bench tags resolve"
+  echo "check_doc_claims: all $checked bench and $criterion criterion tags resolve"
 fi
 exit "$status"
