@@ -1,18 +1,14 @@
-//! Durability overhead on the store's put path, recovery (reopen) cost,
-//! and the store's read path with and without its decoded-read cache.
+//! The store's put path, its recovery (reopen) cost, and its read path
+//! with and without its decoded-read cache.
 //!
 //! Three groups:
 //!
 //! * `durability_put` — one materialization (encode + write + rename +
-//!   ledger commit) of a fixed ~8 KB collection under each durability
-//!   setting: `volatile` (no WAL), `wal_nosync` (logged, OS-buffered),
-//!   and `wal_fsync` (logged, fsync'd per record). The CI gate holds the
-//!   `volatile` row within 1.05x of the committed baseline — the durable
-//!   tier must cost nothing when switched off — and asserts
-//!   volatile ≤ wal_fsync within the run (the fsync tax is real, so if
-//!   the ordering inverts the measurement is broken).
-//! * `durability_recovery` — wall time of `StoreOptions::open` over a
-//!   WAL directory holding several hundred committed entries: the
+//!   ledger commit) of a fixed ~8 KB collection. The store keeps no log,
+//!   so the durability tier does not change this path and one row
+//!   (`volatile`) measures it.
+//! * `durability_recovery` — wall time of a durable `StoreOptions::open`
+//!   over a directory holding several hundred committed entries: the
 //!   restart latency a served deployment pays before it can answer.
 //! * `store_get` — one whole-output read of a census-sized output (the
 //!   serving loop's 10 k-row `predictions`): `decode/<n>` reads a fresh
@@ -80,32 +76,24 @@ fn bench_durability(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("durability_put");
     group.sample_size(samples);
-    for (label, durability) in [
-        ("volatile", Durability::Volatile),
-        ("wal_nosync", Durability::wal_nosync()),
-        ("wal_fsync", Durability::wal()),
-    ] {
-        let store = StoreOptions::new(bench_dir(&format!("put-{label}")))
-            .budget_bytes(1 << 30)
-            .durability(durability)
-            .open()
-            .unwrap();
-        let output = payload();
-        // Fresh signatures per put: every sample is a first-time
-        // materialization, never an overwrite.
-        let mut next_sig = 1u64;
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                next_sig += 1;
-                store.put(Signature(next_sig), &output).unwrap()
-            })
-        });
-    }
+    let store = StoreOptions::new(bench_dir("put-volatile"))
+        .budget_bytes(1 << 30)
+        .open()
+        .unwrap();
+    let output = payload();
+    // Fresh signatures per put: every sample is a first-time
+    // materialization, never an overwrite.
+    let mut next_sig = 1u64;
+    group.bench_function("volatile", |b| {
+        b.iter(|| {
+            next_sig += 1;
+            store.put(Signature(next_sig), &output).unwrap()
+        })
+    });
     group.finish();
 
-    // Reopen cost over a populated WAL directory. The first open compacts
-    // the log into the snapshot, so steady state (what the samples
-    // measure) is a snapshot load plus an empty-tail replay.
+    // Reopen cost over a populated directory: a scan of the files and a
+    // read of each one's head.
     let mut group = c.benchmark_group("durability_recovery");
     group.sample_size(samples);
     let entries = if fast_mode() { 128u64 } else { 512 };
@@ -113,7 +101,7 @@ fn bench_durability(c: &mut Criterion) {
     {
         let store = StoreOptions::new(&dir)
             .budget_bytes(1 << 30)
-            .durability(Durability::wal_nosync())
+            .durability(Durability::wal())
             .open()
             .unwrap();
         let output = payload();
@@ -128,7 +116,7 @@ fn bench_durability(c: &mut Criterion) {
             b.iter(|| {
                 let store = StoreOptions::new(&dir)
                     .budget_bytes(1 << 30)
-                    .durability(Durability::wal_nosync())
+                    .durability(Durability::wal())
                     .open()
                     .unwrap();
                 assert_eq!(store.len(), entries as usize);

@@ -11,7 +11,7 @@
 //! | Variable                | Meaning                                  |
 //! |-------------------------|------------------------------------------|
 //! | `HELIX_PARALLELISM`     | Worker threads (≥ 1); default = cores    |
-//! | `HELIX_DURABILITY`      | `volatile` \| `wal` \| `wal-nosync`      |
+//! | `HELIX_DURABILITY`      | `volatile` \| `wal`                     |
 //! | `HELIX_DATA_CHUNK_ROWS` | Rows per data chunk (≥ 1); default = 512 |
 
 use crate::store::Durability;
@@ -35,7 +35,7 @@ pub fn parallelism() -> usize {
     })
 }
 
-/// `HELIX_DURABILITY` (`volatile` | `wal` | `wal-nosync`), defaulting to
+/// `HELIX_DURABILITY` (`volatile` | `wal`), defaulting to
 /// [`Durability::Volatile`]. An unrecognized value warns and falls back
 /// to volatile rather than refusing to start.
 pub fn durability() -> Durability {
@@ -43,7 +43,7 @@ pub fn durability() -> Durability {
         Ok(value) => Durability::from_env_value(&value).unwrap_or_else(|| {
             eprintln!(
                 "helix: unrecognized HELIX_DURABILITY value `{value}` \
-                 (expected volatile | wal | wal-nosync); using volatile"
+                 (expected volatile | wal); using volatile"
             );
             Durability::Volatile
         }),
@@ -69,10 +69,7 @@ mod tests {
             Some(Durability::Volatile)
         );
         assert_eq!(Durability::from_env_value("WAL"), Some(Durability::wal()));
-        assert_eq!(
-            Durability::from_env_value("wal-nosync"),
-            Some(Durability::wal_nosync())
-        );
+        assert_eq!(Durability::from_env_value("wal-nosync"), None);
         assert_eq!(Durability::from_env_value("bogus"), None);
     }
 }

@@ -214,11 +214,6 @@ impl CostModel {
         self.io_latency_sec + bytes as f64 / self.bytes_per_sec
     }
 
-    /// Estimated cost to write `bytes` to the store (symmetric model).
-    pub fn write_estimate_secs(&self, bytes: u64) -> f64 {
-        self.load_estimate_secs(bytes)
-    }
-
     /// Number of node names with compute observations.
     pub fn observed_nodes(&self) -> usize {
         self.compute_secs.len()

@@ -301,13 +301,13 @@ impl Lineage {
     }
 }
 
-/// What [`Engine::new`] recovered from a durable store directory: the
-/// store-level WAL replay outcome plus the engine-level state reloaded
+/// What [`Engine::new`] recovered from a durable store directory: what
+/// the store's open indexed and dropped, plus the engine-level state reloaded
 /// from the meta snapshot and its log. All zeros for volatile engines and
 /// fresh directories.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineRecovery {
-    /// The store's WAL replay and verification counters.
+    /// What the store's open indexed and dropped.
     pub store: RecoveryInfo,
     /// Versions reloaded into the global history.
     pub recovered_versions: usize,
@@ -534,7 +534,7 @@ impl Engine {
     /// Opens an engine (and its store) under the configured directory.
     ///
     /// Under a durable [`EngineConfig::durability`] tier this is the
-    /// recovery path: the store replays its WAL, and the engine reloads
+    /// recovery path: the store indexes its files, and the engine reloads
     /// its cost model, memo and global version history from the snapshot
     /// `<store_dir>/meta/engine.json`, then replays `meta/engine.log` on
     /// top. A corrupt snapshot is warned about and ignored (fresh state
@@ -599,20 +599,18 @@ impl Engine {
         self.writes_skipped.load(Ordering::Relaxed)
     }
 
-    /// What this engine recovered when it opened: store WAL counters plus
+    /// What this engine recovered when it opened: store counters plus
     /// reloaded version/cost state. All zeros for volatile engines.
     pub fn recovery(&self) -> EngineRecovery {
         self.recovery
     }
 
-    /// Forces a durability checkpoint now: compacts every store WAL shard
-    /// into a snapshot and the engine meta log into `meta/engine.json`. A
-    /// no-op for volatile engines. (Runs append to the meta log after
-    /// every merge and compact it when it outgrows its snapshot; this
-    /// entry point exists for the server's `POST /admin/snapshot` and
-    /// orderly shutdowns.)
+    /// Forces a durability checkpoint now: compacts the engine meta log
+    /// into `meta/engine.json`. A no-op for volatile engines. (Runs append
+    /// to the meta log after every merge and compact it when it outgrows
+    /// its snapshot; this entry point exists for the server's
+    /// `POST /admin/snapshot` and orderly shutdowns.)
     pub fn snapshot_now(&self) -> Result<()> {
-        self.store.snapshot_now()?;
         if let Some(journal) = &self.meta {
             let mut journal = lock(journal);
             journal.compact(self.meta_state().to_json())?;
@@ -809,6 +807,19 @@ impl Engine {
         lineage: &mut Lineage,
         options: RunOptions,
     ) -> Result<IterationReport> {
+        Ok(self.run_keeping(workflow, lineage, options, None)?.0)
+    }
+
+    /// [`Engine::run_in`], also handing back the output of node `keep`
+    /// when the run executed or loaded it (`None` when it was pruned), so
+    /// a caller can read it whether or not the store kept it.
+    pub(crate) fn run_keeping(
+        &self,
+        workflow: &Workflow,
+        lineage: &mut Lineage,
+        options: RunOptions,
+        keep: Option<crate::workflow::NodeId>,
+    ) -> Result<(IterationReport, Option<std::sync::Arc<NodeOutput>>)> {
         let total_started = Instant::now();
         let opt_started = Instant::now();
         // One cost-model snapshot serves the whole run: the plan is
@@ -1092,7 +1103,8 @@ impl Engine {
         // observations were already merged above. Replaying events
         // (instead of writing back the snapshot wholesale) keeps
         // concurrent runs from erasing each other's calibration.
-        let recorded = result.map(|_| {
+        let recorded = result.map(|mut result| {
+            let kept = keep.and_then(|id| result.outputs[id.index()].take());
             let change_summary = options.summary.unwrap_or_else(|| {
                 plan.change
                     .as_ref()
@@ -1114,12 +1126,12 @@ impl Engine {
             let mut versions = lock(&self.versions);
             let id = versions.record(&report);
             let version = logged.as_ref().and_then(|_| versions.get(id));
-            (report, version.map(WorkflowVersion::to_json))
+            (report, kept, version.map(WorkflowVersion::to_json))
         });
-        // The run's delta goes to the meta log (store entries already hit
-        // the WAL inside `put`). Best-effort by design — see `log_meta`.
+        // The run's delta goes to the meta log. Best-effort by design —
+        // see `log_meta`.
         if let (Some(journal), Some((cost, memo))) = (journal.as_deref_mut(), logged) {
-            let version = recorded.as_ref().ok().and_then(|(_, v)| v.clone());
+            let version = recorded.as_ref().ok().and_then(|(.., v)| v.clone());
             let record = vec![
                 ("op", Json::str("run")),
                 ("cost", cost),
@@ -1129,10 +1141,10 @@ impl Engine {
             self.log_meta(journal, record);
         }
         drop(journal);
-        let (report, _) = recorded?;
+        let (report, kept, _) = recorded?;
         lineage.previous = Some(snapshot(workflow, &plan.signatures));
         lineage.iteration += 1;
-        Ok(report)
+        Ok((report, kept))
     }
 
     /// Fetches a computed output from the store by signature (used by
@@ -1704,16 +1716,15 @@ mod tests {
     fn durable_engine_reloads_cost_versions_and_store() {
         let dir = tmpdir("durable-reload");
         std::fs::create_dir_all(&dir).unwrap();
-        let config =
-            || EngineConfig::helix(dir.join("store")).with_durability(Durability::wal_nosync());
+        let config = || EngineConfig::helix(dir.join("store")).with_durability(Durability::wal());
         {
             let engine = Engine::new(config()).unwrap();
             assert_eq!(engine.recovery(), EngineRecovery::default());
             engine.run(&census_workflow(&dir, 0.1)).unwrap();
             assert!(engine.cost_model().observed_nodes() > 0);
             assert!(!engine.store().is_empty());
-        } // dropped without any orderly shutdown — the WAL and the
-          // post-run meta checkpoint are all that survives
+        } // dropped without any orderly shutdown — the store's files and
+          // the meta log are all that survives
 
         let engine = Engine::new(config()).unwrap();
         let recovery = engine.recovery();
@@ -1738,8 +1749,7 @@ mod tests {
     fn corrupt_engine_meta_warns_and_starts_fresh() {
         let dir = tmpdir("durable-corrupt-meta");
         std::fs::create_dir_all(&dir).unwrap();
-        let config =
-            || EngineConfig::helix(dir.join("store")).with_durability(Durability::wal_nosync());
+        let config = || EngineConfig::helix(dir.join("store")).with_durability(Durability::wal());
         {
             let engine = Engine::new(config()).unwrap();
             engine.run(&census_workflow(&dir, 0.1)).unwrap();
@@ -1779,10 +1789,9 @@ mod tests {
             "volatile snapshot_now is a no-op"
         );
 
-        let durable = Engine::new(
-            EngineConfig::helix(dir.join("s-wal")).with_durability(Durability::wal_nosync()),
-        )
-        .unwrap();
+        let durable =
+            Engine::new(EngineConfig::helix(dir.join("s-wal")).with_durability(Durability::wal()))
+                .unwrap();
         durable.snapshot_now().unwrap();
         assert!(crate::persist::engine_meta_path(&dir.join("s-wal")).exists());
     }
@@ -1874,7 +1883,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let config = || {
             EngineConfig::helix(dir.join("store"))
-                .with_durability(Durability::wal_nosync())
+                .with_durability(Durability::wal())
                 .with_replan_factor(1.0)
         };
         let (entries, observations, pinned) = {

@@ -1,8 +1,9 @@
-//! The append-only log every durable writer shares: the store's per-shard
-//! WAL, the engine meta log and each session's log. A record is one JSON
-//! object on one line, so a strict prefix of a record never parses and a
-//! torn tail is always detected; what a reader does with a line that does
-//! not parse (skip it, or stop there) is its own policy.
+//! The append-only log every durable document shares: the engine meta log
+//! and each session's log. A record is one JSON object on one line, so a
+//! strict prefix of a record never parses and a torn tail is always
+//! detected; what a reader does with a line that does not parse (skip it,
+//! or stop there) is its own policy. Every record, and the log's own
+//! directory entry, is fsync'd before the call that wrote it returns.
 
 use helix_json::Json;
 use std::fs::{File, OpenOptions};
@@ -14,38 +15,34 @@ use std::path::Path;
 pub(crate) struct Log {
     file: File,
     bytes: u64,
-    fsync: bool,
 }
 
 impl Log {
     /// Opens `path` for appending, creating it when missing. A new file's
-    /// directory entry is fsync'd when `fsync` holds, so the log itself
-    /// survives a crash, not only its records. [`Log::bytes`] starts at
-    /// the file's length.
-    pub(crate) fn open(path: &Path, fsync: bool) -> std::io::Result<Log> {
+    /// directory entry is fsync'd, so the log itself survives a crash, not
+    /// only its records. [`Log::bytes`] starts at the file's length.
+    pub(crate) fn open(path: &Path) -> std::io::Result<Log> {
         let created = !path.exists();
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        if created && fsync {
+        if created {
             sync_parent(path)?;
         }
         Ok(Log {
             bytes: file.metadata()?.len(),
             file,
-            fsync,
         })
     }
 
     /// Appends one record (the trailing newline is added here) as a single
-    /// write, fsync'd before returning when the log was opened with
-    /// `fsync` and `sync` holds. A failed append is cut off again, so a
-    /// partial record cannot hide the records appended after it from a
-    /// reader that stops at the first bad one.
-    pub(crate) fn append(&mut self, record: &str, sync: bool) -> std::io::Result<()> {
+    /// write, fsync'd before returning. A failed append is cut off again,
+    /// so a partial record cannot hide the records appended after it from
+    /// a reader that stops at the first bad one.
+    pub(crate) fn append(&mut self, record: &str) -> std::io::Result<()> {
         let line = format!("{record}\n");
-        let mut written = self.file.write_all(line.as_bytes());
-        if written.is_ok() && self.fsync && sync {
-            written = self.file.sync_data();
-        }
+        let written = self
+            .file
+            .write_all(line.as_bytes())
+            .and_then(|()| self.file.sync_data());
         if let Err(err) = written {
             let _ = self.file.set_len(self.bytes);
             return Err(err);
@@ -57,9 +54,7 @@ impl Log {
     /// Empties the log, once a snapshot holds everything it recorded.
     pub(crate) fn clear(&mut self) -> std::io::Result<()> {
         self.file.set_len(0)?;
-        if self.fsync {
-            self.file.sync_data()?;
-        }
+        self.file.sync_data()?;
         self.bytes = 0;
         Ok(())
     }

@@ -42,11 +42,6 @@ use std::collections::VecDeque;
 /// unbounded growth.
 pub const MEMO_WINDOW: usize = 8;
 
-/// Compute estimate for memo entries that were only ever loaded (no
-/// compute sample survives in the window); mirrors the compiler's
-/// default for never-observed operators.
-const FALLBACK_COMPUTE_SECS: f64 = 0.05;
-
 /// Bounds on [`MemoEntry::expected_reuse`]: even a signature seen dozens
 /// of times must not make the materialization rule unconditional, and a
 /// single sighting must not disable it below the paper's baseline.
@@ -172,22 +167,8 @@ pub struct MemoEntry {
 
 impl MemoEntry {
     /// Mean observed compute seconds over the window, if any execution
-    /// actually computed (loads carry no compute signal).
-    pub fn observed_compute_secs(&self) -> Option<f64> {
-        let samples: Vec<f64> = self
-            .observations
-            .iter()
-            .filter(|o| !o.loaded)
-            .map(|o| o.exec_secs)
-            .collect();
-        if samples.is_empty() {
-            return None;
-        }
-        Some(samples.iter().sum::<f64>() / samples.len() as f64)
-    }
-
-    /// [`MemoEntry::observed_compute_secs`] with recency weighting: a
-    /// sample whose logical run is at least `decay_runs` behind
+    /// actually computed (loads carry no compute signal), with recency
+    /// weighting: a sample whose logical run is at least `decay_runs` behind
     /// `current_run` contributes with weight
     /// `STALE_OBSERVATION_WEIGHT` (0.25) instead of 1. This is the fix for the
     /// "memo observations never decay" problem: after the data grows or
@@ -577,7 +558,8 @@ pub fn solve_offline(memo: &MemoTable, cost: &CostModel, budget_bytes: u64) -> O
 
 /// A signature's compute seconds as history prices it: the decayed
 /// observed mean, else the cost model's name estimate, else
-/// [`FALLBACK_COMPUTE_SECS`] (a signature only ever loaded).
+/// the compiler's default for a never-observed operator (a signature
+/// only ever loaded).
 fn history_compute_secs(
     memo: &MemoTable,
     cost: &CostModel,
@@ -586,7 +568,7 @@ fn history_compute_secs(
 ) -> f64 {
     memo.observed_compute_secs(sig)
         .or_else(|| cost.compute_estimate_secs(&entry.name))
-        .unwrap_or(FALLBACK_COMPUTE_SECS)
+        .unwrap_or(crate::compiler::DEFAULT_COMPUTE_SECS)
 }
 
 /// The ancestor term `Σ_{j ∈ A(i)} c_j` of every node of a DAG given as
@@ -757,8 +739,8 @@ mod tests {
         memo.record(Signature(7), "n", &[], obs(2.0, 100, false, 10));
         memo.record(Signature(7), "n", &[], obs(4.0, 120, false, 10));
         memo.record(Signature(7), "n", &[], obs(0.1, 50, true, 0));
+        assert_eq!(memo.observed_compute_secs(Signature(7)), Some(3.0));
         let e = memo.get(Signature(7)).unwrap();
-        assert_eq!(e.observed_compute_secs(), Some(3.0));
         assert_eq!(e.observed_bytes(), Some(50));
         assert!((e.observed_per_row_secs().unwrap() - 0.3).abs() < 1e-12);
         assert_eq!(e.reuse_hits, 1);
@@ -804,10 +786,8 @@ mod tests {
         memo.record(Signature(1), "n", &[], obs(1.0, 1, false, 0));
         memo.record(Signature(1), "n", &[], obs(1.0, 1, false, 0));
 
-        let entry = memo.get(Signature(1)).unwrap();
-        // Unweighted mean sits at 5.5; the decayed aggregate must land
-        // much closer to the fresh 1 s samples.
-        assert_eq!(entry.observed_compute_secs(), Some(5.5));
+        // An unweighted mean would sit at 5.5; the decayed aggregate must
+        // land much closer to the fresh 1 s samples.
         let decayed = memo.observed_compute_secs(Signature(1)).unwrap();
         assert!((decayed - 2.8).abs() < 1e-9, "got {decayed}");
         // Entries observed only recently are unaffected by decay.

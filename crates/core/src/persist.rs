@@ -6,8 +6,8 @@
 //! arranges those encodings into documents and records and provides the
 //! field readers they share.
 //!
-//! The store's per-entry WAL lives in [`crate::store`]; this module covers
-//! everything *above* the store: what a restarted engine needs to resume
+//! The store keeps no log (its files are the index, see [`crate::store`]);
+//! this module covers everything *above* the store: what a restarted engine needs to resume
 //! every session's lineage. A document is a snapshot, written whole via
 //! temp-file + rename ([`write_atomic`]) so readers only ever observe a
 //! complete old or new one, plus a log of the records appended since, so
@@ -114,7 +114,7 @@ impl Journal {
         Ok(Journal {
             snapshot: snapshot.to_path_buf(),
             snapshot_bytes: std::fs::metadata(snapshot).map_or(0, |m| m.len()),
-            log: Log::open(&log_path(snapshot), true)?,
+            log: Log::open(&log_path(snapshot))?,
             seq,
         })
     }
@@ -165,8 +165,7 @@ impl Journal {
     /// whether the log has outgrown its snapshot: time to compact.
     pub(crate) fn append(&mut self, record: Json) -> std::io::Result<bool> {
         self.seq += 1;
-        self.log
-            .append(&stamped(record, self.seq).to_string(), true)?;
+        self.log.append(&stamped(record, self.seq).to_string())?;
         Ok(self.log.bytes() > self.snapshot_bytes)
     }
 

@@ -66,12 +66,12 @@
 //! ```
 
 use crate::engine::{Engine, Lineage, RunOptions};
-use crate::ops::{LearnerSpec, ModelType, OperatorKind};
+use crate::ops::{LearnerSpec, ModelType, NodeOutput, OperatorKind};
 use crate::persist::{str_arr, str_field, string_list, Doc, Journal, SessionRecord};
 use crate::report::IterationReport;
 use crate::signature::Signature;
 use crate::version::VersionStore;
-use crate::workflow::{NodeRef, Workflow};
+use crate::workflow::{NodeId, NodeRef, Workflow};
 use crate::{HelixError, Result};
 use helix_json::Json;
 use std::collections::{BTreeMap, BTreeSet};
@@ -184,22 +184,6 @@ pub enum WorkflowEdit {
 }
 
 impl WorkflowEdit {
-    /// Whether this edit can be replayed from its record alone on
-    /// recovery. Typed knob turns, rewires, and output additions carry
-    /// all their inputs; operator replacements and freeform closures do
-    /// not (the closure / the new operator's parameters are not
-    /// serialized), so a session containing them recovers in degraded
-    /// mode — lineage and history intact, workflow reset to its template.
-    pub fn is_replayable(&self) -> bool {
-        matches!(
-            self,
-            WorkflowEdit::SetLearnerParam { .. }
-                | WorkflowEdit::Rewire { .. }
-                | WorkflowEdit::AddOutput { .. }
-                | WorkflowEdit::AppendData { .. }
-        )
-    }
-
     /// The persisted edit: a `kind` tag plus the variant's fields.
     pub(crate) fn to_json(&self) -> Json {
         match self {
@@ -330,6 +314,11 @@ pub struct Session {
     /// [`SessionManager`] under a durable engine; standalone sessions
     /// stay in-memory).
     journal: Option<Journal>,
+    /// The output of the predictions (Apply) node as of the last iterate
+    /// that executed or loaded it, under its signature: what
+    /// [`Session::uncertain_examples`] ranks, whether or not the store
+    /// kept it.
+    predictions: Option<(Signature, Arc<NodeOutput>)>,
 }
 
 impl Session {
@@ -348,6 +337,7 @@ impl Session {
             applied_edits: Vec::new(),
             replay_broken: false,
             journal: None,
+            predictions: None,
         }
     }
 
@@ -605,13 +595,15 @@ impl Session {
     /// iteration — test-split rows whose score sits closest to the 0.5
     /// decision boundary, the examples an active-learning oracle should
     /// label next. Resolves the workflow's Apply (predictions) node
-    /// through the lineage's previous-iteration signatures and fetches
-    /// its materialized output from the store.
+    /// through the lineage's previous-iteration signatures and ranks the
+    /// output the last iterate produced, which the session keeps whatever
+    /// the materialization policy stored. Only a session that has not
+    /// iterated since it was recovered reads the output from the store.
     ///
     /// # Errors
-    /// [`HelixError::Workflow`] if the session has not iterated yet or
-    /// the workflow has no Apply node; [`HelixError::Store`] if the
-    /// predictions output is not materialized.
+    /// [`HelixError::Workflow`] if the session has not iterated yet, the
+    /// workflow has no Apply node, or a recovered session's predictions
+    /// are not in the store (iterate to recompute them).
     pub fn uncertain_examples(&self, k: usize) -> Result<Vec<UncertainExample>> {
         let Some(prev) = self.lineage.previous_map() else {
             return Err(HelixError::Workflow(format!(
@@ -636,7 +628,16 @@ impl Session {
                 apply.name
             ))
         })?;
-        let output = self.engine.fetch(sig)?;
+        let output = match &self.predictions {
+            Some((kept, output)) if *kept == sig => Arc::clone(output),
+            _ => self.engine.fetch(sig).map_err(|err| {
+                HelixError::Workflow(format!(
+                    "the predictions of session `{}` are not in memory and not stored \
+                     ({err}); iterate to recompute them",
+                    self.name
+                ))
+            })?,
+        };
         let data = output.as_data()?;
         let split_idx = data.column_index(crate::SPLIT_COL)?;
         let label_idx = data.column_index("label")?;
@@ -749,9 +750,22 @@ impl Session {
             summary,
         };
         let base = self.journal.is_some().then(|| self.lineage.clone());
-        let report = self
-            .engine
-            .run_in(&self.workflow, &mut self.lineage, options)?;
+        let apply = self
+            .workflow
+            .nodes()
+            .iter()
+            .position(|n| matches!(n.kind, OperatorKind::Apply));
+        let (report, kept) = self.engine.run_keeping(
+            &self.workflow,
+            &mut self.lineage,
+            options,
+            apply.map(|i| NodeId(i as u32)),
+        )?;
+        if let (Some(output), Some(i)) = (kept, apply) {
+            let name = &self.workflow.nodes()[i].name;
+            let sig = self.lineage.previous_map().and_then(|m| m.get(name));
+            self.predictions = sig.map(|&(_, sig)| (sig, output));
+        }
         self.versions.record(&report);
         self.applied_edits.append(&mut self.edits);
         self.workflow_replaced = false;
@@ -1236,7 +1250,7 @@ impl SessionManager {
 mod tests {
     use super::*;
     use crate::ops::{EvalSpec, ExtractorKind, LearnerSpec, MetricKind};
-    use crate::{EngineConfig, NodeState};
+    use crate::{EngineConfig, MaterializationPolicyKind, NodeState};
     use helix_dataflow::DataType;
     use std::path::{Path, PathBuf};
 
@@ -1544,11 +1558,64 @@ mod tests {
         }
     }
 
+    /// Ranking reads the predictions the last iterate produced, not the
+    /// store: a session under `Never`, whose store stays empty, ranks the
+    /// same examples as an `All` twin, before and after an edit. Only a
+    /// recovered session reads the store, and there a miss asks for an
+    /// iterate.
+    #[test]
+    fn uncertain_examples_do_not_depend_on_what_the_store_kept() {
+        let dir = tmpdir("rank-never");
+        let config = |tag: &str, policy| EngineConfig {
+            materialization: policy,
+            ..EngineConfig::helix(dir.join(tag)).with_durability(crate::Durability::wal())
+        };
+        let manager = |tag: &str, policy| {
+            SessionManager::new(Arc::new(Engine::new(config(tag, policy)).unwrap()))
+        };
+        let ranked = |session: &SessionHandle| {
+            let ranked = session.uncertain_examples(8).unwrap();
+            assert_eq!(ranked.len(), 8);
+            ranked
+        };
+        let never = manager("never", MaterializationPolicyKind::Never);
+        let all = manager("all", MaterializationPolicyKind::All);
+        let sessions = [&never, &all].map(|m| {
+            m.create_with_template("a", workflow(&dir, 0.1), Some("t"))
+                .unwrap()
+        });
+        for s in &sessions {
+            s.iterate().unwrap();
+        }
+        assert!(never.engine().store().is_empty());
+        assert_eq!(ranked(&sessions[0]), ranked(&sessions[1]));
+        for s in &sessions {
+            s.set_learner_param("predictions", LearnerParam::RegParam(0.9))
+                .unwrap();
+            s.iterate().unwrap();
+        }
+        assert_eq!(ranked(&sessions[0]), ranked(&sessions[1]));
+        drop((sessions, never, all));
+
+        // Recovered: the `All` session reads its stored predictions; the
+        // `Never` session has none until it iterates.
+        let recover = |tag: &str, policy| {
+            let m = manager(tag, policy);
+            assert_eq!(m.recover(|_| Some(workflow(&dir, 0.1))), 1);
+            (m.get("a").unwrap(), m)
+        };
+        let (all, _all) = recover("all", MaterializationPolicyKind::All);
+        let (never, _never) = recover("never", MaterializationPolicyKind::Never);
+        let err = never.uncertain_examples(8).unwrap_err().to_string();
+        assert!(err.contains("iterate to recompute"), "{err}");
+        never.iterate().unwrap();
+        assert_eq!(ranked(&never), ranked(&all));
+    }
+
     fn durable_engine(dir: &Path) -> Arc<Engine> {
         Arc::new(
             Engine::new(
-                EngineConfig::helix(dir.join("store"))
-                    .with_durability(crate::Durability::wal_nosync()),
+                EngineConfig::helix(dir.join("store")).with_durability(crate::Durability::wal()),
             )
             .unwrap(),
         )

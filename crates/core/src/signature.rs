@@ -95,16 +95,6 @@ pub struct ChangeReport {
 }
 
 impl ChangeReport {
-    /// Ids of nodes whose cached results are unusable this iteration.
-    pub fn invalidated(&self) -> Vec<NodeId> {
-        self.kinds
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| !matches!(k, ChangeKind::Unchanged))
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
     /// Human-readable single-line summary (for the versions browser).
     pub fn summary(&self, workflow: &Workflow) -> String {
         let mut local = Vec::new();

@@ -26,12 +26,11 @@
 //!
 //! # Writing
 //!
-//! Every file the store and the durable tier write whole — data files,
-//! WAL snapshots, and the meta and session documents — is written under
-//! a unique `*.tmp` name beside its target and renamed over it
-//! ([`TempFile`]), so a reader sees the old file or the new one, never a
-//! torn one. (A WAL grows by appends after its snapshot.) A crash leaves at most a
-//! stray temp file, which [`sweep_tmp`] removes on the next open.
+//! Every file the store and the durable tier write whole — data files and
+//! the meta and session snapshots — is written under a unique `*.tmp`
+//! name beside its target and renamed over it ([`TempFile`]), so a reader
+//! sees the old file or the new one, never a torn one. A crash leaves at
+//! most a stray temp file, which [`sweep_tmp`] removes on the next open.
 
 use crate::ops::{OUT_TAG_DATA, OUT_TAG_MODEL};
 use crate::{HelixError, Result};

@@ -3,7 +3,6 @@
 //! puts hold (module docs of [`crate::store`], "Sharding").
 
 use super::format::{read_head, sig_file_name, FileKey, StoreFile};
-use super::wal::wal_record_evict;
 use super::{IntermediateStore, RecoveryInfo};
 use crate::signature::Signature;
 use crate::{HelixError, Result};
@@ -54,8 +53,6 @@ pub(super) struct Shard {
     /// Invisible to readers and to `evict` — a reservation becomes a
     /// file only once it is fully written and renamed.
     pub(super) reserved: FxHashMap<u64, u64>,
-    /// This shard's WAL append handle (durable stores only).
-    pub(super) wal: Option<crate::log::Log>,
 }
 
 impl Shard {
@@ -111,13 +108,12 @@ pub(super) fn publish(shards: &[Mutex<Shard>], id: u64, gen: u64, keys: Vec<File
 /// Indexes the files of `dir`, id → bytes each, from their heads: every
 /// file's keys and refs, split across `shard_count` shards. Returns the
 /// shards, the bytes the files hold and the last incarnation number
-/// handed out. An unreadable chunk-only file is deleted (and counted in
-/// `recovery` when `durable`).
+/// handed out. An unreadable chunk-only file is deleted and counted in
+/// `recovery`; every other file is counted as adopted.
 pub(super) fn index_files(
     dir: &Path,
     files: FxHashMap<u64, u64>,
     shard_count: usize,
-    durable: bool,
     recovery: &mut RecoveryInfo,
 ) -> (Box<[Mutex<Shard>]>, u64, u64) {
     let shards: Box<[Mutex<Shard>]> = (0..shard_count).map(|_| Mutex::default()).collect();
@@ -141,9 +137,7 @@ pub(super) fn index_files(
                 let file = StoreFile::unreadable(&head);
                 if !file.node {
                     eprintln!("helix-store: dropping unreadable chunk file {id:016x}: {err}");
-                    if durable {
-                        recovery.dropped_entries += 1;
-                    }
+                    recovery.dropped_entries += 1;
                     let _ = std::fs::remove_file(&path);
                     continue;
                 }
@@ -151,6 +145,7 @@ pub(super) fn index_files(
             }
         };
         let keys = file.keys(id, bytes);
+        recovery.adopted_files += 1;
         gen += 1;
         let meta = FileMeta {
             bytes,
@@ -273,15 +268,14 @@ impl IntermediateStore {
 
     /// Drops a hold on incarnation `gen` of file `id` — every hold when
     /// `all` is set — and deletes the file with its last: from disk,
-    /// then from the file map and the ledger, and logs the removal. A
+    /// then from the file map and the ledger. A
     /// file already gone counts as deleted; if the removal fails nothing
     /// changes, so the store's view still matches the disk. The file's
     /// shard lock is held throughout, so a deletion cannot race a put's
     /// rename of a fresh file to the same path. A replaced incarnation
     /// holds nothing.
     pub(super) fn release(&self, id: u64, gen: u64, all: bool) -> std::io::Result<()> {
-        let idx = shard_index(id, self.inner.shards.len());
-        let mut shard = self.inner.shards[idx].lock();
+        let mut shard = self.slot(id).lock();
         let Some(meta) = shard.files.get_mut(&id).filter(|m| m.gen == gen) else {
             return Ok(());
         };
@@ -296,7 +290,6 @@ impl IntermediateStore {
         }
         shard.files.remove(&id);
         self.inner.used_bytes.fetch_sub(bytes, Ordering::AcqRel);
-        self.wal_append_locked(idx, &mut shard, &wal_record_evict(id), true);
         Ok(())
     }
 }

@@ -14,14 +14,12 @@
 //! - `format`: the files — the one grouped-file type a node file, a
 //!   chunk-only file and a manifest share (its keys, external refs,
 //!   group byte ranges and shrunk bytes, all from one parse of its head),
-//!   and the temp-file writer every store, WAL and durable-tier document
-//!   write goes through;
+//!   and the temp-file writer every store and durable-tier document write
+//!   goes through;
 //! - `index`: the key → location index (`Shard`, `Loc`, `FileMeta`,
 //!   `shard_index`), indexing a directory at open, and the budget ledger
 //!   with its reservations and displacement;
-//! - `cache`: the decoded-read cache ("Decoded reads" below);
-//! - `wal`: the write-ahead log — its writer, records, replay and
-//!   compaction ("Durability" below).
+//! - `cache`: the decoded-read cache ("Decoded reads" below).
 //!
 //! # Keys, files and row groups
 //!
@@ -48,8 +46,7 @@
 //! tail chunk). A chunk-only file keeps only the groups no other file
 //! holds, and goes when none is left. So a node's history costs one whole
 //! file plus a small manifest per older version, and each chunk's bytes
-//! live in one file. The rewrite is atomic like any put; its log record
-//! is not fsync'd, because replay repairs a lost one from the file's size.
+//! live in one file. The rewrite is atomic like any put.
 //!
 //! A manifest serves its node's signature, never its external groups'
 //! keys, and a reopen rebuilds its keys the same way. Its whole output
@@ -124,29 +121,22 @@
 //!
 //! # Durability
 //!
-//! A store opened with [`Durability::Wal`] keeps a per-shard write-ahead
-//! log under `<dir>/wal/shard-<i>.wal`: one JSON-line record is appended
-//! (and optionally fsync'd) for every file written and every file
-//! deleted, and the log is compacted into a snapshot (a log holding
-//! exactly one `put` record per live file) whenever it outgrows
-//! `compact_after_bytes`. Every open — durable or volatile — indexes the
-//! `.hlx` files actually in the directory: the files are the ground
-//! truth, and the budget ledger is their bytes, so a crash at *any* point
-//! between a file write/rename and the matching log append can never
-//! double-count budget. Opening a durable store replays the log against
-//! those files and counts in [`RecoveryInfo`] where they disagree
-//! (missing file → entry dropped; size mismatch → repaired to the file's
-//! actual size; untracked `.hlx` file → adopted), truncates torn or
-//! corrupt tail records with a warning — the store never refuses to
-//! start — and finally writes a fresh snapshot. The keys come from the
-//! files' headers, so an evicted key whose file still serves other keys
-//! returns after a reopen (it never held bytes of its own). See
-//! docs/ARCHITECTURE.md § Durability.
+//! The store is a cache: a stored output equals its recomputation, so a
+//! lost file costs a recompute, never a wrong answer, and the store keeps
+//! no log. Every open — durable or volatile — indexes the `.hlx` files
+//! actually in the directory: the files are the ground truth and the
+//! budget ledger is their bytes, so a crash at *any* point of a put or an
+//! evict can never double-count budget. A file is renamed into place
+//! whole, so a reopen sees it whole or not at all. A durable open reports
+//! in [`RecoveryInfo`] what it indexed and what it dropped; it never
+//! refuses to start. The keys come from the files' headers, so an evicted
+//! key whose file still serves other keys returns after a reopen (it
+//! never held bytes of its own). A `wal/` directory an earlier release
+//! left is never read. See docs/ARCHITECTURE.md § Durability.
 
 mod cache;
 mod format;
 mod index;
-mod wal;
 
 pub(crate) use format::{sweep_tmp, TempFile};
 
@@ -189,80 +179,44 @@ pub const DECODED_CACHE_BYTES: usize = 16 << 20;
 /// rather than held beside its own row groups.
 pub const DECODED_ENTRY_BYTES: usize = 2 << 20;
 
-/// How (and whether) the store and engine state survive a process crash.
+/// How (and whether) engine state survives a process crash.
 ///
-/// The default is [`Durability::Volatile`] — identical behavior and put
-/// path to the store before the durable tier existed. Servers that must
-/// resume sessions across restarts opt into [`Durability::Wal`].
+/// The default is [`Durability::Volatile`]. Servers that must resume
+/// sessions across restarts opt into [`Durability::Wal`]. The store's
+/// files survive either way; the store itself keeps no log (module docs,
+/// "Durability").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// No write-ahead log. Entries still live on disk and a reopen
-    /// rescans the directory, but evictions, budget history, version
-    /// DAGs, and sessions do not survive the process.
+    /// Stored outputs still live on disk and a reopen rescans the
+    /// directory, but the cost model, version history, memo and sessions
+    /// do not survive the process.
     #[default]
     Volatile,
-    /// Per-shard write-ahead log plus engine/session snapshots.
-    Wal {
-        /// `fsync` each log record before `put`/`evict` returns. Turning
-        /// this off (`wal-nosync`) keeps crash *consistency* — replay
-        /// verifies against the files on disk — but a crash may lose the
-        /// most recent records' bookkeeping until the files are rescanned.
-        fsync: bool,
-        /// Compact a shard's log into a snapshot once it exceeds this
-        /// many bytes.
-        compact_after_bytes: u64,
-    },
+    /// The engine meta and every session record are journals — a
+    /// snapshot plus an fsync'd log of records appended since — so a
+    /// reopened engine resumes where the last acknowledged call left it.
+    Wal,
 }
 
 impl Durability {
-    /// Default log-compaction threshold for [`Durability::wal`].
-    pub const DEFAULT_COMPACT_AFTER_BYTES: u64 = 1 << 20;
-
-    /// Durable with fsync'd records — the safe default for serving.
+    /// [`Durability::Wal`]. Kept as a constructor because callers written
+    /// when the variant carried fields, the `benchmark/` crate among
+    /// them, still build the tier through it.
     pub fn wal() -> Self {
-        Durability::Wal {
-            fsync: true,
-            compact_after_bytes: Self::DEFAULT_COMPACT_AFTER_BYTES,
-        }
-    }
-
-    /// Durable log without per-record fsync: crash-consistent but the
-    /// tail may be lost on power failure. Useful when the fsync cost on
-    /// the put path matters (see docs/PERFORMANCE.md).
-    pub fn wal_nosync() -> Self {
-        Durability::Wal {
-            fsync: false,
-            compact_after_bytes: Self::DEFAULT_COMPACT_AFTER_BYTES,
-        }
+        Durability::Wal
     }
 
     /// Whether this mode persists state across restarts.
     pub fn is_durable(&self) -> bool {
-        matches!(self, Durability::Wal { .. })
+        matches!(self, Durability::Wal)
     }
 
-    /// Overrides the WAL compaction threshold: a shard whose log exceeds
-    /// this many bytes compacts into a snapshot on the next append,
-    /// instead of only at open and on `POST /admin/snapshot`. A no-op for
-    /// [`Durability::Volatile`].
-    pub fn with_compact_after_bytes(self, bytes: u64) -> Self {
-        match self {
-            Durability::Volatile => Durability::Volatile,
-            Durability::Wal { fsync, .. } => Durability::Wal {
-                fsync,
-                compact_after_bytes: bytes.max(1),
-            },
-        }
-    }
-
-    /// Parses the `HELIX_DURABILITY` environment value: `volatile`,
-    /// `wal`, or `wal-nosync` (case-insensitive). `None` for anything
-    /// else.
+    /// Parses the `HELIX_DURABILITY` environment value: `volatile` or
+    /// `wal` (case-insensitive). `None` for anything else.
     pub fn from_env_value(value: &str) -> Option<Durability> {
         match value.to_ascii_lowercase().as_str() {
             "volatile" => Some(Durability::Volatile),
-            "wal" => Some(Durability::wal()),
-            "wal-nosync" | "wal_nosync" => Some(Durability::wal_nosync()),
+            "wal" => Some(Durability::Wal),
             _ => None,
         }
     }
@@ -314,41 +268,34 @@ impl StoreOptions {
         self
     }
 
-    /// Sets the durability mode.
+    /// Sets the durability mode. The store writes the same files either
+    /// way; only a durable open reports [`RecoveryInfo`] (see
+    /// [`IntermediateStore::recovery`]).
     pub fn durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
         self
     }
 
-    /// Opens (or creates) the store, replaying and verifying the WAL
-    /// when the options are durable.
+    /// Opens (or creates) the store, indexing the files in its directory.
     pub fn open(self) -> Result<IntermediateStore> {
         IntermediateStore::open_with(self)
     }
 }
 
-/// Counters describing what the WAL replay found when a durable store
-/// was opened. All zeros for [`Durability::Volatile`] stores.
+/// What a durable store's open found in its directory. All zeros for
+/// [`Durability::Volatile`] stores.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryInfo {
-    /// Keys live after replay, verification, adoption and the header
-    /// scan.
+    /// Keys the indexed files serve.
     pub recovered_entries: usize,
-    /// `.hlx` files present on disk but absent from the log (e.g. written
-    /// before a crash beat the log append, or inherited from a volatile
-    /// store) that were adopted into the file map.
+    /// `.hlx` files the open indexed into the file map.
     pub adopted_files: usize,
-    /// Replayed files dropped because they no longer exist, and
-    /// chunk-only files dropped because their header is unreadable.
+    /// Chunk-only files dropped because their header is unreadable.
     pub dropped_entries: usize,
-    /// Replayed files whose logged size disagreed with the file on
-    /// disk; the ledger uses the file's actual size.
-    pub repaired_sizes: usize,
-    /// Torn or corrupt log records skipped under the truncate-and-warn
-    /// policy (the tail record after a mid-append crash lands here).
+    /// Always 0: the store keeps no log to tear. Kept because callers
+    /// written against the earlier per-shard log, the `benchmark/` crate
+    /// among them, still read it.
     pub torn_records: usize,
-    /// Total WAL bytes read during replay.
-    pub wal_bytes_replayed: u64,
 }
 
 /// Metadata for one stored key.
@@ -393,14 +340,11 @@ pub(crate) struct StoreRead {
 /// Why [`IntermediateStore::write_file`] writes a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WriteKind {
-    /// New content: the WAL record is fsync'd as configured, and decoded
-    /// entries of a file it replaces leave with it.
+    /// New content: decoded entries of a file it replaces leave with it.
     New,
     /// The store rewrites one of its files to hold the same keys with
-    /// the same content, in fewer bytes. Its WAL record is not fsync'd —
-    /// replay repairs a lost one from the file's size on disk — and
-    /// decoded entries of the old incarnation stay where their keys are
-    /// still served.
+    /// the same content, in fewer bytes: decoded entries of the old
+    /// incarnation stay where their keys are still served.
     Rewrite,
 }
 
@@ -414,27 +358,17 @@ struct StoreInner {
     used_bytes: AtomicU64,
     shards: Box<[Mutex<Shard>]>,
     durability: Durability,
-    /// `<dir>/wal` when durable, `None` when volatile.
-    wal_dir: Option<PathBuf>,
-    /// Unix seconds of the most recent snapshot compaction (0 = never).
-    last_snapshot_unix: AtomicU64,
     /// Next file incarnation number.
     next_gen: AtomicU64,
-    /// What replay found at open time.
+    /// What a durable open found.
     recovery: RecoveryInfo,
     /// Decoded outputs kept in memory (module docs, "Decoded reads").
     decoded: Mutex<DecodedCache>,
     /// Keys and bytes displaced by puts since open.
     displaced_entries: AtomicU64,
     displaced_bytes: AtomicU64,
-    /// Per-instance failpoints for crash-consistency regression tests:
-    /// simulate a kill between a file's rename or removal and its WAL
-    /// append (every append is lost), or between file removal and log
-    /// compaction (`clear`), or a full disk under every data-file write.
-    #[cfg(test)]
-    fail_skip_wal_append: std::sync::atomic::AtomicBool,
-    #[cfg(test)]
-    fail_skip_clear_compaction: std::sync::atomic::AtomicBool,
+    /// A failpoint for fault tests: a full disk under every data-file
+    /// write.
     #[cfg(test)]
     fail_writes: std::sync::atomic::AtomicBool,
     /// When set, a read about to admit its output waits on this barrier
@@ -478,12 +412,11 @@ fn groups_tile(groups: &[GroupSpec], rows: usize) -> bool {
 }
 
 impl IntermediateStore {
-    /// Opens (or creates) a store from [`StoreOptions`]. For durable
-    /// options this replays the WAL, verifies every replayed file
-    /// against the disk, adopts untracked files, truncates torn tail
-    /// records with a warning, and writes a fresh snapshot; every open
-    /// then rebuilds the keys from the file headers. It never refuses to
-    /// start over a recoverable directory.
+    /// Opens (or creates) a store from [`StoreOptions`]: indexes every
+    /// `.hlx` file in the directory from its header, dropping unreadable
+    /// chunk-only files, and for durable options reports what it found
+    /// in [`IntermediateStore::recovery`]. It never refuses to start over
+    /// a recoverable directory.
     pub fn open_with(options: StoreOptions) -> Result<Self> {
         let dir = options.dir;
         std::fs::create_dir_all(&dir)?;
@@ -500,39 +433,24 @@ impl IntermediateStore {
             }
         }
         let mut recovery = RecoveryInfo::default();
-        let wal_dir = match options.durability {
-            Durability::Volatile => None,
-            Durability::Wal { .. } => {
-                let wal_dir = dir.join("wal");
-                std::fs::create_dir_all(&wal_dir)?;
-                sweep_tmp(&wal_dir);
-                wal::replay(&wal_dir, &files, &mut recovery)?;
-                Some(wal_dir)
-            }
-        };
-        let durable = wal_dir.is_some();
         let (shard_maps, used, last_gen) =
-            index::index_files(&dir, files, options.shards.max(1), durable, &mut recovery);
-        if durable {
-            recovery.recovered_entries = shard_maps.iter().map(|s| s.lock().keys.len()).sum();
+            index::index_files(&dir, files, options.shards.max(1), &mut recovery);
+        recovery.recovered_entries = shard_maps.iter().map(|s| s.lock().keys.len()).sum();
+        if !options.durability.is_durable() {
+            recovery = RecoveryInfo::default();
         }
-        let store = IntermediateStore {
+        Ok(IntermediateStore {
             inner: Arc::new(StoreInner {
                 dir,
                 budget_bytes: options.budget_bytes,
                 used_bytes: AtomicU64::new(used),
                 shards: shard_maps,
                 durability: options.durability,
-                wal_dir,
                 next_gen: AtomicU64::new(last_gen + 1),
                 recovery,
                 ..StoreInner::default()
             }),
-        };
-        // A durable open ends with a fresh snapshot: stale log files from
-        // previous shard layouts are dropped and the WAL starts compact.
-        store.snapshot_now()?;
-        Ok(store)
+        })
     }
 
     /// The storage budget in bytes.
@@ -555,26 +473,17 @@ impl IntermediateStore {
         self.inner.durability
     }
 
-    /// What WAL replay found when this store was opened (all zeros for
-    /// volatile stores).
+    /// What the open found in the directory (all zeros for volatile
+    /// stores).
     pub fn recovery(&self) -> RecoveryInfo {
         self.inner.recovery
     }
 
-    /// Current total size of the write-ahead logs in bytes (0 when
-    /// volatile).
+    /// Always 0: the store keeps no log. Kept because callers written
+    /// against the earlier per-shard log, the `benchmark/` crate among
+    /// them, still read it.
     pub fn wal_bytes(&self) -> u64 {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().wal.as_ref().map_or(0, |w| w.bytes()))
-            .sum()
-    }
-
-    /// Unix seconds of the most recent snapshot compaction; 0 if never
-    /// (volatile stores stay 0).
-    pub fn last_snapshot_unix(&self) -> u64 {
-        self.inner.last_snapshot_unix.load(Ordering::Acquire)
+        0
     }
 
     /// Bytes currently used (files plus in-flight reservations).
@@ -690,12 +599,6 @@ impl IntermediateStore {
     /// An overwrite conservatively holds both the old file's bytes and
     /// the new reservation until the rename lands (the old file stays
     /// readable throughout).
-    ///
-    /// On a durable store, a WAL record is appended (and fsync'd when
-    /// configured) after the rename commits, while the shard lock is
-    /// still held. A crash between the rename and the append loses only
-    /// the record — replay's adoption pass recovers the entry from the
-    /// file itself.
     ///
     /// # Errors
     /// [`HelixError::Store`] if the entry would exceed the budget.
@@ -874,7 +777,7 @@ impl IntermediateStore {
 
     /// The body of every put: reserve (displacing `displace` as far as
     /// needed, see [`put_grouped`](Self::put_grouped)), write a temp file,
-    /// rename it to `<id>.hlx`, commit the file (and log it), then publish
+    /// rename it to `<id>.hlx`, commit the file, then publish
     /// its keys and retire those of the incarnation it replaced.
     fn write_file(
         &self,
@@ -894,7 +797,7 @@ impl IntermediateStore {
             .injected_write_failure()
             .and_then(|()| TempFile::write(&path, &bytes, false));
         let gen = self.inner.next_gen.fetch_add(1, Ordering::Relaxed);
-        let (previous, secs) = {
+        let previous = {
             let mut shard = self.inner.shards[idx].lock();
             shard.reserved.remove(&id);
             // The rename happens under the shard lock (a cheap metadata
@@ -918,11 +821,9 @@ impl IntermediateStore {
             if let Some(old) = &previous {
                 self.inner.used_bytes.fetch_sub(old.bytes, Ordering::AcqRel);
             }
-            let secs = started.elapsed().as_secs_f64();
-            let record = wal::wal_record_put(id, size, secs);
-            self.wal_append_locked(idx, &mut shard, &record, write == WriteKind::New);
-            (previous, secs)
+            previous
         };
+        let secs = started.elapsed().as_secs_f64();
         index::publish(&self.inner.shards, id, gen, keys);
         if let Some(old) = previous {
             self.purge_locations(id, old.gen, write == WriteKind::Rewrite);
@@ -1134,10 +1035,7 @@ impl IntermediateStore {
     /// removal fails, the key is restored, the file stays in the map and
     /// the ledger keeps its bytes, so the store's view still matches the
     /// disk (a reopen rescan would find the surviving file). An
-    /// already-missing file (`NotFound`) counts as removed. On a durable
-    /// store an evict record is appended after the bookkeeping; a crash
-    /// before the append is harmless because replay drops entries whose
-    /// file is gone.
+    /// already-missing file (`NotFound`) counts as removed.
     pub fn evict(&self, sig: Signature) -> Result<bool> {
         let removed = {
             let mut shard = self.slot(sig.0).lock();
@@ -1173,36 +1071,18 @@ impl IntermediateStore {
     /// benchmark scenarios). In-flight
     /// `put` reservations keep their budget share so a concurrent put
     /// completing after the clear stays correctly accounted.
-    ///
-    /// On a durable store each shard's WAL is compacted to an empty
-    /// snapshot after its files are removed; a crash in between leaves
-    /// stale put records whose files are gone, which replay verification
-    /// drops (never double-counts).
     pub fn clear(&self) -> Result<()> {
         // Hold every shard lock at once so the ledger reset sees a
         // consistent picture (locks are acquired in index order, and no
         // other path holds two shard locks, so this cannot deadlock).
         let mut guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
         let mut reserved = 0u64;
-        for (idx, guard) in guards.iter_mut().enumerate() {
+        for guard in guards.iter_mut() {
             for (id, _) in guard.files.drain() {
                 let _ = std::fs::remove_file(self.path_for(id));
             }
             guard.keys.clear();
             reserved += guard.reserved.values().sum::<u64>();
-            #[cfg(test)]
-            if self
-                .inner
-                .fail_skip_clear_compaction
-                .load(Ordering::Relaxed)
-            {
-                continue;
-            }
-            if self.inner.wal_dir.is_some() {
-                if let Err(err) = self.compact_shard_locked(idx, guard) {
-                    eprintln!("helix-store: WAL compaction after clear failed: {err}");
-                }
-            }
         }
         self.inner.decoded.lock().clear();
         self.inner.used_bytes.store(reserved, Ordering::Release);
@@ -1223,7 +1103,6 @@ mod tests {
     use super::format::TAG_MANIFEST;
     use super::*;
     use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
-    use std::io::Write;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("helix-store-{tag}-{}", std::process::id()));
@@ -1321,28 +1200,6 @@ mod tests {
             .unwrap();
         store.put_chunks(&data, &groups_at(&[0, 9], 900)).unwrap();
         assert!(store.residents().is_empty());
-    }
-
-    #[test]
-    fn compact_threshold_override_applies_only_to_wal() {
-        assert_eq!(
-            Durability::wal().with_compact_after_bytes(4096),
-            Durability::Wal {
-                fsync: true,
-                compact_after_bytes: 4096
-            }
-        );
-        assert_eq!(
-            Durability::wal_nosync().with_compact_after_bytes(0),
-            Durability::Wal {
-                fsync: false,
-                compact_after_bytes: 1
-            }
-        );
-        assert_eq!(
-            Durability::Volatile.with_compact_after_bytes(4096),
-            Durability::Volatile
-        );
     }
 
     #[test]
@@ -1566,8 +1423,7 @@ mod tests {
     fn puts_racing_eviction_never_corrupt_entries() {
         // Writers repeatedly put distinct signatures while an evictor
         // tears entries down; afterwards every surviving entry must decode
-        // to exactly what its writer stored. Run durable so the WAL
-        // append path is exercised under the same contention.
+        // to exactly what its writer stored.
         let store = open_wal_store(tmpdir("race-evict"), 1 << 22);
         let per_writer = 24i64;
         let writers = 4i64;
@@ -1676,15 +1532,13 @@ mod tests {
             }
             store.evict(Signature(4)).unwrap();
             used = store.used_bytes();
-            assert!(store.wal_bytes() > 0);
-            assert!(store.last_snapshot_unix() > 0);
         }
         let store = open_wal_store(&dir, 1 << 20);
         assert_eq!(store.len(), 5);
         assert_eq!(store.used_bytes(), used);
         assert_eq!(store.recovery().recovered_entries, 5);
+        assert_eq!(store.recovery().adopted_files, 5);
         assert_eq!(store.recovery().dropped_entries, 0);
-        assert_eq!(store.recovery().torn_records, 0);
         assert_matches_disk(&store);
         for i in [1u64, 2, 3, 5, 6] {
             assert_eq!(
@@ -1692,41 +1546,10 @@ mod tests {
                 sample_output(10 + i as i64)
             );
         }
-        assert!(store.lookup(Signature(4)).is_none(), "evict must replay");
-    }
-
-    #[test]
-    fn wal_replay_drops_entries_whose_file_is_missing() {
-        let dir = tmpdir("wal-drop");
-        {
-            let store = open_wal_store(&dir, 1 << 20);
-            for i in 1..=3 {
-                store.put(Signature(i), &sample_output(10)).unwrap();
-            }
-        }
-        // Simulate a crash window: the file is gone but its log records
-        // survive (an evict whose record append never landed).
-        std::fs::remove_file(dir.join(sig_file_name(2))).unwrap();
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.recovery().dropped_entries, 1);
-        assert_matches_disk(&store);
-    }
-
-    #[test]
-    fn wal_replay_repairs_size_mismatches_from_disk() {
-        let dir = tmpdir("wal-repair");
-        {
-            let store = open_wal_store(&dir, 1 << 20);
-            store.put(Signature(8), &sample_output(50)).unwrap();
-        }
-        // The file changed size behind the log's back — the file wins.
-        std::fs::write(dir.join(sig_file_name(8)), b"short").unwrap();
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.recovery().repaired_sizes, 1);
-        assert_eq!(store.used_bytes(), 5);
-        assert_matches_disk(&store);
+        assert!(
+            store.lookup(Signature(4)).is_none(),
+            "an evicted key's file is gone"
+        );
     }
 
     #[test]
@@ -1743,180 +1566,12 @@ mod tests {
         assert_eq!(store.recovery().adopted_files, 4);
         assert_eq!(store.recovery().recovered_entries, 4);
         assert_matches_disk(&store);
-        // The adoption is now snapshotted: a second reopen replays it
-        // from the log instead.
+        // Nothing but the files is kept: a second reopen indexes them
+        // the same way.
         drop(store);
         let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.recovery().adopted_files, 0);
+        assert_eq!(store.recovery().adopted_files, 4);
         assert_eq!(store.recovery().recovered_entries, 4);
-    }
-
-    #[test]
-    fn torn_wal_tail_is_truncated_with_a_warning() {
-        let dir = tmpdir("wal-torn");
-        {
-            let store = StoreOptions::new(&dir)
-                .budget_bytes(1 << 20)
-                .shards(1)
-                .durability(Durability::wal())
-                .open()
-                .unwrap();
-            for i in 1..=3 {
-                store.put(Signature(i), &sample_output(10)).unwrap();
-            }
-        }
-        // Append a torn record (no closing brace, no newline) as a crash
-        // mid-append would leave.
-        let wal = dir.join("wal").join("shard-0.wal");
-        let mut file = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
-        file.write_all(b"{\"v\":1,\"op\":\"put\",\"sig\":\"00000000000000ff\",\"byt")
-            .unwrap();
-        drop(file);
-        let store = StoreOptions::new(&dir)
-            .budget_bytes(1 << 20)
-            .shards(1)
-            .durability(Durability::wal())
-            .open()
-            .unwrap();
-        assert_eq!(store.len(), 3, "torn tail must not lose committed entries");
-        assert_eq!(store.recovery().torn_records, 1);
-        assert_matches_disk(&store);
-        // Open rewrote the snapshot, so the torn record is gone for good.
-        drop(store);
-        let store = StoreOptions::new(&dir)
-            .budget_bytes(1 << 20)
-            .shards(1)
-            .durability(Durability::wal())
-            .open()
-            .unwrap();
-        assert_eq!(store.recovery().torn_records, 0);
-    }
-
-    #[test]
-    fn crash_between_rename_and_wal_append_cannot_double_count() {
-        // Failpoint: the put's file rename lands but the WAL record is
-        // never appended — the window the ISSUE's bugfix audit names.
-        let dir = tmpdir("wal-fp-put");
-        {
-            let store = open_wal_store(&dir, 1 << 20);
-            store.put(Signature(1), &sample_output(30)).unwrap();
-            store
-                .inner
-                .fail_skip_wal_append
-                .store(true, std::sync::atomic::Ordering::Relaxed);
-            // An overwrite whose new size differs: the log still holds
-            // the OLD size for sig 1, the disk holds the new file.
-            store.put(Signature(1), &sample_output(90)).unwrap();
-            // And a brand-new entry with no log record at all.
-            store.put(Signature(2), &sample_output(20)).unwrap();
-        }
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 2);
-        // sig 1's stale logged size was repaired from disk; sig 2 was
-        // adopted from its file. Either way the ledger equals the disk —
-        // counted once, not twice.
-        assert_eq!(store.recovery().repaired_sizes, 1);
-        assert_eq!(store.recovery().adopted_files, 1);
-        assert_matches_disk(&store);
-    }
-
-    #[test]
-    fn crash_during_clear_cannot_resurrect_entries() {
-        // Failpoint: clear removes the files but dies before compacting
-        // the WAL, leaving stale put records for deleted files.
-        let dir = tmpdir("wal-fp-clear");
-        {
-            let store = open_wal_store(&dir, 1 << 20);
-            for i in 1..=5 {
-                store.put(Signature(i), &sample_output(10)).unwrap();
-            }
-            store
-                .inner
-                .fail_skip_clear_compaction
-                .store(true, std::sync::atomic::Ordering::Relaxed);
-            store.clear().unwrap();
-        }
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 0, "stale put records must not resurrect");
-        assert_eq!(store.used_bytes(), 0);
-        assert_eq!(store.recovery().dropped_entries, 5);
-        assert_matches_disk(&store);
-    }
-
-    #[test]
-    fn wal_compaction_caps_log_size() {
-        let dir = tmpdir("wal-compact");
-        let store = StoreOptions::new(&dir)
-            .budget_bytes(1 << 22)
-            .shards(1)
-            .durability(Durability::Wal {
-                fsync: false,
-                compact_after_bytes: 512,
-            })
-            .open()
-            .unwrap();
-        for round in 0..40u64 {
-            store
-                .put(Signature(round % 4 + 1), &sample_output(20))
-                .unwrap();
-        }
-        // 40 puts × ~100 bytes per record would be ~4 KiB of log; the
-        // 512-byte threshold keeps it at snapshot size (4 live entries).
-        assert!(
-            store.wal_bytes() < 1024,
-            "log should have compacted: {} bytes",
-            store.wal_bytes()
-        );
-        assert!(store.last_snapshot_unix() > 0);
-        drop(store);
-        let store = open_wal_store(&dir, 1 << 22);
-        assert_eq!(store.len(), 4);
-        assert_matches_disk(&store);
-    }
-
-    #[test]
-    fn snapshot_now_is_a_noop_for_volatile_stores() {
-        let store = open_store(tmpdir("vol-snap"), 1 << 20);
-        store.put(Signature(1), &sample_output(5)).unwrap();
-        store.snapshot_now().unwrap();
-        assert_eq!(store.wal_bytes(), 0);
-        assert_eq!(store.last_snapshot_unix(), 0);
-        assert_eq!(store.recovery(), RecoveryInfo::default());
-    }
-
-    #[test]
-    fn wal_reopen_across_shard_counts_drops_stale_logs() {
-        let dir = tmpdir("wal-reshard");
-        {
-            let store = StoreOptions::new(&dir)
-                .budget_bytes(1 << 20)
-                .shards(8)
-                .durability(Durability::wal())
-                .open()
-                .unwrap();
-            for i in 1..=10 {
-                store.put(Signature(i), &sample_output(10)).unwrap();
-            }
-        }
-        let store = StoreOptions::new(&dir)
-            .budget_bytes(1 << 20)
-            .shards(2)
-            .durability(Durability::wal())
-            .open()
-            .unwrap();
-        assert_eq!(store.len(), 10);
-        assert_matches_disk(&store);
-        let wal_files: Vec<String> = std::fs::read_dir(dir.join("wal"))
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".wal"))
-            .collect();
-        assert_eq!(
-            wal_files.len(),
-            2,
-            "stale shard logs removed: {wal_files:?}"
-        );
     }
 
     // ------------------------------------------------------------------
@@ -2092,7 +1747,7 @@ mod tests {
     }
 
     #[test]
-    fn wal_nosync_reopen_restores_every_group_key() {
+    fn a_durable_reopen_restores_every_group_key() {
         let dir = tmpdir("groups-reopen");
         let data = int_rows(0..12);
         let node_groups = groups_at(&[0, 5, 12], 900);
@@ -2100,7 +1755,7 @@ mod tests {
         {
             let store = StoreOptions::new(&dir)
                 .budget_bytes(1 << 20)
-                .durability(Durability::wal_nosync())
+                .durability(Durability::wal())
                 .open()
                 .unwrap();
             store
@@ -2111,19 +1766,14 @@ mod tests {
                     &[],
                 )
                 .unwrap();
-            // A chunk-only file whose log record never lands.
-            store
-                .inner
-                .fail_skip_wal_append
-                .store(true, std::sync::atomic::Ordering::Relaxed);
             store.put_chunks(&data, &loose).unwrap();
         }
         let store = StoreOptions::new(&dir)
             .budget_bytes(1 << 20)
-            .durability(Durability::wal_nosync())
+            .durability(Durability::wal())
             .open()
             .unwrap();
-        assert_eq!(store.recovery().adopted_files, 1);
+        assert_eq!(store.recovery().adopted_files, 2);
         assert_eq!(store.recovery().recovered_entries, 4);
         assert_eq!(store.len(), 4);
         assert_matches_disk(&store);
@@ -2312,7 +1962,6 @@ mod tests {
         // Reopened, the manifest is credited with none of its groups.
         drop(store);
         let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.recovery().repaired_sizes, 0);
         assert_eq!(store.len(), 5, "two node keys and three chunk keys");
         assert_eq!(store.get(Signature(1)).unwrap().0, NodeOutput::Data(old));
         assert_matches_disk(&store);
@@ -2540,9 +2189,9 @@ mod tests {
     /// `(step, name, Fx hash of the bytes)`: a whole node, a model, a
     /// grouped node, a second version that shrinks it to a manifest, a
     /// chunk-only file, a put that shrinks that file and one that
-    /// empties it, then the WAL snapshot a durable reopen writes. The
-    /// expected list was captured from the single-file store this module
-    /// replaced, so every file kind is written byte for byte as before.
+    /// empties it; a durable reopen then writes nothing. The expected
+    /// list was captured from the single-file store this module replaced,
+    /// so every file kind is written byte for byte as before.
     #[test]
     fn store_files_are_byte_identical_to_the_parent() {
         let dir = tmpdir("golden");
@@ -2611,9 +2260,8 @@ mod tests {
             .durability(Durability::wal())
             .open()
             .unwrap();
-        for (name, hash) in file_hashes(&dir.join("wal"), "wal") {
-            seen.push((8, name, hash));
-        }
+        step(8);
+        assert!(!dir.join("wal").exists(), "a durable open keeps no log");
         assert_eq!(store.len(), 13);
         let expected: &[(usize, &str, u64)] = &[
             (1, "0000000000000011.hlx", 0x4fbb198356849574),
@@ -2643,8 +2291,12 @@ mod tests {
             (7, "0000000000000014.hlx", 0xb348c9babcf9801d),
             (7, "0000000000000015.hlx", 0xe3748febcb19754c),
             (7, "0000000000000016.hlx", 0xe739457b190aaaf),
-            (8, "shard-0.wal", 0x797f6de914c05a4),
-            (8, "shard-1.wal", 0xaf45dbac78ee1fad),
+            (8, "0000000000000011.hlx", 0x4fbb198356849574),
+            (8, "0000000000000012.hlx", 0xfafb91cc1a659dcf),
+            (8, "0000000000000013.hlx", 0xc3d0fa4ba24598a2),
+            (8, "0000000000000014.hlx", 0xb348c9babcf9801d),
+            (8, "0000000000000015.hlx", 0xe3748febcb19754c),
+            (8, "0000000000000016.hlx", 0xe739457b190aaaf),
         ];
         let seen: Vec<(usize, &str, u64)> = seen
             .iter()
@@ -2653,10 +2305,11 @@ mod tests {
         assert_eq!(seen, expected, "{seen:#x?}");
     }
 
-    /// A durable store's index needs no log: the directory scan is the
-    /// index, and replay only counts how the log disagrees with it. So a
-    /// copy reopened without its `wal/` serves exactly what the store
-    /// reopened with it serves — keys, sizes, ledger and files.
+    /// The store keeps no log: the directory scan is the index. A
+    /// directory holding a stale `wal/shard-0.wal` of garbage, as an
+    /// earlier release that kept a per-shard log could leave, serves
+    /// exactly what a copy without it serves — keys, sizes, ledger and
+    /// files — and the log is never read or written.
     #[test]
     fn a_durable_reopen_without_its_log_serves_what_a_reopen_with_it_serves() {
         let dir = tmpdir("with-log");
@@ -2685,19 +2338,36 @@ mod tests {
             let manifest = std::fs::read(store.path_for(2)).unwrap();
             assert_eq!(manifest[0], TAG_MANIFEST);
         }
+        assert!(!dir.join("wal").exists(), "a durable store keeps no log");
         let copy = tmpdir("without-log");
         std::fs::create_dir_all(&copy).unwrap();
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();
-            if path.is_file() {
-                std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
-            }
+            std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
         }
-        assert!(dir.join("wal").is_dir() && !copy.join("wal").exists());
+        // The stale log: a put record for a file that is gone, one whose
+        // size is wrong, and a torn tail. Its access time is set before
+        // its modification time, so a read would move it (relatime).
+        let stale = dir.join("wal").join("shard-0.wal");
+        std::fs::create_dir_all(stale.parent().unwrap()).unwrap();
+        let garbage = b"{\"v\":1,\"op\":\"put\",\"sig\":\"00000000000000ff\",\"bytes\":9}\n\
+            {\"v\":1,\"op\":\"put\",\"sig\":\"0000000000000001\",\"bytes\":1}\n\
+            \x00\xffnot json{\"op\":\"evi";
+        std::fs::write(&stale, garbage).unwrap();
+        let long_ago = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000_000);
+        std::fs::File::options()
+            .write(true)
+            .open(&stale)
+            .unwrap()
+            .set_times(std::fs::FileTimes::new().set_accessed(long_ago))
+            .unwrap();
+        let before = std::fs::metadata(&stale).unwrap();
+
         let with = open_wal_store(&dir, 1 << 20);
         let without = open_wal_store(&copy, 1 << 20);
-        assert_eq!(with.recovery().adopted_files, 0);
-        assert_eq!(without.recovery().adopted_files, 4, "every file is adopted");
+        assert_eq!(with.recovery(), without.recovery());
+        assert_eq!(with.recovery().adopted_files, 4, "every file is indexed");
+        assert_eq!(with.recovery().torn_records, 0, "the log is not parsed");
 
         let keys = |store: &IntermediateStore| {
             let mut sigs: Vec<u64> = store.signatures().into_iter().map(|s| s.0).collect();
@@ -2714,5 +2384,11 @@ mod tests {
         }
         assert_eq!(with.used_bytes(), without.used_bytes());
         assert_eq!(file_hashes(&dir, "hlx"), file_hashes(&copy, "hlx"));
+        drop((with, without));
+        let after = std::fs::metadata(&stale).unwrap();
+        assert_eq!(std::fs::read(&stale).unwrap(), garbage);
+        assert_eq!(after.modified().unwrap(), before.modified().unwrap());
+        assert_eq!(after.accessed().unwrap(), long_ago, "never read");
+        assert!(!copy.join("wal").exists());
     }
 }

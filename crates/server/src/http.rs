@@ -159,6 +159,12 @@ impl<S: Read> RequestReader<S> {
             .set_limit((MAX_HEAD_BYTES + self.max_body_bytes) as u64);
         parse_one(&mut self.reader, self.max_body_bytes)
     }
+
+    /// Bytes read off the stream and not yet parsed: after an early
+    /// reject, the part of the request the reader already holds.
+    pub fn buffered(&self) -> usize {
+        self.reader.buffer().len()
+    }
 }
 
 /// Reads and parses one request from `stream`, enforcing `max_body_bytes`

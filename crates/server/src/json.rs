@@ -2,7 +2,7 @@
 //!
 //! The codec started life here as the server's private wire format; the
 //! durable tier promoted it to its own crate (`crates/json`) so the core
-//! persistence layer (WAL records, version-DAG and session snapshots)
+//! persistence layer (meta and session logs and snapshots)
 //! and `bench_guard` can share one parser. This module stays as a thin
 //! re-export so existing `helix_server::json::Json` imports keep
 //! working.

@@ -462,11 +462,10 @@ impl Api {
         })
     }
 
-    /// `GET /stats` (schema `"v": 3`): serving counters, the live
+    /// `GET /stats` (schema `"v": 4`): serving counters, the live
     /// session count, the durability counters — sessions and store
-    /// entries recovered at startup, meta and session log records
-    /// recovery dropped, current WAL size, and the unix time of the last
-    /// snapshot compaction (all zero on a volatile engine) —
+    /// entries recovered at startup, and meta and session log records
+    /// recovery dropped (all zero on a volatile engine) —
     /// the optimizer counters: memo size, observations recorded,
     /// adaptive re-plans triggered, and the unix time of the last
     /// offline optimization pass — and the store's decoded-read cache:
@@ -485,7 +484,7 @@ impl Api {
         let decoded = engine.store().decoded_stats();
         let displaced = engine.store().displaced_stats();
         ok(Json::obj([
-            ("v", Json::Num(3.0)),
+            ("v", Json::Num(4.0)),
             ("connections", Json::Num(snap.connections as f64)),
             ("requests", Json::Num(snap.requests as f64)),
             ("shed", Json::Num(snap.shed as f64)),
@@ -507,11 +506,6 @@ impl Api {
             (
                 "session_records_dropped",
                 Json::Num(self.manager.session_records_dropped() as f64),
-            ),
-            ("wal_bytes", Json::Num(engine.store().wal_bytes() as f64)),
-            (
-                "last_snapshot",
-                Json::Num(engine.store().last_snapshot_unix() as f64),
             ),
             ("memo_entries", Json::Num(optimizer.memo_entries as f64)),
             (
@@ -555,8 +549,8 @@ impl Api {
     }
 
     /// `POST /admin/snapshot`: forces a durability checkpoint — compacts
-    /// every store shard's WAL, the engine meta log and every live
-    /// session's log into their snapshots. 400 on a volatile engine,
+    /// the engine meta log and every live session's log into their
+    /// snapshots. 400 on a volatile engine,
     /// where there is nothing to checkpoint.
     fn admin_snapshot(&self) -> Response {
         let engine = self.manager.engine();
@@ -570,14 +564,7 @@ impl Api {
             return engine_error(err);
         }
         self.manager.persist_all();
-        ok(Json::obj([
-            ("snapshotted", Json::Bool(true)),
-            ("wal_bytes", Json::Num(engine.store().wal_bytes() as f64)),
-            (
-                "last_snapshot",
-                Json::Num(engine.store().last_snapshot_unix() as f64),
-            ),
-        ]))
+        ok(Json::obj([("snapshotted", Json::Bool(true))]))
     }
 
     fn global_versions(&self) -> Response {
@@ -644,7 +631,7 @@ mod tests {
         });
         let stats = Json::parse(&response.body).unwrap();
         let field = |key: &str| stats.get(key).and_then(Json::as_u64);
-        assert_eq!(field("v"), Some(3));
+        assert_eq!(field("v"), Some(4));
         assert_eq!(field("decoded_entries"), Some(1));
         assert_eq!(
             field("decoded_bytes"),
@@ -687,7 +674,7 @@ mod tests {
         });
         let stats = Json::parse(&response.body).unwrap();
         let field = |key: &str| stats.get(key).and_then(Json::as_u64);
-        assert_eq!(field("v"), Some(3));
+        assert_eq!(field("v"), Some(4));
         assert_eq!(field("displaced_entries"), Some(1));
         assert_eq!(field("displaced_bytes"), Some(size));
         let _ = std::fs::remove_dir_all(&dir);
@@ -700,7 +687,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("helix-routes-dropped-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = || EngineConfig::helix(&dir).with_durability(Durability::wal_nosync());
+        let config = || EngineConfig::helix(&dir).with_durability(Durability::wal());
         {
             let manager = SessionManager::with_config(config()).unwrap();
             // The first record compacts into a fresh snapshot; the second

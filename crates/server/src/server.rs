@@ -35,13 +35,20 @@
 
 use crate::http::{ParseError, RequestReader, Response};
 use crate::routes::Api;
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The most request bytes a worker reads and discards after an early
+/// reject, so the close that follows does not reset the connection.
+const DRAIN_MAX_BYTES: u64 = 1 << 20;
+
+/// The longest a worker spends on that drain, all reads together.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Tuning knobs for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -400,16 +407,20 @@ fn handle_connection(stream: TcpStream, api: &Api, config: &ConnConfig, stats: &
             }
             Err(err) => {
                 // An early reject (400/408/413) may leave request bytes
-                // in flight. Closing now would RST the connection and can
-                // destroy the response before the peer reads it, so after
-                // answering, drain what the peer is still sending —
-                // bounded in bytes and time — then close.
-                let response = Api::parse_failure(&err);
-                if response.write_with(&stream, false).is_ok() {
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                    let mut remainder =
-                        std::io::Read::take(&stream, (config.max_body_bytes as u64) * 2);
-                    let _ = io::copy(&mut remainder, &mut io::sink());
+                // in flight. Closing with unread bytes makes the kernel
+                // reset the connection, which can destroy the response
+                // before the peer reads it. So after answering, drain what
+                // the peer is still sending — a 413's declared body less
+                // what the reader already buffered, else up to the
+                // peer's close — bounded in bytes and time, then close.
+                let unread = match err {
+                    ParseError::BodyTooLarge { declared, .. } => {
+                        declared.saturating_sub(reader.buffered()) as u64
+                    }
+                    _ => DRAIN_MAX_BYTES,
+                };
+                if Api::parse_failure(&err).write_with(&stream, false).is_ok() {
+                    drain(&stream, unread.min(DRAIN_MAX_BYTES));
                 }
                 return;
             }
@@ -425,6 +436,24 @@ fn handle_connection(stream: TcpStream, api: &Api, config: &ConnConfig, stats: &
         }
         if close {
             return;
+        }
+    }
+}
+
+/// Reads and discards up to `bytes` from `stream`, until the peer closes
+/// or [`DRAIN_DEADLINE`] passes.
+fn drain(mut stream: &TcpStream, mut bytes: u64) {
+    let deadline = Instant::now() + DRAIN_DEADLINE;
+    let mut buf = [0u8; 8192];
+    while bytes > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        let want = bytes.min(buf.len() as u64) as usize;
+        match stream.read(&mut buf[..want]) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => bytes -= n as u64,
         }
     }
 }

@@ -199,6 +199,28 @@ fn oversized_body_returns_413_without_wedging_the_worker() {
     server.shutdown();
 }
 
+/// A body far past the cap is drained, not left unread: the server
+/// answers 413 and reads the declared body before closing, so the close
+/// never resets the connection under the client's read of the answer.
+#[test]
+fn a_body_sixteen_times_the_cap_gets_its_413_every_time() {
+    let mut server = serve("oversize-64k");
+    let addr = server.addr();
+
+    let huge = format!(
+        r#"{{"name":"a","workflow":"mini","padding":"{}"}}"#,
+        "x".repeat(64 * 1024)
+    );
+    for attempt in 0..20 {
+        let resp = client::post(addr, "/sessions", &huge)
+            .unwrap_or_else(|err| panic!("attempt {attempt}: {err:?}"));
+        assert_eq!(resp.status, 413, "attempt {attempt}");
+    }
+    let resp = client::post(addr, "/sessions", r#"{"name":"a","workflow":"mini"}"#).unwrap();
+    assert_eq!(resp.status, 201);
+    server.shutdown();
+}
+
 #[test]
 fn duplicate_session_is_409_and_wrong_method_is_405() {
     let mut server = serve("conflict");

@@ -5,7 +5,7 @@
 //! cargo run --release --example restart_resume
 //! ```
 //!
-//! Phase 1 opens a WAL-backed engine, runs the census analyst loop for
+//! Phase 1 opens a durable engine, runs the census analyst loop for
 //! two iterations, and drops everything — simulating a process exit with
 //! work in the store. Phase 2 reopens the same directory, recovers the
 //! session (template + replayed edit log), and runs a third iteration
@@ -32,7 +32,7 @@ fn main() {
     let durable = EngineConfig::helix(&store).with_durability(Durability::wal());
 
     // -- phase 1: a durable engine does some work, then "crashes" -----------
-    println!("phase 1: WAL-backed engine at {}", store.display());
+    println!("phase 1: durable engine at {}", store.display());
     {
         let engine = Arc::new(Engine::new(durable.clone()).expect("engine"));
         let manager = SessionManager::new(Arc::clone(&engine));
@@ -56,8 +56,8 @@ fn main() {
             second.change_summary
         );
         println!(
-            "  wal holds {} bytes; dropping the engine without ceremony…",
-            engine.store().wal_bytes()
+            "  store holds {} entries; dropping the engine without ceremony…",
+            engine.store().len()
         );
     } // everything dropped: the only survivor is the store directory
 
@@ -66,8 +66,8 @@ fn main() {
     let engine = Arc::new(Engine::new(durable).expect("reopen"));
     let recovery = engine.recovery();
     println!(
-        "  store recovery: {} entries replayed from the WAL",
-        recovery.store.recovered_entries
+        "  store recovery: {} entries indexed from {} files",
+        recovery.store.recovered_entries, recovery.store.adopted_files
     );
     println!(
         "  engine meta: {} versions, {} cost observations",

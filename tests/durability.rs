@@ -1,4 +1,4 @@
-//! Crash-recovery acceptance for the durable tier: a WAL-backed engine
+//! Crash-recovery acceptance for the durable tier: a durable engine
 //! killed and reopened must resume every session's lineage with the
 //! same results a never-restarted engine produces.
 //!
@@ -12,11 +12,11 @@
 //! * **SIGKILL mid-flight** — a child process iterating two sessions is
 //!   killed without warning; the parent reopens the store and asserts
 //!   every acknowledged iteration survived and the ledger matches disk.
-//! * **WAL-tail fuzz** — the last WAL record is truncated at every byte
-//!   boundary; every prefix must open cleanly (torn tail = truncate and
-//!   warn, never refuse to start). The engine meta log and a session's
-//!   log get the same fuzz, and a count-based soak checks that a durable
-//!   no-op iterate appends constant bytes.
+//! * **Log-tail fuzz** — the last record of the engine meta log and of a
+//!   session's log is truncated at every byte boundary; every prefix must
+//!   open cleanly (torn tail = truncate and warn, never refuse to start),
+//!   and a count-based soak checks that a durable no-op iterate appends
+//!   constant bytes.
 //! * **Flipped payload bytes** — a stored row group or node output with
 //!   one bit changed is caught by its checksum: a run recomputes it or
 //!   fails with a store error, and never answers wrong.
@@ -78,7 +78,7 @@ fn durable_engine(store_dir: &Path) -> Arc<Engine> {
     let mut config = EngineConfig::helix(store_dir);
     config.materialization = MaterializationPolicyKind::All;
     config.recomputation = RecomputationPolicy::LoadAllAvailable;
-    config.durability = Durability::wal_nosync();
+    config.durability = Durability::wal();
     Arc::new(Engine::new(config).unwrap())
 }
 
@@ -106,7 +106,7 @@ impl ReportFacts {
     }
 }
 
-/// Recursive directory copy (for fuzzing WAL prefixes on a scratch copy).
+/// Recursive directory copy (for fuzzing log prefixes on a scratch copy).
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap() {
@@ -627,7 +627,7 @@ fn sigkill_preserves_memo_and_feeds_first_post_restart_plan() {
     let mut config = EngineConfig::helix(dir.join("store")).with_replan_factor(1.0);
     config.materialization = MaterializationPolicyKind::All;
     config.recomputation = RecomputationPolicy::LoadAllAvailable;
-    config.durability = Durability::wal_nosync();
+    config.durability = Durability::wal();
     let engine = Engine::new(config).unwrap();
     assert!(
         engine.recovery().recovered_memo_entries > 0,
@@ -657,87 +657,6 @@ fn sigkill_preserves_memo_and_feeds_first_post_restart_plan() {
     assert!(!report.metrics.is_empty());
 }
 
-/// WAL-tail fuzz: truncating the last WAL record at every byte boundary
-/// simulates every possible torn write; each prefix must open cleanly
-/// with at most the torn record's entry missing, and the recovered
-/// ledger must match disk exactly.
-#[test]
-fn torn_wal_tail_opens_cleanly_at_every_truncation_point() {
-    use helix::core::store::StoreOptions;
-
-    let dir = tmpdir("fuzz");
-    workflow(&dir).unwrap();
-
-    // Populate a single-shard durable store (one WAL file to fuzz).
-    let store_dir = dir.join("store");
-    {
-        let mut config = EngineConfig::helix(&store_dir);
-        config.materialization = MaterializationPolicyKind::All;
-        config.durability = Durability::wal_nosync();
-        config.store_shards = 1;
-        let engine = Engine::new(config).unwrap();
-        engine.run(&workflow(&dir).unwrap()).unwrap();
-    }
-
-    let wal_path = store_dir.join("wal").join("shard-0.wal");
-    let wal = std::fs::read(&wal_path).unwrap();
-    assert!(!wal.is_empty(), "the run must have written WAL records");
-    let baseline = {
-        let store = StoreOptions::new(&store_dir)
-            .durability(Durability::wal_nosync())
-            .shards(1)
-            .open()
-            .unwrap();
-        store.len()
-    };
-    assert!(baseline > 0);
-
-    // The last record starts after the second-to-last newline.
-    let body = &wal[..wal.len() - 1]; // drop the trailing newline
-    let last_start = body
-        .iter()
-        .rposition(|&b| b == b'\n')
-        .map(|p| p + 1)
-        .unwrap_or(0);
-
-    for cut in last_start..wal.len() {
-        let scratch = dir.join(format!("scratch-{cut}"));
-        copy_dir(&store_dir, &scratch);
-        let scratch_wal = scratch.join("wal").join("shard-0.wal");
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&scratch_wal)
-            .unwrap();
-        file.set_len(cut as u64).unwrap();
-        drop(file);
-
-        let store = StoreOptions::new(&scratch)
-            .durability(Durability::wal_nosync())
-            .shards(1)
-            .open()
-            .unwrap_or_else(|e| panic!("truncation at byte {cut} refused to open: {e}"));
-        assert!(
-            store.len() == baseline || store.len() + 1 == baseline,
-            "truncation at byte {cut}: {} entries vs baseline {baseline}",
-            store.len()
-        );
-        // Ledger == disk: every counted byte is a real .hlx file. Files
-        // from the torn entry may survive on disk unreferenced (disk is
-        // ground truth for *presence*; the ledger only counts entries it
-        // replayed or adopted).
-        drop(store);
-        // Reopening the truncated store again must also be clean (the
-        // first recovery repaired the tail).
-        let reopened = StoreOptions::new(&scratch)
-            .durability(Durability::wal_nosync())
-            .shards(1)
-            .open()
-            .unwrap();
-        assert!(reopened.len() == baseline || reopened.len() + 1 == baseline);
-        std::fs::remove_dir_all(&scratch).unwrap();
-    }
-}
-
 /// Where the last record of a JSON-lines log starts: after the
 /// second-to-last newline.
 fn last_record_start(log: &[u8]) -> usize {
@@ -762,7 +681,7 @@ fn torn_meta_and_session_log_tails_open_cleanly_at_every_truncation_point() {
         let mut config = EngineConfig::helix(store);
         config.materialization = MaterializationPolicyKind::All;
         config.recomputation = RecomputationPolicy::LoadAllAvailable;
-        config.durability = Durability::wal_nosync();
+        config.durability = Durability::wal();
         config.store_shards = 1;
         config
     };
@@ -1091,41 +1010,6 @@ fn a_version_2_store_serves_whole_loads_and_chunk_hits() {
         "unchanged chunks load from version-2 chunk files"
     );
     assert_eq!(delta.metrics, fresh("delta").run(&w).unwrap().metrics);
-}
-
-/// Corrupting the WAL mid-file (not just the tail) must still open: the
-/// store truncates at the first bad record and adopts whatever valid
-/// `.hlx` files remain on disk.
-#[test]
-fn corrupt_wal_interior_truncates_and_adopts_disk_files() {
-    use helix::core::store::StoreOptions;
-
-    let dir = tmpdir("interior");
-    workflow(&dir).unwrap();
-    let store_dir = dir.join("store");
-    {
-        let mut config = EngineConfig::helix(&store_dir);
-        config.materialization = MaterializationPolicyKind::All;
-        config.durability = Durability::wal_nosync();
-        config.store_shards = 1;
-        let engine = Engine::new(config).unwrap();
-        engine.run(&workflow(&dir).unwrap()).unwrap();
-    }
-    let wal_path = store_dir.join("wal").join("shard-0.wal");
-    let mut wal = std::fs::read(&wal_path).unwrap();
-    let mid = wal.len() / 2;
-    wal[mid] = 0xFF; // garbage in the middle of some record
-    std::fs::write(&wal_path, &wal).unwrap();
-
-    let store = StoreOptions::new(&store_dir)
-        .durability(Durability::wal_nosync())
-        .shards(1)
-        .open()
-        .expect("interior corruption must not refuse to open");
-    // Everything materialized is still on disk, so adoption brings the
-    // store back to full strength even though the log lost records.
-    assert!(!store.is_empty());
-    assert_eq!(store.used_bytes(), disk_hlx_bytes(&store_dir));
 }
 
 /// Count-based soak of the durable tier's logs: 500 no-op iterates of one

@@ -95,7 +95,7 @@ proptest! {
         for (parallelism, par_tag) in [(1, "p1"), (0, "pd")] {
             for (durability, dur_tag) in [
                 (Durability::Volatile, "vol"),
-                (Durability::wal_nosync(), "wal"),
+                (Durability::wal(), "wal"),
             ] {
                 let work = tmpdir(&format!("twin-{case}-{par_tag}-{dur_tag}"));
 
@@ -221,13 +221,13 @@ fn durable_reopen_resumes_partition_reuse() {
     .unwrap();
     let store = work.join("store");
     {
-        let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+        let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal())).unwrap());
         let workflow = census_workflow(&CensusParams::initial(&data)).unwrap();
         let mut session = Session::new(engine, "before", workflow);
         session.iterate().unwrap();
     } // dropped without orderly shutdown
 
-    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal())).unwrap());
     let workflow = census_workflow(&CensusParams::initial(&data)).unwrap();
     let mut session = Session::new(engine, "after", workflow);
     session
@@ -412,7 +412,7 @@ fn after_appends(work: &Path, tag: &str) -> (Arc<Engine>, PathBuf, String) {
     )
     .unwrap();
     let store = work.join(format!("{tag}-store"));
-    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal())).unwrap());
     let workflow = census_workflow(&CensusParams::initial(&data)).unwrap();
     let mut session = Session::new(Arc::clone(&engine), tag, workflow);
     session.iterate().unwrap();
@@ -437,7 +437,7 @@ fn from_scratch(work: &Path, tag: &str, data: &Path, train: &str) -> helix::core
     std::fs::write(fresh.join("train.csv"), train).unwrap();
     std::fs::copy(data.join("test.csv"), fresh.join("test.csv")).unwrap();
     let store = work.join(format!("{tag}-fresh-store"));
-    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal())).unwrap());
     Session::new(engine, "fresh", with_interaction(&fresh))
         .iterate()
         .unwrap()
@@ -487,7 +487,7 @@ fn restarted_manifests_match_a_never_restarted_engine() {
         if restart {
             let store = engine.store().dir().to_path_buf();
             drop(engine);
-            engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+            engine = Arc::new(Engine::new(config(&store, 0, Durability::wal())).unwrap());
         }
         std::fs::write(data.join("train.csv"), &first).unwrap();
         let report = Session::new(engine, tag, with_interaction(&data))
@@ -562,7 +562,7 @@ fn a_flipped_byte_in_a_group_a_manifest_reads_is_dropped_and_recomputed() {
     std::fs::write(&path, &bytes).unwrap();
     drop(engine);
 
-    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal())).unwrap());
     let mut session = Session::new(engine, "flip", workflow);
     let err = session
         .iterate()
@@ -606,10 +606,7 @@ const EDGE_NODES: [&str; 4] = ["ageBucket", "hoursBucket", "clBucket", "income"]
 fn bucketizer_chunks_follow_the_bin_edges() {
     std::env::set_var("HELIX_DATA_CHUNK_ROWS", CHUNK_ROWS);
     for parallelism in [1, 2] {
-        for (durability, dur_tag) in [
-            (Durability::Volatile, "vol"),
-            (Durability::wal_nosync(), "wal"),
-        ] {
+        for (durability, dur_tag) in [(Durability::Volatile, "vol"), (Durability::wal(), "wal")] {
             let work = tmpdir(&format!("edges-p{parallelism}-{dur_tag}"));
             let data = work.join("inc-data");
             generate_census(

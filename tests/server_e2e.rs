@@ -433,7 +433,7 @@ fn response_framing_and_close_semantics_on_raw_sockets() {
     server.shutdown();
 }
 
-/// The durable serving loop end to end: a WAL-backed server runs the
+/// The durable serving loop end to end: a durable server runs the
 /// analyst loop, checkpoints via `POST /admin/snapshot`, and shuts down;
 /// a second server over the same store directory recovers the session,
 /// reports it in the versioned `GET /stats`, and resumes iterating with
@@ -443,7 +443,7 @@ fn durable_server_recovers_sessions_over_the_wire() {
     let dir = tmpdir("durable");
     let durable_config = |dir: &Path| {
         let mut c = config(dir.join("store"), Some(1));
-        c.durability = Durability::wal_nosync();
+        c.durability = Durability::wal();
         c
     };
     let registry_for = |dir: &Path| {
@@ -486,12 +486,13 @@ fn durable_server_recovers_sessions_over_the_wire() {
         .unwrap()
         .expect_ok();
 
-    // Stats v3 on a fresh durable server: nothing recovered, WAL active,
-    // and the optimizer memo populated by the two iterations.
+    // Stats v4 on a fresh durable server: nothing recovered, no store
+    // log to report, and the optimizer memo populated by the two
+    // iterations.
     let stats = client::get(addr, "/stats").unwrap().expect_ok();
-    assert_eq!(stats.get("v").unwrap().as_u64(), Some(3));
+    assert_eq!(stats.get("v").unwrap().as_u64(), Some(4));
     assert_eq!(stats.get("recovered_sessions").unwrap().as_u64(), Some(0));
-    assert!(stats.get("wal_bytes").unwrap().as_u64().unwrap() > 0);
+    assert!(stats.get("wal_bytes").is_none() && stats.get("last_snapshot").is_none());
     assert!(
         stats
             .get("observations_recorded")
@@ -520,12 +521,12 @@ fn durable_server_recovers_sessions_over_the_wire() {
         "GET on the optimize route must be method-not-allowed"
     );
 
-    // Forced checkpoint compacts the WAL into the snapshot.
+    // Forced checkpoint compacts the meta and session logs into their
+    // snapshots.
     let snap = client::post(addr, "/admin/snapshot", "")
         .unwrap()
         .expect_ok();
     assert_eq!(snap.get("snapshotted").unwrap().as_bool(), Some(true));
-    assert!(snap.get("last_snapshot").unwrap().as_u64().unwrap() > 0);
     assert_eq!(
         client::get(addr, "/admin/snapshot").unwrap().status,
         405,
@@ -545,7 +546,7 @@ fn durable_server_recovers_sessions_over_the_wire() {
     let addr = server.addr();
 
     let stats = client::get(addr, "/stats").unwrap().expect_ok();
-    assert_eq!(stats.get("v").unwrap().as_u64(), Some(3));
+    assert_eq!(stats.get("v").unwrap().as_u64(), Some(4));
     assert_eq!(stats.get("recovered_sessions").unwrap().as_u64(), Some(1));
     assert!(stats.get("recovered_entries").unwrap().as_u64().unwrap() > 0);
     assert!(
@@ -610,10 +611,9 @@ fn admin_snapshot_on_volatile_engine_is_rejected() {
         .unwrap()
         .contains("volatile"));
 
-    // Volatile stats still answer with the v3 schema, counters zeroed.
+    // Volatile stats still answer with the v4 schema, counters zeroed.
     let stats = client::get(addr, "/stats").unwrap().expect_ok();
-    assert_eq!(stats.get("v").unwrap().as_u64(), Some(3));
-    assert_eq!(stats.get("wal_bytes").unwrap().as_u64(), Some(0));
+    assert_eq!(stats.get("v").unwrap().as_u64(), Some(4));
     assert_eq!(stats.get("recovered_sessions").unwrap().as_u64(), Some(0));
 
     server.shutdown();

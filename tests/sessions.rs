@@ -267,7 +267,7 @@ fn durable_engine(store_dir: &Path) -> Arc<Engine> {
     let mut config = EngineConfig::helix(store_dir);
     config.materialization = MaterializationPolicyKind::All;
     config.recomputation = RecomputationPolicy::LoadAllAvailable;
-    config.durability = Durability::wal_nosync();
+    config.durability = Durability::wal();
     Arc::new(Engine::new(config).unwrap())
 }
 
