@@ -15,8 +15,8 @@
 //! * **DeepDive-sim** — materializes *all* feature-extraction
 //!   intermediates and greedily reuses whatever is still valid; its ML and
 //!   evaluation components are not user-configurable (§2.4 — DeepDive has
-//!   "missing data for iteration > 2" in Fig. 2(b)), which
-//!   [`SystemKind::supports`] models.
+//!   "missing data for iteration > 2" in Fig. 2(b)). Here it runs every
+//!   iteration, as the materialize-all comparator.
 //! * **Helix-unopt** — the demo's §3 comparator: the same DSL and engine
 //!   with every cross-iteration optimization off *and* program slicing
 //!   disabled.
@@ -26,7 +26,6 @@
 use helix_core::materialize::MaterializationPolicyKind;
 use helix_core::recompute::RecomputationPolicy;
 use helix_core::{Engine, EngineConfig, Result};
-use helix_workloads::IterationStage;
 use std::path::Path;
 
 /// Which system to instantiate.
@@ -95,17 +94,6 @@ impl SystemKind {
     pub fn build_shared(&self, store_dir: &Path) -> Result<std::sync::Arc<Engine>> {
         Ok(std::sync::Arc::new(self.build_engine(store_dir)?))
     }
-
-    /// Whether the system lets the *user* modify this kind of workflow
-    /// component. DeepDive's ML and evaluation stages are fixed pipelines
-    /// (the reason its Fig. 2(b) line stops after the data-pre-processing
-    /// iterations); everything else accepts all changes.
-    pub fn supports(&self, stage: IterationStage) -> bool {
-        match self {
-            SystemKind::DeepDiveSim => stage == IterationStage::DataPreProcessing,
-            _ => true,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,13 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_support_matrix() {
+    fn labels_name_each_system() {
         assert_eq!(SystemKind::Helix.label(), "HELIX");
-        assert!(SystemKind::Helix.supports(IterationStage::MachineLearning));
-        assert!(SystemKind::DeepDiveSim.supports(IterationStage::DataPreProcessing));
-        assert!(!SystemKind::DeepDiveSim.supports(IterationStage::MachineLearning));
-        assert!(!SystemKind::DeepDiveSim.supports(IterationStage::Evaluation));
-        assert!(SystemKind::KeystoneSim.supports(IterationStage::Evaluation));
+        assert_eq!(SystemKind::DeepDiveSim.label(), "DeepDive-sim");
     }
 
     #[test]

@@ -9,9 +9,7 @@
 use crate::cost::{secs_to_us, CostModel};
 use crate::memo::{DecisionSource, MemoTable};
 use crate::recompute::{plan_states, NodeCosts, NodeState, RecomputationPolicy};
-use crate::signature::{
-    compute_signatures_with_data, track_changes, ChangeKind, ChangeReport, Signature,
-};
+use crate::signature::{compute_signatures_with_data, track_changes, ChangeReport, Signature};
 use crate::slicing::{self, NodeChunks};
 use crate::store::IntermediateStore;
 use crate::workflow::{NodeId, Workflow};
@@ -221,32 +219,11 @@ pub fn adapt_plan_with_memo(
     Ok(true)
 }
 
-/// Convenience for reports: pairs each node name with its plan state and
-/// change kind.
-pub fn describe_plan(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-) -> Vec<(String, NodeState, ChangeKind)> {
-    workflow
-        .nodes()
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let change = plan
-                .change
-                .as_ref()
-                .map(|c| c.kinds[i])
-                .unwrap_or(ChangeKind::Added);
-            (node.name.clone(), plan.states[i], change)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::{ExtractorKind, LearnerSpec, NodeOutput, OperatorKind};
-    use crate::signature::{compute_signatures, snapshot};
+    use crate::signature::{compute_signatures, snapshot, ChangeKind};
     use helix_dataflow::{DataCollection, DataType, Schema};
 
     fn tmp_store(tag: &str) -> IntermediateStore {
@@ -493,16 +470,5 @@ mod tests {
                 prop_assert_eq!(whole_plan.sources, subset_plan.sources);
             }
         }
-    }
-
-    #[test]
-    fn describe_plan_lists_every_node() {
-        let w = census_like();
-        let store = tmp_store("describe");
-        let cm = CostModel::new();
-        let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        let desc = describe_plan(&w, &plan);
-        assert_eq!(desc.len(), w.len());
-        assert!(desc.iter().any(|(name, ..)| name == "income"));
     }
 }

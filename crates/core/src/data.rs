@@ -20,7 +20,8 @@
 //!   sidecar is removed. [`heal_pending_ingest`] replays a sidecar left
 //!   behind by a crash — truncate to the recorded base length, re-apply,
 //!   remove — so an acknowledged delta survives SIGKILL at any point and a
-//!   half-applied one is completed before anyone hashes the file.
+//!   half-applied one is completed before anyone hashes the file. Appends
+//!   and heals run one at a time process-wide.
 //!
 //! Chunk hashes also key **partition signatures** (see
 //! [`crate::slicing::chunk_plan`]): appending rows leaves every existing
@@ -285,17 +286,11 @@ fn sidecar_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("ingest-tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
+/// Serializes every ingest step in the process: an append reads the file's
+/// length, stages it and truncates back to it, so two appends (or an append
+/// and a heal) interleaved on one file would lose or repeat rows. Sessions
+/// built from one server template share their data files.
+static INGEST: Mutex<()> = Mutex::new(());
 
 fn io_err(path: &Path, op: &str, e: std::io::Error) -> HelixError {
     HelixError::Store(format!("{op} {}: {e}", path.display()))
@@ -328,6 +323,12 @@ fn apply_sidecar(path: &Path, base_len: u64, payload: &str) -> Result<()> {
 /// (truncating any torn partial append first) and remove it. A no-op when
 /// no sidecar exists.
 pub fn heal_pending_ingest(path: &Path) -> Result<bool> {
+    let _ingest = crate::lock(&INGEST);
+    heal_staged(path)
+}
+
+/// [`heal_pending_ingest`] with [`INGEST`] already held.
+fn heal_staged(path: &Path) -> Result<bool> {
     let sidecar = sidecar_path(path);
     let Ok(text) = std::fs::read_to_string(&sidecar) else {
         return Ok(false);
@@ -364,7 +365,8 @@ pub fn append_lines(path: &Path, lines: &[String]) -> Result<usize> {
     if lines.is_empty() {
         return Ok(0);
     }
-    heal_pending_ingest(path)?;
+    let _ingest = crate::lock(&INGEST);
+    heal_staged(path)?;
     let base_len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     // If the file exists without a trailing newline, the payload opens
     // with one so the first appended row starts a fresh line.
@@ -391,7 +393,7 @@ pub fn append_lines(path: &Path, lines: &[String]) -> Result<usize> {
         ("payload", Json::str(&payload)),
     ]);
     let sidecar = sidecar_path(path);
-    write_atomic(&sidecar, record.to_string().as_bytes())
+    crate::persist::write_atomic(&sidecar, &record.to_string())
         .map_err(|e| io_err(&sidecar, "stage", e))?;
     apply_sidecar(path, base_len, &payload)?;
     Ok(lines.len())
@@ -624,5 +626,46 @@ mod tests {
         assert!(!sidecar_path(&train).exists());
         // Idempotent: healing again is a no-op.
         assert!(!heal_pending_ingest(&train).unwrap());
+    }
+
+    #[test]
+    fn concurrent_appends_to_one_file_keep_every_acknowledged_row() {
+        let dir = tmpdir("concurrent");
+        let train = dir.join("train.csv");
+        std::fs::write(&train, "").unwrap();
+        let appending = std::sync::atomic::AtomicBool::new(true);
+        let (acked, errors) = std::thread::scope(|s| {
+            // A compile heals the file before hashing it, whatever else
+            // is appending to it.
+            s.spawn(|| {
+                while appending.load(std::sync::atomic::Ordering::Relaxed) {
+                    let _ = heal_pending_ingest(&train);
+                }
+            });
+            let workers: Vec<_> = (0..2)
+                .map(|t| {
+                    let train = &train;
+                    s.spawn(move || {
+                        let mut outcome = (0, 0);
+                        for i in 0..50 {
+                            match append_lines(train, &[format!("{t},{i}")]) {
+                                Ok(_) => outcome.0 += 1,
+                                Err(_) => outcome.1 += 1,
+                            }
+                        }
+                        outcome
+                    })
+                })
+                .collect();
+            let outcome = workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+            appending.store(false, std::sync::atomic::Ordering::Relaxed);
+            outcome
+        });
+        let rows = std::fs::read_to_string(&train).unwrap().lines().count();
+        assert_eq!((acked, errors, rows), (100, 0, 100));
+        assert!(!sidecar_path(&train).exists());
     }
 }

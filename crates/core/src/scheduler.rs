@@ -90,7 +90,7 @@ use crate::workflow::{Node, NodeId, Workflow};
 use crate::{HelixError, Result};
 use helix_dataflow::codec::GroupSpec;
 use helix_dataflow::fx::FxHasher;
-use helix_dataflow::par::panic_message;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -533,9 +533,21 @@ fn catch_node_panic<T>(name: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         Err(HelixError::Exec(format!(
             "node `{name}` panicked: {}",
-            panic_message(&payload)
+            panic_message(&*payload)
         )))
     })
+}
+
+/// Renders a panic payload as a message: the `&str` or `String` a
+/// `panic!` carries, or a placeholder for any other payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string payload>".to_string()
+    }
 }
 
 /// Produces one piece of a compute node's output — the only place the

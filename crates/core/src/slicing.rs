@@ -33,11 +33,6 @@ impl Slice {
             .map(|(i, _)| NodeId(i as u32))
             .collect()
     }
-
-    /// Number of active nodes.
-    pub fn active_count(&self) -> usize {
-        self.active.iter().filter(|a| **a).count()
-    }
 }
 
 /// Computes the backward slice from the workflow outputs.
@@ -332,7 +327,7 @@ mod tests {
         let b = w.csv_scanner("b", &a, &[("x", DataType::Int)]).unwrap();
         w.output(&b);
         let s = slice(&w).unwrap();
-        assert_eq!(s.active_count(), 2);
+        assert_eq!(s.active.iter().filter(|a| **a).count(), 2);
         assert!(s.pruned().is_empty());
     }
 }

@@ -437,23 +437,6 @@ impl Workflow {
         out.sort();
         out
     }
-
-    /// All descendants (transitive children) of a node, excluding itself.
-    pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
-        let children = self.children();
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = children[id.index()].clone();
-        let mut out = Vec::new();
-        while let Some(c) = stack.pop() {
-            if !seen[c.index()] {
-                seen[c.index()] = true;
-                out.push(c);
-                stack.extend(children[c.index()].iter().copied());
-            }
-        }
-        out.sort();
-        out
-    }
 }
 
 /// Checks the parameters of an operator, whichever entry point sets it
@@ -520,12 +503,10 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_and_descendants() {
+    fn ancestors_are_transitive_parents() {
         let (w, a, b, c) = linear_workflow();
         assert_eq!(w.ancestors(c.0), vec![a.0, b.0]);
-        assert_eq!(w.descendants(a.0), vec![b.0, c.0]);
         assert!(w.ancestors(a.0).is_empty());
-        assert!(w.descendants(c.0).is_empty());
     }
 
     #[test]

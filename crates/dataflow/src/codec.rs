@@ -69,9 +69,7 @@
 
 use crate::fx::{hash_bytes, FxHashMap};
 use crate::{DataCollection, DataType, DataflowError, Field, Result, Row, Rows, Schema, Value};
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::ops::Range;
-use std::path::Path;
 use std::sync::Arc;
 
 /// File magic: "HLXD" (HeLiX Data).
@@ -677,25 +675,6 @@ fn read_rows(
     Ok(())
 }
 
-/// Writes a collection to a file (buffered, then flushed).
-pub fn write_file(dc: &DataCollection, path: &Path) -> Result<u64> {
-    let file = std::fs::File::create(path)?;
-    let mut writer = BufWriter::new(file);
-    let bytes = encode(dc);
-    writer.write_all(&bytes)?;
-    writer.flush()?;
-    Ok(bytes.len() as u64)
-}
-
-/// Reads a collection from a file written by [`write_file`].
-pub fn read_file(path: &Path) -> Result<DataCollection> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    decode(&bytes)
-}
-
 // ---------------------------------------------------------------------------
 // Value encoding
 // ---------------------------------------------------------------------------
@@ -954,18 +933,6 @@ mod tests {
         bytes.push(0);
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("trailing"));
-    }
-
-    #[test]
-    fn file_round_trip_reports_size() {
-        let dir = std::env::temp_dir().join(format!("helix-codec-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.hlxd");
-        let dc = sample();
-        let written = write_file(&dc, &path).unwrap();
-        assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-        assert_eq!(read_file(&path).unwrap(), dc);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Rows and data collections — the unit of data flowing between operators.
 
-use crate::{DataType, DataflowError, Result, Schema, Value};
+use crate::{DataflowError, Result, Schema, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -347,26 +347,6 @@ impl DataCollection {
         Ok(Self::from_rows_unchecked(schema, rows))
     }
 
-    /// New collection with an extra column computed from each row.
-    pub fn with_column(
-        &self,
-        name: &str,
-        dtype: DataType,
-        mut f: impl FnMut(&Row) -> Value,
-    ) -> Result<DataCollection> {
-        let schema = self.schema.with_field(crate::Field::new(name, dtype))?;
-        let rows = self
-            .rows()
-            .iter()
-            .map(|row| {
-                let mut values = row.0.clone();
-                values.push(f(row));
-                Row(values)
-            })
-            .collect();
-        Ok(Self::from_rows_unchecked(schema, rows))
-    }
-
     /// First `n` rows (or fewer), sharing them.
     pub fn head(&self, n: usize) -> DataCollection {
         self.slice(0, n.min(self.len))
@@ -403,12 +383,6 @@ impl DataCollection {
             segments,
             len: end - start,
         }
-    }
-
-    /// Splits rows into two collections at `index` (first gets `[0, index)`).
-    pub fn split_at(&self, index: usize) -> (DataCollection, DataCollection) {
-        let index = index.min(self.len);
-        (self.slice(0, index), self.slice(index, self.len))
     }
 
     /// Concatenates another collection with an identical schema.
@@ -492,6 +466,7 @@ fn validate_row(schema: &Schema, row: &Row, rownum: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DataType;
 
     fn people() -> DataCollection {
         let schema = Schema::of(&[("name", DataType::Str), ("age", DataType::Int)]);
@@ -545,18 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn with_column_appends_values() {
-        let dc = people();
-        let extended = dc
-            .with_column("minor", DataType::Bool, |row| {
-                Value::Bool(row.get(1).as_int().unwrap_or(0) < 21)
-            })
-            .unwrap();
-        assert_eq!(extended.schema().len(), 3);
-        assert_eq!(extended.row(2).get(2), &Value::Bool(true));
-    }
-
-    #[test]
     fn map_validates_output() {
         let dc = people();
         let target = Schema::of(&[("age2", DataType::Int)]);
@@ -573,7 +536,7 @@ mod tests {
     #[test]
     fn split_and_concat_round_trip() {
         let dc = people();
-        let (a, b) = dc.split_at(1);
+        let (a, b) = (dc.slice(0, 1), dc.slice(1, dc.len()));
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 2);
         let back = a.concat(&b).unwrap();

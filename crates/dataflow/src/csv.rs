@@ -4,7 +4,7 @@
 //! typed scanning against a [`Schema`], and header handling. This backs the
 //! paper's `CSVScanner` operator (Fig. 1a line 3).
 
-use crate::{DataCollection, DataType, DataflowError, Result, Row, Schema, Value};
+use crate::{DataCollection, DataflowError, Result, Row, Schema, Value};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
@@ -102,16 +102,6 @@ pub fn scan(
     DataCollection::new(std::sync::Arc::clone(schema), rows)
 }
 
-/// Reads and scans a CSV file.
-pub fn scan_file(
-    path: &Path,
-    schema: &std::sync::Arc<Schema>,
-    has_header: bool,
-) -> Result<DataCollection> {
-    let input = std::fs::read_to_string(path)?;
-    scan(&input, schema, has_header)
-}
-
 /// Serializes a collection to CSV with a header row.
 pub fn to_csv_string(dc: &DataCollection) -> String {
     let mut out = String::new();
@@ -161,53 +151,10 @@ fn push_record<'a>(out: &mut String, fields: impl Iterator<Item = &'a str>) {
     out.push('\n');
 }
 
-/// Infers a per-column [`DataType`] by examining up to `sample` records
-/// (header excluded). Columns where every sampled value parses as int become
-/// `Int`, else float → `Float`, else `Str`.
-pub fn infer_schema(input: &str, sample: usize) -> Result<std::sync::Arc<Schema>> {
-    let records = parse_records(input)?;
-    let Some(header) = records.first() else {
-        return Err(DataflowError::Csv(
-            "cannot infer schema of empty input".into(),
-        ));
-    };
-    let n = header.len();
-    let mut could_be_int = vec![true; n];
-    let mut could_be_float = vec![true; n];
-    for record in records.iter().skip(1).take(sample) {
-        for (i, raw) in record.iter().enumerate().take(n) {
-            let trimmed = raw.trim();
-            if trimmed.is_empty() || trimmed == "?" {
-                continue;
-            }
-            if trimmed.parse::<i64>().is_err() {
-                could_be_int[i] = false;
-            }
-            if trimmed.parse::<f64>().is_err() {
-                could_be_float[i] = false;
-            }
-        }
-    }
-    let fields = header
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let dtype = if could_be_int[i] {
-                DataType::Int
-            } else if could_be_float[i] {
-                DataType::Float
-            } else {
-                DataType::Str
-            };
-            crate::Field::new(name.trim(), dtype)
-        })
-        .collect();
-    Schema::new(fields)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DataType;
     use std::sync::Arc;
 
     #[test]
@@ -278,20 +225,8 @@ mod tests {
         let schema = Schema::of(&[("n", DataType::Int)]);
         let dc = DataCollection::new(Arc::clone(&schema), vec![Row(vec![Value::Int(7)])]).unwrap();
         write_file(&dc, &path).unwrap();
-        assert_eq!(scan_file(&path, &schema, true).unwrap(), dc);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(scan(&text, &schema, true).unwrap(), dc);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn infer_schema_detects_types() {
-        let schema = infer_schema("id,score,label\n1,0.5,yes\n2,1.5,no\n", 100).unwrap();
-        assert_eq!(schema.field(0).dtype, DataType::Int);
-        assert_eq!(schema.field(1).dtype, DataType::Float);
-        assert_eq!(schema.field(2).dtype, DataType::Str);
-    }
-
-    #[test]
-    fn infer_schema_empty_errors() {
-        assert!(infer_schema("", 10).is_err());
     }
 }

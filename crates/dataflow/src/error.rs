@@ -17,9 +17,6 @@ pub enum DataflowError {
     Io(std::io::Error),
     /// A user-defined function failed.
     Udf(String),
-    /// A parallel worker thread panicked; the payload message is carried
-    /// so callers can report it instead of aborting the process.
-    WorkerPanic(String),
 }
 
 impl fmt::Display for DataflowError {
@@ -31,7 +28,6 @@ impl fmt::Display for DataflowError {
             DataflowError::Codec(msg) => write!(f, "codec error: {msg}"),
             DataflowError::Io(err) => write!(f, "io error: {err}"),
             DataflowError::Udf(msg) => write!(f, "udf error: {msg}"),
-            DataflowError::WorkerPanic(msg) => write!(f, "worker panic: {msg}"),
         }
     }
 }

@@ -82,19 +82,14 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     hasher.finish()
 }
 
-/// Hashes a string in one call.
-pub fn hash_str(s: &str) -> u64 {
-    hash_bytes(s.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn deterministic_across_calls() {
-        assert_eq!(hash_str("workflow"), hash_str("workflow"));
-        assert_ne!(hash_str("workflow"), hash_str("workflows"));
+        assert_eq!(hash_bytes(b"workflow"), hash_bytes(b"workflow"));
+        assert_ne!(hash_bytes(b"workflow"), hash_bytes(b"workflows"));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //!   intermediate results to disk,
 //! * a small [CSV](csv) reader/writer for structured sources,
 //! * a [`text`] source for document corpora,
-//! * [parallel row transforms](par) built on `crossbeam` scoped threads,
 //! * an [FxHash-style hasher](fx) shared by the workspace for hot,
 //!   non-adversarial hashing (see the Rust Performance Book's hashing
 //!   chapter).
@@ -23,7 +22,6 @@ pub mod collection;
 pub mod csv;
 pub mod error;
 pub mod fx;
-pub mod par;
 pub mod schema;
 pub mod text;
 pub mod value;

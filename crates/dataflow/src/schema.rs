@@ -151,13 +151,6 @@ impl Schema {
         &self.fields[i]
     }
 
-    /// A new schema with one extra column appended.
-    pub fn with_field(&self, field: Field) -> Result<Arc<Schema>> {
-        let mut fields = self.fields.clone();
-        fields.push(field);
-        Schema::new(fields)
-    }
-
     /// A new schema restricted to the named columns, in the given order.
     pub fn project(&self, names: &[&str]) -> Result<(Arc<Schema>, Vec<usize>)> {
         let mut fields = Vec::with_capacity(names.len());
@@ -226,14 +219,6 @@ mod tests {
         assert_eq!(indices, vec![2, 0]);
         assert_eq!(projected.field(0).name, "c");
         assert_eq!(projected.field(1).name, "a");
-    }
-
-    #[test]
-    fn with_field_appends() {
-        let schema = Schema::of(&[("a", DataType::Int)]);
-        let wider = schema.with_field(Field::new("b", DataType::Str)).unwrap();
-        assert_eq!(wider.len(), 2);
-        assert!(schema.with_field(Field::new("a", DataType::Str)).is_err());
     }
 
     #[test]

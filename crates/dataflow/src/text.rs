@@ -5,7 +5,6 @@
 //! mirroring how DeepDive-style IE pipelines ingest article dumps.
 
 use crate::{DataCollection, DataType, Result, Row, Schema, Value};
-use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -42,22 +41,6 @@ pub fn read_corpus(path: &Path) -> Result<DataCollection> {
     Ok(corpus_from_docs(&docs))
 }
 
-/// Writes a corpus collection (any collection with a `text` column) back to
-/// a one-document-per-line file. Newlines inside documents are replaced with
-/// spaces to preserve the format's invariant.
-pub fn write_corpus(dc: &DataCollection, path: &Path) -> Result<()> {
-    let idx = dc.column_index("text")?;
-    let file = std::fs::File::create(path)?;
-    let mut writer = BufWriter::new(file);
-    for row in dc.rows() {
-        let text = row.get(idx).as_str().unwrap_or("");
-        let flat = text.replace(['\n', '\r'], " ");
-        writeln!(writer, "{flat}")?;
-    }
-    writer.flush()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,21 +61,7 @@ mod tests {
         std::fs::write(&path, "Alpha story.\n\nBeta story.\n").unwrap();
         let dc = read_corpus(&path).unwrap();
         assert_eq!(dc.len(), 2);
-        write_corpus(&dc, &path).unwrap();
-        let again = read_corpus(&path).unwrap();
-        assert_eq!(again, dc);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn write_corpus_flattens_newlines() {
-        let dir = std::env::temp_dir().join(format!("helix-text-test2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corpus.txt");
-        let dc = corpus_from_docs(&["two\nlines"]);
-        write_corpus(&dc, &path).unwrap();
-        let back = read_corpus(&path).unwrap();
-        assert_eq!(back.row(0).get(1).as_str(), Some("two lines"));
+        assert_eq!(dc.row(1).get(1).as_str(), Some("Beta story."));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -64,16 +64,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of forward edges added via [`FlowNetwork::add_edge`].
-    pub fn num_edges(&self) -> usize {
-        self.edges.len() / 2
-    }
-
     /// Adds a directed edge `from -> to` with capacity `cap`, plus its
     /// residual reverse edge. Returns an identifier usable with
     /// [`FlowNetwork::flow_on`].

@@ -62,31 +62,6 @@ impl Dataset {
         }
         Ok(())
     }
-
-    /// Fraction of examples with label `1.0` (binary-classification prior).
-    pub fn positive_rate(&self) -> f64 {
-        if self.examples.is_empty() {
-            return 0.0;
-        }
-        let positives = self.examples.iter().filter(|ex| ex.label == 1.0).count();
-        positives as f64 / self.examples.len() as f64
-    }
-
-    /// Splits into `(first, second)` at `index`.
-    pub fn split_at(&self, index: usize) -> (Dataset, Dataset) {
-        let index = index.min(self.examples.len());
-        let (a, b) = self.examples.split_at(index);
-        (
-            Dataset::new(a.to_vec(), self.dim),
-            Dataset::new(b.to_vec(), self.dim),
-        )
-    }
-
-    /// Returns the subset at the given example indices.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let examples = indices.iter().map(|&i| self.examples[i].clone()).collect();
-        Dataset::new(examples, self.dim)
-    }
 }
 
 #[cfg(test)]
@@ -109,26 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn positive_rate_counts_ones() {
-        let ds = Dataset::new(vec![ex(0, 1.0), ex(1, 0.0), ex(2, 1.0), ex(3, 0.0)], 4);
-        assert_eq!(ds.positive_rate(), 0.5);
-        assert_eq!(Dataset::default().positive_rate(), 0.0);
-    }
-
-    #[test]
     fn empty_dataset_not_trainable() {
         assert!(Dataset::default().check_trainable().is_err());
         assert!(Dataset::new(vec![ex(0, 1.0)], 1).check_trainable().is_ok());
-    }
-
-    #[test]
-    fn split_and_subset() {
-        let ds = Dataset::new(vec![ex(0, 0.0), ex(1, 1.0), ex(2, 0.0)], 3);
-        let (a, b) = ds.split_at(2);
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 1);
-        let sub = ds.subset(&[2, 0]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.examples()[0], ds.examples()[2]);
     }
 }

@@ -5,8 +5,7 @@
 //! [`FeatureSpace`] that converts Helix's
 //! human-readable pre-processing output into ML-ready vectors (§2.1), a
 //! small family of learners (logistic regression, linear regression,
-//! Bernoulli naive Bayes, averaged perceptron), evaluation metrics, and
-//! cross-validation helpers.
+//! Bernoulli naive Bayes, averaged perceptron) and evaluation metrics.
 //!
 //! Models implement a compact binary encoding ([`model::Model::encode`]) so
 //! that *trained models are first-class intermediate results*: Helix's
@@ -15,7 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cv;
 pub mod dataset;
 pub mod error;
 pub mod features;
@@ -25,7 +23,6 @@ pub mod metrics;
 pub mod model;
 pub mod naive_bayes;
 pub mod perceptron;
-pub mod scaler;
 pub mod vector;
 
 pub use dataset::{Dataset, LabeledExample};

@@ -93,78 +93,12 @@ impl SparseVector {
         sum
     }
 
-    /// Adds `scale * self` into a dense accumulator, growing it as needed.
-    pub fn add_scaled_into(&self, scale: f64, dense: &mut Vec<f64>) {
-        let needed = self.width() as usize;
-        if dense.len() < needed {
-            dense.resize(needed, 0.0);
-        }
-        for (i, v) in self.iter() {
-            dense[i as usize] += scale * v;
-        }
-    }
-
-    /// Euclidean norm.
-    pub fn l2_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Value at `index` (zero if absent).
     pub fn get(&self, index: u32) -> f64 {
         match self.indices.binary_search(&index) {
             Ok(pos) => self.values[pos],
             Err(_) => 0.0,
         }
-    }
-
-    /// Restricts to indices where `keep(index)` is true — Helix's program
-    /// slicer uses this to drop features eliminated by feature selection.
-    pub fn retain_indices(&self, keep: impl Fn(u32) -> bool) -> SparseVector {
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for (i, v) in self.iter() {
-            if keep(i) {
-                indices.push(i);
-                values.push(v);
-            }
-        }
-        SparseVector { indices, values }
-    }
-
-    /// Serializes into `buf` (varint length + LE pairs).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let n = self.indices.len() as u32;
-        buf.extend_from_slice(&n.to_le_bytes());
-        for (i, v) in self.iter() {
-            buf.extend_from_slice(&i.to_le_bytes());
-            buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-
-    /// Deserializes from bytes written by [`SparseVector::encode_into`],
-    /// returning the vector and bytes consumed.
-    pub fn decode_from(bytes: &[u8]) -> Result<(SparseVector, usize)> {
-        if bytes.len() < 4 {
-            return Err(MlError::Codec("truncated sparse vector header".into()));
-        }
-        let n = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        let need = 4 + n * 12;
-        if bytes.len() < need {
-            return Err(MlError::Codec("truncated sparse vector payload".into()));
-        }
-        let mut indices = Vec::with_capacity(n);
-        let mut values = Vec::with_capacity(n);
-        let mut pos = 4;
-        for _ in 0..n {
-            indices.push(u32::from_le_bytes(
-                bytes[pos..pos + 4].try_into().expect("4"),
-            ));
-            values.push(f64::from_bits(u64::from_le_bytes(
-                bytes[pos + 4..pos + 12].try_into().expect("8"),
-            )));
-            pos += 12;
-        }
-        Ok((SparseVector::new(indices, values)?, pos))
     }
 }
 
@@ -197,37 +131,9 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_grows_accumulator() {
-        let v = SparseVector::from_pairs(vec![(3, 2.0)]);
-        let mut acc = vec![1.0];
-        v.add_scaled_into(0.5, &mut acc);
-        assert_eq!(acc, vec![1.0, 0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn retain_filters_indices() {
-        let v = SparseVector::from_pairs(vec![(1, 1.0), (2, 2.0), (3, 3.0)]);
-        let kept = v.retain_indices(|i| i % 2 == 1);
-        assert_eq!(kept.nnz(), 2);
-        assert_eq!(kept.get(2), 0.0);
-    }
-
-    #[test]
-    fn norm_and_width() {
+    fn width_is_largest_index_plus_one() {
         let v = SparseVector::from_pairs(vec![(0, 3.0), (4, 4.0)]);
-        assert!((v.l2_norm() - 5.0).abs() < 1e-12);
         assert_eq!(v.width(), 5);
         assert_eq!(SparseVector::empty().width(), 0);
-    }
-
-    #[test]
-    fn codec_round_trip() {
-        let v = SparseVector::from_pairs(vec![(0, -1.5), (9, 2.25)]);
-        let mut buf = Vec::new();
-        v.encode_into(&mut buf);
-        let (back, used) = SparseVector::decode_from(&buf).unwrap();
-        assert_eq!(back, v);
-        assert_eq!(used, buf.len());
-        assert!(SparseVector::decode_from(&buf[..5]).is_err());
     }
 }

@@ -109,22 +109,6 @@ pub fn tokenize(text: &str) -> Vec<Token> {
     tokens
 }
 
-/// Extracts n-grams of token texts (lowercased), used as bag features.
-pub fn ngrams(tokens: &[Token], n: usize) -> Vec<String> {
-    if n == 0 || tokens.len() < n {
-        return Vec::new();
-    }
-    tokens
-        .windows(n)
-        .map(|w| {
-            w.iter()
-                .map(|t| t.text.to_lowercase())
-                .collect::<Vec<_>>()
-                .join("_")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,13 +166,5 @@ mod tests {
         assert!(!toks[1].is_capitalized());
         assert_eq!(toks[0].shape(), "XxXx");
         assert_eq!(toks[2].shape(), "9");
-    }
-
-    #[test]
-    fn ngrams_join_lowercased() {
-        let toks = tokenize("The Quick fox");
-        assert_eq!(ngrams(&toks, 2), vec!["the_quick", "quick_fox"]);
-        assert!(ngrams(&toks, 4).is_empty());
-        assert!(ngrams(&toks, 0).is_empty());
     }
 }

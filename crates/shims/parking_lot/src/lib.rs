@@ -4,7 +4,7 @@
 //! `lock()` returns the guard directly (a poisoned std lock is recovered,
 //! matching `parking_lot`'s "panics do not poison" semantics).
 
-use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{self, MutexGuard};
 
 /// A mutual-exclusion primitive with `parking_lot`'s panic-free `lock()`.
 #[derive(Debug, Default)]
@@ -47,43 +47,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// A reader-writer lock with `parking_lot`'s panic-free API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Acquires an exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Returns a mutable reference to the underlying data.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,12 +57,5 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_round_trip() {
-        let l = RwLock::new(vec![1, 2]);
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 }

@@ -11,17 +11,6 @@ pub enum IterationStage {
     Evaluation,
 }
 
-impl IterationStage {
-    /// Single-letter tag used in benchmark tables (`P`/`M`/`E`).
-    pub fn letter(&self) -> char {
-        match self {
-            IterationStage::DataPreProcessing => 'P',
-            IterationStage::MachineLearning => 'M',
-            IterationStage::Evaluation => 'E',
-        }
-    }
-}
-
 /// One scripted modification to a workflow's parameters.
 pub struct IterationSpec<P> {
     /// What the "user" did, for logs and version summaries.
@@ -68,13 +57,6 @@ mod tests {
         let mut v = 1;
         (spec.apply)(&mut v);
         assert_eq!(v, 2);
-        assert_eq!(spec.stage.letter(), 'M');
         assert!(format!("{spec:?}").contains("bump"));
-    }
-
-    #[test]
-    fn letters_are_distinct() {
-        assert_eq!(IterationStage::DataPreProcessing.letter(), 'P');
-        assert_eq!(IterationStage::Evaluation.letter(), 'E');
     }
 }

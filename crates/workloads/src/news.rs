@@ -14,7 +14,6 @@
 //! Census (structured, narrow) and IE (deep UDF chain) in the scheduler's
 //! cross-workload test matrix.
 
-use crate::iterations::{IterationSpec, IterationStage};
 use helix_core::ops::{EvalSpec, LearnerSpec, MetricKind, Udf};
 use helix_core::workflow::Workflow;
 use helix_core::Result;
@@ -157,17 +156,6 @@ const TOPICS: &[&str] = &[
     "the ongoing negotiations",
     "a landmark settlement",
 ];
-
-/// A gold person mention: byte span within its document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GoldMention {
-    /// Document id (line number in the corpus file).
-    pub doc_id: i64,
-    /// Byte offset of the mention start.
-    pub start: i64,
-    /// Byte offset one past the mention end.
-    pub end: i64,
-}
 
 /// Generator settings.
 #[derive(Debug, Clone)]
@@ -565,45 +553,6 @@ pub fn news_workflow(params: &NewsParams) -> Result<Workflow> {
     Ok(w)
 }
 
-/// An iteration script for the news workload covering all three stages.
-pub fn news_iterations() -> Vec<IterationSpec<NewsParams>> {
-    vec![
-        IterationSpec::new(
-            "add honorific-title features",
-            IterationStage::DataPreProcessing,
-            |p: &mut NewsParams| {
-                p.feat_titles = true;
-            },
-        ),
-        IterationSpec::new(
-            "decrease regularization",
-            IterationStage::MachineLearning,
-            |p: &mut NewsParams| {
-                p.reg_param = 0.01;
-            },
-        ),
-        IterationSpec::new(
-            "add precision/recall metrics",
-            IterationStage::Evaluation,
-            |p: &mut NewsParams| {
-                p.metrics = vec![
-                    MetricKind::Accuracy,
-                    MetricKind::F1,
-                    MetricKind::Precision,
-                    MetricKind::Recall,
-                ];
-            },
-        ),
-        IterationSpec::new(
-            "add organization features",
-            IterationStage::DataPreProcessing,
-            |p: &mut NewsParams| {
-                p.feat_orgs = true;
-            },
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,18 +685,6 @@ mod tests {
                 helix_core::NodeState::Compute,
                 "{feat} must not recompute on an ML-only change"
             );
-        }
-    }
-
-    #[test]
-    fn news_iteration_script_covers_all_stages() {
-        let iters = news_iterations();
-        for stage in [
-            IterationStage::DataPreProcessing,
-            IterationStage::MachineLearning,
-            IterationStage::Evaluation,
-        ] {
-            assert!(iters.iter().any(|i| i.stage == stage), "{stage:?}");
         }
     }
 
