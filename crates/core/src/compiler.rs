@@ -19,8 +19,8 @@ use helix_dataflow::fx::FxHashMap;
 /// Default compute estimate for operators never observed before (50 ms):
 /// large enough that loading a small cached result wins, small enough that
 /// a plan never *depends* on the estimate being right — unknown nodes have
-/// no materialization and must compute regardless. The offline pass
-/// prices a signature that was only ever loaded the same way.
+/// no materialization and must compute regardless. Displacement prices
+/// a signature that was only ever loaded the same way.
 pub(crate) const DEFAULT_COMPUTE_SECS: f64 = 0.05;
 
 /// The physical plan for one iteration.

@@ -16,14 +16,13 @@
 //!
 //! Each run holds its plan's `Load` signatures in an engine-level
 //! *in-flight set* from compile until it has loaded them (or ends). A
-//! displacement (see [`crate::materialize::Displacement`]) and the offline
-//! pass never evict a key in it, so a compiled plan never finds its loads
-//! gone.
+//! displacement (see [`crate::materialize::Displacement`]) never evicts a
+//! key in it, so a compiled plan never finds its loads gone.
 
 use crate::compiler::CompiledPlan;
 use crate::cost::{CostEvent, CostModel};
 use crate::materialize::{Displacement, MaterializationContext, MaterializationPolicyKind};
-use crate::memo::{MemoTable, Observation, OfflineOutcome, Recording};
+use crate::memo::{MemoTable, Observation, Recording};
 use crate::ops::{NodeOutput, OperatorKind};
 use crate::persist::{
     arr_field, f64_field, field, hex_u64, str_arr, str_field, string_list, u64_hex, Doc,
@@ -510,19 +509,14 @@ pub struct Engine {
     /// merge gate: a run merges its cost and memo events and records its
     /// version under it, then appends the run's record, so log order is
     /// merge order however many sessions run. Lock order: taken before
-    /// the cost model, memo, version and pin locks, never after.
+    /// the cost model, memo and version locks, never after.
     meta: Option<Mutex<Journal>>,
     /// The optimizer memo: per-signature runtime history consulted by
-    /// the adaptive re-plan, materialization biasing, partition sizing,
-    /// and the offline Optimal pass. Persisted with the engine meta.
+    /// the adaptive re-plan, materialization biasing, partition sizing
+    /// and displacement. Persisted with the engine meta.
     memo: Mutex<MemoTable>,
-    /// Signatures pinned by the last offline Optimal pass: they
-    /// materialize whenever they fit, regardless of the online rule.
-    pinned: Mutex<FxHashSet<u64>>,
     /// Lifetime count of adaptive re-plans (surfaced in `GET /stats`).
     replans_triggered: AtomicU64,
-    /// Unix timestamp of the last offline pass (0 = never ran).
-    last_offline_unix: AtomicU64,
     /// Lifetime count of store writes skipped after an I/O error.
     writes_skipped: AtomicU64,
     /// Keys some running plan loads (module docs). Lock order: taken
@@ -583,9 +577,7 @@ impl Engine {
             recovery,
             meta: journal,
             memo: Mutex::new(meta.memo),
-            pinned: Mutex::new(meta.pinned.iter().map(|s| s.0).collect()),
             replans_triggered: AtomicU64::new(meta.replans_triggered),
-            last_offline_unix: AtomicU64::new(meta.last_offline_unix),
             writes_skipped: AtomicU64::new(0),
             inflight_loads: Mutex::new(FxHashMap::default()),
         })
@@ -624,26 +616,21 @@ impl Engine {
             cost: lock(&self.cost_model).clone(),
             versions: lock(&self.versions).all().to_vec(),
             memo: lock(&self.memo).clone(),
-            pinned: lock(&self.pinned).iter().map(|&s| Signature(s)).collect(),
             replans_triggered: self.replans_triggered.load(Ordering::Relaxed),
-            last_offline_unix: self.last_offline_unix.load(Ordering::Relaxed),
             seq: 0,
         }
     }
 
-    /// Appends `record` with the engine's counters to the meta log, under
+    /// Appends `record` with the engine's re-plan counter to the meta log, under
     /// the merge gate `journal`, and compacts when the log has outgrown
     /// its snapshot — or when the append failed, so the snapshot carries
     /// the state instead. Failures warn rather than error: persistence
     /// must never fail a run that already committed its results.
     fn log_meta(&self, journal: &mut Journal, record: Vec<(&'static str, Json)>) {
-        let counters = [
-            ("replans", self.replans_triggered.load(Ordering::Relaxed)),
-            ("offline", self.last_offline_unix.load(Ordering::Relaxed)),
-        ];
+        let replans = self.replans_triggered.load(Ordering::Relaxed);
         let record = record
             .into_iter()
-            .chain(counters.map(|(key, n)| (key, Json::Num(n as f64))));
+            .chain([("replans", Json::Num(replans as f64))]);
         let compact = journal.append(Json::obj(record)).unwrap_or_else(|err| {
             eprintln!("helix: warning: failed to log engine meta: {err}");
             true
@@ -836,7 +823,6 @@ impl Engine {
             (plan, memo_snapshot) = self.plan_run(workflow, lineage, &cost)?;
             loads = self.hold_loads(&plan);
         }
-        let pinned_snapshot: FxHashSet<u64> = lock(&self.pinned).clone();
         let optimizer_secs = opt_started.elapsed().as_secs_f64();
 
         let node_reports: Vec<NodeReport> = workflow
@@ -980,7 +966,6 @@ impl Engine {
                             .get(plan.signatures[i])
                             .map(|e| e.expected_reuse())
                             .unwrap_or(1.0),
-                        pinned: pinned_snapshot.contains(&plan.signatures[i].0),
                     };
                     // A chunked output is written as one row group per
                     // data chunk, under the key its pieces were probed
@@ -1000,9 +985,8 @@ impl Engine {
                         // stays locked until the put is done, so no run
                         // starts to hold a key this put evicts.
                         let inflight = lock(inflight_loads);
-                        let mut protected = pinned_snapshot.clone();
-                        protected.extend(inflight.keys().copied());
-                        protected.extend(ctx.chunk_keys.iter().copied());
+                        let protected: FxHashSet<u64> =
+                            inflight.keys().chain(&ctx.chunk_keys).copied().collect();
                         let residents = store.residents();
                         let fresh = ctx.fresh_timings();
                         let victims = Displacement {
@@ -1105,6 +1089,9 @@ impl Engine {
         // concurrent runs from erasing each other's calibration.
         let recorded = result.map(|mut result| {
             let kept = keep.and_then(|id| result.outputs[id.index()].take());
+            // Freeing the pass's outputs is part of the pass: drop them
+            // before `total_secs` is taken.
+            drop(result);
             let change_summary = options.summary.unwrap_or_else(|| {
                 plan.change
                     .as_ref()
@@ -1165,56 +1152,7 @@ impl Engine {
             memo_entries: memo.len(),
             observations_recorded: memo.observations_recorded(),
             replans_triggered: self.replans_triggered.load(Ordering::Relaxed),
-            pinned: lock(&self.pinned).len(),
-            last_offline_unix: self.last_offline_unix.load(Ordering::Relaxed),
         }
-    }
-
-    /// The paper's offline Optimal-materialization pass (the
-    /// `POST /admin/optimize` entry point), intended to run between
-    /// session bursts.
-    ///
-    /// Solves materialization over the accumulated memo history via the
-    /// Project-Selection/min-cut machinery ([`crate::memo::solve_offline`]
-    /// — the chosen set's total cost never exceeds the online rule's on
-    /// the same history), pins the chosen signatures so the online policy
-    /// materializes them whenever they fit, evicts stored entries the
-    /// history says are not worth their bytes (except those an in-flight
-    /// run plans to load), and checkpoints the result with the engine
-    /// meta.
-    pub fn optimize_offline(&self) -> Result<OfflineOutcome> {
-        let memo = lock(&self.memo).clone();
-        let cost = lock(&self.cost_model).clone();
-        let outcome = crate::memo::solve_offline(&memo, &cost, self.config.storage_budget_bytes);
-        let chosen: FxHashSet<u64> = outcome.chosen.iter().map(|s| s.0).collect();
-        *lock(&self.pinned) = chosen.clone();
-        // Reclaim bytes from stored entries the pass rejected, except
-        // those a running plan loads: a planned load that finds its key
-        // gone fails the run, it does not recompute.
-        let inflight = lock(&self.inflight_loads);
-        for (sig, _) in memo.entries() {
-            if !chosen.contains(&sig.0)
-                && !inflight.contains_key(&sig.0)
-                && self.store.lookup(sig).is_some()
-            {
-                let _ = self.store.evict(sig);
-            }
-        }
-        drop(inflight);
-        let now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        self.last_offline_unix.store(now, Ordering::Relaxed);
-        if let Some(journal) = &self.meta {
-            let pinned: Vec<Signature> = chosen.iter().map(|&s| Signature(s)).collect();
-            let record = vec![
-                ("op", Json::str("pins")),
-                ("pinned", crate::persist::sig_arr(&pinned)),
-            ];
-            self.log_meta(&mut lock(journal), record);
-        }
-        Ok(outcome)
     }
 }
 
@@ -1227,10 +1165,6 @@ pub struct OptimizerStats {
     pub observations_recorded: u64,
     /// Lifetime adaptive re-plans.
     pub replans_triggered: u64,
-    /// Signatures pinned by the last offline pass.
-    pub pinned: usize,
-    /// Unix timestamp of the last offline pass (0 = never ran).
-    pub last_offline_unix: u64,
 }
 
 /// Sum of compute-cost estimates over all ancestors of `id` — the
@@ -1878,7 +1812,7 @@ mod tests {
     }
 
     #[test]
-    fn durable_engine_reloads_memo_and_pins() {
+    fn durable_engine_reloads_memo() {
         let dir = tmpdir("durable-memo");
         std::fs::create_dir_all(&dir).unwrap();
         let config = || {
@@ -1886,23 +1820,13 @@ mod tests {
                 .with_durability(Durability::wal())
                 .with_replan_factor(1.0)
         };
-        let (entries, observations, pinned) = {
+        let (entries, observations) = {
             let engine = Engine::new(config()).unwrap();
             engine.run(&census_workflow(&dir, 0.1)).unwrap();
             engine.run(&census_workflow(&dir, 0.1)).unwrap();
-            let outcome = engine.optimize_offline().unwrap();
-            assert!(
-                outcome.chosen_cost_secs <= outcome.online_cost_secs,
-                "offline Optimal must never lose to the online rule"
-            );
             let stats = engine.optimizer_stats();
             assert!(stats.memo_entries > 0);
-            assert!(stats.last_offline_unix > 0);
-            (
-                stats.memo_entries,
-                stats.observations_recorded,
-                stats.pinned,
-            )
+            (stats.memo_entries, stats.observations_recorded)
         };
 
         let engine = Engine::new(config()).unwrap();
@@ -1914,8 +1838,6 @@ mod tests {
         let stats = engine.optimizer_stats();
         assert_eq!(stats.memo_entries, entries);
         assert_eq!(stats.observations_recorded, observations);
-        assert_eq!(stats.pinned, pinned);
-        assert!(stats.last_offline_unix > 0, "offline timestamp recovered");
 
         // The recovered memo feeds the very first post-restart plan: with
         // factor 1.0 the adaptive path must fire immediately. The replan
@@ -1935,56 +1857,16 @@ mod tests {
     }
 
     #[test]
-    fn optimize_offline_on_empty_history_chooses_nothing() {
-        let dir = tmpdir("offline-empty");
+    fn a_key_held_twice_stays_held_until_both_guards_drop() {
+        let dir = tmpdir("inflight");
         std::fs::create_dir_all(&dir).unwrap();
         let engine = Engine::new(EngineConfig::helix(dir.join("store"))).unwrap();
-        let outcome = engine.optimize_offline().unwrap();
-        assert!(outcome.chosen.is_empty());
-        assert_eq!(outcome.candidates, 0);
-        assert!(engine.optimizer_stats().last_offline_unix > 0);
-    }
-
-    #[test]
-    fn the_offline_pass_keeps_keys_an_inflight_run_loads() {
-        let dir = tmpdir("offline-inflight");
-        std::fs::create_dir_all(&dir).unwrap();
-        let engine = Engine::new(EngineConfig::helix(dir.join("store"))).unwrap();
-        let schema = helix_dataflow::Schema::of(&[("x", DataType::Int)]);
-        let rows = (0..256)
-            .map(|i| helix_dataflow::Row(vec![helix_dataflow::Value::Int(i)]))
-            .collect();
-        let output = NodeOutput::Data(helix_dataflow::DataCollection::new(schema, rows).unwrap());
-        // History says the key recomputes far faster than it loads, so
-        // the pass rejects it.
-        let sig = Signature(42);
-        engine.store().put(sig, &output).unwrap();
-        lock(&engine.memo).record(
-            sig,
-            "cheap",
-            &[],
-            Observation {
-                exec_secs: 1e-9,
-                output_bytes: 1 << 20,
-                loaded: false,
-                rows: 256,
-                run: 0,
-            },
-        );
-
-        let held = engine.hold(vec![sig.0]);
-        let outcome = engine.optimize_offline().unwrap();
-        assert!(!outcome.chosen.contains(&sig));
-        assert!(
-            engine.store().lookup(sig).is_some(),
-            "a key a running plan loads survives the pass"
-        );
-        drop(held);
+        let first = engine.hold(vec![42]);
+        let second = engine.hold(vec![42, 7]);
+        assert_eq!(lock(&engine.inflight_loads).get(&42), Some(&2));
+        drop(first);
+        assert_eq!(lock(&engine.inflight_loads).get(&42), Some(&1));
+        drop(second);
         assert!(lock(&engine.inflight_loads).is_empty());
-        engine.optimize_offline().unwrap();
-        assert!(
-            engine.store().lookup(sig).is_none(),
-            "released, the rejected key goes"
-        );
     }
 }

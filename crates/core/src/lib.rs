@@ -58,7 +58,7 @@ pub mod workflow;
 pub use engine::{Engine, EngineConfig, EngineRecovery, Lineage, OptimizerStats, RunOptions};
 pub use error::HelixError;
 pub use materialize::MaterializationPolicyKind;
-pub use memo::{DecisionSource, MemoEntry, MemoTable, Observation, OfflineOutcome};
+pub use memo::{DecisionSource, MemoEntry, MemoTable, Observation};
 pub use ops::{
     EvalSpec, ExtractorKind, LearnerSpec, MetricKind, ModelType, NodeOutput, OperatorKind, Udf,
 };

@@ -14,8 +14,10 @@
 //! i.e. one write plus one future load (`2·l_i`) beats recomputing `i`
 //! from scratch through all its ancestors — and the output fits the
 //! remaining storage budget. `MaterializeAll` (DeepDive) and `Never`
-//! (KeystoneML) are provided as the baselines Fig. 2 compares against, and
-//! [`offline_optimal`] is the exact knapsack used in ablation benches.
+//! (KeystoneML) are provided as the baselines Fig. 2 compares against.
+//! The paper prices the online rule against an offline optimum chosen
+//! with the whole iteration series known; that optimum is a yardstick
+//! for the paper's evaluation, not a policy, and is not implemented here.
 //!
 //! When the rule wants an output that does not fit, [`Displacement`]
 //! decides which stored outputs it may displace: a resident goes only if
@@ -47,9 +49,6 @@ pub struct MaterializationContext {
     /// per-signature reuse history (`1.0` — the paper's single-future-
     /// load assumption — when no history exists).
     pub expected_reuse: f64,
-    /// Whether the offline Optimal pass pinned this signature: pinned
-    /// outputs materialize whenever they fit, regardless of the rule.
-    pub pinned: bool,
 }
 
 impl MaterializationContext {
@@ -106,9 +105,9 @@ impl MaterializationPolicyKind {
     }
 }
 
-/// The online rule without the budget: pinned, or `r_i < 0`.
+/// The online rule without the budget: `r_i < 0`.
 fn helix_wants(ctx: &MaterializationContext) -> bool {
-    ctx.pinned || ctx.reduction() < 0.0
+    ctx.reduction() < 0.0
 }
 
 /// A stored whole output a displacement may drop, as the store's index
@@ -134,8 +133,8 @@ pub struct Displacement<'a> {
     pub needed_bytes: u64,
     /// The current plan's signatures: each is age 0.
     pub plan: &'a [Signature],
-    /// Keys that never go: pinned keys, the plan's chunk keys and every
-    /// key an in-flight run plans to load.
+    /// Keys that never go: the plan's chunk keys and every key an
+    /// in-flight run plans to load.
     pub protected: &'a FxHashSet<u64>,
     /// The store's displaceable outputs.
     pub residents: &'a [Resident],
@@ -200,59 +199,6 @@ fn benefit_density(chain_secs: f64, bytes: u64, age: Option<u64>) -> f64 {
     }
 }
 
-/// A candidate for the offline (exact) formulation: value is the run-time
-/// reduction of having it materialized next iteration; weight its size.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OfflineCandidate {
-    /// Expected future benefit in seconds (clamped at ≥ 0).
-    pub benefit_secs: f64,
-    /// Size in bytes.
-    pub size_bytes: u64,
-}
-
-/// Exact 0/1-knapsack over materialization candidates (the NP-hard
-/// formulation the online rule approximates). Exponential-free DP over a
-/// byte-bucketed budget; used in tests and the ablation bench, not in the
-/// engine's hot path.
-///
-/// Returns the chosen candidate indices.
-pub fn offline_optimal(candidates: &[OfflineCandidate], budget_bytes: u64) -> Vec<usize> {
-    assert!(
-        candidates.len() <= 64,
-        "offline solver limited to 64 candidates"
-    );
-    if candidates.is_empty() || budget_bytes == 0 {
-        return Vec::new();
-    }
-    // Bucket sizes to keep the DP table small: 1 KiB granularity.
-    const BUCKET: u64 = 1024;
-    let cap = (budget_bytes / BUCKET) as usize;
-    let weights: Vec<usize> = candidates
-        .iter()
-        .map(|c| (c.size_bytes.div_ceil(BUCKET)) as usize)
-        .collect();
-    let values: Vec<f64> = candidates.iter().map(|c| c.benefit_secs.max(0.0)).collect();
-    // Carry the chosen set as a bitmask beside each DP cell: exact and
-    // traceback-free (the 1-D keep-matrix traceback is subtly incorrect).
-    let mut best = vec![0.0f64; cap + 1];
-    let mut mask = vec![0u64; cap + 1];
-    for i in 0..candidates.len() {
-        if weights[i] > cap {
-            continue;
-        }
-        for w in (weights[i]..=cap).rev() {
-            let with = best[w - weights[i]] + values[i];
-            if with > best[w] {
-                best[w] = with;
-                mask[w] = mask[w - weights[i]] | (1 << i);
-            }
-        }
-    }
-    (0..candidates.len())
-        .filter(|i| mask[cap] & (1 << i) != 0)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,7 +218,6 @@ mod tests {
             size_bytes: size,
             remaining_budget_bytes: remaining,
             expected_reuse: 1.0,
-            pinned: false,
         }
     }
 
@@ -290,18 +235,6 @@ mod tests {
             c.reduction(),
             2.0 * c.load_cost_secs - (c.compute_cost_secs + c.ancestors_compute_secs)
         );
-    }
-
-    #[test]
-    fn pinned_outputs_materialize_when_they_fit() {
-        let mut c = ctx(1.0, 0.1, 0.1, 1024, 1 << 20);
-        assert!(!MaterializationPolicyKind::HelixOnline.decide(&c));
-        c.pinned = true;
-        assert!(MaterializationPolicyKind::HelixOnline.decide(&c));
-        c.remaining_budget_bytes = 0;
-        assert!(!MaterializationPolicyKind::HelixOnline.decide(&c));
-        // Pins never override `Never`.
-        assert!(!MaterializationPolicyKind::Never.decide(&c));
     }
 
     #[test]
@@ -333,103 +266,6 @@ mod tests {
     fn never_never_materializes() {
         let c = ctx(0.0, 1e9, 1e9, 0, u64::MAX);
         assert!(!MaterializationPolicyKind::Never.decide(&c));
-    }
-
-    #[test]
-    fn offline_optimal_picks_best_value_under_budget() {
-        let candidates = vec![
-            OfflineCandidate {
-                benefit_secs: 10.0,
-                size_bytes: 700 * 1024,
-            },
-            OfflineCandidate {
-                benefit_secs: 7.0,
-                size_bytes: 400 * 1024,
-            },
-            OfflineCandidate {
-                benefit_secs: 6.0,
-                size_bytes: 400 * 1024,
-            },
-        ];
-        // Budget 1 MiB: {0} alone (10.0) loses to {1, 2} (13.0); {0, 1}
-        // does not fit (1100 KiB).
-        let chosen = offline_optimal(&candidates, 1024 * 1024);
-        assert_eq!(chosen, vec![1, 2]);
-    }
-
-    #[test]
-    fn offline_optimal_matches_brute_force_on_random_instances() {
-        // Deterministic pseudo-random instances; exhaustive check over all
-        // subsets keeps the solver honest.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..20 {
-            let n = (next() % 8 + 1) as usize;
-            let candidates: Vec<OfflineCandidate> = (0..n)
-                .map(|_| OfflineCandidate {
-                    benefit_secs: (next() % 100) as f64,
-                    size_bytes: (next() % 64 + 1) * 1024,
-                })
-                .collect();
-            let budget = (next() % 128 + 1) * 1024;
-            let chosen = offline_optimal(&candidates, budget);
-            let chosen_size: u64 = chosen
-                .iter()
-                .map(|&i| candidates[i].size_bytes.div_ceil(1024))
-                .sum();
-            assert!(chosen_size * 1024 <= budget.next_multiple_of(1024));
-            let chosen_value: f64 = chosen.iter().map(|&i| candidates[i].benefit_secs).sum();
-            let mut best = 0.0f64;
-            for m in 0u32..(1 << n) {
-                let size: u64 = (0..n)
-                    .filter(|i| m & (1 << i) != 0)
-                    .map(|i| candidates[i].size_bytes.div_ceil(1024))
-                    .sum();
-                if size <= budget / 1024 {
-                    let value: f64 = (0..n)
-                        .filter(|i| m & (1 << i) != 0)
-                        .map(|i| candidates[i].benefit_secs)
-                        .sum();
-                    best = best.max(value);
-                }
-            }
-            assert!(
-                (chosen_value - best).abs() < 1e-9,
-                "{chosen_value} vs {best}"
-            );
-        }
-    }
-
-    #[test]
-    fn offline_optimal_respects_budget_exactly() {
-        let candidates = vec![
-            OfflineCandidate {
-                benefit_secs: 5.0,
-                size_bytes: 1024,
-            },
-            OfflineCandidate {
-                benefit_secs: 5.0,
-                size_bytes: 1024,
-            },
-        ];
-        let chosen = offline_optimal(&candidates, 1024);
-        assert_eq!(chosen.len(), 1);
-        assert!(offline_optimal(&candidates, 0).is_empty());
-        assert!(offline_optimal(&[], 1 << 20).is_empty());
-    }
-
-    #[test]
-    fn offline_ignores_oversized_items() {
-        let candidates = vec![OfflineCandidate {
-            benefit_secs: 100.0,
-            size_bytes: 1 << 30,
-        }];
-        assert!(offline_optimal(&candidates, 1024).is_empty());
     }
 
     /// The candidate every displacement test stores.
@@ -519,7 +355,7 @@ mod tests {
             sig: CANDIDATE,
             bytes: 1_000,
         });
-        case.protected.insert(1); // pinned
+        case.protected.insert(1); // a chunk key of the plan
         case.protected.insert(2); // an in-flight run loads it
         assert_eq!(case.victims(1_000), sigs(&[3]));
     }

@@ -1,5 +1,4 @@
-//! The optimizer memo: persistent per-signature runtime history and the
-//! offline Optimal-materialization pass built on top of it.
+//! The optimizer memo: persistent per-signature runtime history.
 //!
 //! Helix's online decisions (paper §2.3) run on *estimates* — name-keyed
 //! EMAs in [`crate::cost`] plus a disk model. The memo is the layer that
@@ -12,29 +11,23 @@
 //!   when they diverge (the adaptive re-plan, see
 //!   [`crate::compiler::adapt_plan_with_memo`]),
 //! * bias the online materialization rule by observed reuse frequency
-//!   ([`MemoEntry::expected_reuse`]), and
+//!   ([`MemoEntry::expected_reuse`]),
 //! * derive per-node partition thresholds from observed per-row cost
-//!   ([`MemoEntry::observed_per_row_secs`]).
+//!   ([`MemoEntry::observed_per_row_secs`]), and
+//! * price the recompute chains displacement ranks residents by
+//!   ([`chain_secs`]).
 //!
-//! [`solve_offline`] is the paper's offline Optimal-materialization
-//! formulation solved over the accumulated history: the memo's signature
-//! DAG is fed through the same Project-Selection/min-cut reduction the
-//! recomputation optimizer uses (`helix-mincut`), candidate
-//! materialization sets are costed exactly, and the best set — never
-//! worse than the online rule's — is returned for the engine to pin.
 //! The memo itself persists through the durable tier beside the engine
 //! meta (see `crate::persist`), so a restarted engine plans from history,
 //! not from zero.
 
-use crate::cost::{secs_to_us, CostModel};
-use crate::materialize::{offline_optimal, OfflineCandidate};
+use crate::cost::CostModel;
 use crate::persist::{
     arr_field, bool_field, f64_field, field, hex_u64, sig_arr, sig_list, str_field, u64_hex,
 };
 use crate::signature::Signature;
-use helix_dataflow::fx::{FxHashMap, FxHashSet};
+use helix_dataflow::fx::FxHashMap;
 use helix_json::Json;
-use helix_mincut::{Project, ProjectSelection};
 use std::collections::VecDeque;
 
 /// Observations kept per signature: a small sliding window so the memo
@@ -152,10 +145,10 @@ const STALE_OBSERVATION_WEIGHT: f64 = 0.25;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemoEntry {
     /// Node name at last sighting (names are advisory — the signature is
-    /// the identity; kept for reports and the offline pass).
+    /// the identity; kept for reports and cost-model fallbacks).
     pub name: String,
     /// Signatures of the node's parents at last sighting — the edges of
-    /// the memo's own DAG, which the offline pass plans over.
+    /// the memo's own DAG, which displacement prices chains over.
     pub parents: Vec<Signature>,
     /// Sliding window of the last [`MEMO_WINDOW`] executions.
     pub observations: VecDeque<Observation>,
@@ -188,15 +181,6 @@ impl MemoEntry {
             total += weight;
         }
         (total > 0.0).then(|| weighted / total)
-    }
-
-    /// Most recent non-zero output size, if known.
-    pub fn observed_bytes(&self) -> Option<u64> {
-        self.observations
-            .iter()
-            .rev()
-            .map(|o| o.output_bytes)
-            .find(|&b| b > 0)
     }
 
     /// Mean observed per-row compute cost, when the node computed over a
@@ -390,172 +374,6 @@ impl MemoTable {
     }
 }
 
-/// What the offline Optimal pass decided over the accumulated history.
-#[derive(Debug, Clone, Default)]
-pub struct OfflineOutcome {
-    /// The chosen materialization set (signatures to pin).
-    pub chosen: Vec<Signature>,
-    /// Expected next-access cost of the chosen set over the memo DAG
-    /// (execution via min-cut plus one write per chosen entry), seconds.
-    pub chosen_cost_secs: f64,
-    /// The same cost measure for the set the paper's *online* rule would
-    /// have materialized — by construction `chosen_cost_secs` never
-    /// exceeds this.
-    pub online_cost_secs: f64,
-    /// Signatures that were eligible (have compute and size history).
-    pub candidates: usize,
-}
-
-/// Internal per-candidate costing extracted from a memo entry.
-struct Costed {
-    sig: Signature,
-    compute_secs: f64,
-    load_secs: f64,
-    size_bytes: u64,
-    ancestors_compute_secs: f64,
-    expected_reuse: f64,
-    parents: Vec<usize>,
-    is_sink: bool,
-}
-
-/// The paper's offline Optimal-materialization pass over the memo's
-/// signature DAG.
-///
-/// Candidate sets — the exact knapsack over expected benefits
-/// ([`offline_optimal`]), a simulation of the online rule, materialize-
-/// everything-that-fits, and the empty set — are each costed exactly by
-/// running the Project-Selection/min-cut reduction over the memo DAG
-/// with loads available for exactly that set (plus one write per
-/// member), and the cheapest wins. Including the online rule's own set
-/// among the candidates guarantees the returned plan's total cost never
-/// exceeds the online heuristic's on the same history.
-pub fn solve_offline(memo: &MemoTable, cost: &CostModel, budget_bytes: u64) -> OfflineOutcome {
-    // Stable order: sort by signature so the pass is deterministic.
-    let mut sigs: Vec<Signature> = memo.entries().map(|(sig, _)| sig).collect();
-    sigs.sort_unstable_by_key(|s| s.0);
-    let index: FxHashMap<u64, usize> = sigs.iter().enumerate().map(|(i, s)| (s.0, i)).collect();
-
-    // Build the memo DAG (edges restricted to signatures the memo knows)
-    // and per-node costs from observed history, falling back to the cost
-    // model where the window holds no compute sample.
-    let mut has_child = vec![false; sigs.len()];
-    let mut nodes: Vec<Costed> = sigs
-        .iter()
-        .map(|&sig| {
-            let entry = memo.get(sig).expect("signature from iteration");
-            let size_bytes = entry.observed_bytes().unwrap_or(0);
-            let parents: Vec<usize> = entry
-                .parents
-                .iter()
-                .filter_map(|p| index.get(&p.0).copied())
-                .collect();
-            Costed {
-                sig,
-                compute_secs: history_compute_secs(memo, cost, sig, entry),
-                load_secs: cost.load_estimate_secs(size_bytes),
-                size_bytes,
-                ancestors_compute_secs: 0.0,
-                expected_reuse: entry.expected_reuse(),
-                parents,
-                is_sink: true,
-            }
-        })
-        .collect();
-    for node in &nodes {
-        for &p in &node.parents {
-            has_child[p] = true;
-        }
-    }
-    for (node, sink) in nodes.iter_mut().zip(&has_child) {
-        node.is_sink = !sink;
-    }
-    let compute: Vec<f64> = nodes.iter().map(|n| n.compute_secs).collect();
-    let parents: Vec<&[usize]> = nodes.iter().map(|n| n.parents.as_slice()).collect();
-    let ancestors = ancestor_sums(&compute, &parents);
-    for (node, sum) in nodes.iter_mut().zip(ancestors) {
-        node.ancestors_compute_secs = sum;
-    }
-
-    // Eligible candidates: a known size that fits the budget at all.
-    let candidate_ids: Vec<usize> = (0..nodes.len())
-        .filter(|&i| nodes[i].size_bytes > 0 && nodes[i].size_bytes <= budget_bytes)
-        .collect();
-
-    // Knapsack set: expected benefit = expected future accesses × (saved
-    // recompute − load), weight = observed size. The exact solver takes
-    // at most 64 items; keep the highest-benefit ones when over.
-    let mut ranked = candidate_ids.clone();
-    ranked.sort_by(|&a, &b| {
-        let benefit = |i: usize| {
-            let n = &nodes[i];
-            n.expected_reuse * (n.compute_secs + n.ancestors_compute_secs - n.load_secs)
-        };
-        benefit(b)
-            .partial_cmp(&benefit(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    ranked.truncate(64);
-    let knapsack_items: Vec<OfflineCandidate> = ranked
-        .iter()
-        .map(|&i| {
-            let n = &nodes[i];
-            OfflineCandidate {
-                benefit_secs: n.expected_reuse
-                    * (n.compute_secs + n.ancestors_compute_secs - n.load_secs),
-                size_bytes: n.size_bytes,
-            }
-        })
-        .collect();
-    let knapsack_set: Vec<usize> = offline_optimal(&knapsack_items, budget_bytes)
-        .into_iter()
-        .map(|k| ranked[k])
-        .collect();
-
-    // The online rule's set, simulated over the same history: materialize
-    // when `2·l < c + Σ ancestors` and the running total fits the budget,
-    // in deterministic (signature) order.
-    let mut online_set = Vec::new();
-    let mut online_used = 0u64;
-    for &i in &candidate_ids {
-        let n = &nodes[i];
-        if 2.0 * n.load_secs < n.compute_secs + n.ancestors_compute_secs
-            && online_used + n.size_bytes <= budget_bytes
-        {
-            online_set.push(i);
-            online_used += n.size_bytes;
-        }
-    }
-
-    // Everything that fits, greedily by benefit density.
-    let mut all_fits = Vec::new();
-    let mut fits_used = 0u64;
-    for &i in &ranked {
-        if fits_used + nodes[i].size_bytes <= budget_bytes {
-            all_fits.push(i);
-            fits_used += nodes[i].size_bytes;
-        }
-    }
-
-    let online_cost = evaluate_set(&nodes, &online_set);
-    let empty_set = Vec::new();
-    let mut best_set: &[usize] = &online_set;
-    let mut best_cost = online_cost;
-    for set in [&knapsack_set, &all_fits, &empty_set] {
-        let c = evaluate_set(&nodes, set);
-        if c < best_cost {
-            best_cost = c;
-            best_set = set;
-        }
-    }
-
-    OfflineOutcome {
-        chosen: best_set.iter().map(|&i| nodes[i].sig).collect(),
-        chosen_cost_secs: best_cost,
-        online_cost_secs: online_cost,
-        candidates: candidate_ids.len(),
-    }
-}
-
 /// A signature's compute seconds as history prices it: the decayed
 /// observed mean, else the cost model's name estimate, else
 /// the compiler's default for a never-observed operator (a signature
@@ -574,8 +392,8 @@ fn history_compute_secs(
 /// The ancestor term `Σ_{j ∈ A(i)} c_j` of every node of a DAG given as
 /// per-node compute seconds and parent indices: each node sums its
 /// parents' compute plus their own ancestor terms, so an ancestor
-/// reached along two paths counts twice. [`solve_offline`] ranks by it,
-/// and [`chain_secs`] prices displacement with it.
+/// reached along two paths counts twice. [`chain_secs`] prices
+/// displacement with it.
 fn ancestor_sums(compute: &[f64], parents: &[&[usize]]) -> Vec<f64> {
     let mut sums = vec![0.0; compute.len()];
     for i in topo_order(parents) {
@@ -586,10 +404,10 @@ fn ancestor_sums(compute: &[f64], parents: &[&[usize]]) -> Vec<f64> {
 
 /// Recompute-chain seconds `c_i + Σ_{j ∈ A(i)} c_j` of each of `sigs`:
 /// what recomputing it through its ancestors would cost. Priced from
-/// history over the memo's own parent edges, with the ancestor sum
-/// [`solve_offline`] ranks by (an ancestor on two paths counts twice); a
-/// signature the memo has never seen is priced from `fresh`, a run's own
-/// compute seconds and parents, and one neither knows costs nothing.
+/// history over the memo's own parent edges (an ancestor on two paths
+/// counts twice); a signature the memo has never seen is priced from
+/// `fresh`, a run's own compute seconds and parents, and one neither
+/// knows costs nothing.
 pub fn chain_secs(
     memo: &MemoTable,
     cost: &CostModel,
@@ -631,7 +449,7 @@ pub fn chain_secs(
 /// Topological order of a DAG given as parent indices (parents before
 /// children). Cycles cannot occur in the memo — signatures hash the
 /// ancestry — but a defensive visit guard keeps a corrupt memo from
-/// hanging the pass.
+/// hanging displacement.
 fn topo_order(parents: &[&[usize]]) -> Vec<usize> {
     let mut order = Vec::with_capacity(parents.len());
     let mut state = vec![0u8; parents.len()]; // 0 unvisited, 1 open, 2 done
@@ -658,51 +476,6 @@ fn topo_order(parents: &[&[usize]]) -> Vec<usize> {
         }
     }
     order
-}
-
-/// Exact expected next-access cost of a materialization set `set` over
-/// the memo DAG: the min-cut optimal execution cost with loads available
-/// for exactly `set`, plus one write per member (the symmetric write
-/// model the online rule's `2·l` term assumes).
-fn evaluate_set(nodes: &[Costed], set: &[usize]) -> f64 {
-    let available: FxHashSet<usize> = set.iter().copied().collect();
-    let mut psp = ProjectSelection::new();
-    const INF_US: i64 = crate::recompute::LOAD_INFEASIBLE_US as i64;
-    // Same reduction as the recomputation optimizer: a_i (make available,
-    // profit −l) and b_i (compute, profit l − c, requires a_i and the
-    // parents' a). Sinks of the memo DAG are the mandatory outputs.
-    for (i, n) in nodes.iter().enumerate() {
-        let l = if available.contains(&i) {
-            (secs_to_us(n.load_secs) as i64).min(INF_US - 1)
-        } else {
-            INF_US
-        };
-        let c = secs_to_us(n.compute_secs) as i64;
-        let a = if n.is_sink {
-            Project::mandatory(-l)
-        } else {
-            Project::new(-l)
-        };
-        psp.add_project(a);
-        psp.add_project(Project::new(l - c));
-    }
-    for (i, n) in nodes.iter().enumerate() {
-        psp.require(2 * i + 1, 2 * i);
-        for &p in &n.parents {
-            psp.require(2 * i + 1, 2 * p);
-        }
-    }
-    let solution = psp.solve();
-    let mut exec_us = 0u64;
-    for (i, n) in nodes.iter().enumerate() {
-        if solution.selected[2 * i + 1] {
-            exec_us += secs_to_us(n.compute_secs);
-        } else if solution.selected[2 * i] {
-            exec_us += secs_to_us(n.load_secs);
-        }
-    }
-    let write_secs: f64 = set.iter().map(|&i| nodes[i].load_secs).sum();
-    exec_us as f64 / 1e6 + write_secs
 }
 
 #[cfg(test)]
@@ -741,7 +514,6 @@ mod tests {
         memo.record(Signature(7), "n", &[], obs(0.1, 50, true, 0));
         assert_eq!(memo.observed_compute_secs(Signature(7)), Some(3.0));
         let e = memo.get(Signature(7)).unwrap();
-        assert_eq!(e.observed_bytes(), Some(50));
         assert!((e.observed_per_row_secs().unwrap() - 0.3).abs() < 1e-12);
         assert_eq!(e.reuse_hits, 1);
         assert_eq!(e.runs, 3);
@@ -795,9 +567,7 @@ mod tests {
         assert_eq!(memo.observed_compute_secs(Signature(2)), Some(3.0));
     }
 
-    /// A chain a → b → c where c is expensive through its ancestors and
-    /// small on disk: the offline pass must materialize it and beat (or
-    /// match) the online rule.
+    /// A chain a → b → c, one second per node.
     fn chain_memo() -> MemoTable {
         let mut memo = MemoTable::new();
         let (a, b, c) = (Signature(10), Signature(11), Signature(12));
@@ -810,47 +580,12 @@ mod tests {
     }
 
     #[test]
-    fn offline_never_beats_nothing_but_never_loses_to_online() {
-        let memo = chain_memo();
-        let cost = CostModel::new();
-        let outcome = solve_offline(&memo, &cost, 1 << 20);
-        assert_eq!(outcome.candidates, 3);
-        assert!(
-            outcome.chosen_cost_secs <= outcome.online_cost_secs,
-            "offline {} must be ≤ online {}",
-            outcome.chosen_cost_secs,
-            outcome.online_cost_secs
-        );
-        // Loading the 4 KiB tail is far cheaper than 3 s of recompute.
-        assert!(
-            outcome.chosen.contains(&Signature(12)),
-            "the chain tail is the obvious pin: {:?}",
-            outcome.chosen
-        );
-    }
-
-    #[test]
     fn chain_secs_sums_ancestors_and_prices_unseen_signatures_fresh() {
         let memo = chain_memo();
         let fresh = [(99, (2.0, vec![Signature(12)]))].into_iter().collect();
         let sigs = [Signature(12), Signature(99), Signature(7)];
         let chains = chain_secs(&memo, &CostModel::new(), &fresh, &sigs);
         assert_eq!(chains, vec![3.0, 5.0, 0.0]);
-    }
-
-    #[test]
-    fn offline_respects_a_zero_budget() {
-        let memo = chain_memo();
-        let outcome = solve_offline(&memo, &CostModel::new(), 0);
-        assert!(outcome.chosen.is_empty());
-        assert_eq!(outcome.chosen_cost_secs, outcome.online_cost_secs);
-    }
-
-    #[test]
-    fn offline_on_empty_memo_is_empty() {
-        let outcome = solve_offline(&MemoTable::new(), &CostModel::new(), 1 << 20);
-        assert!(outcome.chosen.is_empty());
-        assert_eq!(outcome.candidates, 0);
     }
 
     #[test]

@@ -321,21 +321,15 @@ pub(crate) struct EngineMeta {
     pub versions: Vec<WorkflowVersion>,
     /// The optimizer memo (empty for pre-memo meta files).
     pub memo: MemoTable,
-    /// Signatures pinned by the last offline Optimal pass.
-    pub pinned: Vec<Signature>,
     /// Lifetime adaptive re-plan count.
     pub replans_triggered: u64,
-    /// Unix timestamp of the last offline pass (0 = never ran).
-    pub last_offline_unix: u64,
     /// The last log sequence number the snapshot folds in.
     pub seq: u64,
 }
 
 impl Doc for EngineMeta {
-    /// The snapshot document (pinned signatures sorted, for stable files).
+    /// The snapshot document.
     fn to_json(&self) -> Json {
-        let mut pinned = self.pinned.clone();
-        pinned.sort_unstable_by_key(|s| s.0);
         let versions = json_arr(&self.versions, WorkflowVersion::to_json);
         let count = |n: u64| Json::Num(n as f64);
         Json::obj([
@@ -343,18 +337,14 @@ impl Doc for EngineMeta {
             ("cost", self.cost.to_json()),
             ("versions", versions),
             ("memo", self.memo.to_json()),
-            ("pinned", sig_arr(&pinned)),
             ("replans_triggered", count(self.replans_triggered)),
-            ("last_offline_unix", count(self.last_offline_unix)),
         ])
     }
 
     /// Applies one meta-log record: a run's cost events, memo recordings
-    /// and version (`null` for a failed run), or an offline pass's pins;
-    /// both carry the counters.
+    /// and version (`null` for a failed run), with the re-plan counter.
     fn apply(&mut self, record: &Json) -> Result<(), String> {
         let replans = field(record, "replans")?.as_u64().ok_or("bad `replans`")?;
-        let offline = field(record, "offline")?.as_u64().ok_or("bad `offline`")?;
         match str_field(record, "op")?.as_str() {
             "run" => {
                 let events = decoded(record, "cost", CostEvent::from_json)?;
@@ -372,11 +362,12 @@ impl Doc for EngineMeta {
                 }
                 self.versions.extend(version);
             }
-            "pins" => self.pinned = sig_list(record, "pinned")?,
+            // Written by the offline materialization pass, which is gone.
+            // Accepted so the records logged after one still replay.
+            "pins" => {}
             op => return Err(format!("unknown meta record `{op}`")),
         }
         self.replans_triggered = replans;
-        self.last_offline_unix = offline;
         Ok(())
     }
 }
@@ -394,16 +385,11 @@ pub(crate) fn load_engine_meta(path: &Path) -> Result<Option<EngineMeta>, String
     let memo = doc
         .get("memo")
         .map_or(Ok(MemoTable::new()), MemoTable::from_json)?;
-    let pinned = doc
-        .get("pinned")
-        .map_or(Ok(Vec::new()), |_| sig_list(&doc, "pinned"))?;
     Ok(Some(EngineMeta {
         cost: CostModel::from_json(field(&doc, "cost")?)?,
         versions: decoded(&doc, "versions", WorkflowVersion::from_json)?,
         memo,
-        pinned,
         replans_triggered: count(&doc, "replans_triggered"),
-        last_offline_unix: count(&doc, "last_offline_unix"),
         seq: count(&doc, "seq"),
     }))
 }
@@ -737,9 +723,7 @@ mod tests {
             cost,
             versions: vec![sample_version(0, None)],
             memo: memo.clone(),
-            pinned: vec![Signature(7), Signature(3)],
             replans_triggered: 5,
-            last_offline_unix: 1234,
             seq: 0,
         };
         write_atomic(&path, &saved.to_json().to_string()).unwrap();
@@ -749,9 +733,7 @@ mod tests {
         assert_eq!(meta.memo.len(), 1);
         assert_eq!(meta.memo.observations_recorded(), 2);
         assert_eq!(meta.memo.get(Signature(7)), memo.get(Signature(7)));
-        assert_eq!(meta.pinned, vec![Signature(3), Signature(7)]);
         assert_eq!(meta.replans_triggered, 5);
-        assert_eq!(meta.last_offline_unix, 1234);
     }
 
     #[test]
@@ -886,9 +868,7 @@ mod tests {
             encoded(&[v1_version(0, None, 0.8), v1_version(1, Some("alice"), 0.83)])
         );
         assert_eq!(meta.memo.to_json(), memo.to_json());
-        assert_eq!(meta.pinned, vec![Signature(3), Signature(7)]);
         assert_eq!(meta.replans_triggered, 5);
-        assert_eq!(meta.last_offline_unix, 1234);
 
         let path = session_path(&dir, "alice");
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -952,6 +932,42 @@ mod tests {
         );
     }
 
+    /// A meta directory as the writer with the offline materialization
+    /// pass left it: a snapshot carrying the pass's pin set and timestamp,
+    /// and a log in which a `pins` record sits between two runs.
+    #[test]
+    fn parent_written_pins_record_still_replays() {
+        let dir = tmpdir("pins");
+        let path = engine_meta_path(&dir);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, V1_ENGINE_META).unwrap();
+        let run = |seq: u64, sig: &str, id: usize, replans: u64, offline: u64| {
+            let version = v1_version(id, Some("bob"), 0.9).to_json();
+            format!(
+                r#"{{"seq":{seq},"op":"run","cost":[["compute","rows",0.5]],"memo":[{{"sig":"{sig}","name":"rows","parents":["0000000000000003"],"obs":{{"secs":0.5,"bytes":64,"loaded":false,"rows":4,"run":0}}}}],"version":{version},"replans":{replans},"offline":{offline}}}"#
+            )
+        };
+        let log = [
+            run(1, "0000000000000021", 2, 5, 1234),
+            r#"{"seq":2,"op":"pins","pinned":["0000000000000021"],"replans":5,"offline":1300}"#
+                .to_string(),
+            run(3, "0000000000000022", 3, 6, 1300),
+        ];
+        std::fs::write(log_path(&path), log.join("\n") + "\n").unwrap();
+
+        let mut meta = load_engine_meta(&path).unwrap().unwrap();
+        let (_, dropped) = Journal::recover(&path, meta.seq, &mut meta, false).unwrap();
+        assert_eq!(dropped, 0);
+        let ids: Vec<usize> = meta.versions.iter().map(|v| v.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        for sig in [0x21, 0x22] {
+            let entry = meta.memo.get(Signature(sig)).unwrap();
+            assert_eq!((entry.name.as_str(), entry.runs), ("rows", 1));
+        }
+        assert_eq!(meta.memo.observations_recorded(), 5);
+        assert_eq!(meta.replans_triggered, 6);
+    }
+
     #[test]
     fn pre_memo_engine_meta_still_loads() {
         // A meta file written before the optimizer memo existed (PR 8
@@ -966,9 +982,7 @@ mod tests {
         write_atomic(&path, &doc.to_string()).unwrap();
         let meta = load_engine_meta(&path).unwrap().unwrap();
         assert!(meta.memo.is_empty());
-        assert!(meta.pinned.is_empty());
         assert_eq!(meta.replans_triggered, 0);
-        assert_eq!(meta.last_offline_unix, 0);
     }
 
     #[test]

@@ -306,17 +306,15 @@ impl VersionStore {
     }
 
     /// The version with the highest value of `metric` (the demo's "best
-    /// version" shortcut).
+    /// version" shortcut). A NaN value — a diverged run — is never best.
     pub fn best_by_metric(&self, metric: &str) -> Option<&WorkflowVersion> {
         self.versions
             .iter()
             .filter_map(|v| {
-                v.metrics
-                    .iter()
-                    .find(|(m, _)| m == metric)
-                    .map(|(_, value)| (v, *value))
+                let (_, value) = v.metrics.iter().find(|(m, _)| m == metric)?;
+                (!value.is_nan()).then_some((v, *value))
             })
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+            .max_by(|(_, a), (_, b)| a.total_cmp(b))
             .map(|(v, _)| v)
     }
 
@@ -467,6 +465,16 @@ mod tests {
             vs.metric_trend("accuracy"),
             vec![(0, 0.80), (1, 0.91), (2, 0.86)]
         );
+    }
+
+    #[test]
+    fn best_by_metric_skips_nan() {
+        let mut vs = VersionStore::new();
+        let w = workflow(0.1);
+        vs.record(&fake_report(&w, 0, 0.9, 1.0, "a"));
+        vs.record(&fake_report(&w, 1, f64::NAN, 1.0, "b"));
+        vs.record(&fake_report(&w, 2, 0.5, 1.0, "c"));
+        assert_eq!(vs.best_by_metric("accuracy").unwrap().id, 0);
     }
 
     #[test]

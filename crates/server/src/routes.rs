@@ -172,8 +172,7 @@ impl Api {
             ("GET", ["sessions", name, "diff"]) => self.diff(name, req),
             ("GET", ["versions"]) => self.global_versions(),
             ("POST", ["admin", "snapshot"]) => self.admin_snapshot(),
-            ("POST", ["admin", "optimize"]) => self.admin_optimize(),
-            (_, ["admin", "snapshot" | "optimize"])
+            (_, ["admin", "snapshot"])
             | (_, ["healthz" | "workflows" | "versions" | "sessions" | "stats"])
             | (_, ["sessions", _])
             | (
@@ -462,14 +461,14 @@ impl Api {
         })
     }
 
-    /// `GET /stats` (schema `"v": 4`): serving counters, the live
+    /// `GET /stats` (schema `"v": 5`): serving counters, the live
     /// session count, the durability counters — sessions and store
     /// entries recovered at startup, and meta and session log records
     /// recovery dropped (all zero on a volatile engine) —
-    /// the optimizer counters: memo size, observations recorded,
-    /// adaptive re-plans triggered, and the unix time of the last
-    /// offline optimization pass — and the store's decoded-read cache:
-    /// outputs held, their estimated bytes, and loads answered from it.
+    /// the optimizer counters: memo size, observations recorded and
+    /// adaptive re-plans triggered — the store's decoded-read cache:
+    /// outputs held, their estimated bytes, and loads answered from it —
+    /// and the outputs displacement evicted, with their bytes.
     /// An API never attached to a socket server reports zeroed serving
     /// counters.
     fn stats(&self) -> Response {
@@ -484,7 +483,7 @@ impl Api {
         let decoded = engine.store().decoded_stats();
         let displaced = engine.store().displaced_stats();
         ok(Json::obj([
-            ("v", Json::Num(4.0)),
+            ("v", Json::Num(5.0)),
             ("connections", Json::Num(snap.connections as f64)),
             ("requests", Json::Num(snap.requests as f64)),
             ("shed", Json::Num(snap.shed as f64)),
@@ -516,36 +515,12 @@ impl Api {
                 "replans_triggered",
                 Json::Num(optimizer.replans_triggered as f64),
             ),
-            ("pinned", Json::Num(optimizer.pinned as f64)),
-            (
-                "last_offline_pass",
-                Json::Num(optimizer.last_offline_unix as f64),
-            ),
             ("decoded_entries", Json::Num(decoded.entries as f64)),
             ("decoded_bytes", Json::Num(decoded.bytes as f64)),
             ("decoded_hits", Json::Num(decoded.hits as f64)),
             ("displaced_entries", Json::Num(displaced.entries as f64)),
             ("displaced_bytes", Json::Num(displaced.bytes as f64)),
         ]))
-    }
-
-    /// `POST /admin/optimize`: runs the offline Optimal-materialization
-    /// pass over the engine's accumulated memo history, pins the chosen
-    /// node set for future materialization decisions, and evicts stored
-    /// outputs the pass decided not to keep. Works on volatile engines
-    /// too (the pin set just doesn't survive a restart there).
-    fn admin_optimize(&self) -> Response {
-        let engine = self.manager.engine();
-        match engine.optimize_offline() {
-            Ok(outcome) => ok(Json::obj([
-                ("optimized", Json::Bool(true)),
-                ("pinned", Json::Num(outcome.chosen.len() as f64)),
-                ("candidates", Json::Num(outcome.candidates as f64)),
-                ("chosen_cost_secs", Json::Num(outcome.chosen_cost_secs)),
-                ("online_cost_secs", Json::Num(outcome.online_cost_secs)),
-            ])),
-            Err(err) => engine_error(err),
-        }
     }
 
     /// `POST /admin/snapshot`: forces a durability checkpoint — compacts
@@ -602,6 +577,45 @@ mod tests {
         assert_eq!(Api::parse_failure(&stalled).status, 408);
     }
 
+    /// Every `METHOD /path` row of docs/API.md's endpoint table reaches a
+    /// handler: a removed route cannot stay documented.
+    #[test]
+    fn documented_routes_exist() {
+        use helix_core::EngineConfig;
+
+        let dir = std::env::temp_dir().join(format!("helix-routes-docs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manager = Arc::new(SessionManager::with_config(EngineConfig::helix(&dir)).unwrap());
+        let api = Api::new(manager, WorkflowRegistry::new());
+        let routes: Vec<(&str, &str)> = include_str!("../../../docs/API.md")
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split('`').next()?.split_once(' '))
+            .filter(|(method, path)| {
+                method.bytes().all(|b| b.is_ascii_uppercase()) && path.starts_with('/')
+            })
+            .collect();
+        assert!(routes.contains(&("GET", "/healthz")), "no endpoint table");
+        for (method, path) in routes {
+            let path = path.split('?').next().unwrap();
+            let path = path
+                .replace("{name}", "no-such-session")
+                .replace("{id}", "0");
+            let response = api.handle(&Request {
+                method: method.into(),
+                path: path.clone(),
+                query: Vec::new(),
+                body: String::new(),
+                close: false,
+            });
+            assert!(
+                !(response.status == 404 && response.body.contains("no route for")),
+                "documented route {method} {path} is not routed: {}",
+                response.body
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stats_report_the_decoded_read_cache() {
         use helix_core::signature::Signature;
@@ -631,7 +645,7 @@ mod tests {
         });
         let stats = Json::parse(&response.body).unwrap();
         let field = |key: &str| stats.get(key).and_then(Json::as_u64);
-        assert_eq!(field("v"), Some(4));
+        assert_eq!(field("v"), Some(5));
         assert_eq!(field("decoded_entries"), Some(1));
         assert_eq!(
             field("decoded_bytes"),
@@ -674,7 +688,7 @@ mod tests {
         });
         let stats = Json::parse(&response.body).unwrap();
         let field = |key: &str| stats.get(key).and_then(Json::as_u64);
-        assert_eq!(field("v"), Some(4));
+        assert_eq!(field("v"), Some(5));
         assert_eq!(field("displaced_entries"), Some(1));
         assert_eq!(field("displaced_bytes"), Some(size));
         let _ = std::fs::remove_dir_all(&dir);
@@ -690,10 +704,15 @@ mod tests {
         let config = || EngineConfig::helix(&dir).with_durability(Durability::wal());
         {
             let manager = SessionManager::with_config(config()).unwrap();
+            let docs = dir.join("docs.txt");
+            std::fs::write(&docs, "one\ntwo\n").unwrap();
+            let mut w = Workflow::new("w");
+            let source = w.text_source("docs", docs, 0.0).unwrap();
+            w.output(&source);
             // The first record compacts into a fresh snapshot; the second
             // stays in the log.
-            manager.engine().optimize_offline().unwrap();
-            manager.engine().optimize_offline().unwrap();
+            manager.engine().run(&w).unwrap();
+            manager.engine().run(&w).unwrap();
             let a = manager
                 .create_with_template("a", Workflow::new("w"), Some("t"))
                 .unwrap();

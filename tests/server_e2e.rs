@@ -486,13 +486,14 @@ fn durable_server_recovers_sessions_over_the_wire() {
         .unwrap()
         .expect_ok();
 
-    // Stats v4 on a fresh durable server: nothing recovered, no store
+    // Stats v5 on a fresh durable server: nothing recovered, no store
     // log to report, and the optimizer memo populated by the two
     // iterations.
     let stats = client::get(addr, "/stats").unwrap().expect_ok();
-    assert_eq!(stats.get("v").unwrap().as_u64(), Some(4));
+    assert_eq!(stats.get("v").unwrap().as_u64(), Some(5));
     assert_eq!(stats.get("recovered_sessions").unwrap().as_u64(), Some(0));
     assert!(stats.get("wal_bytes").is_none() && stats.get("last_snapshot").is_none());
+    assert!(stats.get("pinned").is_none() && stats.get("last_offline_pass").is_none());
     assert!(
         stats
             .get("observations_recorded")
@@ -504,21 +505,11 @@ fn durable_server_recovers_sessions_over_the_wire() {
     );
     assert!(stats.get("memo_entries").unwrap().as_u64().unwrap() > 0);
 
-    // The offline Optimal pass runs over the accumulated history and
-    // never does worse than the online heuristic it replaces.
-    let optimized = client::post(addr, "/admin/optimize", "")
-        .unwrap()
-        .expect_ok();
-    assert_eq!(optimized.get("optimized").unwrap().as_bool(), Some(true));
-    assert!(
-        optimized.get("chosen_cost_secs").unwrap().as_f64().unwrap()
-            <= optimized.get("online_cost_secs").unwrap().as_f64().unwrap(),
-        "offline pass must not lose to the online rule: {optimized}"
-    );
+    // Materialization has one policy, the online rule: there is no
+    // offline-optimize route.
     assert_eq!(
-        client::get(addr, "/admin/optimize").unwrap().status,
-        405,
-        "GET on the optimize route must be method-not-allowed"
+        client::post(addr, "/admin/optimize", "").unwrap().status,
+        404
     );
 
     // Forced checkpoint compacts the meta and session logs into their
@@ -546,16 +537,12 @@ fn durable_server_recovers_sessions_over_the_wire() {
     let addr = server.addr();
 
     let stats = client::get(addr, "/stats").unwrap().expect_ok();
-    assert_eq!(stats.get("v").unwrap().as_u64(), Some(4));
+    assert_eq!(stats.get("v").unwrap().as_u64(), Some(5));
     assert_eq!(stats.get("recovered_sessions").unwrap().as_u64(), Some(1));
     assert!(stats.get("recovered_entries").unwrap().as_u64().unwrap() > 0);
     assert!(
         stats.get("memo_entries").unwrap().as_u64().unwrap() > 0,
         "the optimizer memo must survive the restart: {stats}"
-    );
-    assert!(
-        stats.get("last_offline_pass").unwrap().as_u64().unwrap() > 0,
-        "the pre-restart offline pass timestamp must be recovered: {stats}"
     );
 
     let info = client::get(addr, "/sessions/alice").unwrap().expect_ok();
@@ -611,9 +598,9 @@ fn admin_snapshot_on_volatile_engine_is_rejected() {
         .unwrap()
         .contains("volatile"));
 
-    // Volatile stats still answer with the v4 schema, counters zeroed.
+    // Volatile stats still answer with the v5 schema, counters zeroed.
     let stats = client::get(addr, "/stats").unwrap().expect_ok();
-    assert_eq!(stats.get("v").unwrap().as_u64(), Some(4));
+    assert_eq!(stats.get("v").unwrap().as_u64(), Some(5));
     assert_eq!(stats.get("recovered_sessions").unwrap().as_u64(), Some(0));
 
     server.shutdown();
